@@ -33,9 +33,9 @@ use std::collections::HashMap;
 
 use microbrowse_api::v1::{FeedbackEvent, FeedbackRequest};
 use microbrowse_bench::{corpus_config, Args};
-use microbrowse_core::serve::{Fidelity, Scorer};
+use microbrowse_core::serve::{Fidelity, ServingBundle};
 use microbrowse_core::{AdCorpus, ModelSpec, PairFilter, Placement};
-use microbrowse_online::OnlineLearner;
+use microbrowse_online::{OnlineLearner, RefitOutput};
 use microbrowse_store::StatsDb;
 use microbrowse_synth::{drifted_salience, generate_with_salience, GeneratorConfig};
 
@@ -80,13 +80,14 @@ fn corpus_to_batches(
     batches
 }
 
-/// Pairwise accuracy of `(model, stats)` on the significant pairs of
-/// `corpus`. Returns `(accuracy, num_pairs)`.
-fn eval_accuracy(
-    model: &microbrowse_core::serve::DeployedModel,
-    stats: &StatsDb,
-    corpus: &AdCorpus,
-) -> (f64, usize) {
+/// A full-fidelity serving bundle over a refit's model and statistics.
+fn bundle_of(refit: RefitOutput) -> ServingBundle {
+    ServingBundle::from_parts(refit.model, refit.stats, Fidelity::Full).expect("bundle compiles")
+}
+
+/// Pairwise accuracy of `bundle` on the significant pairs of `corpus`.
+/// Returns `(accuracy, num_pairs)`.
+fn eval_accuracy(bundle: &ServingBundle, corpus: &AdCorpus) -> (f64, usize) {
     let pairs = corpus.extract_pairs(&PairFilter::default());
     let by_id: HashMap<_, _> = corpus
         .adgroups
@@ -94,7 +95,7 @@ fn eval_accuracy(
         .flat_map(|g| &g.creatives)
         .map(|c| (c.id, c))
         .collect();
-    let scorer = Scorer::with_fidelity(model, stats, Fidelity::Full);
+    let scorer = bundle.scorer();
     let mut scratch = scorer.scratch();
     let mut correct = 0usize;
     for p in &pairs {
@@ -137,6 +138,7 @@ fn main() {
         frozen.pairs,
         frozen.stats.len()
     );
+    let frozen = bundle_of(frozen);
 
     let mut rows = Vec::new();
     let mut post_frozen = Vec::new();
@@ -155,9 +157,9 @@ fn main() {
         ) {
             learner.absorb(&batch);
         }
-        let online = learner.refit().expect("window refit");
-        let (fa, pairs) = eval_accuracy(&frozen.model, &frozen.stats, &synth.corpus);
-        let (oa, _) = eval_accuracy(&online.model, &online.stats, &synth.corpus);
+        let online = bundle_of(learner.refit().expect("window refit"));
+        let (fa, pairs) = eval_accuracy(&frozen, &synth.corpus);
+        let (oa, _) = eval_accuracy(&online, &synth.corpus);
         let margin = oa - fa;
         eprintln!(
             "window {w} (phase {phase:.1}): {pairs} pairs | frozen {fa:.3} | online {oa:.3} | margin {margin:+.3}"

@@ -5,20 +5,21 @@
 //! M5-shape model whose vocabulary is drawn from that database, and pushes
 //! the same batched pair stream through
 //!
-//! 1. **legacy** — `Scorer::with_fidelity` (hash-map statistics lookups,
-//!    per-batch tokenization cache, alignment recomputed every pair), and
+//! 1. **reference** — one `ReferenceScorer` for the whole run (fresh
+//!    tokenization and n-gram extraction per pair, hash-map statistics
+//!    lookups, alignment recomputed every pair), and
 //! 2. **engine** — `ServingBundle::scorer()` (precompiled feature table,
-//!    arena-backed batch scratch, cross-batch alignment cache),
+//!    arena-backed scratch, cross-batch alignment cache),
 //!
 //! asserting the two produce bit-identical scores before reporting
-//! pairs/second for each, the engine-over-legacy speedup, a
+//! pairs/second for each, the engine-over-reference speedup, a
 //! statistics-lookup microbenchmark (`StatsDb` hash probe vs compiled
 //! binary search vs the fixed-point q16 variant), and the alignment-cache
 //! hit counters from an instrumented pass. Results land in
 //! `results/BENCH_score_hot.json`.
 //!
 //! With `--gate R` (used by `scripts/check.sh`) the process exits non-zero
-//! unless the engine is at least `R`× the legacy throughput.
+//! unless the engine is at least `R`× the reference throughput.
 //!
 //! Usage: `bench_score_hot [--adgroups 200] [--seed 42] [--pairs 256]
 //! [--batch-size 64] [--batches 200] [--gate 0.0]
@@ -30,7 +31,8 @@ use std::time::Instant;
 use microbrowse_bench::{corpus_config, Args};
 use microbrowse_core::classifier::{ModelSpec, TrainedClassifier};
 use microbrowse_core::features::OwnedTermFeat;
-use microbrowse_core::serve::{DeployedModel, Fidelity, Scorer, ServingBundle};
+use microbrowse_core::reference::ReferenceScorer;
+use microbrowse_core::serve::{DeployedModel, Fidelity, ServingBundle};
 use microbrowse_core::{build_stats_from_corpus, PairFilter, Placement, StatsBuildConfig};
 use microbrowse_ml::LogReg;
 use microbrowse_store::{FeatureKey, StatsDb};
@@ -63,28 +65,40 @@ fn model_from_stats(stats: &StatsDb) -> DeployedModel {
     }
 }
 
-/// Time `batches` passes of `batch` through a scorer, returning
-/// (elapsed seconds, scores of the final pass).
+/// Time `reps` passes of `batches` through `score_batch`, returning
+/// (elapsed seconds, scores of the final batch).
 fn run_phase(
-    scorer: &Scorer<'_>,
     batches: &[Vec<(Snippet, Snippet)>],
     reps: usize,
+    mut score_batch: impl FnMut(&[(Snippet, Snippet)]) -> Vec<f64>,
 ) -> (f64, Vec<f64>) {
-    let mut scratch = scorer.scratch();
     // Warmup: one full cycle populates arena capacity and (for the engine)
     // the alignment cache, so the timed section measures the steady state
     // a long-lived serving worker reaches.
     let mut last = Vec::new();
     for batch in batches {
-        last = scorer.score_batch(batch, &mut scratch);
+        last = score_batch(batch);
     }
     let t = Instant::now();
     for _ in 0..reps {
         for batch in batches {
-            last = scorer.score_batch(batch, &mut scratch);
+            last = score_batch(batch);
         }
     }
     (t.elapsed().as_secs_f64(), last)
+}
+
+/// [`run_phase`] through an engine scorer with one scratch.
+fn run_engine(
+    bundle: &ServingBundle,
+    batches: &[Vec<(Snippet, Snippet)>],
+    reps: usize,
+) -> (f64, Vec<f64>) {
+    let scorer = bundle.scorer();
+    let mut scratch = scorer.scratch();
+    run_phase(batches, reps, |batch| {
+        scorer.score_batch(batch, &mut scratch)
+    })
 }
 
 /// ns/lookup over `probes` through an arbitrary lookup closure.
@@ -153,14 +167,18 @@ fn main() {
     let bundle = ServingBundle::from_parts(model.clone(), stats.clone(), Fidelity::Full)
         .expect("bundle compiles");
 
-    eprintln!("timing legacy scorer…");
-    let legacy_scorer = Scorer::with_fidelity(&model, &stats, Fidelity::Full);
-    let (legacy_s, legacy_scores) = run_phase(&legacy_scorer, &batch_list, reps);
-    let legacy_pps = (reps * pairs_per_cycle) as f64 / legacy_s;
+    eprintln!("timing reference scorer…");
+    let mut reference = ReferenceScorer::from_parts(&model, &stats, &Fidelity::Full);
+    let (reference_s, reference_scores) = run_phase(&batch_list, reps, |batch| {
+        batch
+            .iter()
+            .map(|(r, s)| reference.score_pair(r, s))
+            .collect()
+    });
+    let reference_pps = (reps * pairs_per_cycle) as f64 / reference_s;
 
     eprintln!("timing engine scorer…");
-    let engine_scorer = bundle.scorer();
-    let (engine_s, engine_scores) = run_phase(&engine_scorer, &batch_list, reps);
+    let (engine_s, engine_scores) = run_engine(&bundle, &batch_list, reps);
     let engine_pps = (reps * pairs_per_cycle) as f64 / engine_s;
 
     // Multi-threaded engine phase: one shared bundle, one scratch per
@@ -175,8 +193,7 @@ fn main() {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let scorer = bundle.scorer();
-                    let (elapsed, scores) = run_phase(&scorer, &batch_list, reps);
+                    let (elapsed, scores) = run_engine(&bundle, &batch_list, reps);
                     black_box(scores);
                     elapsed
                 })
@@ -191,12 +208,12 @@ fn main() {
     let mt_pps = (threads * reps * pairs_per_cycle) as f64 / mt_s;
 
     // The optimization contract: not one bit of drift.
-    assert_eq!(legacy_scores.len(), engine_scores.len());
-    for (i, (a, b)) in legacy_scores.iter().zip(&engine_scores).enumerate() {
+    assert_eq!(reference_scores.len(), engine_scores.len());
+    for (i, (a, b)) in reference_scores.iter().zip(&engine_scores).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "engine diverged from legacy at pair {i}: {a} vs {b}"
+            "engine diverged from reference at pair {i}: {a} vs {b}"
         );
     }
 
@@ -232,9 +249,9 @@ fn main() {
     let ns_compiled = time_lookups(&probes, lookup_reps, |k| table.log_odds(k));
     let ns_q16 = time_lookups(&probes, lookup_reps, |k| table.log_odds_q16(k) as f64);
 
-    let speedup = engine_pps / legacy_pps;
+    let speedup = engine_pps / reference_pps;
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"legacy\": {{\n    \"elapsed_s\": {legacy_s:.4},\n    \"pairs_per_s\": {legacy_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate:.2},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1},\n    \"compiled_q16\": {ns_q16:.1}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"reference\": {{\n    \"elapsed_s\": {reference_s:.4},\n    \"pairs_per_s\": {reference_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate:.2},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1},\n    \"compiled_q16\": {ns_q16:.1}\n  }}\n}}\n",
         stats.len(),
         model.vocab.len(),
         pairs.len(),
@@ -249,7 +266,7 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write benchmark json");
     eprintln!(
-        "legacy {legacy_pps:.0} pairs/s | engine {engine_pps:.0} pairs/s | {threads} threads {mt_pps:.0} pairs/s \
+        "reference {reference_pps:.0} pairs/s | engine {engine_pps:.0} pairs/s | {threads} threads {mt_pps:.0} pairs/s \
          | speedup {speedup:.2}x | lookup {ns_db:.0}ns -> {ns_compiled:.0}ns | cache {cache_hits} hits / {cache_misses} misses"
     );
     println!("{json}");

@@ -45,8 +45,8 @@ use microbrowse_core::features::{Featurizer, PositionVocab, SpanSide};
 use microbrowse_core::optimize::{optimize_creative, Edit, OptimizeConfig};
 use microbrowse_core::pipeline::{run_experiments, ExperimentConfig};
 use microbrowse_core::serve::{
-    DegradeReason, DeployedModel, Fidelity, LoadPolicy, ModelIoError, Scorer, ScorerBuilder,
-    ServingBundle, MODEL_SLOT_NAME, STATS_SLOT_NAME,
+    DegradeReason, DeployedModel, Fidelity, LoadPolicy, ModelIoError, ScorerBuilder, ServingBundle,
+    MODEL_SLOT_NAME, STATS_SLOT_NAME,
 };
 use microbrowse_core::statsbuild::{build_stats, StatsBuildConfig, TokenizedCorpus};
 use microbrowse_core::suggest::{suggest, SuggestConfig};
@@ -502,16 +502,16 @@ fn cmd_eval(flags: &Flags) -> Result<(), MbError> {
     let pairs = synth.corpus.extract_pairs(&PairFilter::default());
     // `--degraded true` measures the term-only fallback on demand (the
     // accuracy an outage would serve at), regardless of artifact health.
-    let empty_stats = StatsDb::new();
-    let scorer = if force_degraded {
-        Scorer::with_fidelity(
-            bundle.model(),
-            &empty_stats,
+    let bundle = if force_degraded {
+        ServingBundle::from_parts(
+            bundle.model().clone(),
+            StatsDb::new(),
             Fidelity::Degraded(DegradeReason::StatsMissing),
-        )
+        )?
     } else {
-        bundle.scorer()
+        bundle
     };
+    let scorer = bundle.scorer();
     let mut scratch = scorer.scratch();
 
     let by_id: HashMap<_, _> = synth

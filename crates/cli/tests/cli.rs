@@ -73,6 +73,29 @@ fn full_cli_workflow() {
         .unwrap_or_else(|| panic!("no accuracy in {stdout:?}"));
     assert!(acc > 0.55, "held-out accuracy {acc} barely above chance");
 
+    // eval --degraded true: term-only fidelity on demand, stats healthy
+    let out = run(&[
+        "eval",
+        "--model",
+        model_s,
+        "--stats",
+        stats_s,
+        "--adgroups",
+        "80",
+        "--seed",
+        "6",
+        "--degraded",
+        "true",
+    ]);
+    assert!(
+        out.status.success(),
+        "degraded eval failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("[fidelity degraded"), "{stdout}");
+    assert!(stdout.contains("accuracy "), "{stdout}");
+
     // score: the 20%-off creative must beat the fine-print one
     let out = run(&[
         "score", "--model", model_s, "--stats", stats_s,

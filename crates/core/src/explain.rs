@@ -97,12 +97,11 @@ fn record_weight(classifier: &TrainedClassifier, rec: &ExplainRecord) -> f64 {
 
 /// Attribute the score of the pair `(r, s)` span by span.
 ///
-/// The served score is computed first through the scorer's normal path
-/// (engine or legacy — the two are bit-identical), then the featurizer
-/// re-collects the pair's occurrences with spans attached and prices each
-/// against the classifier. Contributions therefore decompose the *served*
-/// number: `bias + Σ spans[i].contribution` equals [`Explanation::score`]
-/// up to float-summation order.
+/// The served score is computed first through the scorer's engine, then
+/// the featurizer re-collects the pair's occurrences with spans attached
+/// and prices each against the classifier. Contributions therefore
+/// decompose the *served* number: `bias + Σ spans[i].contribution` equals
+/// [`Explanation::score`] up to float-summation order.
 pub fn explain_pair<'a>(
     scorer: &Scorer<'a>,
     r: &Snippet,
@@ -166,14 +165,14 @@ pub fn explain_pair<'a>(
 mod tests {
     use super::*;
     use crate::classifier::ModelSpec;
-    use crate::serve::DeployedModel;
+    use crate::serve::{DeployedModel, ServingBundle};
     use microbrowse_ml::LogReg;
     use microbrowse_store::StatsDb;
 
     use crate::features::OwnedTermFeat;
 
-    fn flat_model() -> DeployedModel {
-        DeployedModel {
+    fn flat_bundle(fidelity: Fidelity) -> ServingBundle {
+        let model = DeployedModel {
             spec: ModelSpec {
                 name: "M1",
                 terms: true,
@@ -186,14 +185,14 @@ mod tests {
                 OwnedTermFeat::Term("cheap".into()),
                 OwnedTermFeat::Term("pricey".into()),
             ],
-        }
+        };
+        ServingBundle::from_parts(model, StatsDb::new(), fidelity).expect("bundle")
     }
 
     #[test]
     fn contributions_sum_to_served_score() {
-        let model = flat_model();
-        let stats = StatsDb::new();
-        let scorer = Scorer::new(&model, &stats);
+        let bundle = flat_bundle(Fidelity::Full);
+        let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let r = Snippet::from_lines(["book cheap flights"]);
         let s = Snippet::from_lines(["book pricey flights"]);
@@ -219,13 +218,10 @@ mod tests {
 
     #[test]
     fn degraded_scorer_explains_terms_only() {
-        let model = flat_model();
-        let stats = StatsDb::new();
-        let scorer = Scorer::with_fidelity(
-            &model,
-            &stats,
-            Fidelity::Degraded(crate::serve::DegradeReason::StatsMissing),
-        );
+        let bundle = flat_bundle(Fidelity::Degraded(
+            crate::serve::DegradeReason::StatsMissing,
+        ));
+        let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let r = Snippet::from_lines(["cheap flights"]);
         let s = Snippet::from_lines(["pricey flights"]);

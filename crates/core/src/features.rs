@@ -446,54 +446,6 @@ impl<'a> Featurizer<'a> {
         recs
     }
 
-    /// The n-gram term occurrences [`Self::collect`] would extract for one
-    /// snippet, exposed so the serve path can extract each distinct snippet
-    /// once and replay the occurrences across a batch (the serve-time
-    /// analogue of [`PairCache`]'s cached occurrences). Only meaningful for
-    /// specs with term features; extraction interns multi-token phrases.
-    pub fn term_occurrences(
-        &self,
-        snippet: &TokenizedSnippet,
-        interner: &mut Interner,
-    ) -> Vec<TermOccurrence> {
-        self.ngram.extract(snippet, interner)
-    }
-
-    /// [`Self::collect`] with the per-snippet n-gram occurrences already
-    /// extracted (see [`Self::term_occurrences`]). Term features replay the
-    /// cached occurrences in the order `collect` would emit them; rewrite
-    /// extraction still runs live because it needs both sides of the pair.
-    fn collect_with_occs(
-        &self,
-        r: &TokenizedSnippet,
-        s: &TokenizedSnippet,
-        r_occs: &[TermOccurrence],
-        s_occs: &[TermOccurrence],
-        interner: &mut Interner,
-    ) -> Vec<RawFeature> {
-        let mut raw = Vec::new();
-
-        if self.spec.terms {
-            for (occs, sign) in [(r_occs, 1.0), (s_occs, -1.0)] {
-                for occ in occs {
-                    let pos = SnippetPos::new(occ.line, occ.pos);
-                    raw.push(RawFeature {
-                        feat: TermFeat::Term(occ.ngram.phrase),
-                        pos_group: PositionVocab::term_group(pos),
-                        value: sign,
-                    });
-                }
-            }
-        }
-
-        if self.spec.rewrites {
-            let ext = self.rewriter.extract(r, s, self.stats, interner);
-            self.push_rewrite_feats(&ext, interner, &mut raw);
-        }
-
-        raw
-    }
-
     /// Collect raw features through the shared preprocessing cache: cached
     /// n-gram occurrences replace re-extraction and the cached alignment
     /// replaces the per-pair LCS diff, so no interning happens at all and
@@ -652,43 +604,12 @@ impl<'a> Featurizer<'a> {
         self.finish_coupled(raw, label)
     }
 
-    /// Encode one pair as a flat sparse example, replaying cached term
-    /// occurrences instead of re-extracting them. Bit-identical to
-    /// [`Self::encode_flat`] when `r_occs`/`s_occs` came from
-    /// [`Self::term_occurrences`] over the same snippets.
-    #[allow(clippy::too_many_arguments)]
-    pub fn encode_flat_with_occs(
-        &mut self,
-        r: &TokenizedSnippet,
-        s: &TokenizedSnippet,
-        r_occs: &[TermOccurrence],
-        s_occs: &[TermOccurrence],
-        label: bool,
-        interner: &mut Interner,
-    ) -> Example {
-        let raw = self.collect_with_occs(r, s, r_occs, s_occs, interner);
-        self.finish_flat(raw, label)
-    }
-
-    /// Encode one pair as a factorized (coupled) example from cached term
-    /// occurrences (see [`Self::encode_flat_with_occs`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn encode_coupled_with_occs(
-        &mut self,
-        r: &TokenizedSnippet,
-        s: &TokenizedSnippet,
-        r_occs: &[TermOccurrence],
-        s_occs: &[TermOccurrence],
-        label: bool,
-        interner: &mut Interner,
-    ) -> CoupledExample {
-        let raw = self.collect_with_occs(r, s, r_occs, s_occs, interner);
-        self.finish_coupled(raw, label)
-    }
-
-    /// The n-gram occurrences of one snippet, extracted into a reusable
-    /// buffer (see [`Self::term_occurrences`]; identical output and interner
-    /// side effects, no per-snippet vector allocation after warmup).
+    /// The n-gram term occurrences [`Self::encode_flat`] would extract for one
+    /// snippet, into a reusable buffer (no per-snippet vector allocation
+    /// after warmup). The serve path extracts each distinct snippet once
+    /// and replays the occurrences across calls (the serve-time analogue of
+    /// [`PairCache`]'s cached occurrences). Only meaningful for specs with
+    /// term features; extraction interns multi-token phrases.
     pub fn term_occurrences_into(
         &self,
         snippet: &TokenizedSnippet,
@@ -707,7 +628,7 @@ impl<'a> Featurizer<'a> {
 
     /// Raw-feature collection for the scoring hot path: terms replayed from
     /// occurrence slices, rewrites from an extraction the caller already
-    /// ran. Emission order matches `collect_with_occs` exactly.
+    /// ran. Emission order matches [`Self::collect`] exactly.
     fn collect_scored(
         &self,
         raw: &mut Vec<RawFeature>,
@@ -739,10 +660,11 @@ impl<'a> Featurizer<'a> {
 
     /// Flat-encode one pair for scoring, reusing every internal buffer.
     ///
-    /// Bit-identical to the features of [`Self::encode_flat_with_occs`]
-    /// when `ext` is the extraction that path would compute (or `None` for
-    /// specs without rewrite features): id assignment is the same
-    /// encounter-ordered `feat_id`, and [`SparseVec::assign_from_pairs`]
+    /// Bit-identical to the features of [`Self::encode_flat`] when the
+    /// occurrence slices came from [`Self::term_occurrences_into`] over the
+    /// same snippets and `ext` is the extraction that path would compute
+    /// (or `None` for specs without rewrite features): id assignment is the
+    /// same encounter-ordered `feat_id`, and [`SparseVec::assign_from_pairs`]
     /// runs the exact `from_pairs` algorithm. Returns the reused vector —
     /// valid until the next `encode_*_scored` call.
     pub fn encode_flat_scored(

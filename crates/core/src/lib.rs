@@ -44,6 +44,7 @@ pub mod model;
 pub mod optimize;
 pub mod paircache;
 pub mod pipeline;
+pub mod reference;
 pub mod report;
 pub mod rewrite;
 pub mod serve;
@@ -65,6 +66,7 @@ pub use paircache::{AlignCache, PairCache};
 pub use pipeline::{
     run_all_models, run_experiment, run_experiments, ExperimentConfig, ExperimentOutcome,
 };
+pub use reference::ReferenceScorer;
 pub use rewrite::{token_diff, DiffOp, MatchStrategy, RewriteExtraction, RewriteExtractor};
 pub use serve::{
     DegradeReason, DeployedModel, Fidelity, LoadPolicy, ScoreOutcome, Scorer, ScorerBuilder,

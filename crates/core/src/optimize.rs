@@ -195,7 +195,7 @@ mod tests {
     use super::*;
     use crate::classifier::{ModelSpec, TrainedClassifier};
     use crate::features::OwnedTermFeat;
-    use crate::serve::DeployedModel;
+    use crate::serve::{DeployedModel, Fidelity, ServingBundle};
     use microbrowse_ml::LogReg;
     use microbrowse_store::StatsDb;
 
@@ -255,7 +255,7 @@ mod tests {
     }
 
     /// A hand-built M1 model that loves "save 20%" and hates "fees".
-    fn scorer_fixture() -> (DeployedModel, StatsDb) {
+    fn scorer_fixture() -> ServingBundle {
         let model = DeployedModel {
             spec: ModelSpec {
                 name: "M1",
@@ -270,13 +270,13 @@ mod tests {
                 OwnedTermFeat::Term("fees".into()),
             ],
         };
-        (model, StatsDb::new())
+        ServingBundle::from_parts(model, StatsDb::new(), Fidelity::Full).expect("bundle")
     }
 
     #[test]
     fn hill_climb_accepts_improving_edits_and_stops() {
-        let (model, stats) = scorer_fixture();
-        let scorer = Scorer::new(&model, &stats);
+        let bundle = scorer_fixture();
+        let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let base = Snippet::creative("Air", "find cheap flights", "fees may apply");
         let edits = vec![
@@ -311,8 +311,8 @@ mod tests {
 
     #[test]
     fn no_applicable_edit_returns_base() {
-        let (model, stats) = scorer_fixture();
-        let scorer = Scorer::new(&model, &stats);
+        let bundle = scorer_fixture();
+        let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let base = Snippet::creative("Air", "plain text", "more text");
         let edits = vec![Edit::ReplacePhrase {
@@ -334,8 +334,8 @@ mod tests {
 
     #[test]
     fn min_margin_filters_noise_edits() {
-        let (model, stats) = scorer_fixture();
-        let scorer = Scorer::new(&model, &stats);
+        let bundle = scorer_fixture();
+        let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let base = Snippet::creative("Air", "find cheap flights", "ok");
         let edits = vec![Edit::ReplacePhrase {

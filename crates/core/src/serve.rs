@@ -12,9 +12,11 @@
 //! * [`DeployedModel::save`] / [`DeployedModel::load`] use a versioned,
 //!   CRC-checked binary format built from the same codec primitives as the
 //!   statistics snapshots.
-//! * [`Scorer`] wraps a deployed model + statistics database into the
-//!   one-call API a serving system wants: *given two creatives for the same
-//!   keyword, which is expected to earn the higher CTR?*
+//! * [`ServingBundle`] holds a deployed model, its statistics database and
+//!   the [`ScoringEngine`] compiled from them; [`ServingBundle::scorer`]
+//!   builds the one-call [`Scorer`] a serving system wants: *given two
+//!   creatives for the same keyword, which is expected to earn the higher
+//!   CTR?*
 //!
 //! ## Resilience
 //!
@@ -375,17 +377,18 @@ pub struct ScoreOutcome {
 pub struct Scratch<'a> {
     interner: Interner,
     featurizer: Featurizer<'a>,
-    /// Scratch-symbol → compiled-table phrase id memo (engine path only).
+    /// Scratch-symbol → compiled-table phrase id memo.
     sym_map: SymTableMap,
-    /// Reusable rewrite-extraction buffer (engine path only).
+    /// Reusable rewrite-extraction buffer.
     ext_buf: RewriteExtraction,
     /// Persistent snippet arena: tokenizations (and term occurrences) cached
-    /// across batches, `arena_len` is the number of live entries. Safe for
+    /// across calls, `arena_len` is the number of live entries. Safe for
     /// bit-identity because interning is idempotent: re-tokenizing a snippet
     /// whose tokens are already in this scratch's interner would not change
     /// interner state, so skipping the re-tokenization leaves every later
-    /// symbol assignment — and therefore every score — exactly where the
-    /// legacy path would put it.
+    /// symbol assignment — and therefore every score — exactly where
+    /// [`ReferenceScorer`](crate::reference::ReferenceScorer), which
+    /// tokenizes every pair fresh, puts it.
     arena: Vec<ArenaEntry>,
     arena_len: usize,
     /// Snippet-hash → arena index. Hash-keyed to stay allocation-free on
@@ -393,12 +396,12 @@ pub struct Scratch<'a> {
     /// copy, so a 64-bit collision degrades to reprocessing, never to a
     /// wrong score.
     arena_index: FxHashMap<u64, usize>,
-    /// Shared-alignment → resolved-extraction memo (engine path only),
-    /// keyed by the alignment's `Arc` pointer. The first replay of a cached
-    /// alignment in this scratch interns its phrases and resolves the
-    /// occurrences; repeats copy the already-resolved buffers (pure
-    /// `memcpy`, no string hashing). Holding the `Arc` in the value keeps
-    /// the pointer key unique for the life of the entry.
+    /// Shared-alignment → resolved-extraction memo, keyed by the
+    /// alignment's `Arc` pointer. The first replay of a cached alignment in
+    /// this scratch interns its phrases and resolves the occurrences;
+    /// repeats copy the already-resolved buffers (pure `memcpy`, no string
+    /// hashing). Holding the `Arc` in the value keeps the pointer key unique
+    /// for the life of the entry.
     replay_memo: FxHashMap<usize, (std::sync::Arc<CachedAlignment>, RewriteExtraction)>,
 }
 
@@ -416,16 +419,9 @@ impl<'a> Scratch<'a> {
 /// bounds memory against adversarial streams.
 const SNIPPET_ARENA_CAP: usize = 8192;
 
-/// Per-unique-snippet preprocessing cached across one [`Scorer::score_batch`]
-/// call: the tokenization and (for term specs) the n-gram occurrences.
-struct BatchEntry {
-    tok: TokenizedSnippet,
-    occs: Option<Vec<TermOccurrence>>,
-}
-
-/// An arena slot of the engine path: one distinct snippet's preprocessing,
-/// kept across batches (buffers keep their capacity on eviction reuse), so
-/// a warmed-up scratch scores repeat traffic without tokenizing at all.
+/// An arena slot: one distinct snippet's preprocessing, kept across calls
+/// (buffers keep their capacity on eviction reuse), so a warmed-up scratch
+/// scores repeat traffic without tokenizing at all.
 struct ArenaEntry {
     /// The snippet this entry was filled from — hash-index hits are
     /// verified against it by full equality.
@@ -439,11 +435,30 @@ struct ArenaEntry {
 /// rationale as [`SNIPPET_ARENA_CAP`]).
 const REPLAY_MEMO_CAP: usize = 8192;
 
-/// A ready-to-serve scorer: deployed model + statistics database.
+/// The spec a model encodes with at `fidelity`. Degraded scorers encode
+/// term features only: rewrite extraction needs the statistics database,
+/// so the rewrite family is switched off (term features stay on even for
+/// rewrite-only specs — their leftover-term vocabulary still fires).
+/// Feature ids keep their trained meaning because the model vocabulary is
+/// preloaded either way; unseen serve-time features score zero.
+pub(crate) fn effective_spec(spec: ModelSpec, fidelity: &Fidelity) -> ModelSpec {
+    match fidelity {
+        Fidelity::Full => spec,
+        Fidelity::Degraded(_) => ModelSpec {
+            terms: true,
+            rewrites: false,
+            ..spec
+        },
+    }
+}
+
+/// A ready-to-serve scorer over a [`ServingBundle`]: deployed model,
+/// statistics database and the compiled engine built from them.
 ///
 /// The scorer itself is immutable — every scoring call takes a
 /// [`Scratch`] holding the mutable interner/featurizer state — so one
 /// scorer can be shared across serving threads (one scratch per thread).
+/// Build one with [`ServingBundle::scorer`].
 pub struct Scorer<'a> {
     model: &'a DeployedModel,
     stats: &'a StatsDb,
@@ -451,62 +466,11 @@ pub struct Scorer<'a> {
     spec: ModelSpec,
     tokenizer: Tokenizer,
     fidelity: Fidelity,
-    /// Hot-path engine (compiled table + alignment cache). Present on
-    /// scorers built from a [`ServingBundle`]; `None` keeps the classic
-    /// [`StatsDb`]-probing path, which doubles as the baseline the engine
-    /// is proven bit-identical against.
-    engine: Option<&'a ScoringEngine>,
+    /// Compiled feature table + alignment cache, compiled from `stats`.
+    engine: &'a ScoringEngine,
 }
 
 impl<'a> Scorer<'a> {
-    /// Build a scorer from a deployed model and the statistics snapshot it
-    /// was trained with.
-    pub fn new(model: &'a DeployedModel, stats: &'a StatsDb) -> Self {
-        Self::with_fidelity(model, stats, Fidelity::Full)
-    }
-
-    /// Build a scorer at an explicit fidelity. Degraded scorers encode
-    /// term features only: rewrite extraction needs the statistics
-    /// database, so `stats` should be empty and the spec's rewrite family
-    /// is switched off (term features stay on even for rewrite-only specs —
-    /// their leftover-term vocabulary still fires). Feature ids keep their
-    /// trained meaning because the model vocabulary is preloaded either
-    /// way; unseen serve-time features score zero.
-    pub fn with_fidelity(model: &'a DeployedModel, stats: &'a StatsDb, fidelity: Fidelity) -> Self {
-        let spec = match &fidelity {
-            Fidelity::Full => model.spec,
-            Fidelity::Degraded(_) => ModelSpec {
-                terms: true,
-                rewrites: false,
-                ..model.spec
-            },
-        };
-        Self {
-            model,
-            stats,
-            spec,
-            tokenizer: Tokenizer::default(),
-            fidelity,
-            engine: None,
-        }
-    }
-
-    /// [`Self::with_fidelity`] plus the hot-path engine: scoring routes
-    /// through the compiled feature table and the cross-batch alignment
-    /// cache instead of probing the [`StatsDb`] maps. `engine` must be
-    /// compiled from `stats` (a [`ServingBundle`] guarantees this); scores
-    /// are bit-identical to the engine-less scorer.
-    pub fn with_engine(
-        model: &'a DeployedModel,
-        stats: &'a StatsDb,
-        fidelity: Fidelity,
-        engine: &'a ScoringEngine,
-    ) -> Self {
-        let mut scorer = Self::with_fidelity(model, stats, fidelity);
-        scorer.engine = Some(engine);
-        scorer
-    }
-
     /// Build a fresh scratch for this scorer: a new interner and featurizer
     /// with the model vocabulary preloaded, so trained feature ids keep
     /// their meaning. One per scoring thread; cheap next to model loading.
@@ -554,74 +518,24 @@ impl<'a> Scorer<'a> {
         &self.tokenizer
     }
 
-    /// The hot-path engine, when this scorer was built with one (see
-    /// [`Self::with_engine`]). The suggestion path (`crate::suggest`)
-    /// enumerates rewrite candidates from its compiled table.
-    pub fn engine(&self) -> Option<&'a ScoringEngine> {
+    /// The compiled engine this scorer runs on. The suggestion path
+    /// (`crate::suggest`) enumerates rewrite candidates from its table.
+    pub fn engine(&self) -> &'a ScoringEngine {
         self.engine
     }
 
     /// Score a creative pair: positive means `r` is expected to out-click
     /// `s` (the Eq. 5 orientation), and the magnitude is the model's
     /// log-odds margin.
+    ///
+    /// Both sides resolve through the scratch's persistent snippet arena,
+    /// then score through the compiled table and the bundle-shared
+    /// alignment cache.
     pub fn score_pair(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
         let start = obs::now_if_enabled();
-        let score = match self.engine {
-            Some(engine) => self.score_pair_engine(engine, r, s, scratch),
-            None => self.score_pair_legacy(r, s, scratch),
-        };
+        let score = self.score_engine(r, s, scratch);
         self.record_score(start);
         score
-    }
-
-    /// The classic single-pair path: tokenize fresh, probe the [`StatsDb`]
-    /// maps. The engine path is proven bit-identical against this.
-    fn score_pair_legacy(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
-        let tok_r = r.tokenize(&self.tokenizer, &mut scratch.interner);
-        let tok_s = s.tokenize(&self.tokenizer, &mut scratch.interner);
-        match &self.model.classifier {
-            TrainedClassifier::Flat(lr) => {
-                let ex =
-                    scratch
-                        .featurizer
-                        .encode_flat(&tok_r, &tok_s, true, &mut scratch.interner);
-                lr.score(&ex.features)
-            }
-            TrainedClassifier::Coupled(cm) => {
-                let ex =
-                    scratch
-                        .featurizer
-                        .encode_coupled(&tok_r, &tok_s, true, &mut scratch.interner);
-                cm.score(&ex)
-            }
-        }
-    }
-
-    /// Engine single-pair path: both sides resolve through the persistent
-    /// snippet arena, then score through the compiled table and alignment
-    /// cache.
-    fn score_pair_engine(
-        &self,
-        engine: &ScoringEngine,
-        r: &Snippet,
-        s: &Snippet,
-        scratch: &mut Scratch<'a>,
-    ) -> f64 {
-        let (ri, hr) = Self::arena_entry(r, &self.tokenizer, scratch);
-        let (si, hs) = Self::arena_entry(s, &self.tokenizer, scratch);
-        if self.spec.terms {
-            Self::ensure_arena_occs(ri, scratch);
-            Self::ensure_arena_occs(si, scratch);
-        }
-        self.score_entry_engine(
-            engine,
-            r,
-            s,
-            ri,
-            si,
-            AlignCache::combine_hashes(hr, hs),
-            scratch,
-        )
     }
 
     /// [`Self::score_pair`] with the fidelity attached: the API a serving
@@ -660,17 +574,9 @@ impl<'a> Scorer<'a> {
         order
     }
 
-    /// Score many pairs through one scratch, amortizing tokenization and
-    /// n-gram extraction across the batch: each distinct snippet is
-    /// processed once, however many pairs it appears in.
-    ///
-    /// Bit-identical to a [`Self::score_pair`] loop over `pairs`:
-    /// preprocessing is cached *lazily in pair order*, so interning and
-    /// feature-id assignment happen in exactly the sequence the serial loop
-    /// produces, and skipping a duplicate snippet's re-tokenization /
-    /// re-extraction is state-invariant (re-interning an existing string is
-    /// idempotent). The `score_batch_matches_score_pair_loop` proptest in
-    /// `core/tests/prop.rs` pins this down.
+    /// Score many pairs through one scratch: a [`Self::score_pair`] loop.
+    /// Each distinct snippet is tokenized and n-gram-extracted once per
+    /// scratch (the arena), however many pairs it appears in.
     pub fn score_batch(&self, pairs: &[(Snippet, Snippet)], scratch: &mut Scratch<'a>) -> Vec<f64> {
         self.score_batch_timed(pairs, scratch).0
     }
@@ -683,140 +589,14 @@ impl<'a> Scorer<'a> {
         pairs: &[(Snippet, Snippet)],
         scratch: &mut Scratch<'a>,
     ) -> (Vec<f64>, Vec<u64>) {
-        // Empty and single-pair batches skip the batch arena entirely; the
-        // single-pair path is bit-identical to the arena path (dedup is
-        // state-invariant), so the short-circuit cannot change a score.
-        if pairs.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
-        if let [(r, s)] = pairs {
-            let wall = std::time::Instant::now();
-            let score = self.score_pair(r, s, scratch);
-            return (vec![score], vec![wall.elapsed().as_micros() as u64]);
-        }
-        match self.engine {
-            Some(engine) => self.score_batch_engine(engine, pairs, scratch),
-            None => self.score_batch_legacy(pairs, scratch),
-        }
-    }
-
-    /// The classic batch path (no engine): per-call arena, [`StatsDb`]
-    /// probes.
-    fn score_batch_legacy(
-        &self,
-        pairs: &[(Snippet, Snippet)],
-        scratch: &mut Scratch<'a>,
-    ) -> (Vec<f64>, Vec<u64>) {
-        let mut index: FxHashMap<&Snippet, usize> = FxHashMap::default();
-        let mut arena: Vec<BatchEntry> = Vec::new();
-        let mut scores = Vec::with_capacity(pairs.len());
-        let mut latencies = Vec::with_capacity(pairs.len());
-        for (r, s) in pairs {
-            let wall = std::time::Instant::now();
-            let start = obs::now_if_enabled();
-            // Mirror the serial interner-op order exactly: tokenize r then
-            // s, then extract occurrences for r then s, then rewrites
-            // (inside encode).
-            let ri = Self::tokenized_entry(r, &mut index, &mut arena, &self.tokenizer, scratch);
-            let si = Self::tokenized_entry(s, &mut index, &mut arena, &self.tokenizer, scratch);
-            if self.spec.terms {
-                Self::ensure_occs(ri, &mut arena, scratch);
-                Self::ensure_occs(si, &mut arena, scratch);
-            }
-            let (er, es) = (&arena[ri], &arena[si]);
-            let (r_occs, s_occs) = (
-                er.occs.as_deref().unwrap_or(&[]),
-                es.occs.as_deref().unwrap_or(&[]),
-            );
-            let score = match &self.model.classifier {
-                TrainedClassifier::Flat(lr) => {
-                    let ex = scratch.featurizer.encode_flat_with_occs(
-                        &er.tok,
-                        &es.tok,
-                        r_occs,
-                        s_occs,
-                        true,
-                        &mut scratch.interner,
-                    );
-                    lr.score(&ex.features)
-                }
-                TrainedClassifier::Coupled(cm) => {
-                    let ex = scratch.featurizer.encode_coupled_with_occs(
-                        &er.tok,
-                        &es.tok,
-                        r_occs,
-                        s_occs,
-                        true,
-                        &mut scratch.interner,
-                    );
-                    cm.score(&ex)
-                }
-            };
-            self.record_score(start);
-            scores.push(score);
-            latencies.push(wall.elapsed().as_micros() as u64);
-        }
-        (scores, latencies)
-    }
-
-    /// Arena index of `snippet`, tokenizing it on first encounter.
-    fn tokenized_entry<'p>(
-        snippet: &'p Snippet,
-        index: &mut FxHashMap<&'p Snippet, usize>,
-        arena: &mut Vec<BatchEntry>,
-        tokenizer: &Tokenizer,
-        scratch: &mut Scratch<'a>,
-    ) -> usize {
-        if let Some(&i) = index.get(snippet) {
-            return i;
-        }
-        let tok = snippet.tokenize(tokenizer, &mut scratch.interner);
-        arena.push(BatchEntry { tok, occs: None });
-        let i = arena.len() - 1;
-        index.insert(snippet, i);
-        i
-    }
-
-    /// Extract and cache n-gram occurrences for arena entry `i` if not done.
-    fn ensure_occs(i: usize, arena: &mut [BatchEntry], scratch: &mut Scratch<'a>) {
-        if arena[i].occs.is_none() {
-            let occs = scratch
-                .featurizer
-                .term_occurrences(&arena[i].tok, &mut scratch.interner);
-            arena[i].occs = Some(occs);
-        }
-    }
-
-    /// Engine batch path: persistent snippet arena in the scratch,
-    /// compiled-table evidence, cross-batch alignment cache. Per-pair
-    /// processing order matches the legacy path (tokenize r, tokenize s,
-    /// occurrences r, occurrences s, then alignment); every step the arena
-    /// or cache skips would have been a state no-op (re-interning already
-    /// interned strings), so scores match the legacy path bit for bit.
-    fn score_batch_engine(
-        &self,
-        engine: &ScoringEngine,
-        pairs: &[(Snippet, Snippet)],
-        scratch: &mut Scratch<'a>,
-    ) -> (Vec<f64>, Vec<u64>) {
-        let mut scores = Vec::with_capacity(pairs.len());
-        let mut latencies = Vec::with_capacity(pairs.len());
-        for (r, s) in pairs {
-            let wall = std::time::Instant::now();
-            let start = obs::now_if_enabled();
-            let ri = Self::arena_entry(r, &self.tokenizer, scratch);
-            let si = Self::arena_entry(s, &self.tokenizer, scratch);
-            if self.spec.terms {
-                Self::ensure_arena_occs(ri.0, scratch);
-                Self::ensure_arena_occs(si.0, scratch);
-            }
-            let pair_hash = AlignCache::combine_hashes(ri.1, si.1);
-            let score = self.score_entry_engine(engine, r, s, ri.0, si.0, pair_hash, scratch);
-            self.record_score(start);
-            scores.push(score);
-            latencies.push(wall.elapsed().as_micros() as u64);
-        }
-        (scores, latencies)
+        pairs
+            .iter()
+            .map(|(r, s)| {
+                let wall = std::time::Instant::now();
+                let score = self.score_pair(r, s, scratch);
+                (score, wall.elapsed().as_micros() as u64)
+            })
+            .unzip()
     }
 
     /// Arena index and hash of `snippet`, tokenizing on first encounter.
@@ -890,24 +670,24 @@ impl<'a> Scorer<'a> {
         }
     }
 
-    /// Score one pair whose sides sit in arena entries `ri`/`si`: resolve
-    /// the rewrite alignment (cache hit replays it — including the exact
-    /// interner side effects of a fresh `prepare_pair` — or compute it
-    /// against the compiled evidence table and insert), then encode through
-    /// the featurizer's reused buffers and apply the model.
-    #[allow(clippy::too_many_arguments)]
-    fn score_entry_engine(
-        &self,
-        engine: &ScoringEngine,
-        r: &Snippet,
-        s: &Snippet,
-        ri: usize,
-        si: usize,
-        pair_hash: u64,
-        scratch: &mut Scratch<'a>,
-    ) -> f64 {
+    /// Score one pair through the engine. Interner operations happen in the
+    /// reference order — tokenize r, tokenize s, occurrences r, occurrences
+    /// s, then alignment — and every step the arena or the cache skips
+    /// would have been a state no-op (re-interning already interned
+    /// strings). The alignment is a cache hit (replayed, including the
+    /// exact interner side effects of a fresh `prepare_pair`) or computed
+    /// against the compiled evidence table and inserted; the features are
+    /// then encoded through the featurizer's reused buffers.
+    fn score_engine(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
+        let (ri, hr) = Self::arena_entry(r, &self.tokenizer, scratch);
+        let (si, hs) = Self::arena_entry(s, &self.tokenizer, scratch);
+        if self.spec.terms {
+            Self::ensure_arena_occs(ri, scratch);
+            Self::ensure_arena_occs(si, scratch);
+        }
         if self.spec.rewrites {
-            if let Some(cached) = engine.align().get_hashed(pair_hash, r, s) {
+            let pair_hash = AlignCache::combine_hashes(hr, hs);
+            if let Some(cached) = self.engine.align().get_hashed(pair_hash, r, s) {
                 let key = std::sync::Arc::as_ptr(&cached) as usize;
                 if let Some((_, resolved)) = scratch.replay_memo.get(&key) {
                     // Second replay in this scratch: every phrase is already
@@ -927,29 +707,24 @@ impl<'a> Scorer<'a> {
                 }
             } else {
                 let rw = scratch.featurizer.rewrite_extractor();
-                let prepared = {
-                    let (tok_r, tok_s) = (&scratch.arena[ri].tok, &scratch.arena[si].tok);
-                    prepare_pair(
-                        tok_r,
-                        tok_s,
-                        rw.config().max_phrase_len,
-                        rw.config().strategy == MatchStrategy::GreedyStats,
-                        &mut scratch.interner,
-                    )
-                };
-                let mut evidence = CompiledEvidence::new(engine.table(), &mut scratch.sym_map);
-                {
-                    let (tok_r, tok_s) = (&scratch.arena[ri].tok, &scratch.arena[si].tok);
-                    rw.extract_prepared_into(
-                        tok_r,
-                        tok_s,
-                        &prepared,
-                        &mut evidence,
-                        &scratch.interner,
-                        &mut scratch.ext_buf,
-                    );
-                }
-                engine.align().insert_hashed(
+                let (tok_r, tok_s) = (&scratch.arena[ri].tok, &scratch.arena[si].tok);
+                let prepared = prepare_pair(
+                    tok_r,
+                    tok_s,
+                    rw.config().max_phrase_len,
+                    rw.config().strategy == MatchStrategy::GreedyStats,
+                    &mut scratch.interner,
+                );
+                let mut evidence = CompiledEvidence::new(self.engine.table(), &mut scratch.sym_map);
+                rw.extract_prepared_into(
+                    tok_r,
+                    tok_s,
+                    &prepared,
+                    &mut evidence,
+                    &scratch.interner,
+                    &mut scratch.ext_buf,
+                );
+                self.engine.align().insert_hashed(
                     pair_hash,
                     r,
                     s,
@@ -983,7 +758,7 @@ impl<'a> Scorer<'a> {
         }
     }
 
-    /// Per-score instrumentation shared by the single and batch paths.
+    /// Per-score instrumentation.
     fn record_score(&self, start: Option<std::time::Instant>) {
         obs::counter!("microbrowse_scores_total").inc();
         if self.fidelity.is_degraded() {
@@ -1076,16 +851,19 @@ impl ServingBundle {
         &self.engine
     }
 
-    /// Build a scorer over this bundle (one per serving thread). Scorers
-    /// built here use the compiled hot path; scores are bit-identical to
-    /// [`Scorer::with_fidelity`] over the same artifacts.
+    /// Build a scorer over this bundle (one per serving thread) — the only
+    /// way to build one. Scores are bit-identical to
+    /// [`ReferenceScorer`](crate::reference::ReferenceScorer) over the same
+    /// artifacts and fidelity.
     pub fn scorer(&self) -> Scorer<'_> {
-        Scorer::with_engine(
-            &self.model,
-            &self.stats,
-            self.fidelity.clone(),
-            &self.engine,
-        )
+        Scorer {
+            model: &self.model,
+            stats: &self.stats,
+            spec: effective_spec(self.model.spec, &self.fidelity),
+            tokenizer: Tokenizer::default(),
+            fidelity: self.fidelity.clone(),
+            engine: &self.engine,
+        }
     }
 }
 
@@ -1288,6 +1066,7 @@ fn classify_stats_failure(e: &MbError) -> DegradeReason {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ReferenceScorer;
 
     fn sample_model() -> DeployedModel {
         DeployedModel {
@@ -1378,8 +1157,8 @@ mod tests {
             vocab: vec![OwnedTermFeat::Term("cheap".into())],
         };
         let reloaded = DeployedModel::from_bytes(&m.to_bytes()).unwrap();
-        let stats = StatsDb::new();
-        let scorer = Scorer::new(&reloaded, &stats);
+        let bundle = ServingBundle::from_parts(reloaded, StatsDb::new(), Fidelity::Full).unwrap();
+        let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let r = Snippet::creative("air", "cheap flights", "book now");
         let s = Snippet::creative("air", "luxury flights", "book now");
@@ -1406,9 +1185,13 @@ mod tests {
                 OwnedTermFeat::Term("fees".into()),
             ],
         };
-        let stats = StatsDb::new();
-        let scorer =
-            Scorer::with_fidelity(&m, &stats, Fidelity::Degraded(DegradeReason::StatsMissing));
+        let bundle = ServingBundle::from_parts(
+            m,
+            StatsDb::new(),
+            Fidelity::Degraded(DegradeReason::StatsMissing),
+        )
+        .unwrap();
+        let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let r = Snippet::creative("air", "cheap flights", "book now");
         let s = Snippet::creative("air", "flights with fees", "book now");
@@ -1522,14 +1305,16 @@ mod tests {
                 OwnedTermFeat::Term("fees".into()),
             ],
         };
-        let stats = StatsDb::new();
         let r = Snippet::creative("air", "cheap flights", "book now");
         let s = Snippet::creative("air", "flights with fees", "book now");
-        let full_scorer = Scorer::new(&m, &stats);
-        let full = full_scorer.score_pair(&r, &s, &mut full_scorer.scratch());
-        let degraded_scorer =
-            Scorer::with_fidelity(&m, &stats, Fidelity::Degraded(DegradeReason::StatsMissing));
-        let degraded = degraded_scorer.score_pair(&r, &s, &mut degraded_scorer.scratch());
+        let score_at = |fidelity| {
+            let bundle = ServingBundle::from_parts(m.clone(), StatsDb::new(), fidelity).unwrap();
+            let scorer = bundle.scorer();
+            let score = scorer.score_pair(&r, &s, &mut scorer.scratch());
+            score
+        };
+        let full = score_at(Fidelity::Full);
+        let degraded = score_at(Fidelity::Degraded(DegradeReason::StatsMissing));
         assert_eq!(full, degraded);
     }
 
@@ -1594,8 +1379,8 @@ mod tests {
                 OwnedTermFeat::Term("good".into()),
             ],
         };
-        let stats = StatsDb::new();
-        let scorer = Scorer::new(&m, &stats);
+        let bundle = ServingBundle::from_parts(m, StatsDb::new(), Fidelity::Full).unwrap();
+        let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let creatives = [
             Snippet::creative("x", "plain offer", "text"),
@@ -1611,9 +1396,9 @@ mod tests {
         // The point of the Scratch split: a single `&Scorer` used from many
         // threads concurrently, each thread with its own scratch, must agree
         // with serial scoring.
-        let m = sample_model();
-        let stats = StatsDb::new();
-        let scorer = Scorer::new(&m, &stats);
+        let bundle =
+            ServingBundle::from_parts(sample_model(), StatsDb::new(), Fidelity::Full).unwrap();
+        let scorer = bundle.scorer();
         let r = Snippet::creative("air", "find cheap flights", "book now");
         let s = Snippet::creative("air", "get discounts", "fees apply");
         let serial = scorer.score_pair(&r, &s, &mut scorer.scratch());
@@ -1639,9 +1424,9 @@ mod tests {
 
     #[test]
     fn score_batch_matches_serial_and_dedups_work() {
-        let m = sample_model();
-        let stats = StatsDb::new();
-        let scorer = Scorer::new(&m, &stats);
+        let bundle =
+            ServingBundle::from_parts(sample_model(), StatsDb::new(), Fidelity::Full).unwrap();
+        let scorer = bundle.scorer();
         let a = Snippet::creative("air", "find cheap flights", "book now");
         let b = Snippet::creative("air", "get discounts", "fees apply");
         let c = Snippet::creative("air", "luxury flights", "no fees");
@@ -1663,6 +1448,10 @@ mod tests {
         assert_eq!(latencies.len(), pairs.len());
     }
 
+    /// The differential check at unit scale (the proptests in
+    /// `core/tests/prop_hot.rs` cover the full input matrix): the engine
+    /// scorer agrees bit for bit with [`ReferenceScorer`], the former
+    /// single-pair legacy path moved unchanged.
     #[test]
     fn engine_scorer_matches_legacy_scorer() {
         let m = sample_model();
@@ -1671,26 +1460,22 @@ mod tests {
             ServingBundle::from_parts(m.clone(), stats.clone(), Fidelity::Full).expect("bundle");
         let r = Snippet::creative("air", "find cheap flights", "book now");
         let s = Snippet::creative("air", "get discounts", "fees apply");
-        let legacy = {
-            let scorer = Scorer::with_fidelity(&m, &stats, Fidelity::Full);
-            let mut scratch = scorer.scratch();
-            scorer.score_pair(&r, &s, &mut scratch)
-        };
+        let expected = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full).score_pair(&r, &s);
         let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         // Twice: second call replays the cached alignment.
         assert_eq!(
             scorer.score_pair(&r, &s, &mut scratch).to_bits(),
-            legacy.to_bits()
+            expected.to_bits()
         );
         assert_eq!(
             scorer.score_pair(&r, &s, &mut scratch).to_bits(),
-            legacy.to_bits()
+            expected.to_bits()
         );
     }
 
     #[test]
-    fn batch_short_circuits_empty_and_single() {
+    fn batch_of_zero_or_one_pair_matches_reference() {
         let m = sample_model();
         let stats = StatsDb::new();
         let bundle =
@@ -1705,11 +1490,7 @@ mod tests {
         let (scores, lat) = scorer.score_batch_timed(&single, &mut scratch);
         assert_eq!(scores.len(), 1);
         assert_eq!(lat.len(), 1);
-        let expected = {
-            let legacy = Scorer::with_fidelity(&m, &stats, Fidelity::Full);
-            let mut sc = legacy.scratch();
-            legacy.score_pair(&r, &s, &mut sc)
-        };
+        let expected = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full).score_pair(&r, &s);
         assert_eq!(scores[0].to_bits(), expected.to_bits());
     }
 
@@ -1725,11 +1506,10 @@ mod tests {
         let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let batch = scorer.score_batch(&pairs, &mut scratch);
-        let legacy = Scorer::with_fidelity(&m, &stats, Fidelity::Full);
-        let mut sc = legacy.scratch();
+        let mut reference = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full);
         let serial: Vec<f64> = pairs
             .iter()
-            .map(|(a, b)| legacy.score_pair(a, b, &mut sc))
+            .map(|(a, b)| reference.score_pair(a, b))
             .collect();
         for (b, s) in batch.iter().zip(&serial) {
             assert_eq!(b.to_bits(), s.to_bits());

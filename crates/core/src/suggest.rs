@@ -112,20 +112,15 @@ fn render_snippet(lines: &[Vec<String>]) -> Snippet {
 /// Beam-search the top-k rewritten variants of `creative` the model scores
 /// above it.
 ///
-/// Returns an empty list when the scorer has no compiled engine or when
-/// its effective spec has rewrites off (degraded fidelity): suggestion
-/// *requires* the rewrite database. Results are best-first and strictly
-/// above `cfg.min_gain`.
+/// Returns an empty list when the scorer's effective spec has rewrites off
+/// (degraded fidelity): suggestion *requires* the rewrite database. Results
+/// are best-first and strictly above `cfg.min_gain`.
 pub fn suggest<'a>(
     scorer: &Scorer<'a>,
     creative: &Snippet,
     cfg: &SuggestConfig,
     scratch: &mut Scratch<'a>,
 ) -> Vec<Suggestion> {
-    let engine = match scorer.engine() {
-        Some(e) => e,
-        None => return Vec::new(),
-    };
     if !scorer.effective_spec().rewrites
         || cfg.beam_width == 0
         || cfg.max_depth == 0
@@ -133,7 +128,7 @@ pub fn suggest<'a>(
     {
         return Vec::new();
     }
-    let table = engine.table();
+    let table = scorer.engine().table();
 
     let base_lines: Vec<Vec<String>> = creative
         .lines()
@@ -249,13 +244,12 @@ pub fn suggest<'a>(
 mod tests {
     use super::*;
     use crate::classifier::{ModelSpec, TrainedClassifier};
-    use crate::compiled::ScoringEngine;
     use crate::features::OwnedTermFeat;
-    use crate::serve::{DeployedModel, Fidelity};
+    use crate::serve::{DeployedModel, Fidelity, ServingBundle};
     use microbrowse_ml::LogReg;
     use microbrowse_store::{FeatureKey, FeatureStat, StatsDb};
 
-    fn fixture() -> (DeployedModel, StatsDb) {
+    fn fixture() -> ServingBundle {
         let stats = StatsDb::from_records([
             (
                 FeatureKey::rewrite("cheap", "pricey"),
@@ -280,14 +274,13 @@ mod tests {
                 OwnedTermFeat::Term("pricey".into()),
             ],
         };
-        (model, stats)
+        ServingBundle::from_parts(model, stats, Fidelity::Full).expect("bundle")
     }
 
     #[test]
     fn suggests_the_ctr_positive_substitution() {
-        let (model, stats) = fixture();
-        let engine = ScoringEngine::compile(&stats).expect("compile");
-        let scorer = Scorer::with_engine(&model, &stats, Fidelity::Full, &engine);
+        let bundle = fixture();
+        let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let creative = Snippet::from_lines(["book pricey flights"]);
         let out = suggest(&scorer, &creative, &SuggestConfig::default(), &mut scratch);
@@ -313,21 +306,15 @@ mod tests {
     }
 
     #[test]
-    fn engineless_or_degraded_scorers_suggest_nothing() {
-        let (model, stats) = fixture();
-        let scorer = Scorer::new(&model, &stats);
-        let mut scratch = scorer.scratch();
-        let creative = Snippet::from_lines(["book pricey flights"]);
-        assert!(suggest(&scorer, &creative, &SuggestConfig::default(), &mut scratch).is_empty());
-
-        let empty = StatsDb::new();
-        let engine = ScoringEngine::compile(&empty).expect("compile");
-        let degraded = Scorer::with_engine(
-            &model,
-            &empty,
+    fn degraded_scorers_suggest_nothing() {
+        let bundle = ServingBundle::from_parts(
+            fixture().model().clone(),
+            StatsDb::new(),
             Fidelity::Degraded(crate::serve::DegradeReason::StatsMissing),
-            &engine,
-        );
+        )
+        .expect("bundle");
+        let degraded = bundle.scorer();
+        let creative = Snippet::from_lines(["book pricey flights"]);
         let mut scratch = degraded.scratch();
         assert!(suggest(
             &degraded,
@@ -340,9 +327,8 @@ mod tests {
 
     #[test]
     fn depth_two_chains_two_substitutions() {
-        let (model, stats) = fixture();
-        let engine = ScoringEngine::compile(&stats).expect("compile");
-        let scorer = Scorer::with_engine(&model, &stats, Fidelity::Full, &engine);
+        let bundle = fixture();
+        let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let creative = Snippet::from_lines(["book pricey flights"]);
         let cfg = SuggestConfig {

@@ -5,8 +5,9 @@
 use microbrowse_core::corpus::{AdGroup, AdGroupId, Creative, CreativeId, Placement};
 use microbrowse_core::features::{OwnedTermFeat, PositionVocab};
 use microbrowse_core::model::{score_flat, snippet_relevance, TermJudgment};
+use microbrowse_core::reference::ReferenceScorer;
 use microbrowse_core::rewrite::{changed_spans, token_diff, DiffOp, RewriteExtractor};
-use microbrowse_core::serve::{DegradeReason, DeployedModel, Fidelity, Scorer};
+use microbrowse_core::serve::{DegradeReason, DeployedModel, Fidelity, ServingBundle};
 use microbrowse_core::serveweight::serve_weights;
 use microbrowse_core::{ModelSpec, TrainedClassifier};
 use microbrowse_ml::coupled::CoupledModel;
@@ -211,9 +212,9 @@ proptest! {
     }
 
     /// `Scorer::score_batch` is bit-for-bit identical to a serial
-    /// `score_pair` loop — flat and coupled classifiers, full and
+    /// `ReferenceScorer` loop — flat and coupled classifiers, full and
     /// degraded fidelity, with duplicate snippets forced into the batch
-    /// so the per-batch snippet cache is exercised.
+    /// so the scratch's snippet arena is exercised.
     #[test]
     fn score_batch_matches_serial_loop_bitwise(
         raw_pairs in prop::collection::vec((arb_snippet_lines(), arb_snippet_lines()), 1..5),
@@ -225,8 +226,8 @@ proptest! {
             .map(|(r, s)| (Snippet::from_lines(r), Snippet::from_lines(s)))
             .collect();
         if dup_first {
-            // Duplicates hit the batch arena cache; the serial loop
-            // re-tokenizes, so equality here proves cache transparency.
+            // Duplicates hit the snippet arena; the reference loop
+            // re-tokenizes, so equality here proves arena transparency.
             let first = pairs[0].clone();
             pairs.push(first);
         }
@@ -235,12 +236,14 @@ proptest! {
                 Fidelity::Full,
                 Fidelity::Degraded(DegradeReason::StatsMissing),
             ] {
-                let scorer = Scorer::with_fidelity(&model, &stats, fidelity);
-                let mut serial_scratch = scorer.scratch();
+                let mut reference = ReferenceScorer::from_parts(&model, &stats, &fidelity);
                 let serial: Vec<u64> = pairs
                     .iter()
-                    .map(|(r, s)| scorer.score_pair(r, s, &mut serial_scratch).to_bits())
+                    .map(|(r, s)| reference.score_pair(r, s).to_bits())
                     .collect();
+                let bundle = ServingBundle::from_parts(model.clone(), stats.clone(), fidelity)
+                    .expect("bundle");
+                let scorer = bundle.scorer();
                 let mut batch_scratch = scorer.scratch();
                 let batch: Vec<u64> = scorer
                     .score_batch(&pairs, &mut batch_scratch)

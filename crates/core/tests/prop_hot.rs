@@ -1,16 +1,17 @@
 //! Property-based tests for the compiled hot-path scoring engine: the
 //! precompiled feature table must agree with `StatsDb` lookup-for-lookup,
-//! and the engine scorer (compiled table + arena batching + alignment
-//! cache) must be bit-identical to the legacy scorer over arbitrary
-//! corpora, models, fidelities, duplicate pairs, repeated batches, and
-//! hot reloads.
+//! and the engine scorer (compiled table + snippet arena + alignment
+//! cache) must be bit-identical to `ReferenceScorer` — the single-pair
+//! featurizer path, formerly the legacy scorer — over arbitrary corpora,
+//! models, fidelities, duplicate pairs, repeated batches, and hot reloads.
 
 use microbrowse_core::compiled::CompiledFeatureTable;
 use microbrowse_core::features::{OwnedTermFeat, PositionVocab};
+use microbrowse_core::reference::ReferenceScorer;
 use microbrowse_core::rewrite::{
     canonical_rewrite_key, greedy_candidate_score, is_canonical_order,
 };
-use microbrowse_core::serve::{DegradeReason, DeployedModel, Fidelity, Scorer, ServingBundle};
+use microbrowse_core::serve::{DegradeReason, DeployedModel, Fidelity, ServingBundle};
 use microbrowse_core::{ModelSpec, TrainedClassifier};
 use microbrowse_ml::coupled::CoupledModel;
 use microbrowse_ml::LogReg;
@@ -130,7 +131,7 @@ proptest! {
     }
 
     /// Canonicalized greedy rewrite evidence through the compiled table's
-    /// interned ids agrees bit-for-bit with the string path the legacy
+    /// interned ids agrees bit-for-bit with the string path the reference
     /// extractor takes, and `lex_le` agrees with string canonical order.
     #[test]
     fn compiled_greedy_evidence_matches_string_path(
@@ -140,7 +141,7 @@ proptest! {
         let table = CompiledFeatureTable::compile(&db).expect("compile");
         for (a, b) in &pairs {
             let (Some(ia), Some(ib)) = (table.phrase_id(a), table.phrase_id(b)) else {
-                continue; // phrase never recorded → legacy evidence also misses
+                continue; // phrase never recorded → reference evidence also misses
             };
             prop_assert_eq!(table.lex_le(ia, ib), a <= b);
             prop_assert_eq!(table.lex_le(ia, ib), is_canonical_order(a, b) || a == b);
@@ -155,8 +156,7 @@ proptest! {
     }
 
     /// The engine scorer behind `ServingBundle::scorer` is bit-identical
-    /// to the legacy `Scorer::with_fidelity` path over non-empty random
-    /// statistics — flat and coupled classifiers, full and degraded
+    /// to `ReferenceScorer` over non-empty random statistics — flat and coupled classifiers, full and degraded
     /// fidelity, duplicate pairs in the batch, and a second batch over the
     /// same scratch so cached alignments replay instead of recompute.
     #[test]
@@ -178,11 +178,10 @@ proptest! {
                 Fidelity::Full,
                 Fidelity::Degraded(DegradeReason::StatsMissing),
             ] {
-                let legacy = Scorer::with_fidelity(&model, &db, fidelity.clone());
-                let mut legacy_scratch = legacy.scratch();
+                let mut reference = ReferenceScorer::from_parts(&model, &db, &fidelity);
                 let serial: Vec<u64> = (0..2)
                     .flat_map(|_| pairs.iter().map(|(r, s)| {
-                        legacy.score_pair(r, s, &mut legacy_scratch).to_bits()
+                        reference.score_pair(r, s).to_bits()
                     }).collect::<Vec<_>>())
                     .collect();
                 let bundle =
@@ -207,8 +206,8 @@ proptest! {
     /// The alignment cache is shared across worker scratches, so an entry
     /// warmed by one scratch must replay bit-identically in another whose
     /// interning history *differs* (it met other snippets first). Scratch 2
-    /// scores the warmup pairs before the main pairs; the reference is a
-    /// legacy scorer driven through the exact same sequence.
+    /// scores the warmup pairs before the main pairs; the oracle is a
+    /// `ReferenceScorer` driven through the exact same sequence.
     #[test]
     fn shared_cache_across_scratches_matches_legacy(
         db in arb_stats(),
@@ -238,21 +237,20 @@ proptest! {
                 .into_iter()
                 .map(f64::to_bits)
                 .collect();
-            let legacy = Scorer::with_fidelity(&model, &db, Fidelity::Full);
-            let mut legacy_scratch = legacy.scratch();
+            let mut reference = ReferenceScorer::from_parts(&model, &db, &Fidelity::Full);
             for (r, s) in &warmup {
-                let _ = legacy.score_pair(r, s, &mut legacy_scratch);
+                let _ = reference.score_pair(r, s);
             }
             let expect: Vec<u64> = pairs
                 .iter()
-                .map(|(r, s)| legacy.score_pair(r, s, &mut legacy_scratch).to_bits())
+                .map(|(r, s)| reference.score_pair(r, s).to_bits())
                 .collect();
             prop_assert_eq!(&expect, &engine, "spec {:?}", model.spec);
         }
     }
 
     /// Hot reload: scoring against a *new* bundle (different statistics)
-    /// matches legacy scoring against the new statistics — nothing cached
+    /// matches reference scoring against the new statistics — nothing cached
     /// under the old bundle leaks across the swap.
     #[test]
     fn hot_reload_swaps_engine_state(
@@ -281,11 +279,10 @@ proptest! {
             .into_iter()
             .map(f64::to_bits)
             .collect();
-        let legacy = Scorer::with_fidelity(&model, &db2, Fidelity::Full);
-        let mut legacy_scratch = legacy.scratch();
+        let mut reference = ReferenceScorer::from_parts(&model, &db2, &Fidelity::Full);
         let expect: Vec<u64> = pairs
             .iter()
-            .map(|(r, s)| legacy.score_pair(r, s, &mut legacy_scratch).to_bits())
+            .map(|(r, s)| reference.score_pair(r, s).to_bits())
             .collect();
         prop_assert_eq!(&expect, &swapped);
     }
@@ -298,7 +295,7 @@ proptest! {
 /// cache; scratch B (which meets "yy" first, via a warmup snippet) then
 /// hits that entry. Before the fix the cached extraction replayed with
 /// scratch A's orientation and scored differently than scratch B computing
-/// fresh — and differently than the legacy scorer.
+/// fresh — and differently than the reference scorer.
 #[test]
 fn shared_align_cache_is_scratch_independent() {
     // Rewrites-only model: every feature flows from the LCS extraction, so
@@ -337,11 +334,11 @@ fn shared_align_cache_is_scratch_independent() {
     let _ = scorer.score_pair(&warm, &warm, &mut scratch_b);
     let score_b = scorer.score_pair(&r, &s, &mut scratch_b);
 
-    // Legacy scorer driven through the same interning history as scratch B.
-    let legacy = Scorer::with_fidelity(&model, &db, Fidelity::Full);
-    let mut legacy_scratch = legacy.scratch();
-    let _ = legacy.score_pair(&warm, &warm, &mut legacy_scratch);
-    let expect_b = legacy.score_pair(&r, &s, &mut legacy_scratch);
+    // Reference scorer driven through the same interning history as
+    // scratch B.
+    let mut reference = ReferenceScorer::from_parts(&model, &db, &Fidelity::Full);
+    let _ = reference.score_pair(&warm, &warm);
+    let expect_b = reference.score_pair(&r, &s);
 
     assert_eq!(score_b.to_bits(), expect_b.to_bits());
     // Orientation is a property of the pair, not of the scratch: both

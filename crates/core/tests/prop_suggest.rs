@@ -1,10 +1,12 @@
 //! Property-based tests for the generative surface: the suggestion beam
 //! search must be deterministic no matter how many threads (each with its
 //! own scratch) walk the same compiled bundle, and span attributions from
-//! `explain_pair` must decompose the exact served score.
+//! `explain_pair` must decompose the exact served score, which
+//! `ReferenceScorer` reproduces bit for bit.
 
 use microbrowse_core::explain::explain_pair;
 use microbrowse_core::features::{OwnedTermFeat, PositionVocab};
+use microbrowse_core::reference::ReferenceScorer;
 use microbrowse_core::rewrite::canonical_rewrite_key;
 use microbrowse_core::serve::{DegradeReason, DeployedModel, Fidelity, ServingBundle};
 use microbrowse_core::suggest::{suggest, SuggestConfig};
@@ -153,8 +155,9 @@ proptest! {
     }
 
     /// `bias + Σ span contributions` recovers the served pair score for
-    /// every model family and fidelity, and every rewrite attribution
-    /// carries the aligned S-side span.
+    /// every model family and fidelity, the served score is the reference
+    /// scorer's bit for bit, and every rewrite attribution carries the
+    /// aligned S-side span.
     #[test]
     fn explain_sums_to_score(
         db in arb_stats(),
@@ -174,9 +177,12 @@ proptest! {
                 let scorer = bundle.scorer();
                 let mut scratch = scorer.scratch();
                 let exp = explain_pair(&scorer, &r, &s, &mut scratch);
-                // The explanation reports the served score exactly.
+                // The explanation reports the served score exactly, and
+                // the served score is the reference scorer's.
                 let served = scorer.score_pair(&r, &s, &mut scratch);
                 prop_assert_eq!(exp.score.to_bits(), served.to_bits());
+                let expected = ReferenceScorer::from_parts(&model, &db, &fidelity).score_pair(&r, &s);
+                prop_assert_eq!(exp.score.to_bits(), expected.to_bits());
                 // And decomposes it within float-summation tolerance.
                 let sum: f64 =
                     exp.bias + exp.spans.iter().map(|a| a.contribution).sum::<f64>();

@@ -7,9 +7,9 @@
 //! process interleaved them with refits.
 
 use microbrowse_api::v1::{FeedbackEvent, FeedbackRequest};
-use microbrowse_core::serve::{Fidelity, Scorer};
+use microbrowse_core::serve::{Fidelity, ServingBundle};
 use microbrowse_core::ModelSpec;
-use microbrowse_online::{delta_from_batch, OnlineLearner};
+use microbrowse_online::{delta_from_batch, OnlineLearner, RefitOutput};
 use microbrowse_store::StatsDb;
 use microbrowse_text::Snippet;
 use proptest::prelude::*;
@@ -166,8 +166,12 @@ fn absorb_order_does_not_change_post_refit_scores() {
     let snip = |text: &str| Snippet::from_lines(text.split('|').map(str::trim));
     let pairs: Vec<(Snippet, Snippet)> =
         TEXTS.chunks(2).map(|c| (snip(c[0]), snip(c[1]))).collect();
-    let scorer_fwd = Scorer::with_fidelity(&out_fwd.model, &out_fwd.stats, Fidelity::Full);
-    let scorer_rev = Scorer::with_fidelity(&out_rev.model, &out_rev.stats, Fidelity::Full);
+    let bundle = |out: &RefitOutput| {
+        ServingBundle::from_parts(out.model.clone(), out.stats.clone(), Fidelity::Full)
+            .expect("bundle")
+    };
+    let (bundle_fwd, bundle_rev) = (bundle(&out_fwd), bundle(&out_rev));
+    let (scorer_fwd, scorer_rev) = (bundle_fwd.scorer(), bundle_rev.scorer());
     let scores_fwd = scorer_fwd.score_batch(&pairs, &mut scorer_fwd.scratch());
     let scores_rev = scorer_rev.score_batch(&pairs, &mut scorer_rev.scratch());
     for (i, (a, b)) in scores_fwd.iter().zip(&scores_rev).enumerate() {

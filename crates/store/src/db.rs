@@ -9,9 +9,9 @@
 //! of a real KV store would use for a hot aggregation.
 
 use std::hash::{BuildHasher, BuildHasherDefault};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use microbrowse_text::hash::{FxHashMap, FxHasher};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::key::{FeatureKey, KeyFamily};
@@ -139,11 +139,19 @@ impl ShardedBuilder {
         (h % self.shards.len() as u64) as usize
     }
 
+    /// Lock shard `idx`. Every update under the lock is a single counter
+    /// bump, so a shard whose holder panicked is still consistent: recover
+    /// the guard from the poison instead of propagating the panic.
+    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, FxHashMap<FeatureKey, FeatureStat>> {
+        self.shards[idx]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record one observation; safe to call from any thread.
     pub fn record(&self, key: FeatureKey, positive: bool) {
         let idx = self.shard_for(&key);
-        self.shards[idx]
-            .lock()
+        self.lock_shard(idx)
             .entry(key)
             .or_default()
             .record(positive);
@@ -160,7 +168,7 @@ impl ShardedBuilder {
             if group.is_empty() {
                 continue;
             }
-            let mut shard = self.shards[idx].lock();
+            let mut shard = self.lock_shard(idx);
             for (k, p) in group {
                 shard.entry(k).or_default().record(p);
             }
@@ -171,7 +179,7 @@ impl ShardedBuilder {
     pub fn freeze(self) -> StatsDb {
         let mut map: FxHashMap<FeatureKey, FeatureStat> = FxHashMap::default();
         for shard in self.shards {
-            for (k, s) in shard.into_inner() {
+            for (k, s) in shard.into_inner().unwrap_or_else(PoisonError::into_inner) {
                 map.entry(k).or_default().merge(&s);
             }
         }

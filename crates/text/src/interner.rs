@@ -6,15 +6,12 @@
 //! `u32` newtype) exactly once, after which every comparison, hash, and map
 //! key is integer-sized.
 //!
-//! Two flavors:
-//! * [`Interner`] — single-threaded, used inside per-thread corpus shards.
-//! * [`SharedInterner`] — `RwLock`-guarded (via `parking_lot`), used when
-//!   the parallel stats builder needs one global symbol space.
+//! [`Interner`] is single-threaded: each corpus shard and each serving
+//! scratch owns one.
 
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::hash::FxHashMap;
@@ -102,55 +99,6 @@ impl Interner {
     }
 }
 
-/// A thread-safe interner sharing one symbol space across worker threads.
-///
-/// Reads (the overwhelmingly common case once the vocabulary saturates) take
-/// a read lock; only novel strings take the write lock.
-#[derive(Debug, Default, Clone)]
-pub struct SharedInterner {
-    inner: Arc<RwLock<Interner>>,
-}
-
-impl SharedInterner {
-    /// Create an empty shared interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Intern `s` (read-lock fast path, write lock only on novelty).
-    pub fn intern(&self, s: &str) -> Sym {
-        if let Some(sym) = self.inner.read().get(s) {
-            return sym;
-        }
-        self.inner.write().intern(s)
-    }
-
-    /// Look up without interning.
-    pub fn get(&self, s: &str) -> Option<Sym> {
-        self.inner.read().get(s)
-    }
-
-    /// Resolve to an owned string (the lock cannot escape).
-    pub fn resolve(&self, sym: Sym) -> Option<String> {
-        self.inner.read().try_resolve(sym).map(str::to_owned)
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// Whether the interner is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
-    }
-
-    /// Snapshot the current contents into a plain [`Interner`].
-    pub fn snapshot(&self) -> Interner {
-        self.inner.read().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,42 +157,5 @@ mod tests {
             got,
             vec![(Sym(0), "a".to_owned()), (Sym(1), "b".to_owned())]
         );
-    }
-
-    #[test]
-    fn shared_interner_agrees_across_clones() {
-        let shared = SharedInterner::new();
-        let s1 = shared.clone();
-        let s2 = shared.clone();
-        let a = s1.intern("hello");
-        let b = s2.intern("hello");
-        assert_eq!(a, b);
-        assert_eq!(shared.len(), 1);
-        assert_eq!(shared.resolve(a).as_deref(), Some("hello"));
-    }
-
-    #[test]
-    fn shared_interner_under_threads() {
-        let shared = SharedInterner::new();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let sh = shared.clone();
-                scope.spawn(move || {
-                    for k in 0..100 {
-                        // Half shared vocabulary, half thread-private.
-                        sh.intern(&format!("common-{}", k % 10));
-                        sh.intern(&format!("t{t}-{k}"));
-                    }
-                });
-            }
-        });
-        // 10 common + 4*100 private.
-        assert_eq!(shared.len(), 10 + 400);
-        // Every symbol resolves to a unique string (bijectivity).
-        let snap = shared.snapshot();
-        let mut seen = std::collections::HashSet::new();
-        for (_, s) in snap.iter() {
-            assert!(seen.insert(s.to_owned()), "duplicate string {s}");
-        }
     }
 }

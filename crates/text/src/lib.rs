@@ -33,7 +33,7 @@ pub mod snippet;
 pub mod tokenizer;
 
 pub use hash::{FxHashMap, FxHashSet};
-pub use interner::{Interner, SharedInterner, Sym};
+pub use interner::{Interner, Sym};
 pub use ngram::{NGram, NGramConfig, NGramExtractor, TermOccurrence};
 pub use normalize::{normalize, NormalizeConfig};
 pub use snippet::{Line, Snippet, TokenizedSnippet};

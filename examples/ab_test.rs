@@ -1,7 +1,7 @@
 //! Creative selection as an offline A/B shortcut.
 //!
 //! ```text
-//! cargo run --release -p microbrowse-examples --example ab_test
+//! cargo run --release -p microbrowse-bench --example ab_test
 //! ```
 //!
 //! An advertiser uploads several creatives per adgroup; the platform

@@ -1,7 +1,7 @@
 //! Tour of the macro click-model zoo (§II of the paper).
 //!
 //! ```text
-//! cargo run --release -p microbrowse-examples --example click_models
+//! cargo run --release -p microbrowse-bench --example click_models
 //! ```
 //!
 //! Simulates SERP sessions with a DBN-style ground truth, fits every model

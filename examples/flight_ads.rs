@@ -3,7 +3,7 @@
 //! words should go.
 //!
 //! ```text
-//! cargo run --release -p microbrowse-examples --example flight_ads
+//! cargo run --release -p microbrowse-bench --example flight_ads
 //! ```
 //!
 //! Uses the ground-truth micro-browsing user from `microbrowse-synth` to

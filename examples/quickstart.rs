@@ -1,7 +1,7 @@
 //! Quickstart: the micro-browsing model in five minutes.
 //!
 //! ```text
-//! cargo run --release -p microbrowse-examples --example quickstart
+//! cargo run --release -p microbrowse-bench --example quickstart
 //! ```
 //!
 //! Walks through the paper's core equations on the paper's own example pair

@@ -59,9 +59,9 @@ echo "==> flight-recorder overhead gate (< 2% of traced serving wall time, recor
 cargo build --locked --release -q -p microbrowse-bench --bin flight_overhead
 ./target/release/flight_overhead --requests 2000
 
-echo "==> hot-path scoring engine gate (>= 4x legacy throughput, bit-identical)"
+echo "==> hot-path scoring engine gate (>= 5.1x reference-scorer throughput, bit-identical)"
 cargo build --locked --release -q -p microbrowse-bench --bin bench_score_hot
-./target/release/bench_score_hot --adgroups 120 --reps 10 --gate 4.0 \
+./target/release/bench_score_hot --adgroups 120 --reps 10 --gate 5.1 \
     --out /tmp/BENCH_score_hot.check.json
 
 echo "==> server smoke gate (serve + hot reload under load + graceful drain)"

@@ -4,7 +4,8 @@
 
 use microbrowse_core::classifier::{ModelSpec, TrainConfig, TrainedClassifier};
 use microbrowse_core::features::Featurizer;
-use microbrowse_core::serve::{DeployedModel, Scorer};
+use microbrowse_core::reference::ReferenceScorer;
+use microbrowse_core::serve::{DeployedModel, Fidelity, ServingBundle};
 use microbrowse_core::statsbuild::{build_stats, StatsBuildConfig, TokenizedCorpus};
 use microbrowse_core::PairFilter;
 use microbrowse_store::{read_snapshot, write_snapshot};
@@ -92,9 +93,12 @@ fn roundtrip_predictions_agree(spec: ModelSpec) {
         "model must survive the disk round trip bit-exactly"
     );
 
-    let live = Scorer::new(&model, &stats);
-    let reloaded = Scorer::new(&model2, &stats2);
-    let mut live_scratch = live.scratch();
+    // The in-process model scores through the reference featurizer path,
+    // the reloaded artifacts through a serving bundle's engine: the two
+    // must agree bit for bit.
+    let mut live = ReferenceScorer::from_parts(&model, &stats, &Fidelity::Full);
+    let bundle = ServingBundle::from_parts(model2, stats2, Fidelity::Full).expect("bundle");
+    let reloaded = bundle.scorer();
     let mut reloaded_scratch = reloaded.scratch();
     let probes = probe_snippets();
     for (i, r) in probes.iter().enumerate() {
@@ -102,10 +106,10 @@ fn roundtrip_predictions_agree(spec: ModelSpec) {
             if i == j {
                 continue;
             }
-            let a = live.score_pair(r, s, &mut live_scratch);
+            let a = live.score_pair(r, s);
             let b = reloaded.score_pair(r, s, &mut reloaded_scratch);
             assert!(
-                (a - b).abs() < 1e-12,
+                a.to_bits() == b.to_bits(),
                 "{}: scores diverge after reload ({a} vs {b}) for pair {i},{j}",
                 spec.name
             );
@@ -136,7 +140,8 @@ fn deployed_model_transfers_to_unseen_corpus() {
     });
     let tc = TokenizedCorpus::build(&fresh.corpus);
     let pairs = fresh.corpus.extract_pairs(&PairFilter::default());
-    let scorer = Scorer::new(&model, &stats);
+    let bundle = ServingBundle::from_parts(model, stats, Fidelity::Full).expect("bundle");
+    let scorer = bundle.scorer();
     let mut scratch = scorer.scratch();
     let mut correct = 0;
     for p in &pairs {
