@@ -10,10 +10,11 @@
 //! *immutable* interner: they can run on worker threads without
 //! synchronization and produce bit-identical results at any thread count.
 //!
-//! The serve-time analogue is [`Scorer::score_batch`](crate::serve::Scorer::score_batch),
-//! which applies the same amortize-the-preprocessing idea to a single
-//! request batch: tokenize each distinct snippet once, then score every
-//! pair against the cached token arenas.
+//! The serve-time analogues are the snippet arena of each
+//! [`Scratch`](crate::serve::Scratch), which tokenizes a distinct snippet
+//! once per scratch however many requests repeat it, and the
+//! bundle-shared [`AlignCache`] below, which memoizes pair alignments that
+//! recur.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc as StdArc;
@@ -21,7 +22,9 @@ use std::sync::Mutex;
 
 use microbrowse_store::key::SnippetPos;
 use microbrowse_text::hash::FxHasher;
-use microbrowse_text::{FxHashMap, Interner, NGramConfig, NGramExtractor, Snippet, TermOccurrence};
+use microbrowse_text::{
+    FxHashMap, FxHashSet, Interner, NGramConfig, NGramExtractor, Snippet, TermOccurrence,
+};
 
 use crate::corpus::{CreativeId, CreativePair};
 use crate::rewrite::{
@@ -243,9 +246,9 @@ impl CachedAlignment {
 
 /// Number of independently locked shards in an [`AlignCache`].
 const ALIGN_SHARDS: usize = 16;
-/// Per-shard entry cap; a shard that would exceed it is cleared wholesale
-/// (alignments are cheap to recompute, so wholesale eviction beats LRU
-/// bookkeeping on this path).
+/// Per-shard cap on cached entries and on doorkeeper hashes; a shard that
+/// would exceed either clears that set wholesale (alignments are cheap to
+/// recompute, so wholesale eviction beats LRU bookkeeping on this path).
 const ALIGN_SHARD_CAP: usize = 8192;
 
 /// One bucket slot: the exact snippet pair and its shared alignment.
@@ -253,15 +256,42 @@ type AlignSlot = ((Snippet, Snippet), StdArc<CachedAlignment>);
 
 /// A shard: buckets keyed by the pair's 64-bit hash, each bucket holding
 /// the exact snippet pairs (collisions are resolved by full equality, so a
-/// hash collision can never return the wrong alignment).
+/// hash collision can never return the wrong alignment), plus the
+/// doorkeeper of pairs that missed once.
 #[derive(Debug, Default)]
 struct AlignShard {
     buckets: FxHashMap<u64, Vec<AlignSlot>>,
     entries: usize,
+    /// Hashes of pairs offered once and not stored. Plain `u64`s, so a
+    /// wholesale clear frees nothing per entry.
+    seen_once: FxHashSet<u64>,
+}
+
+impl AlignShard {
+    /// Whether the cache should store the pair hashed `h`: `true` on its
+    /// second offer while the first is still remembered, `false` (and the
+    /// hash remembered) otherwise. A hash collision can only admit a pair
+    /// early, never store a wrong alignment.
+    fn admit(&mut self, h: u64) -> bool {
+        if self.seen_once.remove(&h) {
+            return true;
+        }
+        if self.seen_once.len() >= ALIGN_SHARD_CAP {
+            self.seen_once.clear();
+        }
+        self.seen_once.insert(h);
+        false
+    }
 }
 
 /// The serve-time rewrite-alignment cache — the serving analogue of
 /// [`PairCache`], shared across batches and worker threads.
+///
+/// A missed pair is stored only on its second miss. Most serving misses
+/// are single-use — `/v1/suggest` scores hundreds of never-seen variants
+/// per draft — so capturing them would only fill shards for the next
+/// wholesale clear to drop; a pair that recurs pays one extra
+/// recomputation and hits from then on.
 ///
 /// Lives inside the bundle's scoring engine behind the `Arc<ServingBundle>`
 /// swap, so a hot reload atomically replaces it with an empty cache: no
@@ -307,13 +337,8 @@ impl AlignCache {
         h.finish()
     }
 
-    /// Look up the cached alignment for the ordered pair `(r, s)`.
-    pub fn get(&self, r: &Snippet, s: &Snippet) -> Option<StdArc<CachedAlignment>> {
-        self.get_hashed(Self::combine_hashes(snippet_hash(r), snippet_hash(s)), r, s)
-    }
-
-    /// [`Self::get`] with the pair hash precomputed via
-    /// [`Self::combine_hashes`].
+    /// Look up the cached alignment for the ordered pair `(r, s)`, whose
+    /// pair hash `h` comes from [`Self::combine_hashes`].
     pub fn get_hashed(&self, h: u64, r: &Snippet, s: &Snippet) -> Option<StdArc<CachedAlignment>> {
         let shard = lock_shard(&self.shards[(h as usize) % ALIGN_SHARDS]);
         let found = shard.buckets.get(&h).and_then(|bucket| {
@@ -331,16 +356,20 @@ impl AlignCache {
         found
     }
 
-    /// Insert the alignment for `(r, s)`. Racing inserts of the same pair
-    /// keep the first entry; a shard at capacity is cleared first.
-    pub fn insert(&self, r: &Snippet, s: &Snippet, alignment: CachedAlignment) {
-        let h = Self::combine_hashes(snippet_hash(r), snippet_hash(s));
-        self.insert_hashed(h, r, s, alignment);
-    }
-
-    /// [`Self::insert`] with the pair hash precomputed via
-    /// [`Self::combine_hashes`].
-    pub fn insert_hashed(&self, h: u64, r: &Snippet, s: &Snippet, alignment: CachedAlignment) {
+    /// Offer the freshly computed alignment of a missed pair `(r, s)`
+    /// (pair hash `h`). The first offer of a pair only remembers its hash
+    /// (deferred); the second stores the entry (admitted), and only then do
+    /// `capture` and the snippet clones run. `capture` runs under the
+    /// shard's lock, so it must not use this cache. Offering an
+    /// already-cached pair — a racing insert — is a no-op; a shard at
+    /// capacity is cleared before an admitted entry is stored.
+    pub fn insert_hashed(
+        &self,
+        h: u64,
+        r: &Snippet,
+        s: &Snippet,
+        capture: impl FnOnce() -> CachedAlignment,
+    ) {
         let mut shard = lock_shard(&self.shards[(h as usize) % ALIGN_SHARDS]);
         // Duplicate check first: racing inserts of an already-cached pair
         // must not trigger the at-capacity wholesale eviction below.
@@ -349,16 +378,22 @@ impl AlignCache {
                 return;
             }
         }
+        if !shard.admit(h) {
+            microbrowse_obs::counter!("microbrowse_aligncache_deferred_total").add(1);
+            return;
+        }
+        microbrowse_obs::counter!("microbrowse_aligncache_admitted_total").add(1);
         if shard.entries >= ALIGN_SHARD_CAP {
             shard.buckets.clear();
             shard.entries = 0;
             microbrowse_obs::counter!("microbrowse_aligncache_evictions_total").add(1);
         }
+        let alignment = StdArc::new(capture());
         shard
             .buckets
             .entry(h)
             .or_default()
-            .push(((r.clone(), s.clone()), StdArc::new(alignment)));
+            .push(((r.clone(), s.clone()), alignment));
         shard.entries += 1;
     }
 
@@ -444,5 +479,88 @@ mod tests {
             let direct = extractor.extract(tc.snippet(p.r), &mut interner);
             assert_eq!(cache.term_occs(p.r), &direct[..]);
         }
+    }
+
+    fn empty_alignment() -> CachedAlignment {
+        CachedAlignment {
+            prep_phrases: Vec::new(),
+            rewrites: Vec::new(),
+            r_leftover: Vec::new(),
+            s_leftover: Vec::new(),
+        }
+    }
+
+    /// Offer `(r, s)` under pair hash `h`; whether the capture ran.
+    fn offer(cache: &AlignCache, h: u64, r: &Snippet, s: &Snippet) -> bool {
+        let mut captured = false;
+        cache.insert_hashed(h, r, s, || {
+            captured = true;
+            empty_alignment()
+        });
+        captured
+    }
+
+    fn pair() -> (Snippet, Snippet, u64) {
+        let r = Snippet::from_lines(["cheap flights"]);
+        let s = Snippet::from_lines(["pricey flights"]);
+        let h = AlignCache::combine_hashes(snippet_hash(&r), snippet_hash(&s));
+        (r, s, h)
+    }
+
+    #[test]
+    fn align_cache_admits_a_pair_on_its_second_miss() {
+        let cache = AlignCache::new();
+        let (r, s, h) = pair();
+        // First sighting: a miss whose offer is deferred — nothing is
+        // captured or stored.
+        assert!(cache.get_hashed(h, &r, &s).is_none());
+        assert!(!offer(&cache, h, &r, &s));
+        assert_eq!(cache.entries(), 0);
+        // Second sighting: a miss whose offer is admitted.
+        assert!(cache.get_hashed(h, &r, &s).is_none());
+        assert!(offer(&cache, h, &r, &s));
+        assert_eq!(cache.entries(), 1);
+        // Third sighting: a hit.
+        assert!(cache.get_hashed(h, &r, &s).is_some());
+        // The swapped pair is a different pair, still never seen.
+        let swapped = AlignCache::combine_hashes(snippet_hash(&s), snippet_hash(&r));
+        assert!(cache.get_hashed(swapped, &s, &r).is_none());
+        assert!(!offer(&cache, swapped, &s, &r));
+        assert_eq!(cache.entries(), 1);
+    }
+
+    #[test]
+    fn duplicate_insert_is_a_no_op() {
+        let cache = AlignCache::new();
+        let (r, s, h) = pair();
+        assert!(!offer(&cache, h, &r, &s));
+        assert!(offer(&cache, h, &r, &s));
+        // A racing offer of the cached pair neither captures nor stores,
+        // and does not re-arm the doorkeeper.
+        for _ in 0..3 {
+            assert!(!offer(&cache, h, &r, &s));
+        }
+        assert_eq!(cache.entries(), 1);
+        let shard = lock_shard(&cache.shards[(h as usize) % ALIGN_SHARDS]);
+        assert!(!shard.seen_once.contains(&h));
+    }
+
+    #[test]
+    fn doorkeeper_never_exceeds_its_cap() {
+        let cache = AlignCache::new();
+        let (r, s, _) = pair();
+        // Distinct hashes that all land in shard 0: every offer is a first
+        // sighting, so nothing is ever stored.
+        let hash = |k: usize| (k * ALIGN_SHARDS) as u64;
+        for k in 0..2 * ALIGN_SHARD_CAP + 3 {
+            assert!(!offer(&cache, hash(k), &r, &s));
+            assert!(lock_shard(&cache.shards[0]).seen_once.len() <= ALIGN_SHARD_CAP);
+        }
+        assert_eq!(cache.entries(), 0);
+        // The wholesale clears forgot the early hashes: offering the first
+        // one again is a first sighting, not an admission.
+        assert!(!offer(&cache, hash(0), &r, &s));
+        // The most recent one is still remembered.
+        assert!(offer(&cache, hash(2 * ALIGN_SHARD_CAP + 2), &r, &s));
     }
 }

@@ -257,11 +257,17 @@ pub fn prepare_pair(
     interner: &mut Interner,
 ) -> PreparedPair {
     let mut lines = Vec::new();
+    // One buffer joins every multi-token candidate phrase of the pair.
+    let mut phrase = String::new();
     let num_lines = r.lines.len().max(s.lines.len());
     static EMPTY: &[Sym] = &[];
     for line in 0..num_lines {
         let ra: &[Sym] = r.lines.get(line).map_or(EMPTY, |v| v);
         let sb: &[Sym] = s.lines.get(line).map_or(EMPTY, |v| v);
+        if ra == sb {
+            // Identical lines diff to no changed span: skip the LCS table.
+            continue;
+        }
         // LCS tie-breaking depends on argument order; diff in a canonical
         // direction (and swap the spans back) so extraction — and therefore
         // every downstream feature — is exactly antisymmetric under an R/S
@@ -288,6 +294,7 @@ pub fn prepare_pair(
             ra,
             max_cand_len,
             all_subphrases,
+            &mut phrase,
             interner,
         );
         let s_cands = enumerate_cands(
@@ -295,6 +302,7 @@ pub fn prepare_pair(
             sb,
             max_cand_len,
             all_subphrases,
+            &mut phrase,
             interner,
         );
         lines.push(PreparedLine {
@@ -379,12 +387,14 @@ pub fn greedy_candidate_score(stat: &FeatureStat) -> f64 {
 
 /// Enumerate (and intern) the candidate phrases of one side of a line, in
 /// the order the greedy matcher expects: span-major, then length, then
-/// start position.
+/// start position. Multi-token phrases are space-joined into `buf` (reused,
+/// so a known phrase costs an interner lookup and no allocation).
 fn enumerate_cands(
     spans: &mut dyn Iterator<Item = std::ops::Range<usize>>,
     toks: &[Sym],
     max_cand_len: usize,
     all_subphrases: bool,
+    buf: &mut String,
     interner: &mut Interner,
 ) -> Vec<CandPhrase> {
     let mut v = Vec::new();
@@ -392,8 +402,14 @@ fn enumerate_cands(
         let phrase = if len == 1 {
             toks[start]
         } else {
-            let joined = join_phrase(toks, start, len, interner);
-            interner.intern(&joined)
+            buf.clear();
+            for (k, sym) in toks[start..start + len].iter().enumerate() {
+                if k > 0 {
+                    buf.push(' ');
+                }
+                buf.push_str(interner.resolve(*sym));
+            }
+            interner.intern(buf)
         };
         v.push(CandPhrase { start, len, phrase });
     };
@@ -717,17 +733,6 @@ pub fn canonical_rewrite_key(a: &str, b: &str) -> FeatureKey {
 /// Whether `(a, b)` is already in canonical order.
 pub fn is_canonical_order(a: &str, b: &str) -> bool {
     a <= b
-}
-
-fn join_phrase(toks: &[Sym], start: usize, len: usize, interner: &mut Interner) -> String {
-    let mut s = String::new();
-    for (k, sym) in toks[start..start + len].iter().enumerate() {
-        if k > 0 {
-            s.push(' ');
-        }
-        s.push_str(interner.resolve(*sym));
-    }
-    s
 }
 
 #[cfg(test)]

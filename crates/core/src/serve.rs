@@ -381,6 +381,8 @@ pub struct Scratch<'a> {
     sym_map: SymTableMap,
     /// Reusable rewrite-extraction buffer.
     ext_buf: RewriteExtraction,
+    /// Reusable normalization buffer for arena tokenization.
+    norm: String,
     /// Persistent snippet arena: tokenizations (and term occurrences) cached
     /// across calls, `arena_len` is the number of live entries. Safe for
     /// bit-identity because interning is idempotent: re-tokenizing a snippet
@@ -483,6 +485,7 @@ impl<'a> Scorer<'a> {
             featurizer,
             sym_map: SymTableMap::new(),
             ext_buf: RewriteExtraction::default(),
+            norm: String::new(),
             arena: Vec::new(),
             arena_len: 0,
             arena_index: FxHashMap::default(),
@@ -620,15 +623,10 @@ impl<'a> Scorer<'a> {
     }
 
     /// Fill the next arena slot with `snippet`'s tokenization (reusing the
-    /// slot's buffers) and return its index. At [`SNIPPET_ARENA_CAP`] the
-    /// whole arena is logically dropped and refilled from slot 0 — entry
-    /// buffers keep their capacity, and because every cached token is
-    /// already interned, eviction has no effect on scores.
+    /// slot's buffers) and return its index. The caller has made room
+    /// ([`Self::score_engine`] clears a full arena before resolving either
+    /// side of a pair).
     fn arena_fill(snippet: &Snippet, tokenizer: &Tokenizer, scratch: &mut Scratch<'a>) -> usize {
-        if scratch.arena_len >= SNIPPET_ARENA_CAP {
-            scratch.arena_index.clear();
-            scratch.arena_len = 0;
-        }
         let i = scratch.arena_len;
         if scratch.arena.len() == i {
             scratch.arena.push(ArenaEntry {
@@ -639,12 +637,15 @@ impl<'a> Scorer<'a> {
             });
         }
         let Scratch {
-            arena, interner, ..
+            arena,
+            interner,
+            norm,
+            ..
         } = scratch;
         let e = &mut arena[i];
         e.snippet.clone_from(snippet);
         e.occs_ready = false;
-        snippet.tokenize_into(tokenizer, interner, &mut e.tok);
+        snippet.tokenize_into(tokenizer, interner, norm, &mut e.tok);
         scratch.arena_len = i + 1;
         i
     }
@@ -676,9 +677,20 @@ impl<'a> Scorer<'a> {
     /// would have been a state no-op (re-interning already interned
     /// strings). The alignment is a cache hit (replayed, including the
     /// exact interner side effects of a fresh `prepare_pair`) or computed
-    /// against the compiled evidence table and inserted; the features are
-    /// then encoded through the featurizer's reused buffers.
+    /// against the compiled evidence table and offered to the cache, which
+    /// keeps it from the pair's second miss on; the features are then
+    /// encoded through the featurizer's reused buffers.
     fn score_engine(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
+        // Make room for both sides before resolving either: clearing the
+        // arena while filling `s` would recycle the slot `r` resolved to.
+        // Near SNIPPET_ARENA_CAP the whole arena is logically dropped and
+        // refilled from slot 0 — entry buffers keep their capacity, and
+        // because every cached token is already interned, eviction has no
+        // effect on scores.
+        if scratch.arena_len + 2 > SNIPPET_ARENA_CAP {
+            scratch.arena_index.clear();
+            scratch.arena_len = 0;
+        }
         let (ri, hr) = Self::arena_entry(r, &self.tokenizer, scratch);
         let (si, hs) = Self::arena_entry(s, &self.tokenizer, scratch);
         if self.spec.terms {
@@ -724,12 +736,9 @@ impl<'a> Scorer<'a> {
                     &scratch.interner,
                     &mut scratch.ext_buf,
                 );
-                self.engine.align().insert_hashed(
-                    pair_hash,
-                    r,
-                    s,
-                    CachedAlignment::capture(&prepared, &scratch.ext_buf, &scratch.interner),
-                );
+                self.engine.align().insert_hashed(pair_hash, r, s, || {
+                    CachedAlignment::capture(&prepared, &scratch.ext_buf, &scratch.interner)
+                });
             }
         }
         let ext = self.spec.rewrites.then_some(&scratch.ext_buf);
@@ -1463,15 +1472,51 @@ mod tests {
         let expected = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full).score_pair(&r, &s);
         let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
-        // Twice: second call replays the cached alignment.
+        // Three times: the first miss is deferred, the second is admitted
+        // into the cache, the third replays the cached alignment.
+        for _ in 0..2 {
+            assert_eq!(
+                scorer.score_pair(&r, &s, &mut scratch).to_bits(),
+                expected.to_bits()
+            );
+        }
+        assert!(bundle.engine().align().entries() > 0);
         assert_eq!(
             scorer.score_pair(&r, &s, &mut scratch).to_bits(),
             expected.to_bits()
         );
-        assert_eq!(
-            scorer.score_pair(&r, &s, &mut scratch).to_bits(),
-            expected.to_bits()
-        );
+    }
+
+    /// Regression: with the arena full and `r` a hit in slot 0, filling a
+    /// new `s` used to clear the arena and write `s` into slot 0, so the
+    /// pair scored as `(s, s)` — 0.0 instead of 2.5 at the 8192nd pair.
+    #[test]
+    fn full_arena_keeps_both_sides_of_the_pair() {
+        let m = DeployedModel {
+            spec: ModelSpec::m1(),
+            classifier: TrainedClassifier::Flat(LogReg::from_parts(vec![1.5, -1.0], 0.0)),
+            vocab: vec![
+                OwnedTermFeat::Term("cheap".into()),
+                OwnedTermFeat::Term("pricey".into()),
+            ],
+        };
+        let stats = StatsDb::new();
+        let bundle =
+            ServingBundle::from_parts(m.clone(), stats.clone(), Fidelity::Full).expect("bundle");
+        let scorer = bundle.scorer();
+        let mut scratch = scorer.scratch();
+        let mut reference = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full);
+        let r = Snippet::from_lines(["cheap flights"]);
+        for i in 0..SNIPPET_ARENA_CAP + 8 {
+            let s = Snippet::from_lines([format!("pricey flights {i}")]);
+            let expected = reference.score_pair(&r, &s);
+            assert_eq!(expected, 2.5);
+            assert_eq!(
+                scorer.score_pair(&r, &s, &mut scratch).to_bits(),
+                expected.to_bits(),
+                "pair {i}"
+            );
+        }
     }
 
     #[test]

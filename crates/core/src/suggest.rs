@@ -8,10 +8,16 @@
 //! ([`crate::compiled::CompiledFeatureTable::rewrite_neighbors`]): any
 //! phrase of the creative the statistics database has rewrite evidence for
 //! can be substituted with its recorded partners. Each beam depth scores
-//! every candidate variant *against the original creative* in one
-//! [`Scorer::score_batch`] call (the original tokenizes once per batch via
-//! the scratch arena), keeps the top `beam_width` variants, and recurses up
-//! to `max_depth` substitutions.
+//! every candidate variant *against the original creative* through
+//! [`Scorer::score_pair`] (the original tokenizes once per scratch via the
+//! scratch arena), keeps the top `beam_width` variants, and recurses up to
+//! `max_depth` substitutions.
+//!
+//! Candidates are single-use: a variant is built as rendered text straight
+//! from its parent's text (phrase lookups are slices of it, so enumeration
+//! joins nothing), scored once, and never captured by the alignment cache,
+//! which keeps a pair only from its second miss on. Edit trails are stored
+//! as offsets and rendered only for the variants returned.
 //!
 //! Determinism: candidate enumeration follows beam order → line → offset →
 //! phrase length → neighbor rank (evidence mass, then effect size, then
@@ -22,10 +28,12 @@
 //! in `core/tests/prop_suggest.rs` pins this down.
 
 use std::collections::HashSet;
+use std::ops::Range;
+use std::rc::Rc;
 
 use microbrowse_text::Snippet;
 
-use crate::compiled::RewriteNeighbor;
+use crate::compiled::{CompiledFeatureTable, RewriteNeighbor};
 use crate::serve::{Scorer, Scratch};
 
 /// Knobs for the suggestion beam search.
@@ -88,25 +96,181 @@ pub struct Suggestion {
     pub steps: Vec<RewriteStep>,
 }
 
-/// A beam node: a candidate variant with its provenance.
-#[derive(Debug, Clone)]
-struct Node {
-    /// Tokenized lines of the variant.
-    lines: Vec<Vec<String>>,
-    /// Rendered text, used for dedup and deterministic tie-breaking.
-    key: String,
+/// A beam node: a candidate variant and the substitution that produced it.
+#[derive(Debug)]
+struct Node<'a> {
+    /// Rendered text: lines joined by `'\n'`, tokens within a line by
+    /// `' '`. The variant's identity for dedup and tie-breaks, and its
+    /// lines are the variant's snippet lines.
+    key: Rc<str>,
     /// Margin over the original creative.
     score: f64,
-    steps: Vec<RewriteStep>,
+    /// How the node was derived from its parent (`None` for the input).
+    edit: Option<Edit<'a>>,
 }
 
-fn render_key(lines: &[Vec<String>]) -> String {
-    let rendered: Vec<String> = lines.iter().map(|l| l.join(" ")).collect();
-    rendered.join("\n")
+/// One substitution, kept as offsets until a returned suggestion renders
+/// it as a [`RewriteStep`].
+#[derive(Debug)]
+struct Edit<'a> {
+    /// Index of the parent in the node list.
+    parent: usize,
+    /// Byte range of the replaced phrase in the parent's key.
+    from: Range<usize>,
+    /// The replacement phrase, as the compiled table stores it.
+    to: &'a str,
+    line: u8,
+    pos: u16,
 }
 
-fn render_snippet(lines: &[Vec<String>]) -> Snippet {
-    Snippet::from_lines(lines.iter().map(|l| l.join(" ")))
+/// Beam nodes in creation order; an edit's `parent` indexes into it.
+type Nodes<'a> = Vec<Node<'a>>;
+
+/// Buffers reused across one whole search.
+#[derive(Default)]
+struct Buffers {
+    /// Byte ranges of one line's tokens within a key.
+    toks: Vec<Range<usize>>,
+    /// One phrase's rewrite partners, ranked.
+    neighbors: Vec<RewriteNeighbor>,
+    /// The candidate key being built.
+    cand: String,
+}
+
+/// The rendered key of the input creative: its normalized tokens.
+fn render_input(scorer: &Scorer<'_>, creative: &Snippet) -> String {
+    let mut key = String::new();
+    let mut norm = String::new();
+    for (li, line) in creative.lines().iter().enumerate() {
+        if li > 0 {
+            key.push('\n');
+        }
+        let line_start = key.len();
+        scorer
+            .tokenizer()
+            .for_each_term(&line.text, &mut norm, |t| {
+                if key.len() > line_start {
+                    key.push(' ');
+                }
+                key.push_str(t);
+            });
+    }
+    key
+}
+
+/// Write `key` with the byte range `from` replaced by the
+/// whitespace-separated tokens of `to`, single-space joined, into `out`.
+/// `false` when `to` has no tokens.
+fn splice(key: &str, from: &Range<usize>, to: &str, out: &mut String) -> bool {
+    out.clear();
+    out.push_str(&key[..from.start]);
+    let at = out.len();
+    for t in to.split_whitespace() {
+        if out.len() > at {
+            out.push(' ');
+        }
+        out.push_str(t);
+    }
+    if out.len() == at {
+        return false;
+    }
+    out.push_str(&key[from.end..]);
+    true
+}
+
+/// Push every unseen one-substitution expansion of node `parent` onto
+/// `nodes`, in line → offset → phrase length → neighbor rank order.
+fn expand<'a>(
+    table: &'a CompiledFeatureTable,
+    cfg: &SuggestConfig,
+    parent: usize,
+    nodes: &mut Nodes<'a>,
+    seen: &mut HashSet<Rc<str>>,
+    bufs: &mut Buffers,
+) {
+    let key = Rc::clone(&nodes[parent].key);
+    let mut line_start = 0;
+    for (li, line) in key.split('\n').enumerate() {
+        bufs.toks.clear();
+        if !line.is_empty() {
+            let mut at = line_start;
+            for tok in line.split(' ') {
+                bufs.toks.push(at..at + tok.len());
+                at += tok.len() + 1;
+            }
+        }
+        line_start += line.len() + 1;
+        let toks = &bufs.toks;
+        for start in 0..toks.len() {
+            for plen in 1..=cfg.max_phrase_len.min(toks.len() - start) {
+                let from = toks[start].start..toks[start + plen - 1].end;
+                let Some(pid) = table.phrase_id(&key[from.clone()]) else {
+                    continue;
+                };
+                bufs.neighbors.clear();
+                bufs.neighbors
+                    .extend_from_slice(table.rewrite_neighbors(pid));
+                bufs.neighbors.sort_unstable_by(|a, b| {
+                    b.total
+                        .cmp(&a.total)
+                        .then(b.log_odds.abs().total_cmp(&a.log_odds.abs()))
+                        .then(a.other.cmp(&b.other))
+                });
+                for n in bufs.neighbors.iter().take(cfg.max_neighbors) {
+                    let Some(to) = table.resolve_phrase(n.other) else {
+                        continue;
+                    };
+                    if !splice(&key, &from, to, &mut bufs.cand) || seen.contains(bufs.cand.as_str())
+                    {
+                        continue;
+                    }
+                    let cand: Rc<str> = Rc::from(bufs.cand.as_str());
+                    seen.insert(Rc::clone(&cand));
+                    nodes.push(Node {
+                        key: cand,
+                        score: 0.0,
+                        edit: Some(Edit {
+                            parent,
+                            from: from.clone(),
+                            to,
+                            line: li as u8,
+                            pos: start as u16,
+                        }),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The snippet whose lines are the rendered lines of `key`.
+fn key_snippet(key: &str) -> Snippet {
+    Snippet::from_lines(key.split('\n'))
+}
+
+/// The edit trail of node `i`, in application order.
+fn steps(nodes: &Nodes<'_>, mut i: usize) -> Vec<RewriteStep> {
+    let mut steps = Vec::new();
+    while let Some(e) = &nodes[i].edit {
+        let parent = &nodes[e.parent];
+        steps.push(RewriteStep {
+            from: parent.key[e.from.clone()].to_owned(),
+            to: e.to.to_owned(),
+            line: e.line,
+            pos: e.pos,
+            delta: nodes[i].score - parent.score,
+        });
+        i = e.parent;
+    }
+    steps.reverse();
+    steps
+}
+
+/// Best-first order of nodes `a` and `b`: score descending, ties by
+/// rendered text.
+fn rank(nodes: &Nodes<'_>, a: usize, b: usize) -> std::cmp::Ordering {
+    let (a, b) = (&nodes[a], &nodes[b]);
+    b.score.total_cmp(&a.score).then_with(|| a.key.cmp(&b.key))
 }
 
 /// Beam-search the top-k rewritten variants of `creative` the model scores
@@ -130,112 +294,48 @@ pub fn suggest<'a>(
     }
     let table = scorer.engine().table();
 
-    let base_lines: Vec<Vec<String>> = creative
-        .lines()
-        .iter()
-        .map(|l| scorer.tokenizer().terms(&l.text))
-        .collect();
-    let base_key = render_key(&base_lines);
-    let mut seen: HashSet<String> = HashSet::new();
-    seen.insert(base_key.clone());
-
-    let mut beam = vec![Node {
-        lines: base_lines,
-        key: base_key,
+    let root: Rc<str> = Rc::from(render_input(scorer, creative));
+    let mut seen: HashSet<Rc<str>> = HashSet::new();
+    seen.insert(Rc::clone(&root));
+    let mut nodes: Nodes<'a> = vec![Node {
+        key: root,
         score: 0.0,
-        steps: Vec::new(),
+        edit: None,
     }];
-    let mut pool: Vec<Node> = Vec::new();
+    let mut beam: Vec<usize> = vec![0];
+    let mut pool: Vec<usize> = Vec::new();
+    let mut bufs = Buffers::default();
 
     for _ in 0..cfg.max_depth {
-        // Enumerate unseen one-substitution expansions of the beam, in
-        // deterministic order.
-        let mut cands: Vec<(Vec<Vec<String>>, String, usize, RewriteStep)> = Vec::new();
-        for (parent, node) in beam.iter().enumerate() {
-            for (li, line) in node.lines.iter().enumerate() {
-                for start in 0..line.len() {
-                    for plen in 1..=cfg.max_phrase_len.min(line.len() - start) {
-                        let phrase = line[start..start + plen].join(" ");
-                        let Some(pid) = table.phrase_id(&phrase) else {
-                            continue;
-                        };
-                        let mut neighbors: Vec<RewriteNeighbor> =
-                            table.rewrite_neighbors(pid).to_vec();
-                        neighbors.sort_unstable_by(|a, b| {
-                            b.total
-                                .cmp(&a.total)
-                                .then(b.log_odds.abs().total_cmp(&a.log_odds.abs()))
-                                .then(a.other.cmp(&b.other))
-                        });
-                        for n in neighbors.into_iter().take(cfg.max_neighbors) {
-                            let Some(to_str) = table.resolve_phrase(n.other) else {
-                                continue;
-                            };
-                            let to_toks: Vec<String> =
-                                to_str.split_whitespace().map(str::to_owned).collect();
-                            if to_toks.is_empty() {
-                                continue;
-                            }
-                            let mut lines = node.lines.clone();
-                            lines[li].splice(start..start + plen, to_toks);
-                            let key = render_key(&lines);
-                            if !seen.insert(key.clone()) {
-                                continue;
-                            }
-                            let step = RewriteStep {
-                                from: phrase.clone(),
-                                to: to_str.to_owned(),
-                                line: li as u8,
-                                pos: start as u16,
-                                delta: 0.0,
-                            };
-                            cands.push((lines, key, parent, step));
-                        }
-                    }
-                }
-            }
+        let first_cand = nodes.len();
+        for &parent in &beam {
+            expand(table, cfg, parent, &mut nodes, &mut seen, &mut bufs);
         }
-        if cands.is_empty() {
+        if nodes.len() == first_cand {
             break;
         }
 
-        // Score every candidate against the ORIGINAL creative in one batch;
-        // the original's preprocessing is shared across the whole batch by
-        // the scratch arena.
-        let pairs: Vec<(Snippet, Snippet)> = cands
-            .iter()
-            .map(|(lines, _, _, _)| (render_snippet(lines), creative.clone()))
-            .collect();
-        let scores = scorer.score_batch(&pairs, scratch);
+        // Score every candidate against the ORIGINAL creative, in
+        // enumeration order; the original's preprocessing is shared across
+        // the whole search by the scratch arena.
+        for node in &mut nodes[first_cand..] {
+            node.score = scorer.score_pair(&key_snippet(&node.key), creative, scratch);
+        }
 
-        let mut next: Vec<Node> = cands
-            .into_iter()
-            .zip(scores)
-            .map(|((lines, key, parent, mut step), score)| {
-                step.delta = score - beam[parent].score;
-                let mut steps = beam[parent].steps.clone();
-                steps.push(step);
-                Node {
-                    lines,
-                    key,
-                    score,
-                    steps,
-                }
-            })
-            .collect();
-        next.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.key.cmp(&b.key)));
-        beam = next.iter().take(cfg.beam_width).cloned().collect();
+        let mut next: Vec<usize> = (first_cand..nodes.len()).collect();
+        next.sort_by(|&a, &b| rank(&nodes, a, b));
+        beam = next.iter().take(cfg.beam_width).copied().collect();
         pool.extend(next);
     }
 
-    pool.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.key.cmp(&b.key)));
+    pool.sort_by(|&a, &b| rank(&nodes, a, b));
     pool.into_iter()
-        .filter(|n| n.score > cfg.min_gain)
+        .filter(|&i| nodes[i].score > cfg.min_gain)
         .take(cfg.top_k)
-        .map(|n| Suggestion {
-            creative: render_snippet(&n.lines),
-            score: n.score,
-            steps: n.steps,
+        .map(|i| Suggestion {
+            creative: key_snippet(&nodes[i].key),
+            score: nodes[i].score,
+            steps: steps(&nodes, i),
         })
         .collect()
 }
@@ -303,6 +403,19 @@ mod tests {
         // Best-first, every result strictly beats the input.
         assert!(out.windows(2).all(|w| w[0].score >= w[1].score));
         assert!(out.iter().all(|s| s.score > 0.0));
+    }
+
+    #[test]
+    fn suggest_leaves_the_alignment_cache_empty() {
+        // Every candidate pair is a first sighting, so the cache defers all
+        // of them and captures nothing.
+        let bundle = fixture();
+        let scorer = bundle.scorer();
+        let mut scratch = scorer.scratch();
+        let creative = Snippet::from_lines(["book pricey flights"]);
+        let out = suggest(&scorer, &creative, &SuggestConfig::default(), &mut scratch);
+        assert!(!out.is_empty());
+        assert_eq!(bundle.engine().align().entries(), 0);
     }
 
     #[test]

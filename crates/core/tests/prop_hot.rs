@@ -157,8 +157,9 @@ proptest! {
 
     /// The engine scorer behind `ServingBundle::scorer` is bit-identical
     /// to `ReferenceScorer` over non-empty random statistics — flat and coupled classifiers, full and degraded
-    /// fidelity, duplicate pairs in the batch, and a second batch over the
-    /// same scratch so cached alignments replay instead of recompute.
+    /// fidelity, duplicate pairs in the batch, and three batches over the
+    /// same scratch: the cache defers each alignment on its first miss,
+    /// admits it on the second, and the third batch replays it.
     #[test]
     fn engine_scorer_bitwise_matches_legacy(
         db in arb_stats(),
@@ -179,7 +180,7 @@ proptest! {
                 Fidelity::Degraded(DegradeReason::StatsMissing),
             ] {
                 let mut reference = ReferenceScorer::from_parts(&model, &db, &fidelity);
-                let serial: Vec<u64> = (0..2)
+                let serial: Vec<u64> = (0..3)
                     .flat_map(|_| pairs.iter().map(|(r, s)| {
                         reference.score_pair(r, s).to_bits()
                     }).collect::<Vec<_>>())
@@ -189,15 +190,15 @@ proptest! {
                         .expect("bundle");
                 let scorer = bundle.scorer();
                 let mut scratch = scorer.scratch();
-                // Two batches over one scratch: the second replays cached
+                // Three batches over one scratch: the third replays cached
                 // alignments; scores must not move by a single bit.
-                let engine: Vec<u64> = (0..2)
-                    .flat_map(|_| scorer
-                        .score_batch(&pairs, &mut scratch)
-                        .into_iter()
-                        .map(f64::to_bits)
-                        .collect::<Vec<_>>())
-                    .collect();
+                let mut engine: Vec<u64> = Vec::new();
+                for pass in 0..3 {
+                    if pass == 2 && scorer.effective_spec().rewrites {
+                        prop_assert!(bundle.engine().align().entries() > 0);
+                    }
+                    engine.extend(scorer.score_batch(&pairs, &mut scratch).into_iter().map(f64::to_bits));
+                }
                 prop_assert_eq!(&serial, &engine, "spec {:?} fidelity {:?}", model.spec, fidelity);
             }
         }
@@ -225,9 +226,13 @@ proptest! {
             let bundle = ServingBundle::from_parts(model.clone(), db.clone(), Fidelity::Full)
                 .expect("bundle");
             let scorer = bundle.scorer();
-            // Scratch 1 warms the bundle-shared alignment cache.
+            // Scratch 1 warms the bundle-shared alignment cache: its first
+            // pass is deferred, its second admits every alignment.
             let mut scratch1 = scorer.scratch();
-            let _ = scorer.score_batch(&pairs, &mut scratch1);
+            for _ in 0..2 {
+                let _ = scorer.score_batch(&pairs, &mut scratch1);
+            }
+            prop_assert!(bundle.engine().align().entries() > 0);
             // Scratch 2 diverges its interning history first, then scores
             // the main pairs through cache hits inserted by scratch 1.
             let mut scratch2 = scorer.scratch();
@@ -263,12 +268,16 @@ proptest! {
             .map(|(r, s)| (Snippet::from_lines(r), Snippet::from_lines(s)))
             .collect();
         let model = flat_model();
-        // Warm the first bundle's alignment cache.
+        // Warm the first bundle's alignment cache (two passes: the cache
+        // keeps a pair from its second miss on).
         let bundle1 = ServingBundle::from_parts(model.clone(), db1.clone(), Fidelity::Full)
             .expect("bundle");
         let scorer1 = bundle1.scorer();
         let mut scratch1 = scorer1.scratch();
-        let _ = scorer1.score_batch(&pairs, &mut scratch1);
+        for _ in 0..2 {
+            let _ = scorer1.score_batch(&pairs, &mut scratch1);
+        }
+        prop_assert!(bundle1.engine().align().entries() > 0);
         // Swap: a fresh bundle compiled from different statistics.
         let bundle2 = ServingBundle::from_parts(model.clone(), db2.clone(), Fidelity::Full)
             .expect("bundle");
@@ -324,9 +333,15 @@ fn shared_align_cache_is_scratch_independent() {
     let bundle =
         ServingBundle::from_parts(model.clone(), db.clone(), Fidelity::Full).expect("bundle");
     let scorer = bundle.scorer();
-    // Scratch A interns "xx" before "yy" and warms the shared cache.
+    // Scratch A interns "xx" before "yy" and warms the shared cache (the
+    // first miss is deferred, the second admitted).
     let mut scratch_a = scorer.scratch();
     let score_a = scorer.score_pair(&r, &s, &mut scratch_a);
+    assert_eq!(
+        scorer.score_pair(&r, &s, &mut scratch_a).to_bits(),
+        score_a.to_bits()
+    );
+    assert!(bundle.engine().align().entries() > 0);
     // Scratch B interns "yy" first, so its id order for the out-of-vocab
     // tokens is reversed relative to scratch A. It then hits the cache
     // entry scratch A inserted.

@@ -75,6 +75,15 @@ fn is_strippable_punct(c: char) -> bool {
 /// ```
 pub fn normalize(input: &str, cfg: &NormalizeConfig) -> String {
     let mut out = String::with_capacity(input.len());
+    normalize_into(input, cfg, &mut out);
+    out
+}
+
+/// [`normalize`] into a caller-provided buffer: `out` is cleared and
+/// refilled, so a buffer reused across calls normalizes without allocating
+/// once it has grown to the longest input.
+pub fn normalize_into(input: &str, cfg: &NormalizeConfig, out: &mut String) {
+    out.clear();
     let mut pending_space = false;
     for raw in input.chars() {
         let mapped: Option<char> = if raw.is_whitespace() {
@@ -100,13 +109,14 @@ pub fn normalize(input: &str, cfg: &NormalizeConfig) -> String {
                     out.push(' ');
                     pending_space = false;
                 }
-                for lc in c.to_lowercase() {
-                    out.push(lc);
+                if c.is_ascii() {
+                    out.push(c.to_ascii_lowercase());
+                } else {
+                    out.extend(c.to_lowercase());
                 }
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

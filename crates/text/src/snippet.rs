@@ -78,39 +78,28 @@ impl Snippet {
     /// Tokenize every line with `tokenizer`, interning each token into
     /// `interner`.
     pub fn tokenize(&self, tokenizer: &Tokenizer, interner: &mut Interner) -> TokenizedSnippet {
-        let lines = self
-            .lines
-            .iter()
-            .map(|line| {
-                tokenizer
-                    .terms(&line.text)
-                    .iter()
-                    .map(|t| interner.intern(t))
-                    .collect()
-            })
-            .collect();
-        TokenizedSnippet { lines }
+        let mut out = TokenizedSnippet::default();
+        self.tokenize_into(tokenizer, interner, &mut String::new(), &mut out);
+        out
     }
 
     /// Tokenize into a caller-provided [`TokenizedSnippet`], reusing its
-    /// per-line symbol buffers. Produces exactly what [`Snippet::tokenize`]
-    /// would — same tokens, same interner side effects — but a warmed-up
-    /// buffer avoids reallocating the `Vec<Sym>` lines on every snippet.
+    /// per-line symbol buffers and the normalization buffer `norm`.
+    /// Produces exactly what [`Snippet::tokenize`] would — same tokens, same
+    /// interner side effects — but with warmed-up buffers it allocates
+    /// nothing except the interner's entries for never-seen tokens.
     pub fn tokenize_into(
         &self,
         tokenizer: &Tokenizer,
         interner: &mut Interner,
+        norm: &mut String,
         out: &mut TokenizedSnippet,
     ) {
         out.lines.truncate(self.lines.len());
-        while out.lines.len() < self.lines.len() {
-            out.lines.push(Vec::new());
-        }
+        out.lines.resize_with(self.lines.len(), Vec::new);
         for (line, dst) in self.lines.iter().zip(out.lines.iter_mut()) {
             dst.clear();
-            for t in tokenizer.terms(&line.text) {
-                dst.push(interner.intern(&t));
-            }
+            tokenizer.for_each_term(&line.text, norm, |t| dst.push(interner.intern(t)));
         }
     }
 }

@@ -9,10 +9,17 @@
 //! Tokens are maximal runs of alphanumeric characters plus the
 //! meaning-bearing symbols from [`crate::normalize::is_kept_symbol`]
 //! (`20%`, `$99`, `don't`). Everything else separates tokens.
+//!
+//! Every entry point runs through one streaming core: a span scanner that
+//! hands out token boundaries without materializing tokens, fed either the
+//! raw input ([`Tokenizer::tokenize`]) or its normalization written into a
+//! reused buffer ([`Tokenizer::for_each_term`], which [`Tokenizer::terms`]
+//! and [`crate::Snippet::tokenize_into`] use). Interning a snippet's tokens
+//! therefore costs no per-token allocation.
 
 use serde::{Deserialize, Serialize};
 
-use crate::normalize::{is_kept_symbol, normalize, NormalizeConfig};
+use crate::normalize::{is_kept_symbol, normalize, normalize_into, NormalizeConfig};
 
 /// A single token: its text and the half-open byte span `[start, end)` in
 /// the string it was produced from.
@@ -76,22 +83,13 @@ impl Tokenizer {
     /// Tokenize `input` as-is (no normalization). Spans index into `input`.
     pub fn tokenize(&self, input: &str) -> Vec<Token> {
         let mut out = Vec::new();
-        let mut start: Option<usize> = None;
-        for (idx, c) in input.char_indices() {
-            if is_token_char(c) {
-                if start.is_none() {
-                    start = Some(idx);
-                }
-            } else if let Some(s) = start.take() {
-                self.push(&mut out, input, s, idx);
-                if self.at_cap(&out) {
-                    return out;
-                }
-            }
-        }
-        if let Some(s) = start {
-            self.push(&mut out, input, s, input.len());
-        }
+        self.for_each_span(input, |start, end| {
+            out.push(Token {
+                text: input[start..end].to_string(),
+                start,
+                end,
+            })
+        });
         out
     }
 
@@ -106,23 +104,44 @@ impl Tokenizer {
 
     /// Tokenize and return only the token texts, normalized.
     pub fn terms(&self, input: &str) -> Vec<String> {
-        self.tokenize_normalized(input)
-            .1
-            .into_iter()
-            .map(|t| t.text)
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_term(input, &mut String::new(), |t| out.push(t.to_string()));
+        out
     }
 
-    fn push(&self, out: &mut Vec<Token>, input: &str, start: usize, end: usize) {
-        out.push(Token {
-            text: input[start..end].to_string(),
-            start,
-            end,
-        });
+    /// Normalize `input` into `norm` (cleared first, capacity reused) and
+    /// hand each token of the normalized text to `f` as a slice of `norm`,
+    /// in order and up to the configured cap — exactly the tokens
+    /// [`Self::terms`] returns, without allocating once `norm` has grown to
+    /// the longest input.
+    pub fn for_each_term(&self, input: &str, norm: &mut String, mut f: impl FnMut(&str)) {
+        normalize_into(input, &self.cfg.normalize, norm);
+        let text = norm.as_str();
+        self.for_each_span(text, |start, end| f(&text[start..end]));
     }
 
-    fn at_cap(&self, out: &[Token]) -> bool {
-        self.cfg.max_tokens != 0 && out.len() >= self.cfg.max_tokens
+    /// The span scanner: call `f(start, end)` for each maximal run of token
+    /// characters in `text`, stopping after `max_tokens` tokens (0 =
+    /// unlimited).
+    fn for_each_span(&self, text: &str, mut f: impl FnMut(usize, usize)) {
+        let mut emitted = 0usize;
+        let mut start: Option<usize> = None;
+        for (idx, c) in text.char_indices() {
+            if is_token_char(c) {
+                if start.is_none() {
+                    start = Some(idx);
+                }
+            } else if let Some(s) = start.take() {
+                f(s, idx);
+                emitted += 1;
+                if emitted == self.cfg.max_tokens {
+                    return;
+                }
+            }
+        }
+        if let Some(s) = start {
+            f(s, text.len());
+        }
     }
 }
 

@@ -1,9 +1,199 @@
 //! Property-based tests for the text substrate.
 
+use microbrowse_text::normalize::PunctPolicy;
 use microbrowse_text::{
-    normalize, Interner, NGramConfig, NGramExtractor, NormalizeConfig, Snippet, Tokenizer,
+    normalize, Interner, NGramConfig, NGramExtractor, NormalizeConfig, Snippet, TokenizedSnippet,
+    Tokenizer, TokenizerConfig,
 };
 use proptest::prelude::*;
+
+/// A straightforward normalizer and tokenizer — a fresh `String` per call
+/// and per token — kept as the oracle the streaming core must match token
+/// for token.
+mod oracle {
+    use microbrowse_text::normalize::{is_kept_symbol, NormalizeConfig, PunctPolicy};
+    use microbrowse_text::{Token, TokenizerConfig};
+
+    fn is_strippable_punct(c: char) -> bool {
+        (c.is_ascii_punctuation()
+            || c == '…'
+            || c == '—'
+            || c == '–'
+            || c == '\u{201C}'
+            || c == '\u{201D}')
+            && !is_kept_symbol(c)
+    }
+
+    pub fn normalize(input: &str, cfg: &NormalizeConfig) -> String {
+        let mut out = String::with_capacity(input.len());
+        let mut pending_space = false;
+        for raw in input.chars() {
+            let mapped: Option<char> = if raw.is_whitespace() {
+                None // treated as a space request below
+            } else if is_strippable_punct(raw) {
+                match cfg.punct {
+                    PunctPolicy::Space => None,
+                    PunctPolicy::Strip => continue,
+                    PunctPolicy::Keep => Some(raw),
+                }
+            } else {
+                Some(raw)
+            };
+
+            match mapped {
+                None => {
+                    if !out.is_empty() {
+                        pending_space = true;
+                    }
+                }
+                Some(c) => {
+                    if pending_space {
+                        out.push(' ');
+                        pending_space = false;
+                    }
+                    for lc in c.to_lowercase() {
+                        out.push(lc);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[inline]
+    fn is_token_char(c: char) -> bool {
+        c.is_alphanumeric() || is_kept_symbol(c)
+    }
+
+    pub struct Tokenizer {
+        pub cfg: TokenizerConfig,
+    }
+
+    impl Tokenizer {
+        pub fn tokenize(&self, input: &str) -> Vec<Token> {
+            let mut out = Vec::new();
+            let mut start: Option<usize> = None;
+            for (idx, c) in input.char_indices() {
+                if is_token_char(c) {
+                    if start.is_none() {
+                        start = Some(idx);
+                    }
+                } else if let Some(s) = start.take() {
+                    self.push(&mut out, input, s, idx);
+                    if self.at_cap(&out) {
+                        return out;
+                    }
+                }
+            }
+            if let Some(s) = start {
+                self.push(&mut out, input, s, input.len());
+            }
+            out
+        }
+
+        pub fn tokenize_normalized(&self, input: &str) -> (String, Vec<Token>) {
+            let norm = normalize(input, &self.cfg.normalize);
+            let toks = self.tokenize(&norm);
+            (norm, toks)
+        }
+
+        pub fn terms(&self, input: &str) -> Vec<String> {
+            self.tokenize_normalized(input)
+                .1
+                .into_iter()
+                .map(|t| t.text)
+                .collect()
+        }
+
+        fn push(&self, out: &mut Vec<Token>, input: &str, start: usize, end: usize) {
+            out.push(Token {
+                text: input[start..end].to_string(),
+                start,
+                end,
+            });
+        }
+
+        fn at_cap(&self, out: &[Token]) -> bool {
+            self.cfg.max_tokens != 0 && out.len() >= self.cfg.max_tokens
+        }
+    }
+}
+
+/// Characters the tokenizer treats differently: ASCII and non-ASCII
+/// letters and digits, the kept symbols, stripped punctuation (ASCII and
+/// the typographic dashes, ellipsis and quotes), non-ASCII punctuation that
+/// survives normalization, combining marks, `İ` (lowercases to two chars),
+/// `ǅ` (titlecase) and every kind of whitespace, including U+000B, U+0085
+/// and U+00A0.
+const ALPHABET: &[char] = &[
+    'a', 'b', 'Z', 'Q', '0', '7', 'é', 'ß', 'Σ', 'Ж', '中', 'ǅ', 'İ', '²', '%', '$', '€', '£', '&',
+    '\'', '.', ',', '!', '?', '-', '(', ':', '"', '…', '—', '–', '“', '”', '·', '¿', '→', '🙂',
+    '\u{301}', '\u{307}', ' ', ' ', ' ', '\t', '\n', '\u{b}', '\u{85}', '\u{a0}', '\u{2003}',
+];
+
+fn arb_line() -> impl Strategy<Value = String> {
+    prop::collection::vec(0usize..ALPHABET.len(), 0..40)
+        .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
+fn arb_config() -> impl Strategy<Value = TokenizerConfig> {
+    (0usize..3, 0usize..5).prop_map(|(p, max_tokens)| TokenizerConfig {
+        normalize: NormalizeConfig {
+            punct: [PunctPolicy::Space, PunctPolicy::Strip, PunctPolicy::Keep][p],
+        },
+        max_tokens,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The streaming core reproduces the oracle tokenizer on arbitrary
+    /// Unicode lines under every punctuation policy and token cap: same
+    /// normalization, same token texts and spans (raw and normalized),
+    /// same terms.
+    #[test]
+    fn streaming_tokenizer_matches_oracle(line in arb_line(), cfg in arb_config()) {
+        let new = Tokenizer::new(cfg);
+        let old = oracle::Tokenizer { cfg };
+        prop_assert_eq!(
+            normalize(&line, &cfg.normalize),
+            oracle::normalize(&line, &cfg.normalize)
+        );
+        prop_assert_eq!(new.tokenize(&line), old.tokenize(&line));
+        prop_assert_eq!(new.tokenize_normalized(&line), old.tokenize_normalized(&line));
+        prop_assert_eq!(new.terms(&line), old.terms(&line));
+    }
+
+    /// `Snippet::tokenize_into` through reused, previously filled buffers
+    /// interns exactly the oracle's terms in the oracle's order: same
+    /// symbols per line and the same interner evolution.
+    #[test]
+    fn snippet_tokenize_into_matches_oracle(
+        first in prop::collection::vec(arb_line(), 0..4),
+        second in prop::collection::vec(arb_line(), 0..4),
+        cfg in arb_config(),
+    ) {
+        let new = Tokenizer::new(cfg);
+        let old = oracle::Tokenizer { cfg };
+        let (mut new_interner, mut old_interner) = (Interner::new(), Interner::new());
+        let mut norm = String::new();
+        let mut out = TokenizedSnippet::default();
+        for lines in [first, second] {
+            Snippet::from_lines(lines.clone()).tokenize_into(&new, &mut new_interner, &mut norm, &mut out);
+            let expect: Vec<Vec<_>> = lines
+                .iter()
+                .map(|l| old.terms(l).iter().map(|t| old_interner.intern(t)).collect())
+                .collect();
+            prop_assert_eq!(&out.lines, &expect);
+            let fresh = Snippet::from_lines(lines).tokenize(&new, &mut new_interner);
+            prop_assert_eq!(&fresh, &out);
+        }
+        let new_strings: Vec<&str> = new_interner.iter().map(|(_, s)| s).collect();
+        let old_strings: Vec<&str> = old_interner.iter().map(|(_, s)| s).collect();
+        prop_assert_eq!(new_strings, old_strings);
+    }
+}
 
 proptest! {
     /// Normalization is idempotent for arbitrary input.
