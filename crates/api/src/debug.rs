@@ -98,14 +98,16 @@ pub struct DebugSpan {
 impl DebugSpan {
     /// Render as a JSON object.
     pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .u64("id", self.id)
+        self.fill(JsonObject::new()).finish()
+    }
+
+    fn fill(&self, obj: JsonObject) -> JsonObject {
+        obj.u64("id", self.id)
             .u64("parent", self.parent)
             .str("name", &self.name)
             .u64("thread", self.thread)
             .u64("start_us", self.start_us)
             .u64("dur_us", self.dur_us)
-            .finish()
     }
 
     fn from_value(v: &Json) -> Result<Self, WireError> {
@@ -137,12 +139,14 @@ pub struct DebugEvent {
 impl DebugEvent {
     /// Render as a JSON object.
     pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .u64("span", self.span)
+        self.fill(JsonObject::new()).finish()
+    }
+
+    fn fill(&self, obj: JsonObject) -> JsonObject {
+        obj.u64("span", self.span)
             .str("name", &self.name)
             .u64("thread", self.thread)
             .u64("at_us", self.at_us)
-            .finish()
     }
 
     fn from_value(v: &Json) -> Result<Self, WireError> {
@@ -180,18 +184,18 @@ pub struct DebugTraceEntry {
 impl DebugTraceEntry {
     /// Render as a JSON object.
     pub fn to_json(&self) -> String {
-        let spans: Vec<String> = self.spans.iter().map(DebugSpan::to_json).collect();
-        let events: Vec<String> = self.events.iter().map(DebugEvent::to_json).collect();
-        JsonObject::new()
-            .str("trace_id", &self.trace_id)
+        self.fill(JsonObject::new()).finish()
+    }
+
+    fn fill(&self, obj: JsonObject) -> JsonObject {
+        obj.str("trace_id", &self.trace_id)
             .str("reason", &self.reason)
             .u64("status", u64::from(self.status))
             .str("endpoint", &self.endpoint)
             .u64("total_us", self.total_us)
             .raw("stages", &self.stages.to_json())
-            .raw("spans", &json::array(&spans))
-            .raw("events", &json::array(&events))
-            .finish()
+            .objects("spans", &self.spans, |obj, span| span.fill(obj))
+            .objects("events", &self.events, |obj, event| event.fill(obj))
     }
 
     fn from_value(v: &Json) -> Result<Self, WireError> {
@@ -235,9 +239,8 @@ pub struct DebugTraceResponse {
 impl DebugTraceResponse {
     /// Render as a JSON object (`count` is derived, rendered last).
     pub fn to_json(&self) -> String {
-        let traces: Vec<String> = self.traces.iter().map(DebugTraceEntry::to_json).collect();
         JsonObject::new()
-            .raw("traces", &json::array(&traces))
+            .objects("traces", &self.traces, |obj, trace| trace.fill(obj))
             .u64("count", self.traces.len() as u64)
             .finish()
     }
@@ -277,14 +280,16 @@ pub struct DebugRequestEntry {
 impl DebugRequestEntry {
     /// Render as a JSON object.
     pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("method", &self.method)
+        self.fill(JsonObject::new()).finish()
+    }
+
+    fn fill(&self, obj: JsonObject) -> JsonObject {
+        obj.str("method", &self.method)
             .str("path", &self.path)
             .u64("status", u64::from(self.status))
             .str("trace_id", &self.trace_id)
             .u64("total_us", self.total_us)
             .raw("stages", &self.stages.to_json())
-            .finish()
     }
 
     fn from_value(v: &Json) -> Result<Self, WireError> {
@@ -313,13 +318,8 @@ pub struct DebugRequestsResponse {
 impl DebugRequestsResponse {
     /// Render as a JSON object (`count` is derived, rendered last).
     pub fn to_json(&self) -> String {
-        let requests: Vec<String> = self
-            .requests
-            .iter()
-            .map(DebugRequestEntry::to_json)
-            .collect();
         JsonObject::new()
-            .raw("requests", &json::array(&requests))
+            .objects("requests", &self.requests, |obj, r| r.fill(obj))
             .u64("count", self.requests.len() as u64)
             .finish()
     }
@@ -354,15 +354,10 @@ pub struct VersionInfo {
 impl VersionInfo {
     /// Render as a JSON object.
     pub fn to_json(&self) -> String {
-        let features: Vec<String> = self
-            .features
-            .iter()
-            .map(|f| format!("\"{}\"", json::escape(f)))
-            .collect();
         JsonObject::new()
             .str("name", &self.name)
             .str("version", &self.version)
-            .raw("features", &json::array(&features))
+            .array("features", &self.features, |out, f| json::write_str(out, f))
             .finish()
     }
 

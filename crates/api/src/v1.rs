@@ -13,10 +13,20 @@
 //! Each type knows how to render itself to its exact wire bytes
 //! ([`ScoreResponse::to_json`] etc.) and how to parse itself back from a
 //! body ([`ScoreRequest::from_json`] etc.). Field order, number formatting
-//! (via [`microbrowse_obs::json::f64_to_json`]) and optional-field placement
-//! are part of the contract and pinned by the golden tests at the bottom of
-//! this module — a change that alters any rendered byte is a wire break and
-//! belongs in a `v2` module instead.
+//! (via [`JsonObject::f64`]) and optional-field placement are part of the
+//! contract and pinned by the golden tests at the bottom of this module — a
+//! change that alters any rendered byte is a wire break and belongs in a
+//! `v2` module instead.
+//!
+//! The `{"r","s"}` request shapes (`/v1/score`, `/v1/explain`, and each
+//! `/v1/batch` item) decode through [`PairRef`]: a scan that borrows both
+//! sides from the body when the body is in the plain shape clients render,
+//! and falls back to the [`Json`] DOM for every other body. Only the DOM
+//! path reports errors, so syntax offsets and shape messages do not depend
+//! on which path a body took.
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 use microbrowse_obs::json::{self, Json, JsonObject};
 
@@ -220,17 +230,18 @@ pub struct ScoreRequest {
 }
 
 impl ScoreRequest {
+    fn fill(&self, obj: JsonObject) -> JsonObject {
+        obj.str("r", &self.r).str("s", &self.s)
+    }
+
     /// Render the request body.
     pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("r", &self.r)
-            .str("s", &self.s)
-            .finish()
+        self.fill(JsonObject::new()).finish()
     }
 
     /// Parse a request body.
     pub fn from_json(body: &str) -> Result<Self, WireError> {
-        Self::from_value(&parse_body(body)?)
+        PairRef::from_json(body).map(PairRef::into_owned)
     }
 
     /// Parse from an already-parsed JSON value (used per-item by
@@ -249,6 +260,96 @@ impl ScoreRequest {
     }
 }
 
+/// A `{"r":"…","s":"…"}` pair decoded from a request body: each side
+/// borrows the body unless its JSON string had escapes. This is what
+/// [`ScoreRequest::from_json`], [`ExplainRequest::from_json`] and
+/// [`BatchRequest::from_json_borrowed`] decode to before any copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PairRef<'a> {
+    /// Candidate creative (the "R" side).
+    pub r: Cow<'a, str>,
+    /// Reference creative (the "S" side).
+    pub s: Cow<'a, str>,
+}
+
+impl<'a> PairRef<'a> {
+    /// Decode a `{"r":"…","s":"…"}` body. Same result as parsing it through
+    /// the [`Json`] DOM with [`ScoreRequest::from_value`], errors included.
+    pub fn from_json(body: &'a str) -> Result<Self, WireError> {
+        match plain_pair(body, json::skip_ws(body, 0)) {
+            Some((pair, end)) if json::skip_ws(body, end) == body.len() => Ok(pair),
+            _ => ScoreRequest::from_value(&parse_body(body)?).map(Self::from),
+        }
+    }
+
+    /// Copy both sides out of the body.
+    pub fn into_owned(self) -> ScoreRequest {
+        ScoreRequest {
+            r: self.r.into_owned(),
+            s: self.s.into_owned(),
+        }
+    }
+}
+
+impl From<ScoreRequest> for PairRef<'_> {
+    fn from(req: ScoreRequest) -> Self {
+        Self {
+            r: Cow::Owned(req.r),
+            s: Cow::Owned(req.s),
+        }
+    }
+}
+
+/// The first `"r"` and `"s"` members of the plain object at `pos` (see
+/// [`json::plain_object`]) and the offset just past it; `None` for any
+/// other object, including one that lacks a side.
+fn plain_pair(body: &str, pos: usize) -> Option<(PairRef<'_>, usize)> {
+    let (mut r, mut s) = (None, None);
+    let end = json::plain_object(body, pos, |key, value| {
+        let side = match key {
+            "r" => &mut r,
+            "s" => &mut s,
+            _ => return,
+        };
+        // Duplicate keys: the first wins, as with `Json::get`.
+        if side.is_none() {
+            *side = Some(value);
+        }
+    })?;
+    Some((PairRef { r: r?, s: s? }, end))
+}
+
+/// A batch body in the plain shape every client renders,
+/// `[{"r":"…","s":"…"},…]` (whitespace allowed anywhere), decoded in
+/// place; `None` for every other body.
+fn plain_batch(body: &str) -> Option<Vec<PairRef<'_>>> {
+    let b = body.as_bytes();
+    let mut pos = json::skip_ws(body, 0);
+    if b.get(pos) != Some(&b'[') {
+        return None;
+    }
+    pos = json::skip_ws(body, pos + 1);
+    let mut items = Vec::new();
+    if b.get(pos) == Some(&b']') {
+        pos += 1;
+    } else {
+        loop {
+            let (item, end) = plain_pair(body, pos)?;
+            items.push(item);
+            pos = json::skip_ws(body, end);
+            match b.get(pos) {
+                Some(b',') => pos = json::skip_ws(body, pos + 1),
+                Some(b']') => {
+                    pos += 1;
+                    break;
+                }
+                _ => return None,
+            }
+        }
+    }
+    (json::skip_ws(body, pos) == b.len()).then_some(items)
+}
+
 /// Body of `POST /v1/rank`: creatives to order by predicted CTR.
 ///
 /// Wire shape: `{"creatives":["…","…",…]}` — at least two entries.
@@ -261,13 +362,10 @@ pub struct RankRequest {
 impl RankRequest {
     /// Render the request body.
     pub fn to_json(&self) -> String {
-        let rendered: Vec<String> = self
-            .creatives
-            .iter()
-            .map(|c| format!("\"{}\"", json::escape(c)))
-            .collect();
         JsonObject::new()
-            .raw("creatives", &json::array(&rendered))
+            .array("creatives", &self.creatives, |out, c| {
+                json::write_str(out, c)
+            })
             .finish()
     }
 
@@ -314,22 +412,41 @@ pub struct BatchRequest {
 impl BatchRequest {
     /// Render the request body.
     pub fn to_json(&self) -> String {
-        let rendered: Vec<String> = self.items.iter().map(ScoreRequest::to_json).collect();
-        format!("[{}]", rendered.join(","))
+        let mut out = String::from("[");
+        for (i, item) in self.items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out = item.fill(JsonObject::continue_in(out)).finish();
+        }
+        out.push(']');
+        out
     }
 
     /// Parse a request body.
     pub fn from_json(body: &str) -> Result<Self, WireError> {
+        let items = Self::from_json_borrowed(body)?;
+        Ok(Self {
+            items: items.into_iter().map(PairRef::into_owned).collect(),
+        })
+    }
+
+    /// Parse a request body into pairs that borrow it: the plain shape
+    /// without a DOM, any other body through the [`Json`] DOM, which alone
+    /// decides errors.
+    pub fn from_json_borrowed(body: &str) -> Result<Vec<PairRef<'_>>, WireError> {
+        if let Some(items) = plain_batch(body) {
+            return Ok(items);
+        }
         let v = parse_body(body)?;
         let arr = v.as_array().ok_or(WireError::Shape(BATCH_REQUEST_SHAPE))?;
-        let mut items = Vec::with_capacity(arr.len());
-        for item in arr {
-            items.push(
+        arr.iter()
+            .map(|item| {
                 ScoreRequest::from_value(item)
-                    .map_err(|_| WireError::Shape(BATCH_REQUEST_SHAPE))?,
-            );
-        }
-        Ok(Self { items })
+                    .map(PairRef::from)
+                    .map_err(|_| WireError::Shape(BATCH_REQUEST_SHAPE))
+            })
+            .collect()
     }
 }
 
@@ -471,8 +588,9 @@ impl RankResponse {
     }
 
     fn fill(&self, obj: JsonObject) -> JsonObject {
-        let rendered: Vec<String> = self.order.iter().map(|i| i.to_string()).collect();
-        let obj = obj.raw("order", &format!("[{}]", rendered.join(",")));
+        let obj = obj.array("order", &self.order, |out, i| {
+            let _ = write!(out, "{i}");
+        });
         append_generation(self.fidelity.append_to(obj), self.generation)
             .u64("latency_us", self.latency_us)
     }
@@ -538,11 +656,12 @@ pub struct BatchResponse {
 }
 
 impl BatchResponse {
-    /// Render the response body.
+    /// Render the response body into one buffer, sized up front for every
+    /// result (about 80 bytes each).
     pub fn to_json(&self) -> String {
-        let rendered: Vec<String> = self.results.iter().map(ScoreResponse::to_json).collect();
-        let obj = JsonObject::new()
-            .raw("results", &format!("[{}]", rendered.join(",")))
+        let buf = String::with_capacity(128 + 96 * self.results.len());
+        let obj = JsonObject::continue_in(buf)
+            .objects("results", &self.results, |obj, r| r.fill(obj))
             .u64("count", self.results.len() as u64);
         append_generation(self.fidelity.append_to(obj), self.generation)
             .u64("latency_us", self.latency_us)
@@ -605,15 +724,17 @@ pub struct FeedbackEvent {
 impl FeedbackEvent {
     /// Render the event object.
     pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .u64("adgroup", self.adgroup)
+        self.fill(JsonObject::new()).finish()
+    }
+
+    fn fill(&self, obj: JsonObject) -> JsonObject {
+        obj.u64("adgroup", self.adgroup)
             .u64("creative", self.creative)
             .str("snippet", &self.snippet)
             .u64("position", self.position)
             .str("query_class", &self.query_class)
             .u64("impressions", self.impressions)
             .u64("clicks", self.clicks)
-            .finish()
     }
 
     /// Parse one event out of a parsed `events` array element.
@@ -657,10 +778,9 @@ pub struct FeedbackRequest {
 impl FeedbackRequest {
     /// Render the request body.
     pub fn to_json(&self) -> String {
-        let rendered: Vec<String> = self.events.iter().map(FeedbackEvent::to_json).collect();
         JsonObject::new()
             .str("key", &self.key)
-            .raw("events", &format!("[{}]", rendered.join(",")))
+            .objects("events", &self.events, |obj, e| e.fill(obj))
             .finish()
     }
 
@@ -822,14 +942,12 @@ pub struct SuggestedRewrite {
 }
 
 impl SuggestedRewrite {
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("from", &self.from)
+    fn fill(&self, obj: JsonObject) -> JsonObject {
+        obj.str("from", &self.from)
             .str("to", &self.to)
             .u64("line", self.line)
             .u64("pos", self.pos)
             .f64("delta", self.delta)
-            .finish()
     }
 
     fn from_value(v: &Json) -> Result<Self, WireError> {
@@ -882,17 +1000,10 @@ pub struct SuggestedVariant {
 }
 
 impl SuggestedVariant {
-    fn to_json(&self) -> String {
-        let rendered: Vec<String> = self
-            .rewrites
-            .iter()
-            .map(SuggestedRewrite::to_json)
-            .collect();
-        JsonObject::new()
-            .str("creative", &self.creative)
+    fn fill(&self, obj: JsonObject) -> JsonObject {
+        obj.str("creative", &self.creative)
             .f64("score", self.score)
-            .raw("rewrites", &format!("[{}]", rendered.join(",")))
-            .finish()
+            .objects("rewrites", &self.rewrites, |obj, r| r.fill(obj))
     }
 
     fn from_value(v: &Json) -> Result<Self, WireError> {
@@ -939,13 +1050,8 @@ pub struct SuggestResponse {
 
 impl SuggestResponse {
     fn fill(&self, obj: JsonObject) -> JsonObject {
-        let rendered: Vec<String> = self
-            .suggestions
-            .iter()
-            .map(SuggestedVariant::to_json)
-            .collect();
         let obj = obj
-            .raw("suggestions", &format!("[{}]", rendered.join(",")))
+            .objects("suggestions", &self.suggestions, |obj, v| v.fill(obj))
             .u64("count", self.suggestions.len() as u64);
         append_generation(self.fidelity.append_to(obj), self.generation)
             .u64("latency_us", self.latency_us)
@@ -1010,8 +1116,8 @@ impl ExplainRequest {
 
     /// Parse a request body.
     pub fn from_json(body: &str) -> Result<Self, WireError> {
-        let req = ScoreRequest::from_json(body)?;
-        Ok(Self { r: req.r, s: req.s })
+        let ScoreRequest { r, s } = PairRef::from_json(body)?.into_owned();
+        Ok(Self { r, s })
     }
 }
 
@@ -1085,8 +1191,8 @@ pub struct SpanAttribution {
 }
 
 impl SpanAttribution {
-    fn to_json(&self) -> String {
-        let obj = JsonObject::new()
+    fn fill(&self, obj: JsonObject) -> JsonObject {
+        let obj = obj
             .str("kind", self.kind.as_str())
             .str("side", self.side.as_str())
             .str("text", &self.text);
@@ -1102,7 +1208,6 @@ impl SpanAttribution {
         obj.f64("value", self.value)
             .f64("weight", self.weight)
             .f64("contribution", self.contribution)
-            .finish()
     }
 
     fn from_value(v: &Json) -> Result<Self, WireError> {
@@ -1203,11 +1308,10 @@ pub struct ExplainResponse {
 
 impl ExplainResponse {
     fn fill(&self, obj: JsonObject) -> JsonObject {
-        let rendered: Vec<String> = self.spans.iter().map(SpanAttribution::to_json).collect();
         let obj = obj
             .f64("score", self.score)
             .f64("bias", self.bias)
-            .raw("spans", &format!("[{}]", rendered.join(",")))
+            .objects("spans", &self.spans, |obj, span| span.fill(obj))
             .u64("count", self.spans.len() as u64);
         append_generation(self.fidelity.append_to(obj), self.generation)
             .u64("latency_us", self.latency_us)

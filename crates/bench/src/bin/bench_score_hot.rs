@@ -12,7 +12,8 @@
 //!    arena-backed scratch, cross-batch alignment cache),
 //!
 //! asserting the two produce bit-identical scores before reporting
-//! pairs/second for each, the engine-over-reference speedup, a
+//! pairs/second for each, the engine-over-reference speedup (the two are
+//! timed in alternating rounds, so host drift moves both alike), a
 //! statistics-lookup microbenchmark (`StatsDb` hash probe vs compiled
 //! binary search vs the fixed-point q16 variant), and the alignment-cache
 //! hit, miss, admission and deferral counters from an instrumented pass. Results land in
@@ -65,33 +66,55 @@ fn model_from_stats(stats: &StatsDb) -> DeployedModel {
     }
 }
 
-/// Time `reps` passes of `batches` through `score_batch`, returning
-/// (elapsed seconds, scores of the final batch).
-fn run_phase(
-    batches: &[Vec<(Snippet, Snippet)>],
-    reps: usize,
-    mut score_batch: impl FnMut(&[(Snippet, Snippet)]) -> Vec<f64>,
-) -> (f64, Vec<f64>) {
-    // Warmup: two full cycles populate arena capacity and (for the engine)
-    // the alignment cache, which keeps a pair from its second miss on, so
-    // the timed section measures the steady state a long-lived serving
-    // worker reaches.
-    let mut last = Vec::new();
-    for _ in 0..2 {
-        for batch in batches {
-            last = score_batch(batch);
-        }
-    }
+/// A scorer under test: scores one batch.
+type ScoreBatch<'s> = dyn FnMut(&[(Snippet, Snippet)]) -> Vec<f64> + 's;
+
+/// One pass of `batches` through `score_batch`: (elapsed seconds, scores
+/// of the final batch).
+fn cycle(batches: &[Vec<(Snippet, Snippet)>], score_batch: &mut ScoreBatch) -> (f64, Vec<f64>) {
     let t = Instant::now();
-    for _ in 0..reps {
-        for batch in batches {
-            last = score_batch(batch);
-        }
+    let mut last = Vec::new();
+    for batch in batches {
+        last = score_batch(batch);
     }
     (t.elapsed().as_secs_f64(), last)
 }
 
-/// [`run_phase`] through an engine scorer with one scratch.
+/// Time every scorer over `reps` passes of `batches`, returning each one's
+/// (elapsed seconds, scores of the final batch).
+///
+/// Warmup: two full cycles each populate arena capacity and (for the
+/// engine) the alignment cache, which keeps a pair from its second miss on,
+/// so the timed section measures the steady state a long-lived serving
+/// worker reaches. The timed passes then alternate between the scorers
+/// round by round, so a slowdown of the host lands on all of them instead
+/// of on whichever one it overlapped. Each timed pass follows an untimed
+/// pass of the same scorer, which refills the CPU caches the other
+/// scorer's pass evicted: without it the engine, whose pass is the shorter,
+/// measured about 4% slower than when its passes run back to back.
+fn run_rounds(
+    batches: &[Vec<(Snippet, Snippet)>],
+    reps: usize,
+    scorers: &mut [&mut ScoreBatch],
+) -> Vec<(f64, Vec<f64>)> {
+    for score_batch in scorers.iter_mut() {
+        for _ in 0..2 {
+            cycle(batches, *score_batch);
+        }
+    }
+    let mut out = vec![(0.0, Vec::new()); scorers.len()];
+    for _ in 0..reps {
+        for (score_batch, (elapsed, last)) in scorers.iter_mut().zip(&mut out) {
+            cycle(batches, *score_batch);
+            let (t, scores) = cycle(batches, *score_batch);
+            *elapsed += t;
+            *last = scores;
+        }
+    }
+    out
+}
+
+/// [`run_rounds`] through one engine scorer with one scratch.
 fn run_engine(
     bundle: &ServingBundle,
     batches: &[Vec<(Snippet, Snippet)>],
@@ -99,9 +122,8 @@ fn run_engine(
 ) -> (f64, Vec<f64>) {
     let scorer = bundle.scorer();
     let mut scratch = scorer.scratch();
-    run_phase(batches, reps, |batch| {
-        scorer.score_batch(batch, &mut scratch)
-    })
+    let mut engine = |batch: &[(Snippet, Snippet)]| scorer.score_batch(batch, &mut scratch);
+    run_rounds(batches, reps, &mut [&mut engine]).remove(0)
 }
 
 /// ns/lookup over `probes` through an arbitrary lookup closure.
@@ -170,18 +192,21 @@ fn main() {
     let bundle = ServingBundle::from_parts(model.clone(), stats.clone(), Fidelity::Full)
         .expect("bundle compiles");
 
-    eprintln!("timing reference scorer…");
+    eprintln!("timing reference and engine scorers in alternating rounds…");
     let mut reference = ReferenceScorer::from_parts(&model, &stats, &Fidelity::Full);
-    let (reference_s, reference_scores) = run_phase(&batch_list, reps, |batch| {
+    let mut reference = |batch: &[(Snippet, Snippet)]| -> Vec<f64> {
         batch
             .iter()
             .map(|(r, s)| reference.score_pair(r, s))
             .collect()
-    });
+    };
+    let engine_scorer = bundle.scorer();
+    let mut scratch = engine_scorer.scratch();
+    let mut engine = |batch: &[(Snippet, Snippet)]| engine_scorer.score_batch(batch, &mut scratch);
+    let mut timed = run_rounds(&batch_list, reps, &mut [&mut reference, &mut engine]).into_iter();
+    let (reference_s, reference_scores) = timed.next().expect("reference timed");
+    let (engine_s, engine_scores) = timed.next().expect("engine timed");
     let reference_pps = (reps * pairs_per_cycle) as f64 / reference_s;
-
-    eprintln!("timing engine scorer…");
-    let (engine_s, engine_scores) = run_engine(&bundle, &batch_list, reps);
     let engine_pps = (reps * pairs_per_cycle) as f64 / engine_s;
 
     // Multi-threaded engine phase: one shared bundle, one scratch per

@@ -356,10 +356,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
     }
 }
 
-fn parse_snippet(text: &str) -> Snippet {
-    Snippet::from_lines(text.split('|').map(str::trim))
-}
-
 fn spec_by_name(name: &str) -> Result<ModelSpec, MbError> {
     Ok(match name.to_ascii_lowercase().as_str() {
         "m1" => ModelSpec::m1(),
@@ -657,8 +653,8 @@ fn cmd_metrics(flags: &Flags) -> Result<(), MbError> {
 fn cmd_score(flags: &Flags) -> Result<(), MbError> {
     let json: bool = flags.parse_or("json", false)?;
     let bundle = load_bundle(flags)?;
-    let r = parse_snippet(flags.require("r")?);
-    let s = parse_snippet(flags.require("s")?);
+    let r = Snippet::from_wire(flags.require("r")?);
+    let s = Snippet::from_wire(flags.require("s")?);
     let scorer = bundle.scorer();
     let mut scratch = scorer.scratch();
     let started = Instant::now();
@@ -683,16 +679,10 @@ fn cmd_score(flags: &Flags) -> Result<(), MbError> {
     Ok(())
 }
 
-/// A snippet back in the CLI/wire spelling: lines joined with `|`.
-fn render_snippet(s: &Snippet) -> String {
-    let lines: Vec<&str> = s.lines().iter().map(|l| l.text.as_str()).collect();
-    lines.join("|")
-}
-
 fn cmd_suggest(flags: &Flags) -> Result<(), MbError> {
     let json: bool = flags.parse_or("json", false)?;
     let bundle = load_bundle(flags)?;
-    let creative = parse_snippet(flags.require("creative")?);
+    let creative = Snippet::from_wire(flags.require("creative")?);
     let base = SuggestConfig::default();
     let cfg = SuggestConfig {
         beam_width: flags.parse_or("beam-width", base.beam_width)?,
@@ -715,7 +705,7 @@ fn cmd_suggest(flags: &Flags) -> Result<(), MbError> {
             suggestions: out
                 .iter()
                 .map(|s| SuggestedVariant {
-                    creative: render_snippet(&s.creative),
+                    creative: s.creative.to_wire(),
                     score: s.score,
                     rewrites: s.steps.iter().map(SuggestedRewrite::from).collect(),
                 })
@@ -740,7 +730,7 @@ fn cmd_suggest(flags: &Flags) -> Result<(), MbError> {
             "  #{}: {:+.4}  {:?}",
             place + 1,
             s.score,
-            render_snippet(&s.creative)
+            s.creative.to_wire()
         );
         for step in &s.steps {
             println!(
@@ -755,8 +745,8 @@ fn cmd_suggest(flags: &Flags) -> Result<(), MbError> {
 fn cmd_explain(flags: &Flags) -> Result<(), MbError> {
     let json: bool = flags.parse_or("json", false)?;
     let bundle = load_bundle(flags)?;
-    let r = parse_snippet(flags.require("r")?);
-    let s = parse_snippet(flags.require("s")?);
+    let r = Snippet::from_wire(flags.require("r")?);
+    let s = Snippet::from_wire(flags.require("s")?);
     let scorer = bundle.scorer();
     let mut scratch = scorer.scratch();
     let started = Instant::now();
@@ -806,7 +796,7 @@ fn cmd_rank(flags: &Flags) -> Result<(), MbError> {
     let creatives: Vec<Snippet> = flags
         .get_all("creative")
         .into_iter()
-        .map(parse_snippet)
+        .map(Snippet::from_wire)
         .collect();
     if creatives.len() < 2 {
         return Err(MbError::usage("rank needs at least two --creative flags"));
@@ -835,7 +825,7 @@ fn cmd_rank(flags: &Flags) -> Result<(), MbError> {
 
 fn cmd_optimize(flags: &Flags) -> Result<(), MbError> {
     let bundle = load_bundle(flags)?;
-    let base = parse_snippet(flags.require("base")?);
+    let base = Snippet::from_wire(flags.require("base")?);
 
     let mut edits = Vec::new();
     for rw in flags.get_all("rewrite") {

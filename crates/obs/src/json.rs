@@ -1,69 +1,102 @@
-//! Minimal JSON writing (and a validating reader for tests).
+//! Minimal JSON writing, a validating reader, a small DOM, and a borrowed
+//! decode for the flat string objects request bodies carry.
 //!
 //! The workspace's `serde` compat crate is marker-traits only, so every
 //! machine-readable output — the JSONL trace sink, the CLI's `--json`
-//! mode, the bench report — is rendered by hand through [`JsonObject`].
-//! Output is always a single line (no pretty-printing) so it can double
-//! as a JSON-lines record.
+//! mode, the bench report, the wire responses — is rendered by hand
+//! through [`JsonObject`]. Output is always a single line (no
+//! pretty-printing) so it can double as a JSON-lines record.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::trace::Value;
 
-/// Escape `s` for inclusion inside a JSON string literal (no quotes added).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Append `s` to `out` as a quoted JSON string literal: `"`, `\` and
+/// control characters are escaped, everything else is copied as is.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `clean..i` is on char boundaries.
+        out.push_str(&s[clean..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escaped);
         }
+        clean = i + 1;
     }
-    out
+    out.push_str(&s[clean..]);
+    out.push('"');
 }
 
-/// Render a finite `f64` as JSON; non-finite values become `null` (JSON
-/// has no NaN/Infinity).
-pub fn f64_to_json(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = format!("{v}");
-        // `{}` drops the ".0" on whole floats; keep it so the value stays
-        // typed as a float on the reader side.
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-            s.push_str(".0");
-        }
-        s
-    } else {
-        "null".to_owned()
+/// Append a finite `f64` to `out` as JSON; non-finite values become `null`
+/// (JSON has no NaN/Infinity).
+pub fn write_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    // `{}` drops the ".0" on whole floats; keep it so the value stays
+    // typed as a float on the reader side.
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
     }
 }
 
-/// Single-line JSON object builder. Keys are emitted in insertion order
-/// and are NOT escaped (call sites use literal identifiers).
-#[derive(Default)]
+/// Single-line JSON object builder. Members are appended to one `String`
+/// in insertion order; keys are NOT escaped (call sites use literal
+/// identifiers).
 pub struct JsonObject {
-    body: String,
+    buf: String,
+    /// Whether a member has been written since the opening brace.
+    has_members: bool,
+}
+
+impl Default for JsonObject {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl JsonObject {
     /// An empty object.
     pub fn new() -> Self {
-        Self::default()
+        Self::continue_in(String::new())
+    }
+
+    /// Open an object at the end of `buf`, continuing a caller's buffer:
+    /// [`JsonObject::finish`] hands `buf` back with the object appended, so
+    /// a pre-sized buffer renders a whole response without reallocating.
+    pub fn continue_in(mut buf: String) -> Self {
+        buf.push('{');
+        Self {
+            buf,
+            has_members: false,
+        }
     }
 
     fn key(&mut self, key: &str) -> &mut String {
-        if !self.body.is_empty() {
-            self.body.push(',');
+        if self.has_members {
+            self.buf.push(',');
         }
-        let _ = write!(self.body, "\"{key}\":");
-        &mut self.body
+        self.has_members = true;
+        self.buf.push('"');
+        self.buf.push_str(key);
+        self.buf.push_str("\":");
+        &mut self.buf
     }
 
     /// Add an unsigned integer member.
@@ -80,8 +113,7 @@ impl JsonObject {
 
     /// Add a float member (`null` when non-finite).
     pub fn f64(mut self, key: &str, v: f64) -> Self {
-        let rendered = f64_to_json(v);
-        self.key(key).push_str(&rendered);
+        write_f64(self.key(key), v);
         self
     }
 
@@ -93,8 +125,7 @@ impl JsonObject {
 
     /// Add a string member (escaped).
     pub fn str(mut self, key: &str, v: &str) -> Self {
-        let escaped = escape(v);
-        let _ = write!(self.key(key), "\"{escaped}\"");
+        write_str(self.key(key), v);
         self
     }
 
@@ -102,6 +133,39 @@ impl JsonObject {
     pub fn raw(mut self, key: &str, v: &str) -> Self {
         self.key(key).push_str(v);
         self
+    }
+
+    /// Add an array member with one element per item, each written
+    /// straight into the buffer by `write` (the commas are the builder's).
+    pub fn array<T>(
+        mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut write: impl FnMut(&mut String, T),
+    ) -> Self {
+        let buf = self.key(key);
+        buf.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                buf.push(',');
+            }
+            write(buf, item);
+        }
+        buf.push(']');
+        self
+    }
+
+    /// Add an array-of-objects member: `fill` adds each element's members
+    /// to an object that continues this one's buffer.
+    pub fn objects<T>(
+        self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut fill: impl FnMut(JsonObject, T) -> JsonObject,
+    ) -> Self {
+        self.array(key, items, |buf, item| {
+            *buf = fill(JsonObject::continue_in(std::mem::take(buf)), item).finish();
+        })
     }
 
     /// Add a trace [`Value`] member with its native JSON type.
@@ -115,15 +179,11 @@ impl JsonObject {
         }
     }
 
-    /// Close the object and return the rendered JSON.
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.body)
+    /// Close the object and return the buffer holding it.
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
     }
-}
-
-/// Render a JSON array from pre-rendered element fragments.
-pub fn array(elements: &[String]) -> String {
-    format!("[{}]", elements.join(","))
 }
 
 // --- validating reader ---------------------------------------------------
@@ -137,9 +197,9 @@ pub fn array(elements: &[String]) -> String {
 /// of the first syntax error, if any.
 pub fn validate(s: &str) -> Result<(), usize> {
     let b = s.as_bytes();
-    let mut pos = skip_ws(b, 0);
+    let mut pos = ws(b, 0);
     pos = value(b, pos)?;
-    pos = skip_ws(b, pos);
+    pos = ws(b, pos);
     if pos == b.len() {
         Ok(())
     } else {
@@ -154,7 +214,12 @@ pub fn assert_parses(s: &str) {
     }
 }
 
-fn skip_ws(b: &[u8], mut pos: usize) -> usize {
+/// Offset of the first byte at or after `pos` that is not JSON whitespace.
+pub fn skip_ws(text: &str, pos: usize) -> usize {
+    ws(text.as_bytes(), pos)
+}
+
+fn ws(b: &[u8], mut pos: usize) -> usize {
     while pos < b.len() && matches!(b[pos], b' ' | b'\t' | b'\n' | b'\r') {
         pos += 1;
     }
@@ -165,7 +230,7 @@ fn value(b: &[u8], pos: usize) -> Result<usize, usize> {
     match b.get(pos) {
         Some(b'{') => object(b, pos),
         Some(b'[') => array_value(b, pos),
-        Some(b'"') => string(b, pos),
+        Some(b'"') => scan_string(b, pos).map(|(end, _)| end),
         Some(b't') => literal(b, pos, b"true"),
         Some(b'f') => literal(b, pos, b"false"),
         Some(b'n') => literal(b, pos, b"null"),
@@ -182,12 +247,41 @@ fn literal(b: &[u8], pos: usize, lit: &[u8]) -> Result<usize, usize> {
     }
 }
 
-fn string(b: &[u8], mut pos: usize) -> Result<usize, usize> {
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// Flags (high bit of the byte) the bytes of the little-endian word `w`
+/// that end a string scan's fast path: `"`, `\` and control bytes below
+/// 0x20. The SWAR tests can only flag a byte *above* a true hit wrongly
+/// (their borrows run upwards), so the lowest flag is always exact.
+fn special_bytes(w: u64) -> u64 {
+    let zero = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    let quote = zero(w ^ (ONES * u64::from(b'"')));
+    let backslash = zero(w ^ (ONES * u64::from(b'\\')));
+    let control = w.wrapping_sub(ONES * 0x20) & !w & HIGHS;
+    quote | backslash | control
+}
+
+/// Scan the string literal whose opening quote is at `pos`. Returns the
+/// offset just past its closing quote and whether it holds an escape, or
+/// the offset of the first violation. Words of 8 bytes that hold no `"`,
+/// `\` or control byte are skipped whole.
+fn scan_string(b: &[u8], mut pos: usize) -> Result<(usize, bool), usize> {
     pos += 1; // opening quote
-    while let Some(&c) = b.get(pos) {
-        match c {
-            b'"' => return Ok(pos + 1),
-            b'\\' => {
+    let mut escaped = false;
+    loop {
+        while let Some(word) = b.get(pos..).and_then(<[u8]>::first_chunk::<8>) {
+            let special = special_bytes(u64::from_le_bytes(*word));
+            if special != 0 {
+                pos += (special.trailing_zeros() / 8) as usize;
+                break;
+            }
+            pos += 8;
+        }
+        match b.get(pos) {
+            Some(b'"') => return Ok((pos + 1, escaped)),
+            Some(b'\\') => {
+                escaped = true;
                 pos += 1;
                 match b.get(pos) {
                     Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => pos += 1,
@@ -202,11 +296,10 @@ fn string(b: &[u8], mut pos: usize) -> Result<usize, usize> {
                     _ => return Err(pos),
                 }
             }
-            0x00..=0x1f => return Err(pos),
-            _ => pos += 1,
+            Some(0x00..=0x1f) | None => return Err(pos),
+            Some(_) => pos += 1,
         }
     }
-    Err(pos)
 }
 
 fn number(b: &[u8], mut pos: usize) -> Result<usize, usize> {
@@ -249,7 +342,7 @@ fn number(b: &[u8], mut pos: usize) -> Result<usize, usize> {
 }
 
 fn object(b: &[u8], mut pos: usize) -> Result<usize, usize> {
-    pos = skip_ws(b, pos + 1);
+    pos = ws(b, pos + 1);
     if b.get(pos) == Some(&b'}') {
         return Ok(pos + 1);
     }
@@ -257,15 +350,14 @@ fn object(b: &[u8], mut pos: usize) -> Result<usize, usize> {
         if b.get(pos) != Some(&b'"') {
             return Err(pos);
         }
-        pos = string(b, pos)?;
-        pos = skip_ws(b, pos);
+        pos = ws(b, scan_string(b, pos)?.0);
         if b.get(pos) != Some(&b':') {
             return Err(pos);
         }
-        pos = value(b, skip_ws(b, pos + 1))?;
-        pos = skip_ws(b, pos);
+        pos = value(b, ws(b, pos + 1))?;
+        pos = ws(b, pos);
         match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
+            Some(b',') => pos = ws(b, pos + 1),
             Some(b'}') => return Ok(pos + 1),
             _ => return Err(pos),
         }
@@ -273,15 +365,15 @@ fn object(b: &[u8], mut pos: usize) -> Result<usize, usize> {
 }
 
 fn array_value(b: &[u8], mut pos: usize) -> Result<usize, usize> {
-    pos = skip_ws(b, pos + 1);
+    pos = ws(b, pos + 1);
     if b.get(pos) == Some(&b']') {
         return Ok(pos + 1);
     }
     loop {
         pos = value(b, pos)?;
-        pos = skip_ws(b, pos);
+        pos = ws(b, pos);
         match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
+            Some(b',') => pos = ws(b, pos + 1),
             Some(b']') => return Ok(pos + 1),
             _ => return Err(pos),
         }
@@ -323,9 +415,9 @@ impl Json {
     /// syntax error (or of the depth-limit violation), like [`validate`].
     pub fn parse(s: &str) -> Result<Json, usize> {
         let b = s.as_bytes();
-        let mut pos = skip_ws(b, 0);
+        let mut pos = ws(b, 0);
         let (v, end) = parse_value(b, pos, 0)?;
-        pos = skip_ws(b, end);
+        pos = ws(b, end);
         if pos == b.len() {
             Ok(v)
         } else {
@@ -381,11 +473,7 @@ fn parse_value(b: &[u8], pos: usize, depth: usize) -> Result<(Json, usize), usiz
     match b.get(pos) {
         Some(b'{') => parse_object(b, pos, depth),
         Some(b'[') => parse_array(b, pos, depth),
-        Some(b'"') => {
-            let end = string(b, pos)?;
-            let s = decode_string(&b[pos + 1..end - 1]).ok_or(pos)?;
-            Ok((Json::Str(s), end))
-        }
+        Some(b'"') => parse_string(b, pos).map(|(s, end)| (Json::Str(s), end)),
         Some(b't') => literal(b, pos, b"true").map(|end| (Json::Bool(true), end)),
         Some(b'f') => literal(b, pos, b"false").map(|end| (Json::Bool(false), end)),
         Some(b'n') => literal(b, pos, b"null").map(|end| (Json::Null, end)),
@@ -399,9 +487,22 @@ fn parse_value(b: &[u8], pos: usize, depth: usize) -> Result<(Json, usize), usiz
     }
 }
 
+/// The decoded string literal at `pos` and the offset past it; a literal
+/// that scans but does not decode (a lone surrogate) fails at `pos`.
+fn parse_string(b: &[u8], pos: usize) -> Result<(String, usize), usize> {
+    let (end, escaped) = scan_string(b, pos)?;
+    let raw = std::str::from_utf8(&b[pos + 1..end - 1]).map_err(|_| pos)?;
+    let s = if escaped {
+        decode_escapes(raw).ok_or(pos)?
+    } else {
+        raw.to_owned()
+    };
+    Ok((s, end))
+}
+
 fn parse_object(b: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), usize> {
     let mut members = Vec::new();
-    pos = skip_ws(b, pos + 1);
+    pos = ws(b, pos + 1);
     if b.get(pos) == Some(&b'}') {
         return Ok((Json::Obj(members), pos + 1));
     }
@@ -409,17 +510,16 @@ fn parse_object(b: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize),
         if b.get(pos) != Some(&b'"') {
             return Err(pos);
         }
-        let key_end = string(b, pos)?;
-        let key = decode_string(&b[pos + 1..key_end - 1]).ok_or(pos)?;
-        pos = skip_ws(b, key_end);
+        let (key, key_end) = parse_string(b, pos)?;
+        pos = ws(b, key_end);
         if b.get(pos) != Some(&b':') {
             return Err(pos);
         }
-        let (v, end) = parse_value(b, skip_ws(b, pos + 1), depth + 1)?;
+        let (v, end) = parse_value(b, ws(b, pos + 1), depth + 1)?;
         members.push((key, v));
-        pos = skip_ws(b, end);
+        pos = ws(b, end);
         match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
+            Some(b',') => pos = ws(b, pos + 1),
             Some(b'}') => return Ok((Json::Obj(members), pos + 1)),
             _ => return Err(pos),
         }
@@ -428,29 +528,25 @@ fn parse_object(b: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize),
 
 fn parse_array(b: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), usize> {
     let mut items = Vec::new();
-    pos = skip_ws(b, pos + 1);
+    pos = ws(b, pos + 1);
     if b.get(pos) == Some(&b']') {
         return Ok((Json::Arr(items), pos + 1));
     }
     loop {
         let (v, end) = parse_value(b, pos, depth + 1)?;
         items.push(v);
-        pos = skip_ws(b, end);
+        pos = ws(b, end);
         match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
+            Some(b',') => pos = ws(b, pos + 1),
             Some(b']') => return Ok((Json::Arr(items), pos + 1)),
             _ => return Err(pos),
         }
     }
 }
 
-/// Decode the *inside* of a validated JSON string literal (escapes, incl.
-/// `\uXXXX` surrogate pairs). Returns None on invalid UTF-8/surrogates.
-fn decode_string(raw: &[u8]) -> Option<String> {
-    let s = std::str::from_utf8(raw).ok()?;
-    if !s.contains('\\') {
-        return Some(s.to_owned());
-    }
+/// Decode the escapes inside a scanned JSON string literal (incl.
+/// `\uXXXX` surrogate pairs). Returns None on a lone or reversed surrogate.
+fn decode_escapes(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -498,9 +594,74 @@ fn hex4(chars: &mut std::str::Chars<'_>) -> Option<u32> {
     Some(v)
 }
 
+// --- borrowed decode -----------------------------------------------------
+//
+// Request bodies are almost always the plain shape clients render, e.g.
+// `{"r":"…","s":"…"}`: a flat object of string members with plain keys.
+// Decoding those through the DOM builds a tree only to copy its strings out
+// again. The scan below yields the members in place instead, borrowing
+// every value that has no escapes. It never reports an error: anything
+// outside the plain shape — including every invalid body — returns `None`,
+// and the caller re-reads the body through [`Json::parse`], which alone
+// decides syntax offsets and shape errors.
+
+/// Decode the flat object whose `{` is at `pos` when every member value is
+/// a string and no key has an escape: calls `member(key, value)` in source
+/// order (duplicates included) and returns the offset just past the `}`.
+/// `None` when the bytes at `pos` are anything else.
+pub fn plain_object<'s>(
+    text: &'s str,
+    pos: usize,
+    mut member: impl FnMut(&'s str, Cow<'s, str>),
+) -> Option<usize> {
+    let b = text.as_bytes();
+    if b.get(pos) != Some(&b'{') {
+        return None;
+    }
+    let mut pos = ws(b, pos + 1);
+    if b.get(pos) == Some(&b'}') {
+        return Some(pos + 1);
+    }
+    loop {
+        let (Cow::Borrowed(key), end) = str_literal(text, pos)? else {
+            return None;
+        };
+        pos = ws(b, end);
+        if b.get(pos) != Some(&b':') {
+            return None;
+        }
+        let (value, end) = str_literal(text, ws(b, pos + 1))?;
+        member(key, value);
+        pos = ws(b, end);
+        match b.get(pos) {
+            Some(b',') => pos = ws(b, pos + 1),
+            Some(b'}') => return Some(pos + 1),
+            _ => return None,
+        }
+    }
+}
+
+/// The decoded string literal at `pos`, borrowed from `text` unless it has
+/// escapes, and the offset past it. `None` unless a valid literal is there.
+fn str_literal(text: &str, pos: usize) -> Option<(Cow<'_, str>, usize)> {
+    let b = text.as_bytes();
+    if b.get(pos) != Some(&b'"') {
+        return None;
+    }
+    let (end, escaped) = scan_string(b, pos).ok()?;
+    let raw = text.get(pos + 1..end - 1)?;
+    let s = if escaped {
+        Cow::Owned(decode_escapes(raw)?)
+    } else {
+        Cow::Borrowed(raw)
+    };
+    Some((s, end))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn builder_renders_all_types() {
@@ -513,7 +674,7 @@ mod tests {
             .bool("b", true)
             .str("s", "a\"b\\c\nd")
             .raw("nested", &JsonObject::new().u64("x", 1).finish())
-            .raw("arr", &array(&["1".into(), "\"two\"".into()]))
+            .array("arr", ["1", "\"two\""], |out, e| out.push_str(e))
             .finish();
         assert_parses(&json);
         assert!(json.contains("\"u\":7"));
@@ -528,6 +689,22 @@ mod tests {
     #[test]
     fn empty_object_is_valid() {
         assert_parses(&JsonObject::new().finish());
+    }
+
+    #[test]
+    fn objects_continue_the_callers_buffer() {
+        let mut buf = String::with_capacity(64);
+        buf.push_str("prefix:");
+        let json = JsonObject::continue_in(buf)
+            .objects("items", [1u64, 2], |o, x| o.u64("x", x).str("s", "q"))
+            .array("empty", [0u8; 0], |_, _| {})
+            .u64("count", 2)
+            .finish();
+        assert_eq!(
+            json,
+            r#"prefix:{"items":[{"x":1,"s":"q"},{"x":2,"s":"q"}],"empty":[],"count":2}"#
+        );
+        assert_parses(&json["prefix:".len()..]);
     }
 
     #[test]
@@ -562,8 +739,32 @@ mod tests {
 
     #[test]
     fn escape_handles_control_chars() {
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        assert_eq!(escape("plain"), "plain");
+        let esc = |s: &str| {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            out
+        };
+        assert_eq!(esc("\u{1}"), "\"\\u0001\"");
+        assert_eq!(esc("plain"), "\"plain\"");
+        assert_eq!(
+            esc("a\"b\\c\n\r\t\u{1f}é\u{7f}"),
+            "\"a\\\"b\\\\c\\n\\r\\t\\u001fé\u{7f}\""
+        );
+        assert_eq!(esc(""), "\"\"");
+    }
+
+    #[test]
+    fn write_f64_keeps_floats_typed() {
+        let f = |v: f64| {
+            let mut out = String::from("x");
+            write_f64(&mut out, v);
+            out
+        };
+        assert_eq!(f(2.0), "x2.0");
+        assert_eq!(f(-0.0), "x-0.0");
+        assert_eq!(f(-1.25), "x-1.25");
+        assert_eq!(f(1e21), "x1000000000000000000000.0");
+        assert_eq!(f(f64::INFINITY), "xnull");
     }
 
     #[test]
@@ -572,7 +773,7 @@ mod tests {
             .str("r", "line1|line2")
             .f64("score", -1.25)
             .bool("ok", true)
-            .raw("arr", &array(&["1".into(), "\"two\"".into()]))
+            .array("arr", ["1", "\"two\""], |out, e| out.push_str(e))
             .raw("nested", &JsonObject::new().u64("x", 3).finish())
             .finish();
         let v = Json::parse(&rendered).expect("round trip");
@@ -611,5 +812,157 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
         let ok = "[".repeat(10) + "1" + &"]".repeat(10);
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn plain_object_borrows_plain_values_and_refuses_the_rest() {
+        let members = |s: &str| {
+            let mut got = Vec::new();
+            let end = plain_object(s, 0, |k, v| {
+                got.push((k.to_owned(), v.into_owned()));
+            });
+            end.map(|e| (e, got))
+        };
+        let (end, got) = members(r#"{ "r" : "a|b" , "s":"c\"d" }tail"#).unwrap();
+        assert_eq!(end, r#"{ "r" : "a|b" , "s":"c\"d" }"#.len());
+        assert_eq!(
+            got,
+            [("r".into(), "a|b".into()), ("s".into(), "c\"d".into())]
+        );
+        assert_eq!(members("{}").unwrap().0, 2);
+        let mut borrowed = 0;
+        plain_object(r#"{"r":"plain","s":"esc\n"}"#, 0, |_, v| {
+            borrowed += usize::from(matches!(v, Cow::Borrowed(_)));
+        });
+        assert_eq!(borrowed, 1);
+        for other in [
+            r#"{"r":1}"#,
+            r#"{"r":["a"]}"#,
+            r#"{"\u0072":"a"}"#,
+            r#"{"r":"a",}"#,
+            r#"{"r":"\ud83d"}"#,
+            r#"{"r":"a""#,
+            r#"["r"]"#,
+            "",
+        ] {
+            assert!(members(other).is_none(), "{other}");
+        }
+    }
+
+    /// The string scanner as it was before the word skip, byte at a time
+    /// (end offset or error offset only).
+    fn byte_scanner(b: &[u8], mut pos: usize) -> Result<usize, usize> {
+        pos += 1; // opening quote
+        while let Some(&c) = b.get(pos) {
+            match c {
+                b'"' => return Ok(pos + 1),
+                b'\\' => {
+                    pos += 1;
+                    match b.get(pos) {
+                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => pos += 1,
+                        Some(b'u') => {
+                            for i in 1..=4 {
+                                if !b.get(pos + i).is_some_and(u8::is_ascii_hexdigit) {
+                                    return Err(pos + i);
+                                }
+                            }
+                            pos += 5;
+                        }
+                        _ => return Err(pos),
+                    }
+                }
+                0x00..=0x1f => return Err(pos),
+                _ => pos += 1,
+            }
+        }
+        Err(pos)
+    }
+
+    /// Byte sequences that end, escape or merely decorate a string scan.
+    const TOKENS: &[&[u8]] = &[
+        b"\"",
+        b"\\",
+        b"\\\"",
+        b"\\\\",
+        b"\\/",
+        b"\\n",
+        b"\\q",
+        b"\\u00e9",
+        b"\\uD83D\\uDE00",
+        b"\\u12",
+        b"\\u12g4",
+        b"\x00",
+        b"\x01",
+        b"\x1f",
+        b" ",
+        b"\x7f",
+        b"\x80",
+        b"\xff",
+        "é".as_bytes(),
+        "中".as_bytes(),
+        "😀".as_bytes(),
+        "\u{2028}".as_bytes(),
+        b"!",
+        b"a",
+    ];
+
+    /// Both scanners agree on `body` (the literal starting at `start`), and
+    /// the word scanner's escape flag says whether a `\` precedes the end.
+    fn assert_scanners_agree(body: &[u8], start: usize) {
+        let got = scan_string(body, start);
+        let want = byte_scanner(body, start);
+        assert_eq!(
+            got.map(|(end, _)| end),
+            want,
+            "{:?}",
+            String::from_utf8_lossy(body)
+        );
+        if let Ok((end, escaped)) = got {
+            assert_eq!(escaped, body[start..end].contains(&b'\\'));
+        }
+    }
+
+    #[test]
+    fn word_scanner_matches_byte_scanner_at_every_offset() {
+        for lead in 0..8 {
+            for len in 0..=26 {
+                for at in 0..=len {
+                    for tok in TOKENS {
+                        let mut body = vec![b'#'; lead];
+                        body.push(b'"');
+                        body.extend(std::iter::repeat(b'x').take(at));
+                        body.extend_from_slice(tok);
+                        body.extend(std::iter::repeat(b'y').take(len - at));
+                        assert_scanners_agree(&body, lead);
+                        body.push(b'"');
+                        assert_scanners_agree(&body, lead);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn word_scanner_matches_byte_scanner(
+            picks in prop::collection::vec(0usize..64, 0..48),
+            lead in 0usize..8,
+        ) {
+            let mut body = vec![b' '; lead];
+            body.push(b'"');
+            for p in &picks {
+                // Mostly plain filler so long clean runs reach the word skip.
+                match TOKENS.get(*p) {
+                    Some(tok) => body.extend_from_slice(tok),
+                    None => body.extend_from_slice(b"plain tex"),
+                }
+            }
+            body.push(b'"');
+            for cut in lead + 1..=body.len() {
+                assert_scanners_agree(&body[..cut], lead);
+            }
+        }
     }
 }

@@ -59,7 +59,7 @@ pub fn corpus_from_events<'a>(events: impl IntoIterator<Item = &'a FeedbackEvent
                 .into_iter()
                 .map(|(cid, acc)| Creative {
                     id: CreativeId(cid),
-                    snippet: parse_snippet(&acc.snippet),
+                    snippet: Snippet::from_wire(&acc.snippet),
                     impressions: acc.impressions,
                     clicks: acc.clicks.min(acc.impressions),
                 })
@@ -67,12 +67,6 @@ pub fn corpus_from_events<'a>(events: impl IntoIterator<Item = &'a FeedbackEvent
         })
         .collect();
     AdCorpus { adgroups }
-}
-
-/// Parse the wire spelling of a creative (`|`-separated lines) into a
-/// [`Snippet`], the same convention `/v1/score` uses.
-pub fn parse_snippet(text: &str) -> Snippet {
-    Snippet::from_lines(text.split('|').map(str::trim))
 }
 
 /// Build the stats delta for one feedback batch: extract significant

@@ -27,8 +27,9 @@ use microbrowse_core::{
 };
 use microbrowse_store::codec::{get_str, get_varint, put_str, put_varint};
 use microbrowse_store::{file, StatsDb};
+use microbrowse_text::Snippet;
 
-use crate::delta::{delta_from_batch, parse_snippet};
+use crate::delta::delta_from_batch;
 use crate::error::OnlineError;
 use crate::frame::{frame, unframe};
 use crate::posclass::PosClassModel;
@@ -151,7 +152,7 @@ impl OnlineLearner {
                     .iter()
                     .map(|(&cid, acc)| Creative {
                         id: CreativeId(cid),
-                        snippet: parse_snippet(&acc.snippet),
+                        snippet: Snippet::from_wire(&acc.snippet),
                         impressions: acc.impressions,
                         clicks: acc.clicks.min(acc.impressions),
                     })

@@ -163,9 +163,10 @@ fn absorb_order_does_not_change_post_refit_scores() {
         "folded statistics must be bit-identical"
     );
 
-    let snip = |text: &str| Snippet::from_lines(text.split('|').map(str::trim));
-    let pairs: Vec<(Snippet, Snippet)> =
-        TEXTS.chunks(2).map(|c| (snip(c[0]), snip(c[1]))).collect();
+    let pairs: Vec<(Snippet, Snippet)> = TEXTS
+        .chunks(2)
+        .map(|c| (Snippet::from_wire(c[0]), Snippet::from_wire(c[1])))
+        .collect();
     let bundle = |out: &RefitOutput| {
         ServingBundle::from_parts(out.model.clone(), out.stats.clone(), Fidelity::Full)
             .expect("bundle")

@@ -159,7 +159,9 @@ impl std::fmt::Display for HttpError {
 }
 
 /// Incremental request reader over any byte stream. Buffers leftovers
-/// between calls, so pipelined requests parse correctly.
+/// between calls, so pipelined requests parse correctly. Heads are read
+/// through a small buffer; a body is read straight into the request's own
+/// `Vec`, so its bytes are copied once, and never past its declared end.
 pub struct RequestReader<R> {
     inner: R,
     buf: Vec<u8>,
@@ -236,21 +238,27 @@ impl<R: Read> RequestReader<R> {
         }
 
         let mut req = parse_head(&self.buf[..head_end - 4], &self.limits)?;
+        // Checked against `max_body_bytes` before anything is allocated.
         let body_len = body_length(&req, &self.limits)?;
         self.buf.drain(..head_end);
 
-        while self.buf.len() < body_len {
+        // Body bytes that arrived with the head move in first; the rest is
+        // read from the socket straight into place, at most up to the
+        // body's end, so pipelined bytes after it stay in the socket.
+        let buffered = self.buf.len().min(body_len);
+        let mut body = Vec::with_capacity(body_len);
+        body.extend_from_slice(&self.buf[..buffered]);
+        self.buf.drain(..buffered);
+        body.resize(body_len, 0);
+        let mut filled = buffered;
+        while filled < body_len {
             self.check_wall()?;
-            match self.fill() {
-                Ok(0) => return Err(HttpError::BadRequest("connection closed mid-body")),
-                Ok(_) => {}
-                Err(HttpError::Timeout { .. }) => {
-                    return Err(HttpError::Timeout { mid_request: true })
-                }
-                Err(e) => return Err(e),
+            match self.read_once(&mut body[filled..], true)? {
+                0 => return Err(HttpError::BadRequest("connection closed mid-body")),
+                n => filled += n,
             }
         }
-        req.body = self.buf.drain(..body_len).collect();
+        req.body = body;
         self.finish_request();
         Ok(Some(req))
     }
@@ -284,20 +292,27 @@ impl<R: Read> RequestReader<R> {
         if !accept(&req) {
             return None;
         }
-        self.buf.drain(..head_end);
-        req.body = self.buf.drain(..body_len).collect();
+        req.body = self.buf[head_end..head_end + body_len].to_vec();
+        self.buf.drain(..head_end + body_len);
         self.finish_request();
         Some(req)
     }
 
-    /// One `read` into the buffer; maps timeouts to [`HttpError::Timeout`]
-    /// (mid-request iff bytes are already pending) and retries EINTR.
+    /// One `read` into the buffer; a timeout is mid-request iff bytes are
+    /// already pending.
     fn fill(&mut self) -> Result<usize, HttpError> {
         let mut chunk = [0u8; 4096];
+        let n = self.read_once(&mut chunk, !self.buf.is_empty())?;
+        self.buf.extend_from_slice(&chunk[..n]);
+        Ok(n)
+    }
+
+    /// One `read` into `dst`, retrying EINTR; a timeout maps to
+    /// [`HttpError::Timeout`] with the given `mid_request`.
+    fn read_once(&mut self, dst: &mut [u8], mid_request: bool) -> Result<usize, HttpError> {
         loop {
-            match self.inner.read(&mut chunk) {
+            match self.inner.read(dst) {
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
                     if n > 0 && self.started.is_none() {
                         self.started = Some(Instant::now());
                     }
@@ -305,9 +320,7 @@ impl<R: Read> RequestReader<R> {
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Err(HttpError::Timeout {
-                        mid_request: !self.buf.is_empty(),
-                    })
+                    return Err(HttpError::Timeout { mid_request })
                 }
                 Err(e) => return Err(HttpError::Io(e)),
             }
@@ -606,6 +619,50 @@ mod tests {
             reader.next_request(),
             Err(HttpError::BadRequest(_))
         ));
+    }
+
+    /// Delivers `data` at most `chunk` bytes per read and shares how far
+    /// the reader has consumed it.
+    struct Chunked {
+        data: Vec<u8>,
+        pos: std::rc::Rc<std::cell::Cell<usize>>,
+        chunk: usize,
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let at = self.pos.get();
+            let n = buf.len().min(self.chunk).min(self.data.len() - at);
+            buf[..n].copy_from_slice(&self.data[at..at + n]);
+            self.pos.set(at + n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn body_is_read_in_place_and_never_past_its_end() {
+        let head = b"POST /a HTTP/1.1\r\nContent-Length: 40\r\n\r\n";
+        let body = b"0123456789abcdefghijklmnopqrstuvwxyzABCD";
+        let next = b"GET /b HTTP/1.1\r\n\r\n";
+        for chunk in [1, 7, 64, 4096] {
+            let pos = std::rc::Rc::new(std::cell::Cell::new(0));
+            let data = [&head[..], &body[..], &next[..]].concat();
+            let stream = Chunked {
+                data,
+                pos: pos.clone(),
+                chunk,
+            };
+            let mut reader = RequestReader::new(stream, Limits::default());
+            let first = reader.next_request().unwrap().unwrap();
+            assert_eq!(first.body, body, "chunk {chunk}");
+            if chunk < head.len() + body.len() {
+                // Only the head read may run ahead, and only into the body.
+                assert_eq!(pos.get(), head.len() + body.len(), "chunk {chunk}");
+            }
+            let second = reader.next_request().unwrap().unwrap();
+            assert_eq!(second.path(), "/b", "chunk {chunk}");
+            assert!(reader.next_request().unwrap().is_none());
+        }
     }
 
     #[test]

@@ -28,10 +28,10 @@ use microbrowse_api::debug::{
 };
 use microbrowse_api::v1::{
     BatchRequest, BatchResponse, ErrorEnvelope, ExplainRequest, ExplainResponse, FeedbackRequest,
-    FeedbackResponse, Fidelity, RankRequest, RankResponse, ScoreRequest, ScoreResponse,
-    SpanAttribution, SuggestRequest, SuggestResponse, SuggestedRewrite, SuggestedVariant,
-    CODE_BAD_DEADLINE, CODE_BAD_REQUEST, CODE_DEADLINE_EXCEEDED, CODE_INTERNAL,
-    CODE_METHOD_NOT_ALLOWED, CODE_NOT_FOUND, CODE_OVERLOADED, CODE_TOO_LARGE, CODE_UNAVAILABLE,
+    FeedbackResponse, Fidelity, PairRef, RankRequest, RankResponse, ScoreResponse, SpanAttribution,
+    SuggestRequest, SuggestResponse, SuggestedRewrite, SuggestedVariant, CODE_BAD_DEADLINE,
+    CODE_BAD_REQUEST, CODE_DEADLINE_EXCEEDED, CODE_INTERNAL, CODE_METHOD_NOT_ALLOWED,
+    CODE_NOT_FOUND, CODE_OVERLOADED, CODE_TOO_LARGE, CODE_UNAVAILABLE,
 };
 use microbrowse_core::error::MbError;
 use microbrowse_core::explain::explain_pair;
@@ -77,9 +77,11 @@ pub struct ServerConfig {
     /// How long [`ServerHandle::shutdown`] waits for in-flight sessions
     /// before force-aborting them.
     pub drain_deadline: Duration,
-    /// Largest `/v1/batch` request accepted (items), and the cap on how
-    /// many pipelined `/v1/score` requests one worker coalesces into a
-    /// single engine pass. Larger batches answer `413`.
+    /// Largest `/v1/batch` request accepted (items), the cap on how many
+    /// pipelined `/v1/score` requests one worker coalesces into a single
+    /// engine pass, and the cap on the pairs one `/v1/rank` request scores:
+    /// `n` creatives are `n(n−1)/2` pairs, so the default of 256 admits 23
+    /// creatives. Larger batches and rankings answer `413`.
     pub max_batch: usize,
     /// Cap on simultaneously open connections (queued + being served);
     /// beyond it, new connections are answered `503` with the `overloaded`
@@ -887,10 +889,16 @@ fn worker_loop(shared: &Shared) {
 /// [`Scorer::score_batch`] pass (see [`serve_score_group`]) and writes the
 /// responses back in arrival order — identical bytes, amortized engine
 /// work.
+///
+/// Next to the scratch the connection keeps one buffer of snippet pairs
+/// that `/v1/batch` and coalesced `/v1/score` groups overwrite in place
+/// (see [`wire_pairs`]), so a steady stream of batches stops allocating a
+/// line buffer per creative.
 fn serve_connection(shared: &Shared, conn: QueuedConn) {
     let stream = &conn.stream;
     let dequeued = Instant::now();
     let mut reader = RequestReader::new(stream, shared.cfg.limits.clone());
+    let mut pairs: Vec<(Snippet, Snippet)> = Vec::new();
     let mut first_request = true;
     'epoch: loop {
         let epoch = shared.state.epoch();
@@ -1024,9 +1032,22 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                     }
                     let score_started = Instant::now();
                     let responses = if group.len() == 1 {
-                        vec![route(&group[0], &scorer, &mut scratch, &bundle, shared)]
+                        vec![route(
+                            &group[0],
+                            &scorer,
+                            &mut scratch,
+                            &mut pairs,
+                            &bundle,
+                            shared,
+                        )]
                     } else {
-                        serve_score_group(&group, &scorer, &mut scratch, bundle.model_generation())
+                        serve_score_group(
+                            &group,
+                            &scorer,
+                            &mut scratch,
+                            &mut pairs,
+                            bundle.model_generation(),
+                        )
                     };
                     // A coalesced group is one engine pass: the score stage
                     // is shared, and the queue/parse stages belong to the
@@ -1225,6 +1246,7 @@ fn route<'a>(
     req: &HttpRequest,
     scorer: &Scorer<'a>,
     scratch: &mut Scratch<'a>,
+    pairs: &mut Vec<(Snippet, Snippet)>,
     bundle: &ServingBundle,
     shared: &Shared,
 ) -> Response {
@@ -1252,8 +1274,8 @@ fn route<'a>(
     let generation = bundle.model_generation();
     let resp = match endpoint {
         "score" => handle_score(req, scorer, scratch, generation),
-        "rank" => handle_rank(req, scorer, scratch, generation),
-        "batch" => handle_batch(req, scorer, scratch, shared, generation),
+        "rank" => handle_rank(req, scorer, scratch, shared, generation),
+        "batch" => handle_batch(req, scorer, scratch, pairs, shared, generation),
         "suggest" => handle_suggest(req, scorer, scratch, shared, generation),
         "explain" => handle_explain(req, scorer, scratch, generation),
         "feedback" => handle_feedback(req, shared),
@@ -1312,9 +1334,24 @@ fn body_str(req: &HttpRequest) -> Result<&str, Response> {
     std::str::from_utf8(&req.body).map_err(|_| bad_request("body is not valid UTF-8"))
 }
 
-/// A creative from its `|`-separated line form (same syntax as the CLI).
-fn parse_snippet(text: &str) -> Snippet {
-    Snippet::from_lines(text.split('|').map(str::trim))
+/// Overwrite the front of the connection's reused pair buffer with the
+/// creatives of `items` (in wire form), growing the buffer only when a
+/// request has more pairs than any before it, and return those pairs.
+fn wire_pairs<'p, 'i>(
+    pairs: &'p mut Vec<(Snippet, Snippet)>,
+    items: impl IntoIterator<Item = &'i PairRef<'i>>,
+) -> &'p [(Snippet, Snippet)] {
+    let mut n = 0;
+    for item in items {
+        if n == pairs.len() {
+            pairs.push(Default::default());
+        }
+        let (r, s) = &mut pairs[n];
+        r.set_wire(&item.r);
+        s.set_wire(&item.s);
+        n += 1;
+    }
+    &pairs[..n]
 }
 
 /// `POST /v1/score` — body `{"r": "l1|l2|l3", "s": "l1|l2|l3"}`.
@@ -1324,28 +1361,25 @@ fn handle_score<'a>(
     scratch: &mut Scratch<'a>,
     generation: Option<u64>,
 ) -> Response {
-    let sreq = match body_str(req).and_then(|t| ScoreRequest::from_json(t).map_err(bad_request)) {
+    let pair = match body_str(req).and_then(|t| PairRef::from_json(t).map_err(bad_request)) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
     let started = Instant::now();
-    let outcome =
-        scorer.score_pair_outcome(&parse_snippet(&sreq.r), &parse_snippet(&sreq.s), scratch);
+    let outcome = scorer.score_pair_outcome(
+        &Snippet::from_wire(&pair.r),
+        &Snippet::from_wire(&pair.s),
+        scratch,
+    );
     let resp = ScoreResponse::from_outcome(&outcome, started.elapsed().as_micros() as u64)
         .with_generation(generation);
     Response::json(200, resp.to_json())
 }
 
-/// Render a snippet back to the `|`-separated line form of the wire.
-fn render_snippet(s: &Snippet) -> String {
-    let lines: Vec<&str> = s.lines().iter().map(|l| l.text.as_str()).collect();
-    lines.join("|")
-}
-
 /// A beam-searched [`Suggestion`] in its `/v1/suggest` wire form.
 fn suggestion_to_wire(s: &Suggestion) -> SuggestedVariant {
     SuggestedVariant {
-        creative: render_snippet(&s.creative),
+        creative: s.creative.to_wire(),
         score: s.score,
         rewrites: s.steps.iter().map(SuggestedRewrite::from).collect(),
     }
@@ -1389,7 +1423,7 @@ fn handle_suggest<'a>(
         cfg.top_k = k as usize;
     }
     let started = Instant::now();
-    let suggestions = beam_suggest(scorer, &parse_snippet(&sreq.creative), &cfg, scratch);
+    let suggestions = beam_suggest(scorer, &Snippet::from_wire(&sreq.creative), &cfg, scratch);
     let resp = SuggestResponse {
         suggestions: suggestions.iter().map(suggestion_to_wire).collect(),
         fidelity: scorer.fidelity().into(),
@@ -1415,8 +1449,8 @@ fn handle_explain<'a>(
     let started = Instant::now();
     let exp = explain_pair(
         scorer,
-        &parse_snippet(&ereq.r),
-        &parse_snippet(&ereq.s),
+        &Snippet::from_wire(&ereq.r),
+        &Snippet::from_wire(&ereq.s),
         scratch,
     );
     let resp = ExplainResponse {
@@ -1430,11 +1464,15 @@ fn handle_explain<'a>(
     Response::json(200, resp.to_json())
 }
 
-/// `POST /v1/rank` — body `{"creatives": ["l1|l2|l3", ...]}` (≥ 2).
+/// `POST /v1/rank` — body `{"creatives": ["l1|l2|l3", ...]}` (≥ 2). Every
+/// pair of creatives is scored in one engine pass, so the pair count
+/// `n(n−1)/2` is held to [`ServerConfig::max_batch`] like a batch's items;
+/// a longer list answers `413`.
 fn handle_rank<'a>(
     req: &HttpRequest,
     scorer: &Scorer<'a>,
     scratch: &mut Scratch<'a>,
+    shared: &Shared,
     generation: Option<u64>,
 ) -> Response {
     let rreq = match body_str(req).and_then(|t| RankRequest::from_json(t).map_err(bad_request)) {
@@ -1444,7 +1482,19 @@ fn handle_rank<'a>(
     if let Err(e) = rreq.validate() {
         return bad_request(e);
     }
-    let creatives: Vec<Snippet> = rreq.creatives.iter().map(|c| parse_snippet(c)).collect();
+    let n = rreq.creatives.len();
+    let pair_count = n.saturating_mul(n - 1) / 2;
+    if pair_count > shared.cfg.max_batch {
+        return too_large(format!(
+            "rank of {n} creatives is {pair_count} pairs, over the limit of {}",
+            shared.cfg.max_batch
+        ));
+    }
+    let creatives: Vec<Snippet> = rreq
+        .creatives
+        .iter()
+        .map(|c| Snippet::from_wire(c))
+        .collect();
     let started = Instant::now();
     let order = scorer.rank(&creatives, scratch);
     let resp = RankResponse::from_zero_based(
@@ -1457,38 +1507,39 @@ fn handle_rank<'a>(
 }
 
 /// `POST /v1/batch` — body `[{"r": …, "s": …}, …]`, at most
-/// [`ServerConfig::max_batch`] items. The whole array goes through one
-/// [`Scorer::score_batch`] pass; the response carries a per-item
-/// [`ScoreResponse`] (own latency each) plus the aggregate wall time.
+/// [`ServerConfig::max_batch`] items. The body is decoded in place
+/// ([`BatchRequest::from_json_borrowed`]) into the connection's reused
+/// snippet pairs, the whole array goes through one [`Scorer::score_batch`]
+/// pass, and the response — a per-item [`ScoreResponse`] (own latency
+/// each) plus the aggregate wall time — is rendered into one buffer.
 fn handle_batch<'a>(
     req: &HttpRequest,
     scorer: &Scorer<'a>,
     scratch: &mut Scratch<'a>,
+    pairs: &mut Vec<(Snippet, Snippet)>,
     shared: &Shared,
     generation: Option<u64>,
 ) -> Response {
-    let breq = match body_str(req).and_then(|t| BatchRequest::from_json(t).map_err(bad_request)) {
+    let items = match body_str(req)
+        .and_then(|t| BatchRequest::from_json_borrowed(t).map_err(bad_request))
+    {
         Ok(v) => v,
         Err(resp) => return resp,
     };
-    if breq.items.len() > shared.cfg.max_batch {
+    if items.len() > shared.cfg.max_batch {
         return too_large(format!(
             "batch of {} items over the limit of {}",
-            breq.items.len(),
+            items.len(),
             shared.cfg.max_batch
         ));
     }
     obs::counter!("microbrowse_batch_requests_total").inc();
-    obs::counter!("microbrowse_batch_items_total").add(breq.items.len() as u64);
-    obs::histogram!("microbrowse_batch_size").observe_us(breq.items.len() as u64);
+    obs::counter!("microbrowse_batch_items_total").add(items.len() as u64);
+    obs::histogram!("microbrowse_batch_size").observe_us(items.len() as u64);
 
-    let pairs: Vec<(Snippet, Snippet)> = breq
-        .items
-        .iter()
-        .map(|item| (parse_snippet(&item.r), parse_snippet(&item.s)))
-        .collect();
+    let pairs = wire_pairs(pairs, &items);
     let started = Instant::now();
-    let (scores, latencies) = scorer.score_batch_timed(&pairs, scratch);
+    let (scores, latencies) = scorer.score_batch_timed(pairs, scratch);
     let fidelity: Fidelity = scorer.fidelity().into();
     let results: Vec<ScoreResponse> = scores
         .iter()
@@ -1604,22 +1655,19 @@ fn serve_score_group<'a>(
     group: &[HttpRequest],
     scorer: &Scorer<'a>,
     scratch: &mut Scratch<'a>,
+    pairs: &mut Vec<(Snippet, Snippet)>,
     generation: Option<u64>,
 ) -> Vec<Response> {
     let mut span = obs::trace::span("serve.coalesced").with("size", group.len() as u64);
     obs::counter!("microbrowse_batch_coalesced_total").add(group.len() as u64);
     obs::histogram!("microbrowse_batch_size").observe_us(group.len() as u64);
 
-    let parsed: Vec<Result<ScoreRequest, Response>> = group
+    let parsed: Vec<Result<PairRef<'_>, Response>> = group
         .iter()
-        .map(|req| body_str(req).and_then(|t| ScoreRequest::from_json(t).map_err(bad_request)))
+        .map(|req| body_str(req).and_then(|t| PairRef::from_json(t).map_err(bad_request)))
         .collect();
-    let pairs: Vec<(Snippet, Snippet)> = parsed
-        .iter()
-        .filter_map(|p| p.as_ref().ok())
-        .map(|sreq| (parse_snippet(&sreq.r), parse_snippet(&sreq.s)))
-        .collect();
-    let (scores, latencies) = scorer.score_batch_timed(&pairs, scratch);
+    let pairs = wire_pairs(pairs, parsed.iter().filter_map(|p| p.as_ref().ok()));
+    let (scores, latencies) = scorer.score_batch_timed(pairs, scratch);
     let fidelity: Fidelity = scorer.fidelity().into();
 
     let mut scored = scores.iter().zip(&latencies);

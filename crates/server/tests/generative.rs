@@ -274,6 +274,9 @@ fn error_envelopes_are_byte_exact_per_status() {
     let syntax_error = ScoreRequest::from_json("{not json")
         .expect_err("malformed JSON must not parse")
         .to_string();
+    // At this server's max_batch of 2 any ranking over 2 creatives is too
+    // many pairs; 24 creatives is the first count over the default cap.
+    let rank_24: &'static str = rank_body(24).leak();
     let cases = [
         Case {
             name: "score body not JSON",
@@ -314,6 +317,48 @@ fn error_envelopes_are_byte_exact_per_status() {
             status: 400,
             error: v1::BATCH_REQUEST_SHAPE.to_string(),
             code: v1::CODE_BAD_REQUEST,
+        },
+        Case {
+            name: "batch body truncated",
+            method: "POST",
+            path: "/v1/batch",
+            headers: &[],
+            body: Some(r#"[{"r":"a","s":"b"},{"r":"c","s":"#),
+            status: 400,
+            error: "body is not valid JSON (error at byte 32)".to_string(),
+            code: v1::CODE_BAD_REQUEST,
+        },
+        Case {
+            name: "batch item r is a number",
+            method: "POST",
+            path: "/v1/batch",
+            headers: &[],
+            body: Some(r#"[{"r":"a","s":"b"},{"r":1,"s":"d"}]"#),
+            status: 400,
+            error: v1::BATCH_REQUEST_SHAPE.to_string(),
+            code: v1::CODE_BAD_REQUEST,
+        },
+        Case {
+            // The escaped key decodes to "r", so the item is well formed
+            // and the batch fails only its size cap.
+            name: "batch item with an escaped key",
+            method: "POST",
+            path: "/v1/batch",
+            headers: &[],
+            body: Some(r#"[{"\u0072":"a","s":"b"},{"r":"c","s":"d"},{"r":"e","s":"f"}]"#),
+            status: 413,
+            error: "batch of 3 items over the limit of 2".to_string(),
+            code: v1::CODE_TOO_LARGE,
+        },
+        Case {
+            name: "rank over the pair cap",
+            method: "POST",
+            path: "/v1/rank",
+            headers: &[],
+            body: Some(rank_24),
+            status: 413,
+            error: "rank of 24 creatives is 276 pairs, over the limit of 2".to_string(),
+            code: v1::CODE_TOO_LARGE,
         },
         Case {
             name: "suggest body missing creative",
@@ -460,6 +505,34 @@ fn error_envelopes_are_byte_exact_per_status() {
         .post("/v1/score", r#"{"r":"cheap|a","s":"b|c"}"#)
         .expect("good after the audit");
     assert_eq!(resp.status, 200, "{}", resp.body_str());
+    handle.shutdown();
+}
+
+/// A `/v1/rank` body with `n` distinct creatives.
+fn rank_body(n: usize) -> String {
+    let creatives = (0..n)
+        .map(|i| format!("cheap offer {i}|line two"))
+        .collect();
+    v1::RankRequest { creatives }.to_json()
+}
+
+#[test]
+fn rank_pairs_are_capped_at_max_batch() {
+    let handle = start(ServerConfig::default(), term_only_bundle()).expect("start");
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    // 23 creatives are 253 pairs, within the default max_batch of 256.
+    let resp = c.post("/v1/rank", &rank_body(23)).expect("rank 23");
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let ranked = v1::RankResponse::from_json(&resp.body_str()).expect("rank response");
+    assert_eq!(ranked.order.len(), 23);
+    // 24 are 276 pairs: the same 413 an over-cap batch gets.
+    let resp = c.post("/v1/rank", &rank_body(24)).expect("rank 24");
+    assert_eq!(resp.status, 413, "{}", resp.body_str());
+    let expected = ErrorEnvelope::with_code(
+        "rank of 24 creatives is 276 pairs, over the limit of 256",
+        v1::CODE_TOO_LARGE,
+    );
+    assert_eq!(resp.body_str(), expected.to_json());
     handle.shutdown();
 }
 

@@ -50,6 +50,48 @@ impl Snippet {
         Self { lines }
     }
 
+    /// A creative from its wire form: lines separated by `|`, each trimmed
+    /// (`"Cheap Flights | book today"`), capped at [`MAX_LINES`] like
+    /// [`Snippet::from_lines`]. This is the spelling `/v1/score`, the CLI and
+    /// the feedback journal share.
+    pub fn from_wire(text: &str) -> Self {
+        let mut snippet = Self::default();
+        snippet.set_wire(text);
+        snippet
+    }
+
+    /// Overwrite this snippet with the creative `text` spells in wire form,
+    /// reusing the existing line buffers. The result equals
+    /// [`Snippet::from_wire`]`(text)`; with warmed-up buffers it allocates
+    /// nothing unless a line outgrows its buffer or a line is added.
+    pub fn set_wire(&mut self, text: &str) {
+        let mut n = 0;
+        for part in text.split('|').take(MAX_LINES) {
+            let part = part.trim();
+            match self.lines.get_mut(n) {
+                Some(line) => {
+                    line.text.clear();
+                    line.text.push_str(part);
+                }
+                None => self.lines.push(Line::new(part)),
+            }
+            n += 1;
+        }
+        self.lines.truncate(n);
+    }
+
+    /// The wire form: the lines joined by `|`.
+    pub fn to_wire(&self) -> String {
+        let mut out = String::new();
+        for (i, line) in self.lines.iter().enumerate() {
+            if i > 0 {
+                out.push('|');
+            }
+            out.push_str(&line.text);
+        }
+        out
+    }
+
     /// The classic 3-line creative constructor used throughout the paper's
     /// examples.
     pub fn creative(
@@ -176,6 +218,21 @@ mod tests {
         let many: Vec<String> = (0..20).map(|i| format!("line {i}")).collect();
         let s = Snippet::from_lines(many);
         assert_eq!(s.num_lines(), MAX_LINES);
+    }
+
+    #[test]
+    fn wire_form_round_trips_trimmed_lines() {
+        let s = Snippet::from_wire(" Cheap Flights |book today|| ");
+        assert_eq!(
+            s,
+            Snippet::from_lines(["Cheap Flights", "book today", "", ""])
+        );
+        assert_eq!(s.to_wire(), "Cheap Flights|book today||");
+        assert_eq!(Snippet::from_wire("").num_lines(), 1);
+        assert_eq!(Snippet::from_wire(&"x|".repeat(20)).num_lines(), MAX_LINES);
+        let mut reused = Snippet::from_wire("a|b|c|d");
+        reused.set_wire("e");
+        assert_eq!(reused, Snippet::from_wire("e"));
     }
 
     #[test]
