@@ -15,7 +15,7 @@
 //! pairs/second for each, the engine-over-reference speedup (the two are
 //! timed in alternating rounds, so host drift moves both alike), a
 //! statistics-lookup microbenchmark (`StatsDb` hash probe vs compiled
-//! binary search vs the fixed-point q16 variant), and the alignment-cache
+//! binary search), and the alignment-cache
 //! hit, miss, admission and deferral counters from an instrumented pass. Results land in
 //! `results/BENCH_score_hot.json`.
 //!
@@ -269,8 +269,7 @@ fn main() {
         microbrowse_obs::counter!("microbrowse_aligncache_deferred_total").get() - deferred0;
 
     // Lookup microbenchmark: every recorded key plus misses probed through
-    // the hash-map path, the compiled binary-search path, and the
-    // fixed-point q16 variant.
+    // the hash-map path and the compiled binary-search path.
     let mut probes: Vec<FeatureKey> = stats.sorted_records().into_iter().map(|(k, _)| k).collect();
     for i in 0..probes.len().min(512) {
         probes.push(FeatureKey::term(format!("zz-missing-{i}")));
@@ -281,11 +280,10 @@ fn main() {
         stats.get(k).map_or(0.0, |s| s.log_odds(1.0))
     });
     let ns_compiled = time_lookups(&probes, lookup_reps, |k| table.log_odds(k));
-    let ns_q16 = time_lookups(&probes, lookup_reps, |k| table.log_odds_q16(k) as f64);
 
     let speedup = engine_pps / reference_pps;
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"reference\": {{\n    \"elapsed_s\": {reference_s:.4},\n    \"pairs_per_s\": {reference_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses},\n    \"align_cache_admitted\": {cache_admitted},\n    \"align_cache_deferred\": {cache_deferred}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate:.2},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1},\n    \"compiled_q16\": {ns_q16:.1}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"reference\": {{\n    \"elapsed_s\": {reference_s:.4},\n    \"pairs_per_s\": {reference_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses},\n    \"align_cache_admitted\": {cache_admitted},\n    \"align_cache_deferred\": {cache_deferred}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate:.2},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1}\n  }}\n}}\n",
         stats.len(),
         model.vocab.len(),
         pairs.len(),

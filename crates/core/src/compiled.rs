@@ -7,24 +7,31 @@
 //! [`crate::serve::ServingBundle`] load we compile the database once into an
 //! immutable [`CompiledFeatureTable`]:
 //!
-//! * every phrase string is interned into a private, dense id space;
+//! * every phrase the database or the model vocabulary mentions is
+//!   interned into one frozen [`Interner`], the *bundle vocabulary*; a
+//!   serving scratch interns over it
+//!   ([`Interner::with_base`]), so a vocabulary phrase has the same id in
+//!   every scratch and every id this table indexes is one of them;
 //! * term stats become a direct-indexed slice (phrase id → entry);
 //! * rewrite and position stats become sorted packed-integer key slices
 //!   probed by branch-free binary search;
-//! * per-entry derived values — the α=1 log-odds as `f64`, a Q16.16
-//!   fixed-point `i32` variant for degraded-fidelity experimentation, and
-//!   the greedy matcher's candidate score — are resolved once at compile
-//!   time instead of per probe.
+//! * per-entry derived values — the α=1 log-odds and the greedy matcher's
+//!   candidate score — are resolved once at compile time instead of per
+//!   probe;
+//! * every model-vocabulary feature maps to its weight index.
 //!
 //! Lookups are bit-identical to [`StatsDb::get`] (proptest-enforced in
 //! `tests/prop_hot.rs`): the table stores the *same* [`FeatureStat`] values
 //! and derives scores with the *same* expressions, so swapping the engine in
 //! cannot move a score by even one ULP.
 
+use std::sync::Arc;
+
 use microbrowse_store::key::SnippetPos;
 use microbrowse_store::{FeatureKey, FeatureStat, StatsDb};
-use microbrowse_text::{Interner, Sym};
+use microbrowse_text::{FxHashMap, Interner, Sym};
 
+use crate::features::{OwnedTermFeat, TermFeat};
 use crate::paircache::AlignCache;
 use crate::rewrite::{greedy_candidate_score, RewriteEvidence};
 
@@ -36,13 +43,14 @@ const NO_ENTRY: u32 = u32::MAX;
 /// Unreachable for any database that fits in memory (2^32 records is
 /// hundreds of gigabytes of keys alone) — but an impossible-size database
 /// must fail *loudly* at load time rather than silently alias the
-/// [`NO_ENTRY`] sentinel or wrap a [`SymTableMap`] slot and mis-resolve
-/// keys.
+/// `NO_ENTRY` sentinel or leave no room for scratch-local ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
     /// More records than entry indices can address.
     TooManyRecords(usize),
-    /// More distinct phrases than phrase ids can address.
+    /// More distinct phrases than half the 32-bit id space; the upper half
+    /// is left to the strings a serving scratch meets outside the
+    /// vocabulary.
     TooManyPhrases(usize),
 }
 
@@ -63,9 +71,6 @@ impl std::fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
-
-/// Fixed-point scale for the `i32` log-odds variant: Q16.16.
-const Q16: f64 = 65536.0;
 
 #[inline]
 fn pack_pos(p: SnippetPos) -> u32 {
@@ -90,10 +95,6 @@ pub struct CompiledStat {
     pub stat: FeatureStat,
     /// `stat.log_odds(1.0)`, resolved at compile time.
     pub log_odds: f64,
-    /// Q16.16 fixed-point rounding of `log_odds`, for the degraded-fidelity
-    /// integer scoring experiments (never used on the full-fidelity path —
-    /// it is lossy by construction).
-    pub log_odds_q16: i32,
     /// The greedy rewrite matcher's candidate score for this entry
     /// (evidence mass + effect-size tiebreak), precomputed with the exact
     /// expression `match_line` uses.
@@ -102,13 +103,9 @@ pub struct CompiledStat {
 
 impl CompiledStat {
     fn new(stat: FeatureStat) -> Self {
-        let log_odds = stat.log_odds(1.0);
         Self {
             stat,
-            log_odds,
-            log_odds_q16: (log_odds * Q16)
-                .round()
-                .clamp(i32::MIN as f64, i32::MAX as f64) as i32,
+            log_odds: stat.log_odds(1.0),
             greedy_score: greedy_candidate_score(&stat),
         }
     }
@@ -130,14 +127,16 @@ pub struct RewriteNeighbor {
     pub stored_from: bool,
 }
 
-/// An immutable, probe-optimized compilation of a [`StatsDb`].
+/// An immutable, probe-optimized compilation of a [`StatsDb`] and a model
+/// vocabulary.
 ///
 /// Built once per [`crate::serve::ServingBundle`]; shared read-only across
 /// worker threads behind the bundle's `Arc`.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledFeatureTable {
-    /// Private dense id space over every phrase any key mentions.
-    phrases: Interner,
+    /// The bundle vocabulary: every phrase any key or vocabulary feature
+    /// mentions, database phrases first (in record order).
+    phrases: Arc<Interner>,
     /// Phrase id → rank of the phrase in lexicographic string order.
     /// Lets canonical-order decisions compare two `u32`s instead of two
     /// strings.
@@ -167,15 +166,25 @@ pub struct CompiledFeatureTable {
     /// each list is in sorted packed-key order, so enumeration is
     /// deterministic for a given database.
     rw_adj: Vec<RewriteNeighbor>,
+    /// Model-vocabulary feature (over `phrases` ids) → weight index.
+    weight_index: FxHashMap<TermFeat, u32>,
 }
 
 impl CompiledFeatureTable {
-    /// Compile `db` into the probe-optimized form. Deterministic: the same
-    /// database always produces the same table (input is
-    /// [`StatsDb::sorted_records`]). Fails with [`CompileError`] on a
-    /// database too large for the table's 32-bit id spaces — impossible in
-    /// practice, but a load-time error beats silently mis-resolving keys.
+    /// Compile `db` alone (an empty model vocabulary); see
+    /// [`Self::compile_with_vocab`].
     pub fn compile(db: &StatsDb) -> Result<Self, CompileError> {
+        Self::compile_with_vocab(db, &[])
+    }
+
+    /// Compile `db` and the model vocabulary `vocab` into the
+    /// probe-optimized form. Deterministic: the same inputs always produce
+    /// the same table (database input is [`StatsDb::sorted_records`]), and
+    /// database phrases get the same ids whatever the vocabulary. Fails
+    /// with [`CompileError`] on inputs too large for the table's 32-bit id
+    /// spaces — impossible in practice, but a load-time error beats
+    /// silently mis-resolving keys.
+    pub fn compile_with_vocab(db: &StatsDb, vocab: &[OwnedTermFeat]) -> Result<Self, CompileError> {
         // One entry per record, so bounding the record count up front makes
         // every entry-index cast below infallible and keeps real indices
         // clear of the NO_ENTRY sentinel.
@@ -183,20 +192,20 @@ impl CompiledFeatureTable {
             return Err(CompileError::TooManyRecords(db.len()));
         }
         let mut t = Self::default();
+        let mut phrases = Interner::new();
+        let mut intern = |phrase: &str| phrases.intern(phrase).0;
         let mut rewrites: Vec<(u64, u32)> = Vec::new();
         let mut term_pos: Vec<(u32, u32)> = Vec::new();
         let mut rw_pos: Vec<(u64, u32)> = Vec::new();
+        let mut term_stats: Vec<(u32, u32)> = Vec::new();
         for (key, stat) in db.sorted_records() {
             let idx = t.entries.len() as u32;
             t.entries.push(CompiledStat::new(stat));
             match key {
-                FeatureKey::Term { phrase } => {
-                    let id = t.intern_phrase(&phrase);
-                    t.term_entry[id as usize] = idx;
-                }
+                FeatureKey::Term { phrase } => term_stats.push((intern(&phrase), idx)),
                 FeatureKey::Rewrite { from, to } => {
-                    let fid = t.intern_phrase(&from);
-                    let tid = t.intern_phrase(&to);
+                    let fid = intern(&from);
+                    let tid = intern(&to);
                     rewrites.push((pack_rw(fid, tid), idx));
                 }
                 FeatureKey::TermPosition(p) => term_pos.push((pack_pos(p), idx)),
@@ -205,10 +214,22 @@ impl CompiledFeatureTable {
                 }
             }
         }
-        // Phrase ids must survive the `id + 2` encoding of `SymTableMap`
-        // without wrapping (largest id is `len - 1`).
-        if t.phrases.len() > (u32::MAX - 2) as usize {
-            return Err(CompileError::TooManyPhrases(t.phrases.len()));
+        // Weight indices follow the featurizer's vocabulary numbering: the
+        // next index goes to each feature not seen earlier in the list.
+        for owned in vocab {
+            let feat = match owned {
+                OwnedTermFeat::Term(p) => TermFeat::Term(Sym(intern(p))),
+                OwnedTermFeat::Rewrite(a, b) => TermFeat::Rewrite(Sym(intern(a)), Sym(intern(b))),
+            };
+            let next = t.weight_index.len() as u32;
+            t.weight_index.entry(feat).or_insert(next);
+        }
+        if phrases.len() > (u32::MAX / 2) as usize {
+            return Err(CompileError::TooManyPhrases(phrases.len()));
+        }
+        t.term_entry = vec![NO_ENTRY; phrases.len()];
+        for (id, idx) in term_stats {
+            t.term_entry[id as usize] = idx;
         }
         rewrites.sort_unstable_by_key(|&(k, _)| k);
         term_pos.sort_unstable_by_key(|&(k, _)| k);
@@ -218,9 +239,9 @@ impl CompiledFeatureTable {
         (t.rw_pos_keys, t.rw_pos_entries) = rw_pos.into_iter().unzip();
 
         // Lexicographic ranks over the phrase id space.
-        let mut by_string: Vec<u32> = (0..t.phrases.len() as u32).collect();
-        by_string.sort_unstable_by_key(|&id| t.phrases.resolve(Sym(id)));
-        t.lex_rank = vec![0; t.phrases.len()];
+        let mut by_string: Vec<u32> = (0..phrases.len() as u32).collect();
+        by_string.sort_unstable_by_key(|&id| phrases.resolve(Sym(id)));
+        t.lex_rank = vec![0; phrases.len()];
         for (rank, &id) in by_string.iter().enumerate() {
             t.lex_rank[id as usize] = rank as u32;
         }
@@ -230,7 +251,7 @@ impl CompiledFeatureTable {
         // `from` phrase and one to its `to` phrase (one edge total for the
         // degenerate self-rewrite). Filling in sorted-key order keeps every
         // neighbor list deterministic for a given database.
-        let n = t.phrases.len();
+        let n = phrases.len();
         let mut start = vec![0u32; n + 1];
         for &key in &t.rewrite_keys {
             let (from, to) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
@@ -269,15 +290,8 @@ impl CompiledFeatureTable {
             }
         }
         t.rw_adj_start = start;
+        t.phrases = Arc::new(phrases);
         Ok(t)
-    }
-
-    fn intern_phrase(&mut self, phrase: &str) -> u32 {
-        let sym = self.phrases.intern(phrase);
-        if self.term_entry.len() < self.phrases.len() {
-            self.term_entry.resize(self.phrases.len(), NO_ENTRY);
-        }
-        sym.0
     }
 
     /// Number of compiled entries (equals the source database's key count).
@@ -290,14 +304,29 @@ impl CompiledFeatureTable {
         self.entries.is_empty()
     }
 
-    /// Number of distinct phrases across all term and rewrite keys.
+    /// Number of distinct phrases across all term and rewrite keys and
+    /// the model vocabulary.
     pub fn num_phrases(&self) -> usize {
         self.phrases.len()
     }
 
-    /// The table's private id for `phrase`, if any key mentions it.
+    /// The bundle vocabulary: the frozen interner whose symbols are this
+    /// table's phrase ids.
+    pub fn phrases(&self) -> &Arc<Interner> {
+        &self.phrases
+    }
+
+    /// The table's id for `phrase`, if any key or vocabulary feature
+    /// mentions it.
     pub fn phrase_id(&self, phrase: &str) -> Option<u32> {
         self.phrases.get(phrase).map(|s| s.0)
+    }
+
+    /// The weight index of a model-vocabulary feature (phrases as table
+    /// ids; rewrites in canonical order), or `None` for a feature the model
+    /// does not price.
+    pub fn weight_index(&self, feat: TermFeat) -> Option<u32> {
+        self.weight_index.get(&feat).copied()
     }
 
     /// The phrase string for a table id previously returned by
@@ -384,95 +413,31 @@ impl CompiledFeatureTable {
     pub fn log_odds(&self, key: &FeatureKey) -> f64 {
         self.get_compiled(key).map_or(0.0, |c| c.log_odds)
     }
-
-    /// Q16.16 fixed-point log-odds for `key` (`0` when unseen). Lossy; for
-    /// the degraded-fidelity integer path and its microbenchmarks only.
-    pub fn log_odds_q16(&self, key: &FeatureKey) -> i32 {
-        self.get_compiled(key).map_or(0, |c| c.log_odds_q16)
-    }
-
-    /// Convert a Q16.16 fixed-point log-odds back to `f64`.
-    pub fn q16_to_f64(q: i32) -> f64 {
-        q as f64 / Q16
-    }
 }
 
-/// Lazily-built memo from one scratch interner's symbols to table phrase
-/// ids.
-///
-/// Each [`crate::serve::Scratch`] owns one. Validity rests on two
-/// immutabilities: an [`Interner`] never renumbers a symbol, and the table
-/// is frozen for the bundle's lifetime — so a memoized `Sym → id` answer
-/// can never go stale within the scratch's lifetime.
-#[derive(Debug, Default)]
-pub struct SymTableMap {
-    /// Per-symbol state: `0` = not looked up yet, `1` = known absent from
-    /// the table, otherwise `table_id + 2`.
-    map: Vec<u32>,
-}
-
-impl SymTableMap {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Table phrase id for `sym`, resolving through `interner` on first
-    /// sight and memoizing the answer (including misses).
-    pub fn table_id(
-        &mut self,
-        sym: Sym,
-        interner: &Interner,
-        table: &CompiledFeatureTable,
-    ) -> Option<u32> {
-        let i = sym.index();
-        if i >= self.map.len() {
-            self.map.resize(i + 1, 0);
-        }
-        match self.map[i] {
-            0 => {
-                let id = table.phrase_id(interner.resolve(sym));
-                self.map[i] = match id {
-                    None => 1,
-                    Some(id) => id + 2,
-                };
-                id
-            }
-            1 => None,
-            v => Some(v - 2),
-        }
-    }
-}
-
-/// [`RewriteEvidence`] backed by a [`CompiledFeatureTable`]: candidate
-/// pairs resolve through the scratch's [`SymTableMap`] memo (O(1) rejection
-/// once either phrase is known absent) and a single binary search — no
-/// string hashing, no key allocation.
-pub struct CompiledEvidence<'a> {
-    table: &'a CompiledFeatureTable,
-    memo: &'a mut SymTableMap,
-}
-
-impl<'a> CompiledEvidence<'a> {
-    /// Bind the table to a scratch memo for one extraction.
-    pub fn new(table: &'a CompiledFeatureTable, memo: &'a mut SymTableMap) -> Self {
-        Self { table, memo }
-    }
-}
+/// [`RewriteEvidence`] backed by a [`CompiledFeatureTable`]: a candidate
+/// pair is one binary search — no string hashing, no key allocation. The
+/// extraction's interner must be layered over [`CompiledFeatureTable::phrases`],
+/// so its symbols below [`CompiledFeatureTable::num_phrases`] are table ids;
+/// any other symbol is a phrase the database never recorded.
+pub(crate) struct CompiledEvidence<'a>(pub(crate) &'a CompiledFeatureTable);
 
 impl RewriteEvidence for CompiledEvidence<'_> {
-    fn candidate_score(&mut self, from: Sym, to: Sym, interner: &Interner) -> Option<f64> {
-        let a = self.memo.table_id(from, interner, self.table)?;
-        let b = self.memo.table_id(to, interner, self.table)?;
-        self.table.greedy_rewrite_score(a, b)
+    fn candidate_score(&self, from: Sym, to: Sym, _interner: &Interner) -> Option<f64> {
+        let n = self.0.num_phrases();
+        if from.index() < n && to.index() < n {
+            self.0.greedy_rewrite_score(from.0, to.0)
+        } else {
+            None
+        }
     }
 }
 
 /// The serving hot-path engine: the compiled table plus the cross-batch
 /// rewrite-alignment cache. Owned by a [`crate::serve::ServingBundle`], so a
 /// hot reload swaps in a freshly compiled table *and* an empty cache in one
-/// `Arc` swap — stale alignments can never outlive the statistics they were
-/// scored under.
+/// `Arc` swap — stale alignments can never outlive the statistics and the
+/// model they were scored under.
 #[derive(Debug, Default)]
 pub struct ScoringEngine {
     table: CompiledFeatureTable,
@@ -480,12 +445,12 @@ pub struct ScoringEngine {
 }
 
 impl ScoringEngine {
-    /// Compile `db` and pair it with an empty alignment cache. Fails only
-    /// on a database too large for the table's id spaces (see
-    /// [`CompileError`]).
-    pub fn compile(db: &StatsDb) -> Result<Self, CompileError> {
+    /// Compile `db` with the model vocabulary `vocab` and pair them with an
+    /// empty alignment cache. Fails only on inputs too large for the
+    /// table's id spaces (see [`CompileError`]).
+    pub fn compile(db: &StatsDb, vocab: &[OwnedTermFeat]) -> Result<Self, CompileError> {
         Ok(Self {
-            table: CompiledFeatureTable::compile(db)?,
+            table: CompiledFeatureTable::compile_with_vocab(db, vocab)?,
             align: AlignCache::new(),
         })
     }
@@ -549,7 +514,6 @@ mod tests {
         ] {
             assert_eq!(table.get(&miss), None, "miss {miss:?}");
             assert_eq!(table.log_odds(&miss), 0.0);
-            assert_eq!(table.log_odds_q16(&miss), 0);
         }
     }
 
@@ -607,27 +571,37 @@ mod tests {
     }
 
     #[test]
-    fn q16_round_trips_within_tolerance() {
-        let stat = FeatureStat { up: 1000, down: 3 };
-        let c = CompiledStat::new(stat);
-        let back = CompiledFeatureTable::q16_to_f64(c.log_odds_q16);
-        assert!((back - c.log_odds).abs() <= 0.5 / Q16 + 1e-12);
-    }
-
-    #[test]
-    fn sym_table_map_memoizes_hits_and_misses() {
+    fn vocabulary_phrases_follow_database_phrases() {
         let db = demo_db();
-        let table = CompiledFeatureTable::compile(&db).expect("compile");
-        let mut interner = Interner::new();
-        let hit = interner.intern("cheap");
-        let miss = interner.intern("nope");
-        let mut memo = SymTableMap::new();
-        for _ in 0..2 {
-            assert_eq!(
-                memo.table_id(hit, &interner, &table),
-                table.phrase_id("cheap")
-            );
-            assert_eq!(memo.table_id(miss, &interner, &table), None);
+        let plain = CompiledFeatureTable::compile(&db).expect("compile");
+        let vocab = [
+            OwnedTermFeat::Term("cheap".into()),
+            OwnedTermFeat::Rewrite("book now".into(), "cheap".into()),
+            OwnedTermFeat::Term("cheap".into()),
+            OwnedTermFeat::Term("fees".into()),
+        ];
+        let table = CompiledFeatureTable::compile_with_vocab(&db, &vocab).expect("compile");
+        // Database phrases keep their ids; vocabulary-only phrases follow.
+        let n = plain.num_phrases();
+        for id in 0..n as u32 {
+            assert_eq!(table.resolve_phrase(id), plain.resolve_phrase(id));
         }
+        assert_eq!(table.num_phrases(), n + 2);
+        let book_now = table.phrase_id("book now").expect("vocabulary phrase");
+        let fees = table.phrase_id("fees").expect("vocabulary phrase");
+        assert!(book_now as usize >= n && fees as usize >= n);
+        assert!(table.rewrite_neighbors(fees).is_empty());
+        assert!(table.lex_le(book_now, fees));
+        // Weight indices number distinct features in list order, as the
+        // featurizer's preloaded vocabulary does: the duplicate "cheap"
+        // takes no index of its own.
+        let cheap = Sym(table.phrase_id("cheap").expect("cheap"));
+        assert_eq!(table.weight_index(TermFeat::Term(cheap)), Some(0));
+        assert_eq!(
+            table.weight_index(TermFeat::Rewrite(Sym(book_now), cheap)),
+            Some(1)
+        );
+        assert_eq!(table.weight_index(TermFeat::Term(Sym(fees))), Some(2));
+        assert_eq!(table.weight_index(TermFeat::Term(Sym(book_now))), None);
     }
 }

@@ -1,8 +1,8 @@
 //! Span-level score attributions for a scored creative pair.
 //!
-//! `POST /v1/explain`'s core: re-run a pair through the featurizer keeping
-//! each occurrence's source span ([`crate::features::ExplainRecord`]), then
-//! price every record against the trained classifier weights. The result is
+//! `POST /v1/explain`'s core: walk a pair's features once more keeping each
+//! occurrence's source span, then price every record against the trained
+//! classifier weights. The result is
 //! the model-internal analogue of a word diff — each aligned span annotated
 //! with the log-odds it contributes to the pair's margin — and the per-span
 //! contributions plus the intercept sum back to the exact score
@@ -13,7 +13,7 @@
 use microbrowse_text::Snippet;
 
 use crate::classifier::TrainedClassifier;
-use crate::features::{ExplainRecord, SpanSide, TermFeat};
+use crate::features::{PairFeature, SpanSide, TermFeat};
 use crate::serve::{Fidelity, Scorer, Scratch};
 
 /// What kind of model feature a span attribution prices.
@@ -70,27 +70,19 @@ pub struct Explanation {
     pub fidelity: Fidelity,
 }
 
-/// Weight of one explain record under the trained classifier, using the
+/// Weight of one walked feature under the trained classifier, using the
 /// exact lookup rules of the scoring paths (absent ⇒ 0).
-fn record_weight(classifier: &TrainedClassifier, rec: &ExplainRecord) -> f64 {
+fn record_weight(classifier: &TrainedClassifier, rec: &PairFeature, index: Option<u32>) -> f64 {
+    let weight = |ws: &[f64]| index.and_then(|i| ws.get(i as usize)).copied();
     match classifier {
-        TrainedClassifier::Flat(lr) => lr
-            .weights()
-            .get(rec.feat_id as usize)
-            .copied()
-            .unwrap_or(0.0),
+        TrainedClassifier::Flat(lr) => weight(lr.weights()).unwrap_or(0.0),
         TrainedClassifier::Coupled(cm) => {
             let p = cm
                 .pos_weights()
                 .get(rec.pos_group as usize)
                 .copied()
                 .unwrap_or(0.0);
-            let t = cm
-                .term_weights()
-                .get(rec.feat_id as usize)
-                .copied()
-                .unwrap_or(0.0);
-            p * t
+            p * weight(cm.term_weights()).unwrap_or(0.0)
         }
     }
 }
@@ -98,9 +90,9 @@ fn record_weight(classifier: &TrainedClassifier, rec: &ExplainRecord) -> f64 {
 /// Attribute the score of the pair `(r, s)` span by span.
 ///
 /// The served score is computed first through the scorer's engine, then
-/// the featurizer re-collects the pair's occurrences with spans attached
-/// and prices each against the classifier. Contributions therefore
-/// decompose the *served* number: `bias + Σ spans[i].contribution` equals
+/// the pair's features are walked again with spans attached and each is
+/// priced against the classifier. Contributions therefore decompose the
+/// *served* number: `bias + Σ spans[i].contribution` equals
 /// [`Explanation::score`] up to float-summation order.
 pub fn explain_pair<'a>(
     scorer: &Scorer<'a>,
@@ -115,21 +107,18 @@ pub fn explain_pair<'a>(
         TrainedClassifier::Coupled(cm) => cm.bias(),
     };
 
-    let (interner, featurizer) = scratch.explain_parts();
-    let tok_r = r.tokenize(scorer.tokenizer(), interner);
-    let tok_s = s.tokenize(scorer.tokenizer(), interner);
-    let recs = featurizer.explain_features(&tok_r, &tok_s, interner);
-
+    let recs = scorer.explain_features(r, s, scratch);
+    let interner = scratch.interner();
     let spans = recs
         .iter()
-        .map(|rec| {
-            let weight = record_weight(classifier, rec);
+        .map(|(rec, index)| {
+            let weight = record_weight(classifier, rec, *index);
             let (kind, text, to) = match rec.feat {
                 TermFeat::Term(sym) => (SpanKind::Term, interner.resolve(sym).to_owned(), None),
                 TermFeat::Rewrite(a, b) => {
                     // The vocabulary feature is canonical-ordered; the sign
                     // of the value recovers the direction actually observed
-                    // (see `ExplainRecord::value`).
+                    // (see `PairFeature::value`).
                     let (from_sym, to_sym) = if rec.value >= 0.0 { (a, b) } else { (b, a) };
                     (
                         SpanKind::Rewrite,

@@ -20,6 +20,12 @@
 //! When a model is "+init", the feature statistics database supplies the
 //! starting weights: term/rewrite log-odds for relevance weights and
 //! position odds for position weights (§V-D.1).
+//!
+//! Which occurrences a pair yields, in what order, is decided in one place:
+//! the feature walk (`walk_features`). Training numbers the walked features
+//! into its growing vocabulary ([`Featurizer`]), the serving engine looks up
+//! their weight indices, and explanations record their spans — three sinks
+//! of one walk.
 
 use microbrowse_ml::{CoupledDataset, CoupledExample, CoupledFeature, Dataset, Example, SparseVec};
 use microbrowse_store::key::SnippetPos;
@@ -140,21 +146,13 @@ pub enum SpanSide {
     S,
 }
 
-/// One feature occurrence with its source span, produced by
-/// [`Featurizer::explain_features`] for the attribution path
-/// (`crate::explain`).
-///
-/// The `(feat, feat_id, pos_group, value)` projection of the record stream
-/// is exactly what [`Featurizer::encode_flat`] /
-/// [`Featurizer::encode_coupled`] collect for the same pair, in the same
-/// emission order — the span fields are the only addition.
+/// One feature occurrence of a pair, as [`walk_features`] emits it: the
+/// feature, how it enters the classifier, and the span it came from.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExplainRecord {
-    /// The vocabulary feature (canonical lexicographic order for rewrites).
+pub(crate) struct PairFeature {
+    /// The feature (canonical lexicographic order for rewrites), over the
+    /// walk's interner.
     pub feat: TermFeat,
-    /// The feature's vocabulary id, assigned with the same
-    /// encounter-ordered rule as every encoding path.
-    pub feat_id: u32,
     /// The coupled-model position group of the occurrence.
     pub pos_group: u32,
     /// Antisymmetric feature value (+1 R-side, −1 S-side). For rewrites the
@@ -171,6 +169,101 @@ pub struct ExplainRecord {
     pub pos: u16,
     /// For rewrites only: `(line, pos)` of the S-side (`to`) occurrence.
     pub to_span: Option<(u8, u16)>,
+}
+
+impl PairFeature {
+    fn term(phrase: Sym, pos: SnippetPos, value: f64, side: SpanSide) -> Self {
+        Self {
+            feat: TermFeat::Term(phrase),
+            pos_group: PositionVocab::term_group(pos),
+            value,
+            side,
+            line: pos.line,
+            pos: pos.pos,
+            to_span: None,
+        }
+    }
+}
+
+/// The one feature walk of a pair (§IV-A): every occurrence `spec` turns
+/// into a classifier feature, in a fixed order, handed to `sink`.
+///
+/// * With term features on: every n-gram occurrence of R (`+1`), then of S
+///   (`−1`).
+/// * With rewrite features on and an extraction given: each matched
+///   rewrite in extraction order. A phrase that only *moved* carries pure
+///   position information and becomes a positional term on each side;
+///   any other rewrite becomes one canonical-order rewrite feature
+///   anchored at its R-side occurrence, its value's sign the observed
+///   direction. Then, unless term features already cover them, the
+///   changed tokens no rewrite covered: R's leftovers (`+1`), then S's
+///   (`−1`).
+///
+/// Canonical order is decided on resolved text, so the walk is the same
+/// under any interner that resolves the symbols to the same strings. A
+/// caller walks one family alone by passing empty occurrence slices or no
+/// extraction.
+pub(crate) fn walk_features(
+    spec: &ModelSpec,
+    interner: &Interner,
+    r_occs: &[TermOccurrence],
+    s_occs: &[TermOccurrence],
+    ext: Option<&RewriteExtraction>,
+    mut sink: impl FnMut(PairFeature),
+) {
+    if spec.terms {
+        for (occs, value, side) in [(r_occs, 1.0, SpanSide::R), (s_occs, -1.0, SpanSide::S)] {
+            for occ in occs {
+                let pos = SnippetPos::new(occ.line, occ.pos);
+                sink(PairFeature::term(occ.ngram.phrase, pos, value, side));
+            }
+        }
+    }
+    let Some(ext) = ext.filter(|_| spec.rewrites) else {
+        return;
+    };
+    for rw in &ext.rewrites {
+        let (from, to) = (&rw.from, &rw.to);
+        if from.phrase == to.phrase {
+            sink(PairFeature::term(from.phrase, from.pos, 1.0, SpanSide::R));
+            sink(PairFeature::term(to.phrase, to.pos, -1.0, SpanSide::S));
+            continue;
+        }
+        let canonical =
+            is_canonical_order(interner.resolve(from.phrase), interner.resolve(to.phrase));
+        let (feat, value, pos_group) = if canonical {
+            (
+                TermFeat::Rewrite(from.phrase, to.phrase),
+                1.0,
+                PositionVocab::rewrite_group(from.pos, to.pos),
+            )
+        } else {
+            (
+                TermFeat::Rewrite(to.phrase, from.phrase),
+                -1.0,
+                PositionVocab::rewrite_group(to.pos, from.pos),
+            )
+        };
+        sink(PairFeature {
+            feat,
+            pos_group,
+            value,
+            side: SpanSide::R,
+            line: from.pos.line,
+            pos: from.pos.pos,
+            to_span: Some((to.pos.line, to.pos.pos)),
+        });
+    }
+    if !spec.terms {
+        for (leftovers, value, side) in [
+            (&ext.r_leftover, 1.0, SpanSide::R),
+            (&ext.s_leftover, -1.0, SpanSide::S),
+        ] {
+            for occ in leftovers {
+                sink(PairFeature::term(occ.phrase, occ.pos, value, side));
+            }
+        }
+    }
 }
 
 /// Encoded data for one model spec: exactly one of the two encodings.
@@ -207,13 +300,6 @@ pub struct Featurizer<'a> {
     rewriter: RewriteExtractor,
     term_ids: FxHashMap<TermFeat, u32>,
     term_feats: Vec<TermFeat>,
-    // Reusable buffers for the `encode_*_scored` serving hot path; after
-    // warmup, encoding a pair allocates nothing.
-    raw_buf: Vec<RawFeature>,
-    pair_buf: Vec<(u32, f64)>,
-    sparse_buf: SparseVec,
-    agg_buf: FxHashMap<(u32, u32), f64>,
-    occ_buf: Vec<CoupledFeature>,
 }
 
 impl<'a> Featurizer<'a> {
@@ -242,11 +328,6 @@ impl<'a> Featurizer<'a> {
             rewriter: RewriteExtractor::new(rewrite),
             term_ids: FxHashMap::default(),
             term_feats: Vec::new(),
-            raw_buf: Vec::new(),
-            pair_buf: Vec::new(),
-            sparse_buf: SparseVec::new(),
-            agg_buf: FxHashMap::default(),
-            occ_buf: Vec::new(),
         }
     }
 
@@ -305,145 +386,45 @@ impl<'a> Featurizer<'a> {
         id
     }
 
-    /// Collect the raw (unencoded) features for one pair.
+    /// Walk one pair into raw (unencoded) features.
+    fn walk(
+        &self,
+        r_occs: &[TermOccurrence],
+        s_occs: &[TermOccurrence],
+        ext: Option<&RewriteExtraction>,
+        interner: &Interner,
+    ) -> Vec<RawFeature> {
+        let mut raw = Vec::new();
+        walk_features(&self.spec, interner, r_occs, s_occs, ext, |f| {
+            raw.push(RawFeature {
+                feat: f.feat,
+                pos_group: f.pos_group,
+                value: f.value,
+            })
+        });
+        raw
+    }
+
+    /// Collect the raw features for one pair, extracting as needed.
     fn collect(
         &self,
         r: &TokenizedSnippet,
         s: &TokenizedSnippet,
         interner: &mut Interner,
     ) -> Vec<RawFeature> {
-        let mut raw = Vec::new();
-
-        if self.spec.terms {
-            for (snippet, sign) in [(r, 1.0), (s, -1.0)] {
-                for occ in self.ngram.extract(snippet, interner) {
-                    let pos = SnippetPos::new(occ.line, occ.pos);
-                    raw.push(RawFeature {
-                        feat: TermFeat::Term(occ.ngram.phrase),
-                        pos_group: PositionVocab::term_group(pos),
-                        value: sign,
-                    });
-                }
-            }
-        }
-
-        if self.spec.rewrites {
-            let ext = self.rewriter.extract(r, s, self.stats, interner);
-            self.push_rewrite_feats(&ext, interner, &mut raw);
-        }
-
-        raw
-    }
-
-    /// Collect one pair's feature occurrences *with their source spans*,
-    /// for the attribution path.
-    ///
-    /// Emission order, position groups, values, and vocabulary-id
-    /// assignment are identical to [`Self::encode_flat`] /
-    /// [`Self::encode_coupled`] over the same pair, so per-record
-    /// contributions computed against the trained weights sum to the score
-    /// the serving paths produce (within float-summation tolerance).
-    /// Identity rewrites (a phrase that only *moved*) surface as the same
-    /// two positional term records the encoders emit.
-    pub fn explain_features(
-        &mut self,
-        r: &TokenizedSnippet,
-        s: &TokenizedSnippet,
-        interner: &mut Interner,
-    ) -> Vec<ExplainRecord> {
-        let mut recs = Vec::new();
-
-        if self.spec.terms {
-            for (snippet, sign, side) in [(r, 1.0, SpanSide::R), (s, -1.0, SpanSide::S)] {
-                for occ in self.ngram.extract(snippet, interner) {
-                    let pos = SnippetPos::new(occ.line, occ.pos);
-                    recs.push(ExplainRecord {
-                        feat: TermFeat::Term(occ.ngram.phrase),
-                        feat_id: 0,
-                        pos_group: PositionVocab::term_group(pos),
-                        value: sign,
-                        side,
-                        line: occ.line,
-                        pos: occ.pos,
-                        to_span: None,
-                    });
-                }
-            }
-        }
-
-        if self.spec.rewrites {
-            let ext = self.rewriter.extract(r, s, self.stats, interner);
-            for rw in &ext.rewrites {
-                if rw.from.phrase == rw.to.phrase {
-                    for (occ, sign, side) in
-                        [(&rw.from, 1.0, SpanSide::R), (&rw.to, -1.0, SpanSide::S)]
-                    {
-                        recs.push(ExplainRecord {
-                            feat: TermFeat::Term(occ.phrase),
-                            feat_id: 0,
-                            pos_group: PositionVocab::term_group(occ.pos),
-                            value: sign,
-                            side,
-                            line: occ.pos.line,
-                            pos: occ.pos.pos,
-                            to_span: None,
-                        });
-                    }
-                    continue;
-                }
-                let from_str = interner.resolve(rw.from.phrase);
-                let to_str = interner.resolve(rw.to.phrase);
-                let (feat, value, pos_group) = if is_canonical_order(from_str, to_str) {
-                    (
-                        TermFeat::Rewrite(rw.from.phrase, rw.to.phrase),
-                        1.0,
-                        PositionVocab::rewrite_group(rw.from.pos, rw.to.pos),
-                    )
-                } else {
-                    (
-                        TermFeat::Rewrite(rw.to.phrase, rw.from.phrase),
-                        -1.0,
-                        PositionVocab::rewrite_group(rw.to.pos, rw.from.pos),
-                    )
-                };
-                recs.push(ExplainRecord {
-                    feat,
-                    feat_id: 0,
-                    pos_group,
-                    value,
-                    side: SpanSide::R,
-                    line: rw.from.pos.line,
-                    pos: rw.from.pos.pos,
-                    to_span: Some((rw.to.pos.line, rw.to.pos.pos)),
-                });
-            }
-            if !self.spec.terms {
-                for (leftovers, sign, side) in [
-                    (&ext.r_leftover, 1.0, SpanSide::R),
-                    (&ext.s_leftover, -1.0, SpanSide::S),
-                ] {
-                    for occ in leftovers {
-                        recs.push(ExplainRecord {
-                            feat: TermFeat::Term(occ.phrase),
-                            feat_id: 0,
-                            pos_group: PositionVocab::term_group(occ.pos),
-                            value: sign,
-                            side,
-                            line: occ.pos.line,
-                            pos: occ.pos.pos,
-                            to_span: None,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Second pass: vocabulary ids, assigned in emission order so they
-        // match what the encoding paths would allocate for the same pair.
-        for rec in &mut recs {
-            rec.feat_id = self.feat_id(rec.feat);
-        }
-        recs
+        let (r_occs, s_occs) = if self.spec.terms {
+            (
+                self.ngram.extract(r, interner),
+                self.ngram.extract(s, interner),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let ext = self
+            .spec
+            .rewrites
+            .then(|| self.rewriter.extract(r, s, self.stats, interner));
+        self.walk(&r_occs, &s_occs, ext.as_ref(), interner)
     }
 
     /// Collect raw features through the shared preprocessing cache: cached
@@ -458,95 +439,21 @@ impl<'a> Featurizer<'a> {
         cache: &PairCache,
         interner: &Interner,
     ) -> Vec<RawFeature> {
-        let mut raw = Vec::new();
-
-        if self.spec.terms {
-            for (id, sign) in [(pair.r, 1.0), (pair.s, -1.0)] {
-                for occ in cache.term_occs(id) {
-                    let pos = SnippetPos::new(occ.line, occ.pos);
-                    raw.push(RawFeature {
-                        feat: TermFeat::Term(occ.ngram.phrase),
-                        pos_group: PositionVocab::term_group(pos),
-                        value: sign,
-                    });
-                }
-            }
-        }
-
-        if self.spec.rewrites {
-            let ext = self.rewriter.extract_prepared(
+        let ext = self.spec.rewrites.then(|| {
+            self.rewriter.extract_prepared(
                 tc.snippet(pair.r),
                 tc.snippet(pair.s),
                 cache.prepared(idx),
                 self.stats,
                 interner,
-            );
-            self.push_rewrite_feats(&ext, interner, &mut raw);
-        }
-
-        raw
-    }
-
-    /// Turn one extraction's rewrites and leftovers into raw features
-    /// (shared by the direct and the cached collection paths).
-    fn push_rewrite_feats(
-        &self,
-        ext: &RewriteExtraction,
-        interner: &Interner,
-        raw: &mut Vec<RawFeature>,
-    ) {
-        for rw in &ext.rewrites {
-            // Identity rewrites — the same phrase *moved* to another
-            // position (a restructured creative) — carry pure position
-            // information: encode as a positional term on each side
-            // (antisymmetric), not as a direction-less rewrite.
-            if rw.from.phrase == rw.to.phrase {
-                raw.push(RawFeature {
-                    feat: TermFeat::Term(rw.from.phrase),
-                    pos_group: PositionVocab::term_group(rw.from.pos),
-                    value: 1.0,
-                });
-                raw.push(RawFeature {
-                    feat: TermFeat::Term(rw.to.phrase),
-                    pos_group: PositionVocab::term_group(rw.to.pos),
-                    value: -1.0,
-                });
-                continue;
-            }
-            let from_str = interner.resolve(rw.from.phrase);
-            let to_str = interner.resolve(rw.to.phrase);
-            let (feat, value, pos_group) = if is_canonical_order(from_str, to_str) {
-                (
-                    TermFeat::Rewrite(rw.from.phrase, rw.to.phrase),
-                    1.0,
-                    PositionVocab::rewrite_group(rw.from.pos, rw.to.pos),
-                )
-            } else {
-                (
-                    TermFeat::Rewrite(rw.to.phrase, rw.from.phrase),
-                    -1.0,
-                    PositionVocab::rewrite_group(rw.to.pos, rw.from.pos),
-                )
-            };
-            raw.push(RawFeature {
-                feat,
-                pos_group,
-                value,
-            });
-        }
-        // Leftover changed tokens become term-level features (§IV-A) —
-        // unless full term features already cover them (M5/M6).
-        if !self.spec.terms {
-            for (leftovers, sign) in [(&ext.r_leftover, 1.0), (&ext.s_leftover, -1.0)] {
-                for occ in leftovers {
-                    raw.push(RawFeature {
-                        feat: TermFeat::Term(occ.phrase),
-                        pos_group: PositionVocab::term_group(occ.pos),
-                        value: sign,
-                    });
-                }
-            }
-        }
+            )
+        });
+        self.walk(
+            cache.term_occs(pair.r),
+            cache.term_occs(pair.s),
+            ext.as_ref(),
+            interner,
+        )
     }
 
     /// Assign vocabulary ids to one pair's raw features and finish the flat
@@ -602,122 +509,6 @@ impl<'a> Featurizer<'a> {
     ) -> CoupledExample {
         let raw = self.collect(r, s, interner);
         self.finish_coupled(raw, label)
-    }
-
-    /// The n-gram term occurrences [`Self::encode_flat`] would extract for one
-    /// snippet, into a reusable buffer (no per-snippet vector allocation
-    /// after warmup). The serve path extracts each distinct snippet once
-    /// and replays the occurrences across calls (the serve-time analogue of
-    /// [`PairCache`]'s cached occurrences). Only meaningful for specs with
-    /// term features; extraction interns multi-token phrases.
-    pub fn term_occurrences_into(
-        &self,
-        snippet: &TokenizedSnippet,
-        interner: &mut Interner,
-        out: &mut Vec<TermOccurrence>,
-    ) {
-        self.ngram.extract_into(snippet, interner, out);
-    }
-
-    /// The rewrite extractor this featurizer matches with (cheap copy); the
-    /// serving engine uses it to run alignment itself, through the compiled
-    /// evidence table and the cross-batch alignment cache.
-    pub fn rewrite_extractor(&self) -> RewriteExtractor {
-        self.rewriter
-    }
-
-    /// Raw-feature collection for the scoring hot path: terms replayed from
-    /// occurrence slices, rewrites from an extraction the caller already
-    /// ran. Emission order matches [`Self::collect`] exactly.
-    fn collect_scored(
-        &self,
-        raw: &mut Vec<RawFeature>,
-        r_occs: &[TermOccurrence],
-        s_occs: &[TermOccurrence],
-        ext: Option<&RewriteExtraction>,
-        interner: &Interner,
-    ) {
-        raw.clear();
-        if self.spec.terms {
-            for (occs, sign) in [(r_occs, 1.0), (s_occs, -1.0)] {
-                for occ in occs {
-                    let pos = SnippetPos::new(occ.line, occ.pos);
-                    raw.push(RawFeature {
-                        feat: TermFeat::Term(occ.ngram.phrase),
-                        pos_group: PositionVocab::term_group(pos),
-                        value: sign,
-                    });
-                }
-            }
-        }
-        if self.spec.rewrites {
-            debug_assert!(ext.is_some(), "rewrite spec scored without an extraction");
-            if let Some(ext) = ext {
-                self.push_rewrite_feats(ext, interner, raw);
-            }
-        }
-    }
-
-    /// Flat-encode one pair for scoring, reusing every internal buffer.
-    ///
-    /// Bit-identical to the features of [`Self::encode_flat`] when the
-    /// occurrence slices came from [`Self::term_occurrences_into`] over the
-    /// same snippets and `ext` is the extraction that path would compute
-    /// (or `None` for specs without rewrite features): id assignment is the
-    /// same encounter-ordered `feat_id`, and [`SparseVec::assign_from_pairs`]
-    /// runs the exact `from_pairs` algorithm. Returns the reused vector —
-    /// valid until the next `encode_*_scored` call.
-    pub fn encode_flat_scored(
-        &mut self,
-        r_occs: &[TermOccurrence],
-        s_occs: &[TermOccurrence],
-        ext: Option<&RewriteExtraction>,
-        interner: &Interner,
-    ) -> &SparseVec {
-        let mut raw = std::mem::take(&mut self.raw_buf);
-        self.collect_scored(&mut raw, r_occs, s_occs, ext, interner);
-        let mut pairs = std::mem::take(&mut self.pair_buf);
-        pairs.clear();
-        for f in &raw {
-            pairs.push((self.feat_id(f.feat), f.value));
-        }
-        self.sparse_buf.assign_from_pairs(&mut pairs);
-        self.pair_buf = pairs;
-        self.raw_buf = raw;
-        &self.sparse_buf
-    }
-
-    /// Coupled-encode one pair for scoring, reusing every internal buffer
-    /// (see [`Self::encode_flat_scored`] for the bit-identity contract).
-    /// The occurrence aggregation iterates a reused hash map, which is safe
-    /// bit-wise: per-key sums accumulate in raw emission order and the
-    /// final sort is over unique `(pos, term)` keys, so map iteration order
-    /// cannot influence the result.
-    pub fn encode_coupled_scored(
-        &mut self,
-        r_occs: &[TermOccurrence],
-        s_occs: &[TermOccurrence],
-        ext: Option<&RewriteExtraction>,
-        interner: &Interner,
-    ) -> &[CoupledFeature] {
-        let mut raw = std::mem::take(&mut self.raw_buf);
-        self.collect_scored(&mut raw, r_occs, s_occs, ext, interner);
-        let mut agg = std::mem::take(&mut self.agg_buf);
-        agg.clear();
-        for f in &raw {
-            *agg.entry((f.pos_group, self.feat_id(f.feat)))
-                .or_insert(0.0) += f.value;
-        }
-        self.occ_buf.clear();
-        self.occ_buf.extend(
-            agg.iter()
-                .filter(|&(_, &v)| v != 0.0)
-                .map(|(&(pos, term), &value)| CoupledFeature { pos, term, value }),
-        );
-        self.occ_buf.sort_unstable_by_key(|o| (o.pos, o.term));
-        self.agg_buf = agg;
-        self.raw_buf = raw;
-        &self.occ_buf
     }
 
     /// Encode a batch of `(r, s, label)` pairs into the encoding the spec
@@ -826,6 +617,23 @@ mod tests {
 
     fn snip(interner: &mut Interner, lines: &[&str]) -> TokenizedSnippet {
         Snippet::from_lines(lines.iter().copied()).tokenize(&Tokenizer::default(), interner)
+    }
+
+    /// Every walked feature of one pair, extracted as the featurizer does.
+    fn walked(
+        fz: &Featurizer<'_>,
+        r: &TokenizedSnippet,
+        s: &TokenizedSnippet,
+        interner: &mut Interner,
+    ) -> Vec<PairFeature> {
+        let r_occs = fz.ngram.extract(r, interner);
+        let s_occs = fz.ngram.extract(s, interner);
+        let ext = fz.rewriter.extract(r, s, fz.stats, interner);
+        let mut out = Vec::new();
+        walk_features(&fz.spec, interner, &r_occs, &s_occs, Some(&ext), |f| {
+            out.push(f)
+        });
+        out
     }
 
     fn m(terms: bool, rewrites: bool, positions: bool) -> ModelSpec {
@@ -949,12 +757,12 @@ mod tests {
             let mut enc_fz = Featurizer::new(spec, &stats);
             let ex = enc_fz.encode_flat(&r, &s, true, &mut interner);
             let mut exp_fz = Featurizer::new(spec, &stats);
-            let recs = exp_fz.explain_features(&r, &s, &mut interner);
-            assert_eq!(enc_fz.vocab_len(), exp_fz.vocab_len(), "{}", spec.name);
+            let recs = walked(&exp_fz, &r, &s, &mut interner);
             let mut sums: std::collections::BTreeMap<u32, f64> = Default::default();
             for rec in &recs {
-                *sums.entry(rec.feat_id).or_insert(0.0) += rec.value;
+                *sums.entry(exp_fz.feat_id(rec.feat)).or_insert(0.0) += rec.value;
             }
+            assert_eq!(enc_fz.vocab_len(), exp_fz.vocab_len(), "{}", spec.name);
             sums.retain(|_, v| *v != 0.0);
             let want: std::collections::BTreeMap<u32, f64> = ex.features.iter().collect();
             assert_eq!(sums, want, "{}", spec.name);
@@ -967,8 +775,8 @@ mod tests {
         let mut interner = Interner::new();
         let r = snip(&mut interner, &["find cheap flights"]);
         let s = snip(&mut interner, &["find pricey flights"]);
-        let mut fz = Featurizer::new(m(false, true, false), &stats);
-        let recs = fz.explain_features(&r, &s, &mut interner);
+        let fz = Featurizer::new(m(false, true, false), &stats);
+        let recs = walked(&fz, &r, &s, &mut interner);
         let rewrite = recs
             .iter()
             .find(|rec| matches!(rec.feat, TermFeat::Rewrite(_, _)))

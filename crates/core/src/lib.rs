@@ -25,11 +25,18 @@
 //! | [`serveweight`] | §V-B — serve weights, `sw-diff`, `delta-sw` |
 //! | [`rewrite`] | §IV-A — snippet diffing and greedy rewrite matching |
 //! | [`statsbuild`] | §V-C / Figure 1 phase 1 — the feature statistics build |
-//! | [`paircache`] | — shared pair preprocessing for the parallel engine |
-//! | [`features`] | §IV-A / §V-D.1 — classifier features for M1–M6 |
+//! | [`paircache`] | — shared pair preprocessing and the serve-time alignment cache |
+//! | [`features`] | §IV-A / §V-D.1 — classifier features for M1–M6, one walk for every consumer |
 //! | [`classifier`] | §V-D — the six ablation models M1–M6 |
 //! | [`pipeline`] | §IV-B / Figure 1 — end-to-end corpus → CV metrics |
 //! | [`report`] | §V tables — plain-text table rendering |
+//! | [`serve`] | — deployable models, loading policy and the serving [`Scorer`] |
+//! | [`compiled`] | — the bundle vocabulary and statistics compiled for serving |
+//! | [`reference`](mod@reference) | — the training-path scorer the serving engine is proven against |
+//! | [`explain`] | Eq. 6 — a served score attributed span by span |
+//! | [`suggest`](mod@suggest) | — beam search for rewrites the model scores higher |
+//! | [`optimize`] | — hill-climbing a creative over candidate edits |
+//! | [`error`] | — the serve-path error taxonomy and bounded retry |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,7 +60,7 @@ pub mod statsbuild;
 pub mod suggest;
 
 pub use classifier::{ModelSpec, TrainedClassifier};
-pub use compiled::{CompiledFeatureTable, ScoringEngine, SymTableMap};
+pub use compiled::{CompiledFeatureTable, ScoringEngine};
 pub use corpus::{
     AdCorpus, AdGroup, AdGroupId, Creative, CreativeId, CreativePair, PairFilter, Placement,
 };

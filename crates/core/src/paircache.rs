@@ -13,24 +13,20 @@
 //! The serve-time analogues are the snippet arena of each
 //! [`Scratch`](crate::serve::Scratch), which tokenizes a distinct snippet
 //! once per scratch however many requests repeat it, and the
-//! bundle-shared [`AlignCache`] below, which memoizes pair alignments that
-//! recur.
+//! bundle-shared [`AlignCache`] below, which keeps the rewrite-family
+//! features of pairs that recur.
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc as StdArc;
 use std::sync::Mutex;
 
-use microbrowse_store::key::SnippetPos;
+use microbrowse_ml::CoupledFeature;
 use microbrowse_text::hash::FxHasher;
 use microbrowse_text::{
-    FxHashMap, FxHashSet, Interner, NGramConfig, NGramExtractor, Snippet, TermOccurrence,
+    FxHashMap, FxHashSet, NGramConfig, NGramExtractor, Snippet, TermOccurrence,
 };
 
 use crate::corpus::{CreativeId, CreativePair};
-use crate::rewrite::{
-    prepare_pair, MatchStrategy, PhraseOcc, PreparedPair, RewriteConfig, RewriteExtraction,
-    RewritePair,
-};
+use crate::rewrite::{prepare_pair, MatchStrategy, PreparedPair, RewriteConfig};
 use crate::statsbuild::TokenizedCorpus;
 
 /// Pair-independent n-gram occurrences plus pair-level alignment spans,
@@ -127,123 +123,6 @@ impl PairCache {
     }
 }
 
-/// One cached serve-time alignment, stored *portably*: phrases are strings,
-/// not interner symbols, so the entry is valid for any scratch interner.
-/// Extraction itself is scratch-independent — every orientation and
-/// ordering decision inside [`prepare_pair`] and the extractor compares
-/// resolved text, never `Sym` ids — so an alignment warmed by one worker's
-/// scratch replays bit-identically in any other.
-///
-/// Replaying an entry is also made indistinguishable from recomputing it in
-/// the scratch interner's *evolution*, not just the returned extraction:
-/// [`CachedAlignment`] records the multi-token candidate phrases in exact
-/// prepare-time intern order and re-interns them on every hit (idempotent,
-/// so hits after the first are pure lookups). This keeps a cache-hit
-/// scratch's symbol numbering identical to the fresh-compute scratch the
-/// bit-identity proofs compare against, closing the door on any future
-/// id-order-sensitive code downstream.
-#[derive(Debug)]
-pub struct CachedAlignment {
-    /// Multi-token candidate phrases in [`prepare_pair`] intern order.
-    prep_phrases: Vec<StdArc<str>>,
-    /// Matched rewrites as portable occurrences.
-    rewrites: Vec<(PortableOcc, PortableOcc)>,
-    /// R-side leftovers.
-    r_leftover: Vec<PortableOcc>,
-    /// S-side leftovers.
-    s_leftover: Vec<PortableOcc>,
-}
-
-/// A [`PhraseOcc`] with the phrase carried as a string.
-#[derive(Debug)]
-struct PortableOcc {
-    phrase: StdArc<str>,
-    pos: SnippetPos,
-    len: u8,
-}
-
-impl PortableOcc {
-    fn capture(o: &PhraseOcc, interner: &Interner) -> Self {
-        Self {
-            phrase: StdArc::from(interner.resolve(o.phrase)),
-            pos: o.pos,
-            len: o.len,
-        }
-    }
-
-    fn resolve(&self, interner: &mut Interner) -> PhraseOcc {
-        PhraseOcc {
-            phrase: interner.intern(&self.phrase),
-            pos: self.pos,
-            len: self.len,
-        }
-    }
-}
-
-impl CachedAlignment {
-    /// Capture the alignment of one pair from its prepared form and
-    /// extraction result.
-    pub(crate) fn capture(
-        prepared: &PreparedPair,
-        ext: &RewriteExtraction,
-        interner: &Interner,
-    ) -> Self {
-        let mut prep_phrases = Vec::new();
-        prepared
-            .for_each_interned_phrase(|sym| prep_phrases.push(StdArc::from(interner.resolve(sym))));
-        Self {
-            prep_phrases,
-            rewrites: ext
-                .rewrites
-                .iter()
-                .map(|rw| {
-                    (
-                        PortableOcc::capture(&rw.from, interner),
-                        PortableOcc::capture(&rw.to, interner),
-                    )
-                })
-                .collect(),
-            r_leftover: ext
-                .r_leftover
-                .iter()
-                .map(|o| PortableOcc::capture(o, interner))
-                .collect(),
-            s_leftover: ext
-                .s_leftover
-                .iter()
-                .map(|o| PortableOcc::capture(o, interner))
-                .collect(),
-        }
-    }
-
-    /// Rebuild the extraction into `out` (capacity reused), reproducing the
-    /// exact interner side effects of a fresh [`prepare_pair`] first.
-    ///
-    /// All extraction phrases resolve to already-interned symbols: single
-    /// tokens were interned when the snippet was tokenized, multi-token
-    /// phrases are in `prep_phrases`.
-    pub(crate) fn replay(&self, interner: &mut Interner, out: &mut RewriteExtraction) {
-        for p in &self.prep_phrases {
-            interner.intern(p);
-        }
-        out.rewrites.clear();
-        out.r_leftover.clear();
-        out.s_leftover.clear();
-        for (from, to) in &self.rewrites {
-            out.rewrites.push(RewritePair {
-                from: from.resolve(interner),
-                to: to.resolve(interner),
-            });
-        }
-        for o in &self.r_leftover {
-            out.r_leftover.push(o.resolve(interner));
-        }
-        for o in &self.s_leftover {
-            out.s_leftover.push(o.resolve(interner));
-        }
-    }
-}
-
 /// Number of independently locked shards in an [`AlignCache`].
 const ALIGN_SHARDS: usize = 16;
 /// Per-shard cap on cached entries and on doorkeeper hashes; a shard that
@@ -251,12 +130,13 @@ const ALIGN_SHARDS: usize = 16;
 /// recompute, so wholesale eviction beats LRU bookkeeping on this path).
 const ALIGN_SHARD_CAP: usize = 8192;
 
-/// One bucket slot: the exact snippet pair and its shared alignment.
-type AlignSlot = ((Snippet, Snippet), StdArc<CachedAlignment>);
+/// One bucket slot: the exact snippet pair and its rewrite-family
+/// features.
+type AlignSlot = ((Snippet, Snippet), Box<[CoupledFeature]>);
 
 /// A shard: buckets keyed by the pair's 64-bit hash, each bucket holding
 /// the exact snippet pairs (collisions are resolved by full equality, so a
-/// hash collision can never return the wrong alignment), plus the
+/// hash collision can never return another pair's features), plus the
 /// doorkeeper of pairs that missed once.
 #[derive(Debug, Default)]
 struct AlignShard {
@@ -286,6 +166,12 @@ impl AlignShard {
 
 /// The serve-time rewrite-alignment cache — the serving analogue of
 /// [`PairCache`], shared across batches and worker threads.
+///
+/// An entry is the pair's rewrite-family features as the engine prices
+/// them: (position group, weight index, value) triples in the bundle's
+/// weight-index space, features the model does not price already dropped.
+/// Nothing in an entry depends on the scratch that computed it, so any
+/// scratch of the bundle appends it as is.
 ///
 /// A missed pair is stored only on its second miss. Most serving misses
 /// are single-use — `/v1/suggest` scores hundreds of never-seen variants
@@ -337,27 +223,32 @@ impl AlignCache {
         h.finish()
     }
 
-    /// Look up the cached alignment for the ordered pair `(r, s)`, whose
-    /// pair hash `h` comes from [`Self::combine_hashes`].
-    pub fn get_hashed(&self, h: u64, r: &Snippet, s: &Snippet) -> Option<StdArc<CachedAlignment>> {
+    /// Append the cached features of the ordered pair `(r, s)`, whose pair
+    /// hash `h` comes from [`Self::combine_hashes`], to `out`. `false` (and
+    /// `out` untouched) on a miss.
+    pub fn get_hashed(
+        &self,
+        h: u64,
+        r: &Snippet,
+        s: &Snippet,
+        out: &mut Vec<CoupledFeature>,
+    ) -> bool {
         let shard = lock_shard(&self.shards[(h as usize) % ALIGN_SHARDS]);
-        let found = shard.buckets.get(&h).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|((br, bs), _)| br == r && bs == s)
-                .map(|(_, a)| StdArc::clone(a))
-        });
-        drop(shard);
-        if found.is_some() {
+        let found = shard
+            .buckets
+            .get(&h)
+            .and_then(|bucket| bucket.iter().find(|((br, bs), _)| br == r && bs == s));
+        if let Some((_, feats)) = found {
+            out.extend_from_slice(feats);
             microbrowse_obs::counter!("microbrowse_aligncache_hits_total").add(1);
-        } else {
-            microbrowse_obs::counter!("microbrowse_aligncache_misses_total").add(1);
+            return true;
         }
-        found
+        microbrowse_obs::counter!("microbrowse_aligncache_misses_total").add(1);
+        false
     }
 
-    /// Offer the freshly computed alignment of a missed pair `(r, s)`
-    /// (pair hash `h`). The first offer of a pair only remembers its hash
+    /// Offer the freshly computed features of a missed pair `(r, s)` (pair
+    /// hash `h`). The first offer of a pair only remembers its hash
     /// (deferred); the second stores the entry (admitted), and only then do
     /// `capture` and the snippet clones run. `capture` runs under the
     /// shard's lock, so it must not use this cache. Offering an
@@ -368,7 +259,7 @@ impl AlignCache {
         h: u64,
         r: &Snippet,
         s: &Snippet,
-        capture: impl FnOnce() -> CachedAlignment,
+        capture: impl FnOnce() -> Box<[CoupledFeature]>,
     ) {
         let mut shard = lock_shard(&self.shards[(h as usize) % ALIGN_SHARDS]);
         // Duplicate check first: racing inserts of an already-cached pair
@@ -388,17 +279,17 @@ impl AlignCache {
             shard.entries = 0;
             microbrowse_obs::counter!("microbrowse_aligncache_evictions_total").add(1);
         }
-        let alignment = StdArc::new(capture());
+        let feats = capture();
         shard
             .buckets
             .entry(h)
             .or_default()
-            .push(((r.clone(), s.clone()), alignment));
+            .push(((r.clone(), s.clone()), feats));
         shard.entries += 1;
     }
 
-    /// Total number of cached pair alignments (approximate under concurrent
-    /// writes; exact when quiescent).
+    /// Total number of cached pairs (approximate under concurrent writes;
+    /// exact when quiescent).
     pub fn entries(&self) -> usize {
         self.shards.iter().map(|s| lock_shard(s).entries).sum()
     }
@@ -481,12 +372,11 @@ mod tests {
         }
     }
 
-    fn empty_alignment() -> CachedAlignment {
-        CachedAlignment {
-            prep_phrases: Vec::new(),
-            rewrites: Vec::new(),
-            r_leftover: Vec::new(),
-            s_leftover: Vec::new(),
+    fn feature() -> CoupledFeature {
+        CoupledFeature {
+            pos: 3,
+            term: 1,
+            value: -1.0,
         }
     }
 
@@ -495,9 +385,15 @@ mod tests {
         let mut captured = false;
         cache.insert_hashed(h, r, s, || {
             captured = true;
-            empty_alignment()
+            Box::new([feature()])
         });
         captured
+    }
+
+    /// Look `(r, s)` up under pair hash `h`; the appended features on a hit.
+    fn lookup(cache: &AlignCache, h: u64, r: &Snippet, s: &Snippet) -> Option<Vec<CoupledFeature>> {
+        let mut out = Vec::new();
+        cache.get_hashed(h, r, s, &mut out).then_some(out)
     }
 
     fn pair() -> (Snippet, Snippet, u64) {
@@ -513,18 +409,18 @@ mod tests {
         let (r, s, h) = pair();
         // First sighting: a miss whose offer is deferred — nothing is
         // captured or stored.
-        assert!(cache.get_hashed(h, &r, &s).is_none());
+        assert!(lookup(&cache, h, &r, &s).is_none());
         assert!(!offer(&cache, h, &r, &s));
         assert_eq!(cache.entries(), 0);
         // Second sighting: a miss whose offer is admitted.
-        assert!(cache.get_hashed(h, &r, &s).is_none());
+        assert!(lookup(&cache, h, &r, &s).is_none());
         assert!(offer(&cache, h, &r, &s));
         assert_eq!(cache.entries(), 1);
-        // Third sighting: a hit.
-        assert!(cache.get_hashed(h, &r, &s).is_some());
+        // Third sighting: a hit appending the stored features.
+        assert_eq!(lookup(&cache, h, &r, &s), Some(vec![feature()]));
         // The swapped pair is a different pair, still never seen.
         let swapped = AlignCache::combine_hashes(snippet_hash(&s), snippet_hash(&r));
-        assert!(cache.get_hashed(swapped, &s, &r).is_none());
+        assert!(lookup(&cache, swapped, &s, &r).is_none());
         assert!(!offer(&cache, swapped, &s, &r));
         assert_eq!(cache.entries(), 1);
     }

@@ -4,15 +4,17 @@
 //! tokenize both sides fresh, run the [`Featurizer`] (n-gram extraction and
 //! the rewrite extractor probing the [`StatsDb`] maps), and apply the
 //! trained classifier. It shares no code with the compiled engine behind
-//! [`Scorer`](crate::serve::Scorer) beyond the featurizer the pipeline
-//! already trusts, so the proptests in `core/tests/prop_hot.rs`,
-//! `core/tests/prop.rs` and the `bench_score_hot` gate prove the engine
-//! against it bit for bit.
+//! [`Scorer`](crate::serve::Scorer) beyond the extraction and the feature
+//! walk the pipeline already trains through, so the proptests in
+//! `core/tests/prop_hot.rs`, `core/tests/prop.rs` and the `bench_score_hot`
+//! gate prove the engine against it bit for bit.
 //!
-//! The oracle keeps its interner and featurizer across calls: driving it
-//! through the same pair sequence as an engine [`Scratch`](crate::Scratch)
-//! replays the same interning history, which is what bit-identity is
-//! defined against.
+//! The oracle keeps its interner and featurizer across calls, as training
+//! does, so both grow with every new string and feature it meets. A
+//! feature outside the model vocabulary gets an id past the trained
+//! weights and prices at exactly zero, so the score depends only on the
+//! pair, never on that history — the property the engine, which prices
+//! vocabulary features alone, is proven to share with it.
 
 use microbrowse_store::StatsDb;
 use microbrowse_text::{Interner, Snippet, Tokenizer};

@@ -272,10 +272,8 @@ pub fn prepare_pair(
         // direction (and swap the spans back) so extraction — and therefore
         // every downstream feature — is exactly antisymmetric under an R/S
         // swap. The direction is decided on resolved token *text*, never on
-        // `Sym` ids: ids depend on each interner's history, and the serving
-        // alignment cache shares prepared extractions across scratches
-        // ([`crate::paircache::AlignCache`]), so the orientation must be a
-        // property of the snippets alone.
+        // `Sym` ids: training interns in corpus order and a serving scratch
+        // over its bundle vocabulary, so only text orders both alike.
         let swapped = lt_by_text(sb, ra, interner);
         let spans = if swapped {
             let ops = token_diff(sb, ra);
@@ -319,7 +317,7 @@ pub fn prepare_pair(
 /// their resolved text (resolution is skipped while the symbols are equal —
 /// one interner maps equal symbols to equal strings). A total order on
 /// token sequences, so exactly one direction is "less" for any unequal
-/// pair. Unlike a `Sym`-id comparison this is *scratch-independent*: two
+/// pair. Unlike a `Sym`-id comparison this is *interner-independent*: two
 /// interners that met the same vocabulary in different orders number it
 /// differently but resolve it identically.
 fn lt_by_text(a: &[Sym], b: &[Sym], interner: &Interner) -> bool {
@@ -331,25 +329,6 @@ fn lt_by_text(a: &[Sym], b: &[Sym], interner: &Interner) -> bool {
     a.len() < b.len()
 }
 
-impl PreparedPair {
-    /// Visit the multi-token candidate phrases in the exact order
-    /// [`prepare_pair`] interned them (per line: R-side then S-side,
-    /// span-major, then length, then start). Single-token candidates reuse
-    /// the token's existing symbol and are skipped, mirroring
-    /// `enumerate_cands`. The serve-time alignment cache replays this
-    /// sequence on a hit so the scratch interner evolves exactly as if the
-    /// pair had been prepared from scratch.
-    pub(crate) fn for_each_interned_phrase(&self, mut f: impl FnMut(Sym)) {
-        for pl in &self.lines {
-            for c in pl.r_cands.iter().chain(pl.s_cands.iter()) {
-                if c.len > 1 {
-                    f(c.phrase);
-                }
-            }
-        }
-    }
-}
-
 /// Source of greedy-matching evidence: for a candidate `(from, to)` phrase
 /// pair, the greedy score when the statistics database holds the canonical
 /// rewrite key, `None` otherwise.
@@ -357,11 +336,10 @@ impl PreparedPair {
 /// The returned score must equal [`greedy_candidate_score`] applied to the
 /// canonical key's [`FeatureStat`]; implementations either compute it on
 /// the fly ([`StatsEvidence`]) or return a value precomputed from the same
-/// expression ([`crate::compiled::CompiledEvidence`]). Takes `&mut self` so
-/// implementations may memoize.
+/// expression (the serving engine's compiled table).
 pub trait RewriteEvidence {
     /// Greedy score for the candidate pair, if evidence exists.
-    fn candidate_score(&mut self, from: Sym, to: Sym, interner: &Interner) -> Option<f64>;
+    fn candidate_score(&self, from: Sym, to: Sym, interner: &Interner) -> Option<f64>;
 }
 
 /// The classic [`RewriteEvidence`]: resolve both phrases, build the
@@ -369,7 +347,7 @@ pub trait RewriteEvidence {
 pub struct StatsEvidence<'a>(pub &'a StatsDb);
 
 impl RewriteEvidence for StatsEvidence<'_> {
-    fn candidate_score(&mut self, from: Sym, to: Sym, interner: &Interner) -> Option<f64> {
+    fn candidate_score(&self, from: Sym, to: Sym, interner: &Interner) -> Option<f64> {
         let from_str = interner.resolve(from);
         let to_str = interner.resolve(to);
         let key = canonical_rewrite_key(from_str, to_str);
@@ -502,20 +480,20 @@ impl RewriteExtractor {
         stats: &StatsDb,
         interner: &Interner,
     ) -> RewriteExtraction {
-        self.extract_prepared_with(r, s, prepared, &mut StatsEvidence(stats), interner)
+        self.extract_prepared_with(r, s, prepared, &StatsEvidence(stats), interner)
     }
 
     /// [`Self::extract_prepared`] with a pluggable evidence source. The
-    /// serving engine passes [`crate::compiled::CompiledEvidence`] here;
-    /// results are bit-identical to the [`StatsDb`]-backed path because
-    /// every implementation scores candidates with
-    /// [`greedy_candidate_score`] over the same canonical keys.
+    /// serving engine passes its compiled table here; results are
+    /// bit-identical to the [`StatsDb`]-backed path because every
+    /// implementation scores candidates with [`greedy_candidate_score`]
+    /// over the same canonical keys.
     pub fn extract_prepared_with(
         &self,
         r: &TokenizedSnippet,
         s: &TokenizedSnippet,
         prepared: &PreparedPair,
-        evidence: &mut dyn RewriteEvidence,
+        evidence: &dyn RewriteEvidence,
         interner: &Interner,
     ) -> RewriteExtraction {
         let mut out = RewriteExtraction::default();
@@ -530,7 +508,7 @@ impl RewriteExtractor {
         r: &TokenizedSnippet,
         s: &TokenizedSnippet,
         prepared: &PreparedPair,
-        evidence: &mut dyn RewriteEvidence,
+        evidence: &dyn RewriteEvidence,
         interner: &Interner,
         out: &mut RewriteExtraction,
     ) {
@@ -551,7 +529,7 @@ impl RewriteExtractor {
         pl: &PreparedLine,
         ra: &[Sym],
         sb: &[Sym],
-        evidence: &mut dyn RewriteEvidence,
+        evidence: &dyn RewriteEvidence,
         interner: &Interner,
         out: &mut RewriteExtraction,
     ) {
@@ -618,7 +596,7 @@ impl RewriteExtractor {
     fn greedy_line(
         &self,
         pl: &PreparedLine,
-        evidence: &mut dyn RewriteEvidence,
+        evidence: &dyn RewriteEvidence,
         interner: &Interner,
         out: &mut RewriteExtraction,
         r_taken: &mut [bool],

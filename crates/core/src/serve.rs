@@ -36,23 +36,27 @@
 //!   ([`crate::error::RetryPolicy`]).
 
 use std::io::Read;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, BytesMut};
 use microbrowse_ml::coupled::CoupledModel;
-use microbrowse_ml::LogReg;
+use microbrowse_ml::{CoupledFeature, LogReg, SparseVec};
 use microbrowse_obs as obs;
 use microbrowse_store::codec::{self, DecodeError};
 use microbrowse_store::crc::crc32;
 use microbrowse_store::{write_atomic, ArtifactSlot, SlotError, SlotLoad, SnapshotError, StatsDb};
-use microbrowse_text::{FxHashMap, Interner, Snippet, TermOccurrence, TokenizedSnippet, Tokenizer};
+use microbrowse_text::{
+    FxHashMap, Interner, NGramExtractor, Snippet, TermOccurrence, TokenizedSnippet, Tokenizer,
+};
 
 use crate::classifier::{ModelSpec, TrainedClassifier};
-use crate::compiled::{CompiledEvidence, ScoringEngine, SymTableMap};
+use crate::compiled::{CompiledEvidence, CompiledFeatureTable, ScoringEngine};
 use crate::error::{read_file_with_retry, MbError, RetryPolicy};
-use crate::features::{Featurizer, OwnedTermFeat};
-use crate::paircache::{snippet_hash, AlignCache, CachedAlignment};
-use crate::rewrite::{prepare_pair, MatchStrategy, RewriteExtraction};
+use crate::features::{walk_features, OwnedTermFeat, PairFeature};
+use crate::paircache::{snippet_hash, AlignCache};
+use crate::rewrite::{prepare_pair, MatchStrategy, RewriteExtraction, RewriteExtractor};
 
 const MAGIC: &[u8; 8] = b"MBMODEL\0";
 const VERSION: u32 = 1;
@@ -366,31 +370,36 @@ pub struct ScoreOutcome {
     pub fidelity: Fidelity,
 }
 
-/// Reusable per-thread working state for a [`Scorer`]: the interner and
-/// featurizer that scoring mutates. Splitting this out of the scorer keeps
-/// scoring `&self`, so one shared `&Scorer` serves any number of threads,
-/// each with its own `Scratch`.
+/// Reusable per-thread working state for a [`Scorer`]: an interner layered
+/// over the bundle vocabulary, the snippet arena and reused buffers.
+/// Splitting this out of the scorer keeps scoring `&self`, so one shared
+/// `&Scorer` serves any number of threads, each with its own `Scratch`.
 ///
-/// Build one with [`Scorer::scratch`] (the model vocabulary is preloaded so
-/// trained feature ids keep their meaning) and reuse it across calls —
-/// reuse amortizes interner growth across requests.
+/// Build one with [`Scorer::scratch`] (a few empty buffers) and reuse it
+/// across calls — reuse lets the arena skip repeat tokenization.
+/// Nothing a scratch holds outlives its arena: strings outside the
+/// vocabulary are forgotten whenever the arena is dropped, so memory stays
+/// bounded however long the scratch lives, and no score depends on what
+/// the scratch scored before.
 pub struct Scratch<'a> {
+    /// Vocabulary phrases intern to their bundle ids; any other string
+    /// gets a local id above them, valid until the arena is next dropped.
     interner: Interner,
-    featurizer: Featurizer<'a>,
-    /// Scratch-symbol → compiled-table phrase id memo.
-    sym_map: SymTableMap,
     /// Reusable rewrite-extraction buffer.
     ext_buf: RewriteExtraction,
+    /// Reusable n-gram occurrence buffer for arena fills.
+    occ_buf: Vec<TermOccurrence>,
+    /// The scored pair's priced features: (position group, weight index,
+    /// value) triples.
+    feats: Vec<CoupledFeature>,
+    /// Reusable buffers for the flat encoding of `feats`.
+    pair_buf: Vec<(u32, f64)>,
+    sparse_buf: SparseVec,
     /// Reusable normalization buffer for arena tokenization.
     norm: String,
-    /// Persistent snippet arena: tokenizations (and term occurrences) cached
-    /// across calls, `arena_len` is the number of live entries. Safe for
-    /// bit-identity because interning is idempotent: re-tokenizing a snippet
-    /// whose tokens are already in this scratch's interner would not change
-    /// interner state, so skipping the re-tokenization leaves every later
-    /// symbol assignment — and therefore every score — exactly where
-    /// [`ReferenceScorer`](crate::reference::ReferenceScorer), which
-    /// tokenizes every pair fresh, puts it.
+    /// Persistent snippet arena: each distinct snippet's tokens and priced
+    /// term features, kept across calls; `arena_len` is the number of live
+    /// entries.
     arena: Vec<ArenaEntry>,
     arena_len: usize,
     /// Snippet-hash → arena index. Hash-keyed to stay allocation-free on
@@ -398,21 +407,15 @@ pub struct Scratch<'a> {
     /// copy, so a 64-bit collision degrades to reprocessing, never to a
     /// wrong score.
     arena_index: FxHashMap<u64, usize>,
-    /// Shared-alignment → resolved-extraction memo, keyed by the
-    /// alignment's `Arc` pointer. The first replay of a cached alignment in
-    /// this scratch interns its phrases and resolves the occurrences;
-    /// repeats copy the already-resolved buffers (pure `memcpy`, no string
-    /// hashing). Holding the `Arc` in the value keeps the pointer key unique
-    /// for the life of the entry.
-    replay_memo: FxHashMap<usize, (std::sync::Arc<CachedAlignment>, RewriteExtraction)>,
+    /// A scratch serves the bundle its scorer borrows.
+    bundle: PhantomData<&'a ServingBundle>,
 }
 
-impl<'a> Scratch<'a> {
-    /// Split borrow of the interner and featurizer, for the in-crate
-    /// attribution path (`crate::explain`) which needs both mutably at
-    /// once.
-    pub(crate) fn explain_parts(&mut self) -> (&mut Interner, &mut Featurizer<'a>) {
-        (&mut self.interner, &mut self.featurizer)
+impl Scratch<'_> {
+    /// The interner every phrase id of this scratch's last walk resolves
+    /// through, for the attribution path (`crate::explain`).
+    pub(crate) fn interner(&self) -> &Interner {
+        &self.interner
     }
 }
 
@@ -429,20 +432,18 @@ struct ArenaEntry {
     /// verified against it by full equality.
     snippet: Snippet,
     tok: TokenizedSnippet,
-    occs: Vec<TermOccurrence>,
-    occs_ready: bool,
+    /// The snippet's term features the model prices, valued as R-side
+    /// occurrences (`+1`).
+    terms: Vec<CoupledFeature>,
+    terms_ready: bool,
 }
-
-/// Replay-memo entries above this count drop the memo wholesale (same
-/// rationale as [`SNIPPET_ARENA_CAP`]).
-const REPLAY_MEMO_CAP: usize = 8192;
 
 /// The spec a model encodes with at `fidelity`. Degraded scorers encode
 /// term features only: rewrite extraction needs the statistics database,
 /// so the rewrite family is switched off (term features stay on even for
 /// rewrite-only specs — their leftover-term vocabulary still fires).
-/// Feature ids keep their trained meaning because the model vocabulary is
-/// preloaded either way; unseen serve-time features score zero.
+/// Weight indices come from the model vocabulary either way; features
+/// outside it score zero.
 pub(crate) fn effective_spec(spec: ModelSpec, fidelity: &Fidelity) -> ModelSpec {
     match fidelity {
         Fidelity::Full => spec,
@@ -454,42 +455,72 @@ pub(crate) fn effective_spec(spec: ModelSpec, fidelity: &Fidelity) -> ModelSpec 
     }
 }
 
+/// The scoring walk's sink: keep a feature the model prices as its
+/// (position group, weight index, value) triple. A feature outside the
+/// vocabulary would price at exactly zero — the flat dot product skips
+/// its id, the coupled model multiplies it by a zero term weight — so it
+/// is dropped here.
+fn price(table: &CompiledFeatureTable, out: &mut Vec<CoupledFeature>, f: PairFeature) {
+    if let Some(term) = table.weight_index(f.feat) {
+        out.push(CoupledFeature {
+            pos: f.pos_group,
+            term,
+            value: f.value,
+        });
+    }
+}
+
+/// Sum the values of equal (position group, weight index) keys and drop
+/// exact zeros, leaving `feats` sorted by key: the occurrence list
+/// training's coupled encoding builds. Values are ±1 counts, so every sum
+/// is exact in any order.
+fn aggregate(feats: &mut Vec<CoupledFeature>) {
+    feats.sort_unstable_by_key(|f| (f.pos, f.term));
+    feats.dedup_by(|next, kept| {
+        let same = (next.pos, next.term) == (kept.pos, kept.term);
+        if same {
+            kept.value += next.value;
+        }
+        same
+    });
+    feats.retain(|f| f.value != 0.0);
+}
+
 /// A ready-to-serve scorer over a [`ServingBundle`]: deployed model,
 /// statistics database and the compiled engine built from them.
 ///
 /// The scorer itself is immutable — every scoring call takes a
-/// [`Scratch`] holding the mutable interner/featurizer state — so one
-/// scorer can be shared across serving threads (one scratch per thread).
-/// Build one with [`ServingBundle::scorer`].
+/// [`Scratch`] holding the mutable per-thread state — so one scorer can
+/// be shared across serving threads (one scratch per thread). Build one
+/// with [`ServingBundle::scorer`].
 pub struct Scorer<'a> {
     model: &'a DeployedModel,
-    stats: &'a StatsDb,
     /// Effective spec: degraded fidelity switches the rewrite family off.
     spec: ModelSpec,
     tokenizer: Tokenizer,
+    ngram: NGramExtractor,
+    rewriter: RewriteExtractor,
     fidelity: Fidelity,
-    /// Compiled feature table + alignment cache, compiled from `stats`.
+    /// Compiled feature table + alignment cache.
     engine: &'a ScoringEngine,
 }
 
 impl<'a> Scorer<'a> {
-    /// Build a fresh scratch for this scorer: a new interner and featurizer
-    /// with the model vocabulary preloaded, so trained feature ids keep
-    /// their meaning. One per scoring thread; cheap next to model loading.
+    /// Build a fresh scratch for this scorer: one per scoring thread, at
+    /// the cost of a few empty buffers.
     pub fn scratch(&self) -> Scratch<'a> {
-        let mut interner = Interner::new();
-        let mut featurizer = Featurizer::new(self.spec, self.stats);
-        featurizer.preload_vocab(&self.model.vocab, &mut interner);
         Scratch {
-            interner,
-            featurizer,
-            sym_map: SymTableMap::new(),
+            interner: Interner::with_base(Arc::clone(self.engine.table().phrases())),
             ext_buf: RewriteExtraction::default(),
+            occ_buf: Vec::new(),
+            feats: Vec::new(),
+            pair_buf: Vec::new(),
+            sparse_buf: SparseVec::new(),
             norm: String::new(),
             arena: Vec::new(),
             arena_len: 0,
             arena_index: FxHashMap::default(),
-            replay_memo: FxHashMap::default(),
+            bundle: PhantomData,
         }
     }
 
@@ -602,10 +633,24 @@ impl<'a> Scorer<'a> {
             .unzip()
     }
 
+    /// Make room for both sides of a pair before resolving either:
+    /// clearing the arena while filling `s` would recycle the slot `r`
+    /// resolved to. Near [`SNIPPET_ARENA_CAP`] the whole arena is logically
+    /// dropped and refilled from slot 0 — entry buffers keep their
+    /// capacity — and the interner's local ids go with it: arena entries
+    /// are the only state that outlives a pair.
+    fn make_room(scratch: &mut Scratch<'a>) {
+        if scratch.arena_len + 2 > SNIPPET_ARENA_CAP {
+            scratch.arena_index.clear();
+            scratch.arena_len = 0;
+            scratch.interner.clear_local();
+        }
+    }
+
     /// Arena index and hash of `snippet`, tokenizing on first encounter.
     /// Hash-index hits are verified by full equality against the entry's
-    /// own snippet; a 64-bit collision falls through to reprocessing
-    /// (idempotent, so still bit-identical — only slower).
+    /// own snippet; a 64-bit collision falls through to reprocessing (only
+    /// slower).
     fn arena_entry(
         snippet: &Snippet,
         tokenizer: &Tokenizer,
@@ -624,16 +669,15 @@ impl<'a> Scorer<'a> {
 
     /// Fill the next arena slot with `snippet`'s tokenization (reusing the
     /// slot's buffers) and return its index. The caller has made room
-    /// ([`Self::score_engine`] clears a full arena before resolving either
-    /// side of a pair).
+    /// ([`Self::make_room`]).
     fn arena_fill(snippet: &Snippet, tokenizer: &Tokenizer, scratch: &mut Scratch<'a>) -> usize {
         let i = scratch.arena_len;
         if scratch.arena.len() == i {
             scratch.arena.push(ArenaEntry {
                 snippet: snippet.clone(),
                 tok: TokenizedSnippet::default(),
-                occs: Vec::new(),
-                occs_ready: false,
+                terms: Vec::new(),
+                terms_ready: false,
             });
         }
         let Scratch {
@@ -644,127 +688,156 @@ impl<'a> Scorer<'a> {
         } = scratch;
         let e = &mut arena[i];
         e.snippet.clone_from(snippet);
-        e.occs_ready = false;
+        e.terms_ready = false;
         snippet.tokenize_into(tokenizer, interner, norm, &mut e.tok);
         scratch.arena_len = i + 1;
         i
     }
 
-    /// Extract n-gram occurrences for arena entry `i` if not already cached
+    /// Price the term features of arena entry `i` if not already cached
     /// (into the entry's reused buffer).
-    fn ensure_arena_occs(i: usize, scratch: &mut Scratch<'a>) {
+    fn ensure_arena_terms(&self, i: usize, scratch: &mut Scratch<'a>) {
         let Scratch {
             arena,
             interner,
-            featurizer,
+            occ_buf,
             ..
         } = scratch;
-        let ArenaEntry {
-            tok,
-            occs,
-            occs_ready,
-            ..
-        } = &mut arena[i];
-        if !*occs_ready {
-            featurizer.term_occurrences_into(&*tok, interner, occs);
-            *occs_ready = true;
+        let e = &mut arena[i];
+        if e.terms_ready {
+            return;
         }
+        self.ngram.extract_into(&e.tok, interner, occ_buf);
+        e.terms.clear();
+        let table = self.engine.table();
+        walk_features(&self.spec, interner, occ_buf, &[], None, |f| {
+            price(table, &mut e.terms, f)
+        });
+        e.terms_ready = true;
     }
 
-    /// Score one pair through the engine. Interner operations happen in the
-    /// reference order — tokenize r, tokenize s, occurrences r, occurrences
-    /// s, then alignment — and every step the arena or the cache skips
-    /// would have been a state no-op (re-interning already interned
-    /// strings). The alignment is a cache hit (replayed, including the
-    /// exact interner side effects of a fresh `prepare_pair`) or computed
-    /// against the compiled evidence table and offered to the cache, which
-    /// keeps it from the pair's second miss on; the features are then
-    /// encoded through the featurizer's reused buffers.
+    /// Extract the rewrites of `(r, s)` into `ext`, probing the compiled
+    /// table for greedy evidence.
+    fn extract_rewrites(
+        &self,
+        r: &TokenizedSnippet,
+        s: &TokenizedSnippet,
+        interner: &mut Interner,
+        ext: &mut RewriteExtraction,
+    ) {
+        let cfg = self.rewriter.config();
+        let prepared = prepare_pair(
+            r,
+            s,
+            cfg.max_phrase_len,
+            cfg.strategy == MatchStrategy::GreedyStats,
+            interner,
+        );
+        let evidence = CompiledEvidence(self.engine.table());
+        self.rewriter
+            .extract_prepared_into(r, s, &prepared, &evidence, interner, ext);
+    }
+
+    /// Score one pair through the engine. The pair's features are the
+    /// arena's priced term features of each side plus its rewrite-family
+    /// features: a cache hit appends them, a miss extracts and walks the
+    /// pair once and offers the result to the cache, which keeps it from
+    /// the pair's second miss on. The classifier then sees exactly the
+    /// priced part of what training's encoding of the pair holds.
     fn score_engine(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
-        // Make room for both sides before resolving either: clearing the
-        // arena while filling `s` would recycle the slot `r` resolved to.
-        // Near SNIPPET_ARENA_CAP the whole arena is logically dropped and
-        // refilled from slot 0 — entry buffers keep their capacity, and
-        // because every cached token is already interned, eviction has no
-        // effect on scores.
-        if scratch.arena_len + 2 > SNIPPET_ARENA_CAP {
-            scratch.arena_index.clear();
-            scratch.arena_len = 0;
-        }
+        Self::make_room(scratch);
         let (ri, hr) = Self::arena_entry(r, &self.tokenizer, scratch);
         let (si, hs) = Self::arena_entry(s, &self.tokenizer, scratch);
+        scratch.feats.clear();
         if self.spec.terms {
-            Self::ensure_arena_occs(ri, scratch);
-            Self::ensure_arena_occs(si, scratch);
+            self.ensure_arena_terms(ri, scratch);
+            self.ensure_arena_terms(si, scratch);
+            let Scratch { arena, feats, .. } = scratch;
+            feats.extend_from_slice(&arena[ri].terms);
+            feats.extend(arena[si].terms.iter().map(|f| CoupledFeature {
+                value: -f.value,
+                ..*f
+            }));
         }
         if self.spec.rewrites {
             let pair_hash = AlignCache::combine_hashes(hr, hs);
-            if let Some(cached) = self.engine.align().get_hashed(pair_hash, r, s) {
-                let key = std::sync::Arc::as_ptr(&cached) as usize;
-                if let Some((_, resolved)) = scratch.replay_memo.get(&key) {
-                    // Second replay in this scratch: every phrase is already
-                    // interned, so copying the resolved extraction is
-                    // state-equivalent to a full replay.
-                    scratch.ext_buf.rewrites.clone_from(&resolved.rewrites);
-                    scratch.ext_buf.r_leftover.clone_from(&resolved.r_leftover);
-                    scratch.ext_buf.s_leftover.clone_from(&resolved.s_leftover);
-                } else {
-                    cached.replay(&mut scratch.interner, &mut scratch.ext_buf);
-                    if scratch.replay_memo.len() >= REPLAY_MEMO_CAP {
-                        scratch.replay_memo.clear();
-                    }
-                    scratch
-                        .replay_memo
-                        .insert(key, (cached, scratch.ext_buf.clone()));
-                }
-            } else {
-                let rw = scratch.featurizer.rewrite_extractor();
-                let (tok_r, tok_s) = (&scratch.arena[ri].tok, &scratch.arena[si].tok);
-                let prepared = prepare_pair(
-                    tok_r,
-                    tok_s,
-                    rw.config().max_phrase_len,
-                    rw.config().strategy == MatchStrategy::GreedyStats,
-                    &mut scratch.interner,
-                );
-                let mut evidence = CompiledEvidence::new(self.engine.table(), &mut scratch.sym_map);
-                rw.extract_prepared_into(
-                    tok_r,
-                    tok_s,
-                    &prepared,
-                    &mut evidence,
-                    &scratch.interner,
-                    &mut scratch.ext_buf,
-                );
-                self.engine.align().insert_hashed(pair_hash, r, s, || {
-                    CachedAlignment::capture(&prepared, &scratch.ext_buf, &scratch.interner)
+            let align = self.engine.align();
+            if !align.get_hashed(pair_hash, r, s, &mut scratch.feats) {
+                let Scratch {
+                    arena,
+                    interner,
+                    ext_buf,
+                    feats,
+                    ..
+                } = scratch;
+                self.extract_rewrites(&arena[ri].tok, &arena[si].tok, interner, ext_buf);
+                let start = feats.len();
+                let table = self.engine.table();
+                walk_features(&self.spec, interner, &[], &[], Some(ext_buf), |f| {
+                    price(table, feats, f)
                 });
+                align.insert_hashed(pair_hash, r, s, || feats[start..].into());
             }
         }
-        let ext = self.spec.rewrites.then_some(&scratch.ext_buf);
-        let (r_occs, s_occs): (&[TermOccurrence], &[TermOccurrence]) = if self.spec.terms {
-            (&scratch.arena[ri].occs, &scratch.arena[si].occs)
-        } else {
-            (&[], &[])
-        };
+        let Scratch {
+            feats,
+            pair_buf,
+            sparse_buf,
+            ..
+        } = scratch;
         match &self.model.classifier {
             TrainedClassifier::Flat(lr) => {
-                let features =
-                    scratch
-                        .featurizer
-                        .encode_flat_scored(r_occs, s_occs, ext, &scratch.interner);
-                lr.score(features)
+                pair_buf.extend(feats.iter().map(|f| (f.term, f.value)));
+                sparse_buf.assign_from_pairs(pair_buf);
+                lr.score(sparse_buf)
             }
             TrainedClassifier::Coupled(cm) => {
-                let occs = scratch.featurizer.encode_coupled_scored(
-                    r_occs,
-                    s_occs,
-                    ext,
-                    &scratch.interner,
-                );
-                cm.score_occs(occs)
+                aggregate(feats);
+                cm.score_occs(feats)
             }
         }
+    }
+
+    /// Every feature occurrence of `(r, s)` in walk order, each with the
+    /// weight index the model prices it at (`None` outside the
+    /// vocabulary), for the attribution path (`crate::explain`). The
+    /// alignment is extracted afresh: explaining neither reads nor offers
+    /// to the alignment cache. Phrase ids resolve through
+    /// [`Scratch::interner`] until the scratch scores again.
+    pub(crate) fn explain_features(
+        &self,
+        r: &Snippet,
+        s: &Snippet,
+        scratch: &mut Scratch<'a>,
+    ) -> Vec<(PairFeature, Option<u32>)> {
+        Self::make_room(scratch);
+        let (ri, _) = Self::arena_entry(r, &self.tokenizer, scratch);
+        let (si, _) = Self::arena_entry(s, &self.tokenizer, scratch);
+        let Scratch {
+            arena,
+            interner,
+            ext_buf,
+            ..
+        } = scratch;
+        let (tok_r, tok_s) = (&arena[ri].tok, &arena[si].tok);
+        let (r_occs, s_occs) = if self.spec.terms {
+            (
+                self.ngram.extract(tok_r, interner),
+                self.ngram.extract(tok_s, interner),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        if self.spec.rewrites {
+            self.extract_rewrites(tok_r, tok_s, interner, ext_buf);
+        }
+        let table = self.engine.table();
+        let mut out = Vec::new();
+        let ext = self.spec.rewrites.then_some(&*ext_buf);
+        walk_features(&self.spec, interner, &r_occs, &s_occs, ext, |f| {
+            out.push((f, table.weight_index(f.feat)))
+        });
+        out
     }
 
     /// Per-score instrumentation.
@@ -815,7 +888,7 @@ impl ServingBundle {
         stats: StatsDb,
         fidelity: Fidelity,
     ) -> Result<Self, MbError> {
-        let engine = compile_engine(&stats)?;
+        let engine = compile_engine(&stats, &model.vocab)?;
         Ok(Self {
             model,
             stats,
@@ -867,9 +940,10 @@ impl ServingBundle {
     pub fn scorer(&self) -> Scorer<'_> {
         Scorer {
             model: &self.model,
-            stats: &self.stats,
             spec: effective_spec(self.model.spec, &self.fidelity),
             tokenizer: Tokenizer::default(),
+            ngram: NGramExtractor::default(),
+            rewriter: RewriteExtractor::default(),
             fidelity: self.fidelity.clone(),
             engine: &self.engine,
         }
@@ -937,7 +1011,7 @@ impl ScorerBuilder {
         );
         let loaded = self.load_model().and_then(|(model, model_generation)| {
             let (stats, fidelity, stats_generation) = self.load_stats()?;
-            let engine = compile_engine(&stats)?;
+            let engine = compile_engine(&stats, &model.vocab)?;
             Ok(ServingBundle {
                 model,
                 stats,
@@ -1033,8 +1107,8 @@ impl ScorerBuilder {
 /// Compile the hot-path engine for a bundle, mapping the (practically
 /// unreachable) too-large-database failure into the serve-path error
 /// taxonomy so a load reports it instead of serving mis-resolved keys.
-fn compile_engine(stats: &StatsDb) -> Result<ScoringEngine, MbError> {
-    ScoringEngine::compile(stats)
+fn compile_engine(stats: &StatsDb, vocab: &[OwnedTermFeat]) -> Result<ScoringEngine, MbError> {
+    ScoringEngine::compile(stats, vocab)
         .map_err(|e| MbError::validation(format!("stats database not compilable for serving: {e}")))
 }
 
@@ -1516,6 +1590,75 @@ mod tests {
                 expected.to_bits(),
                 "pair {i}"
             );
+        }
+    }
+
+    /// Pairs built by editing one creative: a rewrite partner substituted,
+    /// a phrase moved, a token inserted, a never-seen token inserted, and
+    /// the creative itself — every other line shared — in both orders.
+    fn edited_pairs() -> Vec<(Snippet, Snippet)> {
+        let base = Snippet::creative("XYZ Air", "find cheap flights today", "no fees apply");
+        [
+            Snippet::creative("XYZ Air", "get discounts flights today", "no fees apply"),
+            Snippet::creative("XYZ Air", "flights today find cheap", "no fees apply"),
+            Snippet::creative(
+                "XYZ Air",
+                "find cheap flights today",
+                "no hidden fees apply",
+            ),
+            Snippet::creative("XYZ Air", "find cheap qqzx flights today", "no fees apply"),
+            base.clone(),
+        ]
+        .into_iter()
+        .flat_map(|s| [(base.clone(), s.clone()), (s, base.clone())])
+        .collect()
+    }
+
+    /// One scratch scoring a stream of never-seen tokens keeps every table
+    /// within what its arena holds — the arena within its cap, the interner
+    /// within the strings of live entries — and afterwards scores exactly
+    /// like a fresh scratch and a fresh `ReferenceScorer`.
+    #[test]
+    fn long_lived_scratch_stays_bounded_and_history_free() {
+        let mut stats = StatsDb::new();
+        for _ in 0..5 {
+            stats.record(
+                microbrowse_store::FeatureKey::rewrite("find cheap", "get discounts"),
+                true,
+            );
+        }
+        let groups = crate::features::PositionVocab::num_groups() as usize;
+        let coupled = DeployedModel {
+            spec: ModelSpec::m6(),
+            classifier: TrainedClassifier::Coupled(CoupledModel::from_parts(
+                (0..groups).map(|g| 1.0 - 0.002 * g as f64).collect(),
+                vec![0.4, -0.9, 0.3],
+                0.05,
+            )),
+            vocab: sample_model().vocab,
+        };
+        for m in [sample_model(), coupled] {
+            let bundle = ServingBundle::from_parts(m.clone(), stats.clone(), Fidelity::Full)
+                .expect("bundle");
+            let scorer = bundle.scorer();
+            let mut scratch = scorer.scratch();
+            // Two never-seen tokens a side: each snippet brings three
+            // strings the vocabulary lacks (its tokens and their bigram).
+            for i in 0..3 * SNIPPET_ARENA_CAP {
+                let r = Snippet::from_lines([format!("ra{i} rb{i}")]);
+                let s = Snippet::from_lines([format!("sa{i} sb{i}")]);
+                scorer.score_pair(&r, &s, &mut scratch);
+                assert!(scratch.arena.len() <= SNIPPET_ARENA_CAP);
+                assert!(scratch.arena_index.len() <= SNIPPET_ARENA_CAP);
+                assert!(scratch.interner.local_len() <= 3 * scratch.arena_len);
+            }
+            let mut fresh = scorer.scratch();
+            let mut reference = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full);
+            for (r, s) in edited_pairs() {
+                let want = reference.score_pair(&r, &s).to_bits();
+                assert_eq!(scorer.score_pair(&r, &s, &mut scratch).to_bits(), want);
+                assert_eq!(scorer.score_pair(&r, &s, &mut fresh).to_bits(), want);
+            }
         }
     }
 

@@ -3,8 +3,12 @@
 //! and the engine scorer (compiled table + snippet arena + alignment
 //! cache) must be bit-identical to `ReferenceScorer` — the single-pair
 //! featurizer path, formerly the legacy scorer — over arbitrary corpora,
-//! models, fidelities, duplicate pairs, repeated batches, and hot reloads.
+//! models, fidelities, duplicate pairs, repeated batches, and hot reloads,
+//! on independently drawn pairs and on pairs built by editing one creative.
 
+mod edit_pairs;
+
+use edit_pairs::{arb_edited, edited_pair};
 use microbrowse_core::compiled::CompiledFeatureTable;
 use microbrowse_core::features::{OwnedTermFeat, PositionVocab};
 use microbrowse_core::reference::ReferenceScorer;
@@ -156,19 +160,22 @@ proptest! {
     }
 
     /// The engine scorer behind `ServingBundle::scorer` is bit-identical
-    /// to `ReferenceScorer` over non-empty random statistics — flat and coupled classifiers, full and degraded
-    /// fidelity, duplicate pairs in the batch, and three batches over the
+    /// to `ReferenceScorer` over random statistics — flat and coupled
+    /// classifiers, full and degraded fidelity, independent and edit-built
+    /// pairs, duplicate pairs in the batch, and three batches over the
     /// same scratch: the cache defers each alignment on its first miss,
     /// admits it on the second, and the third batch replays it.
     #[test]
     fn engine_scorer_bitwise_matches_legacy(
         db in arb_stats(),
         raw_pairs in prop::collection::vec((arb_snippet_lines(), arb_snippet_lines()), 1..4),
+        edited in prop::collection::vec(arb_edited(), 1..4),
         dup_first in any::<bool>(),
     ) {
         let mut pairs: Vec<(Snippet, Snippet)> = raw_pairs
             .into_iter()
             .map(|(r, s)| (Snippet::from_lines(r), Snippet::from_lines(s)))
+            .chain(edited.iter().map(|(r, edits)| edited_pair(r, edits, &db, &vocab())))
             .collect();
         if dup_first {
             let first = pairs[0].clone();
@@ -205,15 +212,16 @@ proptest! {
     }
 
     /// The alignment cache is shared across worker scratches, so an entry
-    /// warmed by one scratch must replay bit-identically in another whose
-    /// interning history *differs* (it met other snippets first). Scratch 2
-    /// scores the warmup pairs before the main pairs; the oracle is a
+    /// warmed by one scratch must score bit-identically in another that met
+    /// other snippets first. Scratch 2 scores the warmup pairs before the
+    /// main pairs (independent and edit-built); the oracle is a
     /// `ReferenceScorer` driven through the exact same sequence.
     #[test]
     fn shared_cache_across_scratches_matches_legacy(
         db in arb_stats(),
         raw_warmup in prop::collection::vec((arb_snippet_lines(), arb_snippet_lines()), 0..3),
         raw_pairs in prop::collection::vec((arb_snippet_lines(), arb_snippet_lines()), 1..4),
+        edited in prop::collection::vec(arb_edited(), 1..3),
     ) {
         let to_pairs = |raw: Vec<(Vec<String>, Vec<String>)>| -> Vec<(Snippet, Snippet)> {
             raw.into_iter()
@@ -221,7 +229,8 @@ proptest! {
                 .collect()
         };
         let warmup = to_pairs(raw_warmup);
-        let pairs = to_pairs(raw_pairs);
+        let mut pairs = to_pairs(raw_pairs);
+        pairs.extend(edited.iter().map(|(r, edits)| edited_pair(r, edits, &db, &vocab())));
         for model in [flat_model(), coupled_model()] {
             let bundle = ServingBundle::from_parts(model.clone(), db.clone(), Fidelity::Full)
                 .expect("bundle");
@@ -233,8 +242,8 @@ proptest! {
                 let _ = scorer.score_batch(&pairs, &mut scratch1);
             }
             prop_assert!(bundle.engine().align().entries() > 0);
-            // Scratch 2 diverges its interning history first, then scores
-            // the main pairs through cache hits inserted by scratch 1.
+            // Scratch 2 meets the warmup snippets first, then scores the
+            // main pairs through cache hits inserted by scratch 1.
             let mut scratch2 = scorer.scratch();
             let _ = scorer.score_batch(&warmup, &mut scratch2);
             let engine: Vec<u64> = scorer

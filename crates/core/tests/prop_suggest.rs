@@ -4,6 +4,9 @@
 //! `explain_pair` must decompose the exact served score, which
 //! `ReferenceScorer` reproduces bit for bit.
 
+mod edit_pairs;
+
+use edit_pairs::{arb_edited, edited_pair};
 use microbrowse_core::explain::explain_pair;
 use microbrowse_core::features::{OwnedTermFeat, PositionVocab};
 use microbrowse_core::reference::ReferenceScorer;
@@ -379,16 +382,21 @@ proptest! {
     /// `bias + Σ span contributions` recovers the served pair score for
     /// every model family and fidelity, the served score is the reference
     /// scorer's bit for bit, and every rewrite attribution carries the
-    /// aligned S-side span.
+    /// aligned S-side span — on an independently drawn pair and on one
+    /// built by editing a creative.
     #[test]
     fn explain_sums_to_score(
         db in arb_stats(),
         r_lines in arb_snippet_lines(),
         s_lines in arb_snippet_lines(),
+        edited in arb_edited(),
     ) {
-        let r = Snippet::from_lines(r_lines);
-        let s = Snippet::from_lines(s_lines);
-        for model in [flat_model(), coupled_model()] {
+        let independent = (Snippet::from_lines(r_lines), Snippet::from_lines(s_lines));
+        let edited = edited_pair(&edited.0, &edited.1, &db, &vocab());
+        for ((r, s), model) in [independent, edited]
+            .iter()
+            .flat_map(|pair| [(pair, flat_model()), (pair, coupled_model())])
+        {
             for fidelity in [
                 Fidelity::Full,
                 Fidelity::Degraded(DegradeReason::StatsMissing),
@@ -398,12 +406,12 @@ proptest! {
                         .expect("bundle");
                 let scorer = bundle.scorer();
                 let mut scratch = scorer.scratch();
-                let exp = explain_pair(&scorer, &r, &s, &mut scratch);
+                let exp = explain_pair(&scorer, r, s, &mut scratch);
                 // The explanation reports the served score exactly, and
                 // the served score is the reference scorer's.
-                let served = scorer.score_pair(&r, &s, &mut scratch);
+                let served = scorer.score_pair(r, s, &mut scratch);
                 prop_assert_eq!(exp.score.to_bits(), served.to_bits());
-                let expected = ReferenceScorer::from_parts(&model, &db, &fidelity).score_pair(&r, &s);
+                let expected = ReferenceScorer::from_parts(&model, &db, &fidelity).score_pair(r, s);
                 prop_assert_eq!(exp.score.to_bits(), expected.to_bits());
                 // And decomposes it within float-summation tolerance.
                 let sum: f64 =
