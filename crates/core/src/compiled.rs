@@ -171,12 +171,6 @@ pub struct CompiledFeatureTable {
 }
 
 impl CompiledFeatureTable {
-    /// Compile `db` alone (an empty model vocabulary); see
-    /// [`Self::compile_with_vocab`].
-    pub fn compile(db: &StatsDb) -> Result<Self, CompileError> {
-        Self::compile_with_vocab(db, &[])
-    }
-
     /// Compile `db` and the model vocabulary `vocab` into the
     /// probe-optimized form. Deterministic: the same inputs always produce
     /// the same table (database input is [`StatsDb::sorted_records`]), and
@@ -184,7 +178,7 @@ impl CompiledFeatureTable {
     /// with [`CompileError`] on inputs too large for the table's 32-bit id
     /// spaces — impossible in practice, but a load-time error beats
     /// silently mis-resolving keys.
-    pub fn compile_with_vocab(db: &StatsDb, vocab: &[OwnedTermFeat]) -> Result<Self, CompileError> {
+    pub fn compile(db: &StatsDb, vocab: &[OwnedTermFeat]) -> Result<Self, CompileError> {
         // One entry per record, so bounding the record count up front makes
         // every entry-index cast below infallible and keeps real indices
         // clear of the NO_ENTRY sentinel.
@@ -450,7 +444,7 @@ impl ScoringEngine {
     /// table's id spaces (see [`CompileError`]).
     pub fn compile(db: &StatsDb, vocab: &[OwnedTermFeat]) -> Result<Self, CompileError> {
         Ok(Self {
-            table: CompiledFeatureTable::compile_with_vocab(db, vocab)?,
+            table: CompiledFeatureTable::compile(db, vocab)?,
             align: AlignCache::new(),
         })
     }
@@ -496,7 +490,7 @@ mod tests {
     #[test]
     fn get_matches_db_on_every_key_and_misses() {
         let db = demo_db();
-        let table = CompiledFeatureTable::compile(&db).expect("compile");
+        let table = CompiledFeatureTable::compile(&db, &[]).expect("compile");
         assert_eq!(table.len(), db.len());
         for (key, stat) in db.iter() {
             assert_eq!(table.get(key), Some(stat), "key {key:?}");
@@ -520,7 +514,7 @@ mod tests {
     #[test]
     fn greedy_rewrite_score_canonicalizes_like_strings() {
         let db = demo_db();
-        let table = CompiledFeatureTable::compile(&db).expect("compile");
+        let table = CompiledFeatureTable::compile(&db, &[]).expect("compile");
         let cheap = table.phrase_id("cheap").unwrap();
         let discount = table.phrase_id("discount").unwrap();
         let stat = FeatureStat { up: 6, down: 1 };
@@ -539,7 +533,7 @@ mod tests {
     #[test]
     fn rewrite_neighbors_cover_both_directions() {
         let db = demo_db();
-        let table = CompiledFeatureTable::compile(&db).expect("compile");
+        let table = CompiledFeatureTable::compile(&db, &[]).expect("compile");
         let cheap = table.phrase_id("cheap").unwrap();
         let discount = table.phrase_id("discount").unwrap();
         let flights = table.phrase_id("flights").unwrap();
@@ -564,7 +558,7 @@ mod tests {
 
     #[test]
     fn empty_db_compiles_to_empty_table() {
-        let table = CompiledFeatureTable::compile(&StatsDb::new()).expect("compile");
+        let table = CompiledFeatureTable::compile(&StatsDb::new(), &[]).expect("compile");
         assert!(table.is_empty());
         assert_eq!(table.num_phrases(), 0);
         assert_eq!(table.get(&FeatureKey::term("x")), None);
@@ -573,14 +567,14 @@ mod tests {
     #[test]
     fn vocabulary_phrases_follow_database_phrases() {
         let db = demo_db();
-        let plain = CompiledFeatureTable::compile(&db).expect("compile");
+        let plain = CompiledFeatureTable::compile(&db, &[]).expect("compile");
         let vocab = [
             OwnedTermFeat::Term("cheap".into()),
             OwnedTermFeat::Rewrite("book now".into(), "cheap".into()),
             OwnedTermFeat::Term("cheap".into()),
             OwnedTermFeat::Term("fees".into()),
         ];
-        let table = CompiledFeatureTable::compile_with_vocab(&db, &vocab).expect("compile");
+        let table = CompiledFeatureTable::compile(&db, &vocab).expect("compile");
         // Database phrases keep their ids; vocabulary-only phrases follow.
         let n = plain.num_phrases();
         for id in 0..n as u32 {

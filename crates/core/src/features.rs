@@ -266,6 +266,24 @@ pub(crate) fn walk_features(
     }
 }
 
+/// Sum the values of equal (position group, term) keys and drop exact
+/// zeros, leaving `occs` sorted by key: the coupled encoding of a pair's
+/// walk. Occurrences both sides share at the same position cancel here;
+/// they would otherwise dominate the list (most n-grams of a pair are
+/// common). Walk values are ±1, so every sum is exact in any order, and
+/// training and scoring, which both aggregate here, agree bit for bit.
+pub(crate) fn aggregate(occs: &mut Vec<CoupledFeature>) {
+    occs.sort_unstable_by_key(|f| (f.pos, f.term));
+    occs.dedup_by(|next, kept| {
+        let same = (next.pos, next.term) == (kept.pos, kept.term);
+        if same {
+            kept.value += next.value;
+        }
+        same
+    });
+    occs.retain(|f| f.value != 0.0);
+}
+
 /// Encoded data for one model spec: exactly one of the two encodings.
 #[derive(Debug, Clone)]
 pub enum EncodedData {
@@ -470,21 +488,22 @@ impl<'a> Featurizer<'a> {
     /// Assign vocabulary ids and finish the coupled encoding (see
     /// [`Self::finish_flat`] for the ordering contract).
     fn finish_coupled(&mut self, raw: Vec<RawFeature>, label: bool) -> CoupledExample {
-        // Aggregate by (position group, feature): occurrences shared by both
-        // sides at the same position cancel exactly and would otherwise
-        // dominate the occurrence list (most n-grams of a pair are common).
-        let mut agg: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-        for f in raw {
-            *agg.entry((f.pos_group, self.feat_id(f.feat)))
-                .or_insert(0.0) += f.value;
-        }
-        let mut occs: Vec<CoupledFeature> = agg
+        let mut occs: Vec<CoupledFeature> = raw
             .into_iter()
-            .filter(|&(_, v)| v != 0.0)
-            .map(|((pos, term), value)| CoupledFeature { pos, term, value })
+            .map(|f| CoupledFeature {
+                pos: f.pos_group,
+                term: self.feat_id(f.feat),
+                value: f.value,
+            })
             .collect();
-        occs.sort_unstable_by_key(|o| (o.pos, o.term));
-        CoupledExample { occs, label }
+        aggregate(&mut occs);
+        // Keep a compact copy, not the walk's buffer: aggregation leaves most
+        // of its length spare, and training sweeps every example many times
+        // (shrinking in place measured as slow as keeping the spare room).
+        CoupledExample {
+            occs: occs.to_vec(),
+            label,
+        }
     }
 
     /// Encode one pair as a flat sparse example.

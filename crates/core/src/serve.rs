@@ -54,7 +54,7 @@ use microbrowse_text::{
 use crate::classifier::{ModelSpec, TrainedClassifier};
 use crate::compiled::{CompiledEvidence, CompiledFeatureTable, ScoringEngine};
 use crate::error::{read_file_with_retry, MbError, RetryPolicy};
-use crate::features::{walk_features, OwnedTermFeat, PairFeature};
+use crate::features::{aggregate, walk_features, OwnedTermFeat, PairFeature};
 use crate::paircache::{snippet_hash, AlignCache};
 use crate::rewrite::{prepare_pair, MatchStrategy, RewriteExtraction, RewriteExtractor};
 
@@ -468,22 +468,6 @@ fn price(table: &CompiledFeatureTable, out: &mut Vec<CoupledFeature>, f: PairFea
             value: f.value,
         });
     }
-}
-
-/// Sum the values of equal (position group, weight index) keys and drop
-/// exact zeros, leaving `feats` sorted by key: the occurrence list
-/// training's coupled encoding builds. Values are ±1 counts, so every sum
-/// is exact in any order.
-fn aggregate(feats: &mut Vec<CoupledFeature>) {
-    feats.sort_unstable_by_key(|f| (f.pos, f.term));
-    feats.dedup_by(|next, kept| {
-        let same = (next.pos, next.term) == (kept.pos, kept.term);
-        if same {
-            kept.value += next.value;
-        }
-        same
-    });
-    feats.retain(|f| f.value != 0.0);
 }
 
 /// A ready-to-serve scorer over a [`ServingBundle`]: deployed model,

@@ -119,7 +119,7 @@ proptest! {
         db in arb_stats(),
         probes in prop::collection::vec(arb_key(), 1..32),
     ) {
-        let table = CompiledFeatureTable::compile(&db).expect("compile");
+        let table = CompiledFeatureTable::compile(&db, &[]).expect("compile");
         prop_assert_eq!(table.len(), db.len());
         // Probe both recorded keys and random (mostly missing) keys.
         let recorded: Vec<FeatureKey> = db.iter().map(|(k, _)| k.clone()).collect();
@@ -142,7 +142,7 @@ proptest! {
         db in arb_stats(),
         pairs in prop::collection::vec((arb_phrase(), arb_phrase()), 1..16),
     ) {
-        let table = CompiledFeatureTable::compile(&db).expect("compile");
+        let table = CompiledFeatureTable::compile(&db, &[]).expect("compile");
         for (a, b) in &pairs {
             let (Some(ia), Some(ib)) = (table.phrase_id(a), table.phrase_id(b)) else {
                 continue; // phrase never recorded → reference evidence also misses

@@ -17,7 +17,7 @@ and BROKEN (the mutant does not compile). Anything but KILLED makes the run
 exit non-zero. Each mutant is a rebuild, so scripts/check.sh does not run
 this; run it when a change touches the code a mutant covers.
 
-Usage: scripts/mutants.py [--keep] [ID ...]   (from anywhere in the repo)
+Usage: scripts/mutants.py [ID ...]   (from anywhere in the repo)
 """
 
 import json
@@ -69,9 +69,7 @@ def run_entry(entry, work):
     return "KILLED", failed[0] if failed else f"exit {proc.returncode}"
 
 
-def main(args):
-    keep = "--keep" in args
-    wanted = [a for a in args if a != "--keep"]
+def main(wanted):
     with open(os.path.join(ROOT, "scripts", "mutants.json"), encoding="utf-8") as f:
         registry = json.load(f)
     unknown = set(wanted) - {e["id"] for e in registry}
@@ -87,10 +85,7 @@ def main(args):
             results.append((entry["id"], outcome))
             print(f"{outcome:8} {entry['id']}: {detail}", flush=True)
     finally:
-        if keep:
-            print(f"work tree kept at {work}")
-        else:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     bad = [(i, o) for i, o in results if o != "KILLED"]
     print(f"{len(results) - len(bad)}/{len(results)} killed")
     for i, o in bad:
