@@ -702,7 +702,9 @@ impl BatchResponse {
 /// "query_class":"…","impressions":N,"clicks":K}`. `snippet` uses the
 /// same `|`-separated line spelling as `/v1/score`; `position` is the
 /// 1-based SERP slot the creative was shown at; `query_class` buckets the
-/// adgroup's keyword for the per-class position model (empty is allowed).
+/// adgroup's keyword and becomes its keyword in the online refit (empty is
+/// allowed). The online learner does not use `position`: it is accepted,
+/// journaled and replayed, but no model reads it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedbackEvent {
     /// Adgroup the creative competed in.
@@ -711,7 +713,8 @@ pub struct FeedbackEvent {
     pub creative: u64,
     /// Creative text, `|`-separated lines (headline first).
     pub snippet: String,
-    /// 1-based SERP position the impressions were served at.
+    /// 1-based SERP position the impressions were served at (journaled;
+    /// unused by the learner).
     pub position: u64,
     /// Query class of the adgroup's keyword (may be empty).
     pub query_class: String,

@@ -183,13 +183,12 @@ fn main() {
     let pre_margin = mean(&pre_margins);
 
     let json = format!(
-        "{{\n  \"config\": {{\n    \"train_adgroups\": {train_adgroups},\n    \"adgroups\": {adgroups},\n    \"windows\": {windows},\n    \"drift_at\": {drift_at},\n    \"batch_adgroups\": {batch_adgroups},\n    \"seed\": {seed},\n    \"spec\": \"m4\"\n  }},\n  \"windows\": [\n{}\n  ],\n  \"pre_drift_margin\": {pre_margin:.4},\n  \"post_drift\": {{\n    \"windows\": {},\n    \"frozen_acc\": {post_frozen_acc:.4},\n    \"online_acc\": {post_online_acc:.4},\n    \"margin\": {post_margin:.4}\n  }},\n  \"gate\": {gate:.4},\n  \"learner\": {{\n    \"batches_folded\": {},\n    \"events_folded\": {},\n    \"delta_features\": {},\n    \"position_classes\": {}\n  }}\n}}\n",
+        "{{\n  \"config\": {{\n    \"train_adgroups\": {train_adgroups},\n    \"adgroups\": {adgroups},\n    \"windows\": {windows},\n    \"drift_at\": {drift_at},\n    \"batch_adgroups\": {batch_adgroups},\n    \"seed\": {seed},\n    \"spec\": \"m4\"\n  }},\n  \"windows\": [\n{}\n  ],\n  \"pre_drift_margin\": {pre_margin:.4},\n  \"post_drift\": {{\n    \"windows\": {},\n    \"frozen_acc\": {post_frozen_acc:.4},\n    \"online_acc\": {post_online_acc:.4},\n    \"margin\": {post_margin:.4}\n  }},\n  \"gate\": {gate:.4},\n  \"learner\": {{\n    \"batches_folded\": {},\n    \"events_folded\": {},\n    \"delta_features\": {}\n  }}\n}}\n",
         rows.join(",\n"),
         post_frozen.len(),
         learner.batches_folded(),
         learner.events_folded(),
         learner.delta_features(),
-        learner.posclass().num_classes(),
     );
     microbrowse_obs::json::assert_parses(&json);
     if let Some(dir) = std::path::Path::new(&out_path).parent() {

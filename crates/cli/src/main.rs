@@ -1162,7 +1162,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), MbError> {
 /// reconstruct every click the server ever acknowledged.
 fn cmd_replay(flags: &Flags) -> Result<(), MbError> {
     use microbrowse_online::{Journal, OnlineError, OnlineLearner};
-    use microbrowse_server::POSCLASS_SLOT_NAME;
 
     let common = CommonFlags::parse(flags)?;
     let model_path = common.require_model()?.to_path_buf();
@@ -1221,11 +1220,6 @@ fn cmd_replay(flags: &Flags) -> Result<(), MbError> {
     };
     let stats_gen = save_stats(&out.stats, &stats_path)?;
     let model_gen = save_model(&out.model, &model_path)?;
-    if !out.posclass.is_empty() {
-        let slot = ArtifactSlot::new(&model_path, POSCLASS_SLOT_NAME);
-        slot.commit(&out.posclass.to_bytes())
-            .map_err(|e| MbError::slot(&model_path, e))?;
-    }
     journal
         .commit_checkpoint(&learner.state_bytes())
         .map_err(|e| MbError::invariant(format!("journal checkpoint failed: {e}")))?;

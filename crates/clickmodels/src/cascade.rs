@@ -10,14 +10,12 @@
 //! is examined. Fitting is therefore closed-form MLE — relevance is clicks
 //! over examinations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chain::{self, ChainSpec};
 use crate::model::{ClickModel, PairAcc, PairParams};
 use crate::session::{DocId, QueryId, Session, SessionSet};
 
 /// Cascade click model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CascadeModel {
     relevance: PairParams,
     /// Laplace smoothing for the MLE ratios.

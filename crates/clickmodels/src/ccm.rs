@@ -16,14 +16,12 @@
 //! transitions, attributing post-click transitions to the α2/α3 mixture in
 //! proportion to `1 − r` and `r`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chain::{self, ChainSpec};
 use crate::model::{ClickModel, PairAcc, PairParams, RatioAcc};
 use crate::session::{DocId, QueryId, Session, SessionSet};
 
 /// Click chain model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CcmModel {
     relevance: PairParams,
     /// Continue probability after a skip.

@@ -22,14 +22,12 @@
 //! * γ: expected continues over continue opportunities, where post-click
 //!   opportunities are discounted by expected non-satisfaction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chain::{self, ChainSpec};
 use crate::model::{ClickModel, PairAcc, PairParams, RatioAcc};
 use crate::session::{DocId, QueryId, Session, SessionSet};
 
 /// Dynamic Bayesian network click model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DbnModel {
     attractiveness: PairParams,
     satisfaction: PairParams,

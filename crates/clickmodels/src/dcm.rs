@@ -16,14 +16,12 @@
 //! the original DCM estimator conservatively treats the tail of no-click
 //! sessions as examined, which we mirror).
 
-use serde::{Deserialize, Serialize};
-
 use crate::chain::{self, ChainSpec};
 use crate::model::{ClickModel, PairAcc, PairParams, RatioAcc};
 use crate::session::{DocId, QueryId, Session, SessionSet};
 
 /// Dependent click model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DcmModel {
     relevance: PairParams,
     /// λ per rank: continuation probability after a click at that rank.

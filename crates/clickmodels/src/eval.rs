@@ -6,13 +6,11 @@
 //! rank `i` of session `s` (conditioned on the session's earlier clicks).
 //! A perfect model has perplexity 1; ignoring the data entirely gives 2.
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::{ClickModel, PROB_FLOOR};
 use crate::session::SessionSet;
 
 /// Evaluation summary for one model on one session set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Model name.
     pub model: String,

@@ -21,14 +21,12 @@
 //! exactly (see the `special_cases` tests); DBN's satisfaction differs only
 //! in tying the mixture to a second per-document variable.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chain::{self, ChainSpec};
 use crate::model::{ClickModel, PairAcc, PairParams, RatioAcc};
 use crate::session::{DocId, QueryId, Session, SessionSet};
 
 /// General click model (cascade-family parameterization).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GcmModel {
     relevance: PairParams,
     /// Per-rank continue probability after a skip (`Π(A_i > 0)`).

@@ -1,7 +1,6 @@
 //! The [`ClickModel`] trait and shared parameter plumbing.
 
 use microbrowse_text::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 use crate::session::{DocId, QueryId, Session, SessionSet};
 
@@ -48,7 +47,7 @@ pub const PROB_FLOOR: f64 = 1e-9;
 /// A smoothed Bernoulli parameter table keyed by query-document pair, with a
 /// global fallback for unseen pairs — the standard way click models carry
 /// per-result relevance/attractiveness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairParams {
     values: FxHashMap<(QueryId, DocId), f64>,
     fallback: f64,

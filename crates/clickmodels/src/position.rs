@@ -11,13 +11,11 @@
 //! "not examined" and "examined but irrelevant" in proportion to the current
 //! parameters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::{ClickModel, PairAcc, PairParams, RatioAcc};
 use crate::session::{DocId, QueryId, Session, SessionSet};
 
 /// Position (examination-hypothesis) click model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PositionModel {
     /// `γ_i`: examination probability per rank.
     gammas: Vec<f64>,

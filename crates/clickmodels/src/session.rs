@@ -7,18 +7,16 @@
 //! the query, the displayed documents in rank order, and one click bit per
 //! rank.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a query (intent), e.g. "cheap flights new york".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u32);
 
 /// Identifier of a document / ad creative shown as a result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u32);
 
 /// One query instance: ranked documents and the user's clicks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Session {
     /// The issued query.
     pub query: QueryId,
@@ -70,7 +68,7 @@ impl Session {
 }
 
 /// A training/evaluation corpus of sessions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionSet {
     sessions: Vec<Session>,
     max_depth: usize,

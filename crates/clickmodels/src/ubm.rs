@@ -14,7 +14,6 @@
 //! position model — no chain enumeration required.
 
 use microbrowse_text::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 use crate::model::{ClickModel, PairAcc, PairParams, RatioAcc};
 use crate::session::{DocId, QueryId, Session, SessionSet};
@@ -24,7 +23,7 @@ use crate::session::{DocId, QueryId, Session, SessionSet};
 type Ctx = (u16, u16);
 
 /// User browsing model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UbmModel {
     relevance: PairParams,
     gammas: FxHashMap<Ctx, f64>,

@@ -19,12 +19,11 @@
 
 use microbrowse_ml::coupled::CoupledOptimizer;
 use microbrowse_ml::{CoupledConfig, CoupledExample, CoupledModel, Example, LogReg, LogRegConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::features::EncodedData;
 
 /// Which micro-browsing components a classifier variant uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Display name ("M1" … "M6", or custom for ablations).
     pub name: &'static str,
@@ -132,7 +131,7 @@ impl ModelSpec {
 }
 
 /// Training hyper-parameters shared by all variants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Inner logistic-regression configuration (flat models and the coupled
     /// model's alternating steps).
@@ -165,7 +164,7 @@ impl Default for TrainConfig {
 }
 
 /// A trained snippet-pair classifier (either encoding).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrainedClassifier {
     /// Flat logistic regression (M1/M3/M5).
     Flat(LogReg),

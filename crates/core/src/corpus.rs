@@ -13,19 +13,18 @@
 //! enough traffic on both creatives and a statistically meaningful CTR gap.
 
 use microbrowse_text::Snippet;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a creative within the corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CreativeId(pub u64);
 
 /// Identifier of an adgroup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AdGroupId(pub u64);
 
 /// Where the ad was displayed (§V, Table 4): mainline above the organic
 /// results, or the right-hand side rail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Placement {
     /// Mainline / top-of-page ads.
     #[default]
@@ -44,7 +43,7 @@ impl std::fmt::Display for Placement {
 }
 
 /// One ad creative with its observed traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Creative {
     /// Corpus-unique id.
     pub id: CreativeId,
@@ -68,7 +67,7 @@ impl Creative {
 }
 
 /// A set of creatives targeting the same keyword.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdGroup {
     /// Corpus-unique id.
     pub id: AdGroupId,
@@ -100,7 +99,7 @@ impl AdGroup {
 }
 
 /// The corpus: every adgroup collected in the time window.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AdCorpus {
     /// All adgroups.
     pub adgroups: Vec<AdGroup>,
@@ -174,7 +173,7 @@ impl AdCorpus {
 
 /// Filters applied when forming training pairs (§V-A: pairs "where the
 /// keyword used for targeting was same and the observed CTR was different").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairFilter {
     /// Minimum impressions on each creative of the pair.
     pub min_impressions: u64,
@@ -193,7 +192,7 @@ impl Default for PairFilter {
 }
 
 /// A labelled training pair: two creatives of one adgroup and which won.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CreativePair {
     /// Owning adgroup.
     pub adgroup: AdGroupId,

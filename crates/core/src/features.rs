@@ -33,7 +33,6 @@ use microbrowse_store::{FeatureKey, StatsDb};
 use microbrowse_text::{
     FxHashMap, Interner, NGramConfig, NGramExtractor, Sym, TermOccurrence, TokenizedSnippet,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::classifier::ModelSpec;
 use crate::corpus::CreativePair;
@@ -45,7 +44,7 @@ use crate::statsbuild::TokenizedCorpus;
 
 /// A relevance-side classifier feature: a term phrase or a
 /// direction-normalized rewrite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TermFeat {
     /// An n-gram phrase (feature value: +1 in R, −1 in S).
     Term(Sym),
@@ -56,7 +55,7 @@ pub enum TermFeat {
 
 /// An interner-independent feature description, used to persist a trained
 /// model's vocabulary (symbol ids are process-local; strings are not).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OwnedTermFeat {
     /// An n-gram phrase.
     Term(String),
@@ -77,7 +76,7 @@ pub const POS_LINES: u16 = 8;
 ///
 /// Layout: term groups occupy `0 .. POS_LINES*TERM_POS_BUCKETS`; rewrite
 /// position-pair groups follow.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PositionVocab;
 
 impl PositionVocab {

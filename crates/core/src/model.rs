@@ -5,11 +5,9 @@
 //! used directly (e.g. by the quickstart example, or by a serving system
 //! that already has relevance and examination estimates).
 
-use serde::{Deserialize, Serialize};
-
 /// The per-term quantities of Eq. 3: relevance `r ∈ (0, 1]` and the
 /// examination indicator `v ∈ {0, 1}`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TermJudgment {
     /// Probability the term is relevant to the query, `r_i`.
     pub relevance: f64,
@@ -65,7 +63,7 @@ pub fn score_flat(r_terms: &[TermJudgment], s_terms: &[TermJudgment]) -> f64 {
 
 /// One matched rewrite for Eq. 6: position `p` of R was rewritten to
 /// position `q` of S.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RewriteLink {
     /// Index into the R-side term slice.
     pub r_index: usize,

@@ -20,12 +20,11 @@
 //!   micro-position move.
 
 use microbrowse_text::{Snippet, Tokenizer};
-use serde::{Deserialize, Serialize};
 
 use crate::serve::{Scorer, Scratch};
 
 /// One candidate transformation of a creative.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Edit {
     /// Replace the first occurrence of `from` (a token sequence) with `to`.
     ReplacePhrase {
@@ -109,7 +108,7 @@ fn find_phrase(lines: &[Vec<String>], toks: &[String]) -> Option<(usize, usize)>
 }
 
 /// Outcome of an optimization run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeOutcome {
     /// The optimized creative.
     pub best: Snippet,
@@ -122,7 +121,7 @@ pub struct OptimizeOutcome {
 }
 
 /// Configuration for [`optimize_creative`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizeConfig {
     /// Maximum hill-climbing rounds (each round applies at most one edit).
     pub max_rounds: usize,

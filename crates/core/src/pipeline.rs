@@ -34,7 +34,6 @@
 use microbrowse_ml::{grouped_kfold, stratified_kfold, BinaryMetrics, Confusion, FoldSplit};
 use microbrowse_obs as obs;
 use microbrowse_store::StatsDb;
-use serde::{Deserialize, Serialize};
 
 use crate::classifier::{ModelSpec, TrainConfig, TrainedClassifier};
 use crate::corpus::{AdCorpus, CreativePair, PairFilter};
@@ -44,7 +43,7 @@ use crate::rewrite::RewriteConfig;
 use crate::statsbuild::{build_stats_for, StatsBuildConfig, TokenizedCorpus};
 
 /// Configuration of one experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Pair qualification filter (§V-A).
     pub pair_filter: PairFilter,
@@ -91,7 +90,7 @@ impl Default for ExperimentConfig {
 }
 
 /// The result of one experiment (one model spec, one corpus).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentOutcome {
     /// The evaluated model variant.
     pub spec: ModelSpec,

@@ -23,10 +23,9 @@
 use microbrowse_store::key::SnippetPos;
 use microbrowse_store::{FeatureKey, FeatureStat, StatsDb};
 use microbrowse_text::{Interner, Sym, TokenizedSnippet};
-use serde::{Deserialize, Serialize};
 
 /// One aligned edit region produced by [`token_diff`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiffOp {
     /// `len` tokens equal on both sides, starting at `a`/`b` respectively.
     Equal {
@@ -133,7 +132,7 @@ pub fn changed_spans(ops: &[DiffOp]) -> Vec<(std::ops::Range<usize>, std::ops::R
 
 /// A phrase occurrence inside one snippet: the interned phrase, where it
 /// starts, and how many tokens it spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhraseOcc {
     /// Interned space-joined phrase.
     pub phrase: Sym,
@@ -144,7 +143,7 @@ pub struct PhraseOcc {
 }
 
 /// A matched rewrite: `from` in R became `to` in S.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RewritePair {
     /// The R-side phrase occurrence.
     pub from: PhraseOcc,
@@ -153,7 +152,7 @@ pub struct RewritePair {
 }
 
 /// Result of rewrite extraction over a snippet pair.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RewriteExtraction {
     /// Matched phrase rewrites.
     pub rewrites: Vec<RewritePair>,
@@ -173,7 +172,7 @@ impl RewriteExtraction {
 }
 
 /// How candidate phrases inside a changed span are matched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatchStrategy {
     /// The paper's algorithm: enumerate sub-phrases of both spans, score
     /// each `(from, to)` candidate by the rewrite statistics database, and
@@ -190,7 +189,7 @@ pub enum MatchStrategy {
 }
 
 /// Configuration for [`RewriteExtractor`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewriteConfig {
     /// Longest phrase (in tokens) considered on either side of a rewrite.
     pub max_phrase_len: usize,

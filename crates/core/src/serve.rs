@@ -9,9 +9,9 @@
 //!   interner symbols are process-local). The companion statistics snapshot
 //!   (`microbrowse_store::write_snapshot`) travels alongside it for greedy
 //!   rewrite matching at serve time.
-//! * [`DeployedModel::save`] / [`DeployedModel::load`] use a versioned,
-//!   CRC-checked binary format built from the same codec primitives as the
-//!   statistics snapshots.
+//! * [`DeployedModel::save`] / [`DeployedModel::load`] write and read one
+//!   versioned, CRC-checked [`frame`](microbrowse_store::codec::frame) in
+//!   the same codec as the statistics snapshots.
 //! * [`ServingBundle`] holds a deployed model, its statistics database and
 //!   the [`ScoringEngine`] compiled from them; [`ServingBundle::scorer`]
 //!   builds the one-call [`Scorer`] a serving system wants: *given two
@@ -40,12 +40,10 @@ use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, BytesMut};
 use microbrowse_ml::coupled::CoupledModel;
 use microbrowse_ml::{CoupledFeature, LogReg, SparseVec};
 use microbrowse_obs as obs;
-use microbrowse_store::codec::{self, DecodeError};
-use microbrowse_store::crc::crc32;
+use microbrowse_store::codec::{self, DecodeError, FrameError};
 use microbrowse_store::{write_atomic, ArtifactSlot, SlotError, SlotLoad, SnapshotError, StatsDb};
 use microbrowse_text::{
     FxHashMap, Interner, NGramExtractor, Snippet, TermOccurrence, TokenizedSnippet, Tokenizer,
@@ -105,6 +103,17 @@ impl From<DecodeError> for ModelIoError {
     }
 }
 
+impl From<FrameError> for ModelIoError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Truncated => ModelIoError::Decode(DecodeError::UnexpectedEof),
+            FrameError::BadMagic => ModelIoError::BadMagic,
+            FrameError::UnsupportedVersion(v) => ModelIoError::UnsupportedVersion(v),
+            FrameError::ChecksumMismatch { .. } => ModelIoError::ChecksumMismatch,
+        }
+    }
+}
+
 /// A self-contained trained snippet classifier, ready to save or serve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeployedModel {
@@ -116,21 +125,18 @@ pub struct DeployedModel {
     pub vocab: Vec<OwnedTermFeat>,
 }
 
-fn put_f64s(buf: &mut impl BufMut, xs: &[f64]) {
+fn put_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
     codec::put_varint(buf, xs.len() as u64);
-    for x in xs {
-        buf.put_f64_le(*x);
+    for &x in xs {
+        codec::put_f64(buf, x);
     }
 }
 
-fn get_f64s(buf: &mut impl Buf) -> Result<Vec<f64>, ModelIoError> {
+fn get_f64s(buf: &mut &[u8]) -> Result<Vec<f64>, DecodeError> {
     let n = codec::get_varint(buf)? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 22));
     for _ in 0..n {
-        if buf.remaining() < 8 {
-            return Err(ModelIoError::Decode(DecodeError::UnexpectedEof));
-        }
-        out.push(buf.get_f64_le());
+        out.push(codec::get_f64(buf)?);
     }
     Ok(out)
 }
@@ -138,26 +144,26 @@ fn get_f64s(buf: &mut impl Buf) -> Result<Vec<f64>, ModelIoError> {
 impl DeployedModel {
     /// Serialize to bytes (header + payload + CRC trailer).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = BytesMut::new();
+        let mut payload = Vec::new();
         // Spec.
         codec::put_str(&mut payload, self.spec.name);
         let flags = (self.spec.terms as u8)
             | (self.spec.rewrites as u8) << 1
             | (self.spec.positions as u8) << 2
             | (self.spec.init_from_stats as u8) << 3;
-        payload.put_u8(flags);
+        payload.push(flags);
         // Classifier.
         match &self.classifier {
             TrainedClassifier::Flat(lr) => {
-                payload.put_u8(0);
+                payload.push(0);
                 put_f64s(&mut payload, lr.weights());
-                payload.put_f64_le(lr.bias());
+                codec::put_f64(&mut payload, lr.bias());
             }
             TrainedClassifier::Coupled(cm) => {
-                payload.put_u8(1);
+                payload.push(1);
                 put_f64s(&mut payload, cm.pos_weights());
                 put_f64s(&mut payload, cm.term_weights());
-                payload.put_f64_le(cm.bias());
+                codec::put_f64(&mut payload, cm.bias());
             }
         }
         // Vocabulary.
@@ -165,24 +171,17 @@ impl DeployedModel {
         for feat in &self.vocab {
             match feat {
                 OwnedTermFeat::Term(t) => {
-                    payload.put_u8(0);
+                    payload.push(0);
                     codec::put_str(&mut payload, t);
                 }
                 OwnedTermFeat::Rewrite(a, b) => {
-                    payload.put_u8(1);
+                    payload.push(1);
                     codec::put_str(&mut payload, a);
                     codec::put_str(&mut payload, b);
                 }
             }
         }
-
-        let mut out = Vec::with_capacity(MAGIC.len() + 8 + payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        let checksum = crc32(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        codec::frame(MAGIC, VERSION, &payload)
     }
 
     /// Deserialize from bytes written by [`DeployedModel::to_bytes`].
@@ -190,31 +189,9 @@ impl DeployedModel {
     /// The spec name is mapped back to its `'static` form; names other than
     /// M1–M6 load as `"custom"`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err(ModelIoError::Decode(DecodeError::UnexpectedEof));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(ModelIoError::BadMagic);
-        }
-        let mut vb = [0u8; 4];
-        vb.copy_from_slice(&bytes[MAGIC.len()..MAGIC.len() + 4]);
-        let version = u32::from_le_bytes(vb);
-        if version != VERSION {
-            return Err(ModelIoError::UnsupportedVersion(version));
-        }
-        let payload = &bytes[MAGIC.len() + 4..bytes.len() - 4];
-        let mut tb = [0u8; 4];
-        tb.copy_from_slice(&bytes[bytes.len() - 4..]);
-        if crc32(payload) != u32::from_le_bytes(tb) {
-            return Err(ModelIoError::ChecksumMismatch);
-        }
-
-        let mut buf = payload;
+        let mut buf = codec::unframe(MAGIC, VERSION, bytes)?;
         let name = codec::get_str(&mut buf)?;
-        if !buf.has_remaining() {
-            return Err(ModelIoError::Decode(DecodeError::UnexpectedEof));
-        }
-        let flags = buf.get_u8();
+        let flags = codec::get_u8(&mut buf)?;
         let spec = ModelSpec {
             name: static_name(&name),
             terms: flags & 1 != 0,
@@ -223,25 +200,16 @@ impl DeployedModel {
             init_from_stats: flags & 8 != 0,
         };
 
-        if !buf.has_remaining() {
-            return Err(ModelIoError::Decode(DecodeError::UnexpectedEof));
-        }
-        let classifier = match buf.get_u8() {
+        let classifier = match codec::get_u8(&mut buf)? {
             0 => {
                 let weights = get_f64s(&mut buf)?;
-                if buf.remaining() < 8 {
-                    return Err(ModelIoError::Decode(DecodeError::UnexpectedEof));
-                }
-                let bias = buf.get_f64_le();
+                let bias = codec::get_f64(&mut buf)?;
                 TrainedClassifier::Flat(LogReg::from_parts(weights, bias))
             }
             1 => {
                 let pos = get_f64s(&mut buf)?;
                 let terms = get_f64s(&mut buf)?;
-                if buf.remaining() < 8 {
-                    return Err(ModelIoError::Decode(DecodeError::UnexpectedEof));
-                }
-                let bias = buf.get_f64_le();
+                let bias = codec::get_f64(&mut buf)?;
                 TrainedClassifier::Coupled(CoupledModel::from_parts(pos, terms, bias))
             }
             t => return Err(ModelIoError::BadTag(t)),
@@ -250,10 +218,7 @@ impl DeployedModel {
         let n_vocab = codec::get_varint(&mut buf)? as usize;
         let mut vocab = Vec::with_capacity(n_vocab.min(1 << 22));
         for _ in 0..n_vocab {
-            if !buf.has_remaining() {
-                return Err(ModelIoError::Decode(DecodeError::UnexpectedEof));
-            }
-            vocab.push(match buf.get_u8() {
+            vocab.push(match codec::get_u8(&mut buf)? {
                 0 => OwnedTermFeat::Term(codec::get_str(&mut buf)?),
                 1 => OwnedTermFeat::Rewrite(codec::get_str(&mut buf)?, codec::get_str(&mut buf)?),
                 t => return Err(ModelIoError::BadTag(t)),

@@ -24,7 +24,6 @@ use microbrowse_text::{
     FxHashMap, Interner, NGramConfig, NGramExtractor, Sym, TermOccurrence, TokenizedSnippet,
     Tokenizer,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::{AdCorpus, CreativeId, CreativePair, PairFilter};
 use crate::paircache::PairCache;
@@ -35,7 +34,7 @@ use crate::rewrite::{
 use crate::serveweight::serve_weights;
 
 /// Configuration for [`build_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatsBuildConfig {
     /// N-gram orders for term statistics.
     pub ngram: NGramConfig,

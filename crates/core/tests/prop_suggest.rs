@@ -334,48 +334,61 @@ proptest! {
     /// concurrent threads each with their own scratch over the shared
     /// engine (whose alignment cache they race on) must all produce the
     /// identical suggestion list — same variants, same scores, same step
-    /// order.
+    /// order. The creative is drawn independently, and is also the S side
+    /// of an edit-built pair whose R each non-reference scratch served
+    /// first.
     #[test]
     fn suggest_deterministic_across_scratches(
         db in arb_stats(),
         lines in arb_snippet_lines(),
+        edited in arb_edited(),
         beam_width in 1usize..6,
         max_depth in 1usize..3,
     ) {
-        let creative = Snippet::from_lines(lines);
         let cfg = SuggestConfig {
             beam_width,
             max_depth,
             ..SuggestConfig::default()
         };
-        let model = flat_model();
-        let bundle = ServingBundle::from_parts(model, db, Fidelity::Full).expect("bundle");
-        let scorer = bundle.scorer();
+        let (r, s) = edited_pair(&edited.0, &edited.1, &db, &vocab());
+        for (creative, served) in [(Snippet::from_lines(lines), None), (s, Some(&r))] {
+            let bundle = ServingBundle::from_parts(flat_model(), db.clone(), Fidelity::Full)
+                .expect("bundle");
+            let scorer = bundle.scorer();
 
-        // Reference: a fresh scratch.
-        let mut scratch = scorer.scratch();
-        let reference = suggest(&scorer, &creative, &cfg, &mut scratch);
-        // The same warmed scratch must replay identically (the alignment
-        // cache now holds every pair the beam scored).
-        let replay = suggest(&scorer, &creative, &cfg, &mut scratch);
-        prop_assert_eq!(&reference, &replay, "warmed scratch diverged");
+            // Reference: a fresh scratch.
+            let reference = suggest(&scorer, &creative, &cfg, &mut scorer.scratch());
+            // A scratch that first served R, then the same scratch warmed
+            // (the alignment cache now holds every pair the beam scored).
+            let mut scratch = scorer.scratch();
+            if let Some(r) = served {
+                scorer.score_pair(r, &creative, &mut scratch);
+            }
+            let first = suggest(&scorer, &creative, &cfg, &mut scratch);
+            prop_assert_eq!(&reference, &first, "scratch that served R diverged");
+            let replay = suggest(&scorer, &creative, &cfg, &mut scratch);
+            prop_assert_eq!(&reference, &replay, "warmed scratch diverged");
 
-        // Concurrent threads, each with its own scratch, racing on the
-        // shared alignment cache.
-        let concurrent: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let scorer = bundle.scorer();
-                        let mut scratch = scorer.scratch();
-                        suggest(&scorer, &creative, &cfg, &mut scratch)
+            // Concurrent threads, each with its own scratch, racing on the
+            // shared alignment cache.
+            let concurrent: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..3)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let scorer = bundle.scorer();
+                            let mut scratch = scorer.scratch();
+                            if let Some(r) = served {
+                                scorer.score_pair(r, &creative, &mut scratch);
+                            }
+                            suggest(&scorer, &creative, &cfg, &mut scratch)
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("thread")).collect()
-        });
-        for (t, got) in concurrent.iter().enumerate() {
-            prop_assert_eq!(&reference, got, "thread {} diverged", t);
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("thread")).collect()
+            });
+            for (t, got) in concurrent.iter().enumerate() {
+                prop_assert_eq!(&reference, got, "thread {} diverged", t);
+            }
         }
     }
 
@@ -440,16 +453,18 @@ proptest! {
     /// — same variants, score bits and edit trails — for flat and coupled
     /// models, on fresh scratches and on a scratch whose pairs the oracle
     /// already scored once (so every alignment is admitted into the cache
-    /// on this second sighting).
+    /// on this second sighting). The creative is drawn independently, and
+    /// is also the S side of an edit-built pair, suggested on a scratch
+    /// that first served its R.
     #[test]
     fn suggest_matches_oracle(
         db in arb_loose_stats(),
         lines in arb_raw_creative(),
+        edited in arb_edited(),
         beam_width in 1usize..6,
         max_depth in 1usize..4,
         keep_all in any::<bool>(),
     ) {
-        let creative = Snippet::from_lines(lines);
         let cfg = SuggestConfig {
             beam_width,
             max_depth,
@@ -457,20 +472,27 @@ proptest! {
             min_gain: if keep_all { f64::NEG_INFINITY } else { 0.0 },
             ..SuggestConfig::default()
         };
-        for model in [flat_model(), coupled_model()] {
-            let fresh = ServingBundle::from_parts(model.clone(), db.clone(), Fidelity::Full)
-                .expect("bundle");
-            let scorer = fresh.scorer();
-            let got = suggest(&scorer, &creative, &cfg, &mut scorer.scratch());
+        let (r, s) = edited_pair(&edited.0, &edited.1, &db, &vocab());
+        for (creative, served) in [(Snippet::from_lines(lines), None), (s, Some(&r))] {
+            for model in [flat_model(), coupled_model()] {
+                let fresh = ServingBundle::from_parts(model.clone(), db.clone(), Fidelity::Full)
+                    .expect("bundle");
+                let scorer = fresh.scorer();
+                let mut scratch = scorer.scratch();
+                if let Some(r) = served {
+                    scorer.score_pair(r, &creative, &mut scratch);
+                }
+                let got = suggest(&scorer, &creative, &cfg, &mut scratch);
 
-            let bundle = ServingBundle::from_parts(model, db.clone(), Fidelity::Full)
-                .expect("bundle");
-            let scorer = bundle.scorer();
-            let mut scratch = scorer.scratch();
-            let expect = oracle::suggest(&scorer, &creative, &cfg, &mut scratch);
-            prop_assert_eq!(bits(&got), bits(&expect));
-            let second = suggest(&scorer, &creative, &cfg, &mut scratch);
-            prop_assert_eq!(bits(&second), bits(&expect));
+                let bundle = ServingBundle::from_parts(model, db.clone(), Fidelity::Full)
+                    .expect("bundle");
+                let scorer = bundle.scorer();
+                let mut scratch = scorer.scratch();
+                let expect = oracle::suggest(&scorer, &creative, &cfg, &mut scratch);
+                prop_assert_eq!(bits(&got), bits(&expect));
+                let second = suggest(&scorer, &creative, &cfg, &mut scratch);
+                prop_assert_eq!(bits(&second), bits(&expect));
+            }
         }
     }
 }

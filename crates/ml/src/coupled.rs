@@ -20,14 +20,12 @@
 //! folded into `T`; this is what makes the learned position curves of the
 //! paper's Figure 3 comparable across runs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::{Dataset, Example};
 use crate::logreg::{sigmoid, LogReg, LogRegConfig};
 use crate::sparse::SparseVec;
 
 /// One factorized feature occurrence: position group × term id × raw value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoupledFeature {
     /// Index into the position-weight vector `P` (e.g. a (line, pos-bucket)
     /// pair, or a rewrite position pair, encoded upstream).
@@ -39,7 +37,7 @@ pub struct CoupledFeature {
 }
 
 /// One training example in factorized form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoupledExample {
     /// Feature occurrences (need not be sorted or unique).
     pub occs: Vec<CoupledFeature>,
@@ -48,7 +46,7 @@ pub struct CoupledExample {
 }
 
 /// A dataset of factorized examples plus the two index-space sizes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CoupledDataset {
     examples: Vec<CoupledExample>,
     n_pos: usize,
@@ -140,7 +138,7 @@ impl CoupledDataset {
 }
 
 /// How the coupled objective is optimized.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CoupledOptimizer {
     /// The paper's scheme verbatim: alternately fix `P` and fit `T` as a
     /// logistic regression, then fix `T` and fit `P` (§V-D.1). Simple, but
@@ -181,7 +179,7 @@ impl Default for CoupledOptimizer {
 }
 
 /// Configuration for [`CoupledModel::fit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoupledConfig {
     /// Optimization scheme.
     pub optimizer: CoupledOptimizer,
@@ -221,7 +219,7 @@ impl Default for CoupledConfig {
 }
 
 /// A trained factorized model: `log O = bias + Σ x · P[pos] · T[term]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoupledModel {
     pos_weights: Vec<f64>,
     term_weights: Vec<f64>,

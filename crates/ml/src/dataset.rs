@@ -9,12 +9,11 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::sparse::SparseVec;
 
 /// One labelled example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Example {
     /// Sparse feature vector.
     pub features: SparseVec,
@@ -36,7 +35,7 @@ impl Example {
 }
 
 /// A collection of examples plus the feature-space dimension.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     examples: Vec<Example>,
     dim: usize,

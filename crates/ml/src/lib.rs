@@ -4,7 +4,7 @@
 //! (§V-D) over term and rewrite features, optionally factorized into
 //! position weights × relevance weights and trained as "two coupled logistic
 //! regression models" (Eq. 9). This crate provides exactly that machinery,
-//! from scratch, with no dependencies beyond `rand` and `serde`:
+//! from scratch, with no dependency beyond `rand`:
 //!
 //! * [`sparse`] — compact sorted sparse vectors and their algebra.
 //! * [`dataset`] — binary-labelled sparse datasets and split utilities.

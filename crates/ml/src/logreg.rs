@@ -16,7 +16,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::sparse::SparseVec;
@@ -33,7 +32,7 @@ pub fn sigmoid(z: f64) -> f64 {
 }
 
 /// Learning-rate schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrSchedule {
     /// Fixed step size.
     Constant(f64),
@@ -57,7 +56,7 @@ impl LrSchedule {
 }
 
 /// Configuration for [`LogReg::fit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogRegConfig {
     /// L1 regularization strength (per-example scale).
     pub l1: f64,
@@ -93,7 +92,7 @@ impl Default for LogRegConfig {
 }
 
 /// Per-fit diagnostics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean regularized log-loss after each epoch, in epoch order.
     pub epoch_losses: Vec<f64>,
@@ -104,7 +103,7 @@ pub struct TrainReport {
 }
 
 /// A trained (or initialized) logistic-regression model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogReg {
     weights: Vec<f64>,
     bias: f64,

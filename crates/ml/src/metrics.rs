@@ -4,10 +4,8 @@
 //! accuracy of the creative classifier. This module computes those from
 //! hard predictions (via [`Confusion`]) and AUC / log-loss from scores.
 
-use serde::{Deserialize, Serialize};
-
 /// A 2×2 confusion matrix.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Confusion {
     /// Positive examples predicted positive.
     pub tp: u64,
@@ -79,7 +77,7 @@ impl Confusion {
 }
 
 /// Scalar summary of a confusion matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BinaryMetrics {
     /// tp / (tp + fp).
     pub precision: f64,

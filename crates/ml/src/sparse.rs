@@ -6,15 +6,13 @@
 //! and deduplicated makes dot products, merges, and equality checks linear
 //! and branch-predictable.
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse vector: strictly increasing feature indices with `f64` values.
 ///
 /// Invariants (enforced by construction):
 /// * `indices` strictly increasing (no duplicates),
 /// * `indices.len() == values.len()`,
 /// * no stored value is exactly `0.0` (zeros are dropped).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseVec {
     indices: Vec<u32>,
     values: Vec<f64>,

@@ -1,7 +1,7 @@
 //! Minimal JSON writing, a validating reader, a small DOM, and a borrowed
 //! decode for the flat string objects request bodies carry.
 //!
-//! The workspace's `serde` compat crate is marker-traits only, so every
+//! The workspace has no serialization framework, so every
 //! machine-readable output — the JSONL trace sink, the CLI's `--json`
 //! mode, the bench report, the wire responses — is rendered by hand
 //! through [`JsonObject`]. Output is always a single line (no

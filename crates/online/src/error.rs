@@ -1,6 +1,6 @@
 //! Crate-wide error type.
 
-use microbrowse_store::codec::DecodeError;
+use microbrowse_store::codec::{DecodeError, FrameError};
 use microbrowse_store::file::SnapshotError;
 use microbrowse_store::SlotError;
 
@@ -46,6 +46,24 @@ pub enum OnlineError {
     /// The accumulated online corpus yields no trainable pairs yet (every
     /// adgroup is below the pair filter's impression or z-score floor).
     NoPairs,
+}
+
+impl OnlineError {
+    /// The error for a `kind` artifact whose frame failed to check.
+    pub(crate) fn frame(kind: &'static str, e: FrameError) -> Self {
+        match e {
+            FrameError::Truncated => OnlineError::Truncated(kind),
+            FrameError::BadMagic => OnlineError::BadMagic(kind),
+            FrameError::UnsupportedVersion(version) => {
+                OnlineError::UnsupportedVersion { kind, version }
+            }
+            FrameError::ChecksumMismatch { expected, actual } => OnlineError::ChecksumMismatch {
+                kind,
+                expected,
+                actual,
+            },
+        }
+    }
 }
 
 impl std::fmt::Display for OnlineError {

@@ -4,12 +4,11 @@
 //! the same varint + length-prefixed-string encoding the stats snapshots
 //! use, so journal segments are compact and deterministic.
 
-use bytes::{Buf, BufMut};
 use microbrowse_api::v1::FeedbackEvent;
 use microbrowse_store::codec::{get_str, get_varint, put_str, put_varint, DecodeError};
 
 /// Append one event to `buf`.
-pub fn put_event(buf: &mut impl BufMut, ev: &FeedbackEvent) {
+pub fn put_event(buf: &mut Vec<u8>, ev: &FeedbackEvent) {
     put_varint(buf, ev.adgroup);
     put_varint(buf, ev.creative);
     put_str(buf, &ev.snippet);
@@ -20,7 +19,7 @@ pub fn put_event(buf: &mut impl BufMut, ev: &FeedbackEvent) {
 }
 
 /// Read one event written by [`put_event`].
-pub fn get_event(buf: &mut impl Buf) -> Result<FeedbackEvent, DecodeError> {
+pub fn get_event(buf: &mut &[u8]) -> Result<FeedbackEvent, DecodeError> {
     let adgroup = get_varint(buf)?;
     let creative = get_varint(buf)?;
     let snippet = get_str(buf)?;
@@ -42,7 +41,6 @@ pub fn get_event(buf: &mut impl Buf) -> Result<FeedbackEvent, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     #[test]
     fn round_trip() {
@@ -55,7 +53,7 @@ mod tests {
             impressions: 12_000,
             clicks: 340,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_event(&mut buf, &ev);
         let mut slice = &buf[..];
         assert_eq!(get_event(&mut slice).unwrap(), ev);
@@ -73,7 +71,7 @@ mod tests {
             impressions: 10,
             clicks: 1,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_event(&mut buf, &ev);
         for cut in 0..buf.len() {
             let mut slice = &buf[..cut];

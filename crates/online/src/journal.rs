@@ -1,7 +1,7 @@
 //! Crash-safe bounded event journal.
 //!
-//! A journal is a directory holding three kinds of artifact, all framed
-//! with magic + version + CRC-32 ([`crate::frame`]) and written with the
+//! A journal is a directory holding three kinds of artifact, each one
+//! [`frame`] (magic + version + CRC-32) and written with the
 //! `store::slot` atomic-write discipline:
 //!
 //! * **Segments** (`seg-{seq}.mbj`) — one per accepted feedback batch,
@@ -27,14 +27,14 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use bytes::BytesMut;
 use microbrowse_api::v1::FeedbackRequest;
-use microbrowse_store::codec::{get_str, get_varint, put_str, put_varint};
+use microbrowse_store::codec::{
+    frame, get_bytes, get_str, get_varint, put_str, put_varint, unframe,
+};
 use microbrowse_store::{write_atomic, ArtifactSlot, SlotError};
 
 use crate::error::OnlineError;
 use crate::event::{get_event, put_event};
-use crate::frame::{frame, unframe};
 
 const SEGMENT_MAGIC: &[u8; 8] = b"MBJSEG0\0";
 const LISTING_MAGIC: &[u8; 8] = b"MBJLST0\0";
@@ -225,7 +225,7 @@ fn segment_path(dir: &Path, seq: u64) -> PathBuf {
 /// fault-injection tests can write torn copies of a real segment at every
 /// abort offset.
 pub fn encode_segment(seq: u64, batch: &FeedbackRequest) -> Vec<u8> {
-    let mut payload = BytesMut::new();
+    let mut payload = Vec::new();
     put_varint(&mut payload, seq);
     put_str(&mut payload, &batch.key);
     put_varint(&mut payload, batch.events.len() as u64);
@@ -237,8 +237,8 @@ pub fn encode_segment(seq: u64, batch: &FeedbackRequest) -> Vec<u8> {
 
 /// Decode a segment written by [`encode_segment`].
 pub fn decode_segment(bytes: &[u8]) -> Result<(u64, FeedbackRequest), OnlineError> {
-    let payload = unframe("journal segment", SEGMENT_MAGIC, VERSION, bytes)?;
-    let mut buf = payload;
+    let mut buf = unframe(SEGMENT_MAGIC, VERSION, bytes)
+        .map_err(|e| OnlineError::frame("journal segment", e))?;
     let seq = get_varint(&mut buf)?;
     let key = get_str(&mut buf)?;
     let count = get_varint(&mut buf)?;
@@ -250,7 +250,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(u64, FeedbackRequest), OnlineErro
 }
 
 fn encode_listing(segments: &[u64]) -> Vec<u8> {
-    let mut payload = BytesMut::new();
+    let mut payload = Vec::new();
     put_varint(&mut payload, segments.len() as u64);
     for &seq in segments {
         put_varint(&mut payload, seq);
@@ -259,8 +259,8 @@ fn encode_listing(segments: &[u64]) -> Vec<u8> {
 }
 
 fn decode_listing(bytes: &[u8]) -> Result<Vec<u64>, OnlineError> {
-    let payload = unframe("journal listing", LISTING_MAGIC, VERSION, bytes)?;
-    let mut buf = payload;
+    let mut buf = unframe(LISTING_MAGIC, VERSION, bytes)
+        .map_err(|e| OnlineError::frame("journal listing", e))?;
     let count = get_varint(&mut buf)?;
     let mut segments = Vec::with_capacity(count.min(1 << 16) as usize);
     for _ in 0..count {
@@ -271,7 +271,7 @@ fn decode_listing(bytes: &[u8]) -> Result<Vec<u64>, OnlineError> {
 }
 
 fn encode_checkpoint(last_folded: u64, dedupe: &HashMap<String, u64>, state: &[u8]) -> Vec<u8> {
-    let mut payload = BytesMut::new();
+    let mut payload = Vec::new();
     put_varint(&mut payload, last_folded);
     // Deterministic order: by (seq, key).
     let mut entries: Vec<(&String, u64)> = dedupe.iter().map(|(k, &v)| (k, v)).collect();
@@ -289,8 +289,8 @@ fn encode_checkpoint(last_folded: u64, dedupe: &HashMap<String, u64>, state: &[u
 type CheckpointContents = (u64, Vec<(String, u64)>, Vec<u8>);
 
 fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointContents, OnlineError> {
-    let payload = unframe("journal checkpoint", CHECKPOINT_MAGIC, VERSION, bytes)?;
-    let mut buf = payload;
+    let mut buf = unframe(CHECKPOINT_MAGIC, VERSION, bytes)
+        .map_err(|e| OnlineError::frame("journal checkpoint", e))?;
     let last_folded = get_varint(&mut buf)?;
     let count = get_varint(&mut buf)?;
     let mut dedupe = Vec::with_capacity(count.min(1 << 16) as usize);
@@ -300,10 +300,9 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointContents, OnlineError> {
         dedupe.push((key, seq));
     }
     let state_len = get_varint(&mut buf)? as usize;
-    if buf.len() < state_len {
-        return Err(OnlineError::Truncated("journal checkpoint"));
-    }
-    let state = buf[..state_len].to_vec();
+    let state = get_bytes(&mut buf, state_len)
+        .map_err(|_| OnlineError::Truncated("journal checkpoint"))?
+        .to_vec();
     Ok((last_folded, dedupe, state))
 }
 

@@ -3,8 +3,8 @@
 //!
 //! The batch pipeline builds the feature-statistics database once from a
 //! frozen ad-log corpus; this crate closes the loop for a *live* system.
-//! Feedback batches (impression/click events per creative, with position
-//! and query class) flow through four stages:
+//! Feedback batches (impression/click counts per creative; the query class
+//! becomes the refit adgroup's keyword) flow through four stages:
 //!
 //! ```text
 //! POST /v1/feedback            background refitter
@@ -17,20 +17,21 @@
 //! ```
 //!
 //! * [`journal`] — a bounded on-disk event journal, crash-safe via the
-//!   same atomic-write discipline as [`microbrowse_store::slot`]: CRC-framed
-//!   append segments, an [`ArtifactSlot`](microbrowse_store::ArtifactSlot)
-//!   listing as the atomic commit point, and a checkpoint that bounds
-//!   replay to the uncheckpointed tail.
+//!   same atomic-write discipline as [`microbrowse_store::slot`]: append
+//!   segments (each one CRC-checked
+//!   [`frame`](microbrowse_store::codec::frame)), an
+//!   [`ArtifactSlot`](microbrowse_store::ArtifactSlot) listing as the
+//!   atomic commit point, and a checkpoint that bounds replay to the
+//!   uncheckpointed tail.
 //! * [`delta`] — turns a feedback batch into a [`StatsDb`] of pure count
 //!   increments. Laplace-smoothed odds are derived from counts, so deltas
 //!   fold into the base database with [`StatsDb::merge`] — exact,
 //!   order-independent, no rebuild.
-//! * [`posclass`] — per-query-class position weights learned online, the
-//!   query-specific position-bias extension of the serving position model.
 //! * [`refit`] — [`OnlineLearner`] accumulates deltas plus the online pair
 //!   corpus and re-runs the coupled-LR final fit on demand, producing a
 //!   [`DeployedModel`](microbrowse_core::serve::DeployedModel) plus folded
 //!   stats ready to commit through `ArtifactSlot` for zero-drop hot reload.
+//!   Its state (counters, delta, accumulator) rides the journal checkpoint.
 //!
 //! [`StatsDb`]: microbrowse_store::StatsDb
 //! [`StatsDb::merge`]: microbrowse_store::StatsDb::merge
@@ -41,13 +42,10 @@
 pub mod delta;
 mod error;
 pub mod event;
-mod frame;
 pub mod journal;
-pub mod posclass;
 pub mod refit;
 
 pub use delta::{corpus_from_events, delta_from_batch};
 pub use error::OnlineError;
 pub use journal::{Append, Journal, Recovery};
-pub use posclass::PosClassModel;
 pub use refit::{OnlineLearner, RefitOutput};

@@ -3,8 +3,8 @@
 //!
 //! [`OnlineLearner`] is the in-memory half of the subsystem. It holds the
 //! batch-built base stats plus everything learned since: the folded delta
-//! [`StatsDb`], a per-creative impression/click accumulator (the online
-//! corpus the refit trains on), and the per-query-class position model.
+//! [`StatsDb`] and a per-creative impression/click accumulator (the online
+//! corpus the refit trains on).
 //! [`OnlineLearner::refit`] mirrors the batch `train` pipeline exactly —
 //! featurizer over the *folded* stats (base ⊕ delta), so batch knowledge
 //! enters the fit through the stats-derived initial weights, while the
@@ -16,7 +16,6 @@
 
 use std::collections::BTreeMap;
 
-use bytes::BytesMut;
 use microbrowse_api::v1::FeedbackRequest;
 use microbrowse_core::classifier::TrainConfig;
 use microbrowse_core::serve::DeployedModel;
@@ -25,14 +24,14 @@ use microbrowse_core::{
     AdCorpus, AdGroup, AdGroupId, Creative, CreativeId, Featurizer, ModelSpec, PairFilter,
     Placement, TrainedClassifier,
 };
-use microbrowse_store::codec::{get_str, get_varint, put_str, put_varint};
+use microbrowse_store::codec::{
+    frame, get_bytes, get_str, get_varint, put_str, put_varint, unframe,
+};
 use microbrowse_store::{file, StatsDb};
 use microbrowse_text::Snippet;
 
 use crate::delta::delta_from_batch;
 use crate::error::OnlineError;
-use crate::frame::{frame, unframe};
-use crate::posclass::PosClassModel;
 
 const STATE_MAGIC: &[u8; 8] = b"MBONLS0\0";
 const STATE_VERSION: u32 = 1;
@@ -58,8 +57,6 @@ pub struct RefitOutput {
     /// The folded stats (base ⊕ all deltas), ready to commit to the stats
     /// slot so degraded reloads and future featurizers see the increments.
     pub stats: StatsDb,
-    /// The per-query-class position model at refit time.
-    pub posclass: PosClassModel,
     /// Number of online pairs the final fit trained on.
     pub pairs: usize,
 }
@@ -71,7 +68,6 @@ pub struct OnlineLearner {
     spec: ModelSpec,
     delta: StatsDb,
     adgroups: BTreeMap<u64, AdGroupAcc>,
-    posclass: PosClassModel,
     batches_folded: u64,
     events_folded: u64,
 }
@@ -84,7 +80,6 @@ impl OnlineLearner {
             spec,
             delta: StatsDb::new(),
             adgroups: BTreeMap::new(),
-            posclass: PosClassModel::new(),
             batches_folded: 0,
             events_folded: 0,
         }
@@ -105,13 +100,8 @@ impl OnlineLearner {
         self.delta.len()
     }
 
-    /// The per-query-class position model learned so far.
-    pub fn posclass(&self) -> &PosClassModel {
-        &self.posclass
-    }
-
     /// Fold one feedback batch: delta increments into the delta layer,
-    /// raw counts into the online corpus accumulator and position model.
+    /// raw counts into the online corpus accumulator.
     pub fn absorb(&mut self, batch: &FeedbackRequest) {
         self.delta.merge(delta_from_batch(batch));
         for ev in &batch.events {
@@ -125,7 +115,6 @@ impl OnlineLearner {
             }
             acc.impressions += ev.impressions;
             acc.clicks += ev.clicks.min(ev.impressions);
-            self.posclass.observe(ev);
         }
         self.batches_folded += 1;
         self.events_folded += batch.events.len() as u64;
@@ -203,16 +192,15 @@ impl OnlineLearner {
                 vocab,
             },
             stats,
-            posclass: self.posclass.clone(),
             pairs: tok_pairs.len(),
         })
     }
 
-    /// Serialize the learned state (delta, accumulator, position model,
-    /// counters) — *not* the base stats or spec, which the caller restores
-    /// from the artifact slots. Deterministic bytes for a given state.
+    /// Serialize the learned state (counters, delta, accumulator) — *not*
+    /// the base stats or spec, which the caller restores from the artifact
+    /// slots. Deterministic bytes for a given state.
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut payload = BytesMut::new();
+        let mut payload = Vec::new();
         put_varint(&mut payload, self.batches_folded);
         put_varint(&mut payload, self.events_folded);
         let delta_bytes = file::to_bytes(&self.delta);
@@ -230,25 +218,22 @@ impl OnlineLearner {
                 put_varint(&mut payload, acc.clicks);
             }
         }
-        let pos_bytes = self.posclass.to_bytes();
-        put_varint(&mut payload, pos_bytes.len() as u64);
-        payload.extend_from_slice(&pos_bytes);
         frame(STATE_MAGIC, STATE_VERSION, &payload)
     }
 
     /// Replace this learner's learned state with bytes from
     /// [`Self::state_bytes`] (base stats and spec are kept as constructed).
+    /// Reading stops after the accumulator: older builds appended a
+    /// position-class blob there, which is ignored.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), OnlineError> {
-        let payload = unframe("learner state", STATE_MAGIC, STATE_VERSION, bytes)?;
-        let mut buf = payload;
+        let mut buf = unframe(STATE_MAGIC, STATE_VERSION, bytes)
+            .map_err(|e| OnlineError::frame("learner state", e))?;
         let batches_folded = get_varint(&mut buf)?;
         let events_folded = get_varint(&mut buf)?;
         let delta_len = get_varint(&mut buf)? as usize;
-        if buf.len() < delta_len {
-            return Err(OnlineError::Truncated("learner state"));
-        }
-        let delta = file::from_bytes(&buf[..delta_len])?;
-        buf = &buf[delta_len..];
+        let delta_bytes =
+            get_bytes(&mut buf, delta_len).map_err(|_| OnlineError::Truncated("learner state"))?;
+        let delta = file::from_bytes(delta_bytes)?;
         let num_groups = get_varint(&mut buf)?;
         let mut adgroups = BTreeMap::new();
         for _ in 0..num_groups {
@@ -278,15 +263,9 @@ impl OnlineLearner {
                 },
             );
         }
-        let pos_len = get_varint(&mut buf)? as usize;
-        if buf.len() < pos_len {
-            return Err(OnlineError::Truncated("learner state"));
-        }
-        let posclass = PosClassModel::from_bytes(&buf[..pos_len])?;
 
         self.delta = delta;
         self.adgroups = adgroups;
-        self.posclass = posclass;
         self.batches_folded = batches_folded;
         self.events_folded = events_folded;
         Ok(())
@@ -371,6 +350,5 @@ mod tests {
         assert!(out.pairs >= 1);
         assert!(!out.model.vocab.is_empty());
         assert!(!out.stats.is_empty());
-        assert_eq!(out.posclass.num_classes(), 1);
     }
 }

@@ -55,6 +55,6 @@ pub mod state;
 
 pub use server::{
     start, BundleSource, DrainReport, OnlineConfig, ServerConfig, ServerHandle,
-    HTTP_METRIC_COUNTERS, HTTP_METRIC_HISTOGRAMS, POSCLASS_SLOT_NAME,
+    HTTP_METRIC_COUNTERS, HTTP_METRIC_HISTOGRAMS,
 };
 pub use state::{ReloadSource, ServeState};

@@ -299,8 +299,6 @@ struct OnlineState {
     batches: AtomicU64,
     /// Feedback events folded.
     events: AtomicU64,
-    /// Query classes in the per-class position model at the last refit.
-    position_classes: AtomicU64,
     /// Model-slot generation the last online refit published.
     last_refit_generation: AtomicU64,
 }
@@ -497,7 +495,6 @@ fn open_online(
     }
     let batches = learner.batches_folded();
     let events = learner.events_folded();
-    let position_classes = learner.posclass().num_classes() as u64;
     Ok(Arc::new(OnlineState {
         inner: Mutex::new(OnlineInner {
             journal,
@@ -512,7 +509,6 @@ fn open_online(
         refits: AtomicU64::new(0),
         batches: AtomicU64::new(batches),
         events: AtomicU64::new(events),
-        position_classes: AtomicU64::new(position_classes),
         last_refit_generation: AtomicU64::new(0),
     }))
 }
@@ -586,15 +582,8 @@ fn run_refit(online: &OnlineState) {
             return;
         }
     };
-    let posclass_slot = ArtifactSlot::new(&online.model_dir, POSCLASS_SLOT_NAME);
-    if let Err(e) = posclass_slot.commit(&out.posclass.to_bytes()) {
-        // The scoring generation is already live; the position-class
-        // artifact is advisory, so record the failure and keep going.
-        obs::trace::event("online.posclass_commit_failed").with("error", e.to_string());
-    }
     let _ = stats_slot.prune(4);
     let _ = model_slot.prune(4);
-    let _ = posclass_slot.prune(4);
 
     {
         let mut inner = online.lock();
@@ -605,10 +594,6 @@ fn run_refit(online: &OnlineState) {
             obs::trace::event("online.checkpoint_failed").with("error", e.to_string());
         }
         inner.pending = inner.pending.saturating_sub(pending_at_snapshot);
-        online.position_classes.store(
-            inner.learner.posclass().num_classes() as u64,
-            Ordering::Relaxed,
-        );
     }
     online.origin_online.store(true, Ordering::Relaxed);
     online.refits.fetch_add(1, Ordering::Relaxed);
@@ -622,10 +607,6 @@ fn run_refit(online: &OnlineState) {
         .with("pairs", out.pairs as u64)
         .with("batches", learner.batches_folded());
 }
-
-/// Slot name for the per-query-class position model the refitter publishes
-/// next to the model artifact.
-pub const POSCLASS_SLOT_NAME: &str = "posclass.mbo";
 
 impl ServerHandle {
     /// The bound address (useful with port 0).
@@ -1752,11 +1733,7 @@ fn handle_healthz(bundle: &ServingBundle, shared: &Shared) -> Response {
             .str("provenance", online.origin())
             .u64("refits", online.refits.load(Ordering::Relaxed))
             .u64("feedback_batches", online.batches.load(Ordering::Relaxed))
-            .u64("feedback_events", online.events.load(Ordering::Relaxed))
-            .u64(
-                "position_classes",
-                online.position_classes.load(Ordering::Relaxed),
-            ),
+            .u64("feedback_events", online.events.load(Ordering::Relaxed)),
         None => obj.str("provenance", "batch-built"),
     };
     let obj = Fidelity::from(bundle.fidelity()).append_to(obj);

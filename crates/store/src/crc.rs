@@ -1,8 +1,9 @@
 //! CRC-32 (IEEE 802.3) checksum.
 //!
-//! Snapshot files carry a CRC over their payload so a truncated or corrupted
-//! statistics database is detected at load time instead of silently skewing
-//! every downstream model. Implemented in-tree (the classic table-driven
+//! Every artifact [`frame`](crate::codec::frame) carries a CRC over its
+//! payload, so a truncated or corrupted statistics database, model or
+//! journal file is detected at load time instead of silently skewing every
+//! downstream model. Implemented in-tree (the classic table-driven
 //! reflected algorithm, polynomial `0xEDB88320`) to stay inside the
 //! workspace's approved dependency set.
 

@@ -12,13 +12,12 @@ use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use microbrowse_text::hash::{FxHashMap, FxHasher};
-use serde::{Deserialize, Serialize};
 
 use crate::key::{FeatureKey, KeyFamily};
 use crate::stats::FeatureStat;
 
 /// The frozen feature statistics database.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StatsDb {
     map: FxHashMap<FeatureKey, FeatureStat>,
 }

@@ -2,18 +2,9 @@
 //!
 //! A snapshot is the on-disk form of a [`StatsDb`], written once at the end
 //! of Phase 1 and read at the start of Phase 2 (or by later experiment
-//! runs). Format:
-//!
-//! ```text
-//! +--------------------+ 8 bytes  magic  "MBSTATS\0"
-//! | header             | 4 bytes  format version (LE u32)
-//! +--------------------+
-//! | payload            | varint record count, then records
-//! |                    | (codec::put_record each)
-//! +--------------------+
-//! | trailer            | 4 bytes  CRC-32 of payload (LE u32)
-//! +--------------------+
-//! ```
+//! runs). It is one [`codec::frame`] (magic `MBSTATS\0`, version 1) whose
+//! payload is a varint record count followed by the records
+//! ([`codec::put_record`] each).
 //!
 //! Records are written in sorted key order, so the same database always
 //! produces the same bytes (important for reproducible experiment bundles
@@ -22,10 +13,7 @@
 use std::io::Read;
 use std::path::Path;
 
-use bytes::{Buf, BytesMut};
-
-use crate::codec::{self, DecodeError};
-use crate::crc::crc32;
+use crate::codec::{self, DecodeError, FrameError};
 use crate::db::StatsDb;
 
 const MAGIC: &[u8; 8] = b"MBSTATS\0";
@@ -93,53 +81,39 @@ impl From<DecodeError> for SnapshotError {
     }
 }
 
+impl From<FrameError> for SnapshotError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Truncated => SnapshotError::Truncated,
+            FrameError::BadMagic => SnapshotError::BadMagic,
+            FrameError::UnsupportedVersion(v) => SnapshotError::UnsupportedVersion(v),
+            FrameError::ChecksumMismatch { expected, actual } => {
+                SnapshotError::ChecksumMismatch { expected, actual }
+            }
+        }
+    }
+}
+
 /// Serialize `db` to bytes (header + payload + CRC trailer).
 pub fn to_bytes(db: &StatsDb) -> Vec<u8> {
-    let mut payload = BytesMut::new();
+    let mut payload = Vec::new();
     let records = db.sorted_records();
     codec::put_varint(&mut payload, records.len() as u64);
     for (key, stat) in &records {
         codec::put_record(&mut payload, key, stat);
     }
-
-    let mut out = Vec::with_capacity(MAGIC.len() + 4 + payload.len() + 4);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    let checksum = crc32(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    codec::frame(MAGIC, VERSION, &payload)
 }
 
 /// Deserialize a snapshot produced by [`to_bytes`].
 pub fn from_bytes(bytes: &[u8]) -> Result<StatsDb, SnapshotError> {
-    if bytes.len() < MAGIC.len() + 4 + 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let mut version_bytes = [0u8; 4];
-    version_bytes.copy_from_slice(&bytes[MAGIC.len()..MAGIC.len() + 4]);
-    let version = u32::from_le_bytes(version_bytes);
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-
-    let payload = &bytes[MAGIC.len() + 4..bytes.len() - 4];
-    let mut trailer = [0u8; 4];
-    trailer.copy_from_slice(&bytes[bytes.len() - 4..]);
-    let expected = u32::from_le_bytes(trailer);
-    let actual = crc32(payload);
-    if expected != actual {
-        return Err(SnapshotError::ChecksumMismatch { expected, actual });
-    }
-
-    let mut buf = payload;
+    let mut buf = codec::unframe(MAGIC, VERSION, bytes)?;
     let count = codec::get_varint(&mut buf)?;
     let mut records = Vec::with_capacity(count.min(1 << 20) as usize);
     for _ in 0..count {
-        if !buf.has_remaining() {
+        // Running out on a record boundary means records are missing: the
+        // file was cut, not malformed.
+        if buf.is_empty() {
             return Err(SnapshotError::Truncated);
         }
         records.push(codec::get_record(&mut buf)?);

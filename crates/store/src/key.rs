@@ -9,11 +9,9 @@
 //! database outlives any one process's interner: it is written to disk in
 //! Phase 1 and read back in Phase 2.
 
-use serde::{Deserialize, Serialize};
-
 /// A position inside a snippet: zero-based line and token position. `pos`
 /// is bucketed by the caller if desired (raw token index by default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SnippetPos {
     /// Zero-based line number.
     pub line: u8,
@@ -29,7 +27,7 @@ impl SnippetPos {
 }
 
 /// A key in the feature statistics database.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FeatureKey {
     /// An n-gram phrase, position-independent ("find cheap").
     Term {
@@ -95,7 +93,7 @@ impl FeatureKey {
 }
 
 /// The four feature families of §V-C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyFamily {
     /// Position-independent n-gram presence.
     Term,

@@ -14,9 +14,10 @@
 //! * [`stats`] — up/down counters and smoothed estimators ([`FeatureStat`]).
 //! * [`db`] — the in-memory store ([`StatsDb`]) plus a sharded concurrent
 //!   builder ([`ShardedBuilder`]) for parallel corpus scans.
-//! * [`codec`] — varint + length-prefixed binary encoding of keys/records.
-//! * [`crc`] — CRC-32 (IEEE) for snapshot integrity.
-//! * [`mod@file`] — versioned, checksummed snapshot serialization.
+//! * [`codec`] — the binary codec every artifact uses: varints, strings,
+//!   keys and records, and the one magic + version + CRC-32 frame.
+//! * [`crc`] — CRC-32 (IEEE) for artifact integrity.
+//! * [`mod@file`] — stats snapshot serialization.
 //! * [`slot`] — crash-safe generation slots: atomic writes, a manifest
 //!   pointer, and a recovery loader that rolls back past torn or corrupt
 //!   generations.

@@ -28,10 +28,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bytes::BytesMut;
-
 use crate::codec;
-use crate::crc::crc32;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"MBMANIF\0";
 const MANIFEST_VERSION: u32 = 1;
@@ -275,34 +272,13 @@ impl ArtifactSlot {
 }
 
 fn encode_manifest(gen: u64) -> Vec<u8> {
-    let mut payload = BytesMut::new();
+    let mut payload = Vec::new();
     codec::put_varint(&mut payload, gen);
-    let mut out = Vec::with_capacity(MANIFEST_MAGIC.len() + 4 + payload.len() + 4);
-    out.extend_from_slice(MANIFEST_MAGIC);
-    out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    let checksum = crc32(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    codec::frame(MANIFEST_MAGIC, MANIFEST_VERSION, &payload)
 }
 
 fn decode_manifest(bytes: &[u8]) -> Option<u64> {
-    let header = MANIFEST_MAGIC.len() + 4;
-    if bytes.len() < header + 4 || &bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
-        return None;
-    }
-    let mut vb = [0u8; 4];
-    vb.copy_from_slice(&bytes[MANIFEST_MAGIC.len()..header]);
-    if u32::from_le_bytes(vb) != MANIFEST_VERSION {
-        return None;
-    }
-    let payload = &bytes[header..bytes.len() - 4];
-    let mut tb = [0u8; 4];
-    tb.copy_from_slice(&bytes[bytes.len() - 4..]);
-    if crc32(payload) != u32::from_le_bytes(tb) {
-        return None;
-    }
-    let mut buf = payload;
+    let mut buf = codec::unframe(MANIFEST_MAGIC, MANIFEST_VERSION, bytes).ok()?;
     codec::get_varint(&mut buf).ok()
 }
 

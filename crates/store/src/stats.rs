@@ -6,10 +6,8 @@
 //! counts so the smoothing parameter can be chosen (and ablated) at read
 //! time rather than baked in at build time.
 
-use serde::{Deserialize, Serialize};
-
 /// Up/down counts of `delta-sw` for one feature.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeatureStat {
     /// Observations where sw-diff was positive (`delta-sw = +1`).
     pub up: u64,

@@ -96,6 +96,20 @@ fn decode_unknown_tag_variant() {
 }
 
 #[test]
+fn decode_position_out_of_range_variant() {
+    // One TermPosition record (tag 2) on line 1 whose token position is
+    // 65 536 (varint 80 80 04): one past u16::MAX, which no writer emits.
+    // Clamping it would load a key that was never written.
+    let bytes = frame(&[1, 2, 1, 0x80, 0x80, 0x04, 0, 0]);
+    assert!(matches!(
+        from_bytes(&bytes),
+        Err(SnapshotError::Decode(DecodeError::PositionOutOfRange(
+            65_536
+        )))
+    ));
+}
+
+#[test]
 fn decode_truncated_varint_variant() {
     // Record count varint has its continuation bit set and then the
     // payload ends: UnexpectedEof from inside the varint reader.
@@ -154,6 +168,10 @@ fn error_rendering_names_the_problem() {
         ),
         (SnapshotError::Truncated, "truncated"),
         (SnapshotError::Decode(DecodeError::UnknownTag(42)), "tag 42"),
+        (
+            SnapshotError::Decode(DecodeError::PositionOutOfRange(65_536)),
+            "position 65536",
+        ),
     ];
     for (err, needle) in cases {
         let msg = err.to_string();

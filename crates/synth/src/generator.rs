@@ -16,7 +16,6 @@ use microbrowse_text::Snippet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::lexicon::{decor_options, render_template, template_slots, Domain, DOMAINS};
 use crate::placement::placement_profile;
@@ -24,7 +23,7 @@ use crate::user::{AttentionProfile, MicroUser};
 use crate::util::binomial;
 
 /// Configuration of a corpus generation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// Number of adgroups to generate.
     pub num_adgroups: usize,

@@ -27,10 +27,8 @@
 //!   mechanism behind the paper's finding that rewrite features beat bare
 //!   term features.
 
-use serde::{Deserialize, Serialize};
-
 /// A candidate phrase for a slot, with its ground-truth salience.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phrase {
     /// The surface text (already lowercase; the tokenizer normalizes
     /// anyway).

@@ -11,10 +11,9 @@ use microbrowse_click::{DocId, QueryId, Session, SessionSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`generate_sessions`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionConfig {
     /// Number of distinct queries.
     pub num_queries: usize,

@@ -19,10 +19,9 @@
 
 use microbrowse_text::hash::FxHashMap;
 use microbrowse_text::{Snippet, Tokenizer};
-use serde::{Deserialize, Serialize};
 
 /// Positional attention curve of the micro-browsing user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttentionProfile {
     /// Base examination probability of position 0 in each line; lines
     /// beyond the vector reuse its last entry.
@@ -67,7 +66,7 @@ impl AttentionProfile {
 }
 
 /// One salient phrase occurrence found in a creative.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SalientOcc {
     /// Ground-truth salience of the phrase.
     pub salience: f64,

@@ -16,12 +16,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::FxHashMap;
 
 /// A dense symbol id for an interned string. Cheap to copy, hash, compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sym(pub u32);
 
 impl Sym {

@@ -7,13 +7,11 @@
 //! annotated with its line index and its starting token position within the
 //! line.
 
-use serde::{Deserialize, Serialize};
-
 use crate::interner::{Interner, Sym};
 use crate::snippet::TokenizedSnippet;
 
 /// An n-gram phrase: the interned space-joined phrase and its order `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NGram {
     /// Interned phrase symbol (e.g. the symbol for `"get discounts"`).
     pub phrase: Sym,
@@ -25,7 +23,7 @@ pub struct NGram {
 ///
 /// `line` and `pos` are the `(line number, position in line)` pair the paper
 /// threads through Eq. 6; `pos` is the index of the n-gram's *first* token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TermOccurrence {
     /// The n-gram phrase.
     pub ngram: NGram,
@@ -36,7 +34,7 @@ pub struct TermOccurrence {
 }
 
 /// Which n-gram orders to extract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NGramConfig {
     /// Minimum n-gram order (inclusive), ≥ 1.
     pub min_n: u8,

@@ -18,10 +18,8 @@
 //! examples ("flights" → "flying") rely on surface-form rewrites being
 //! visible to the model.
 
-use serde::{Deserialize, Serialize};
-
 /// What to do with punctuation characters during normalization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PunctPolicy {
     /// Replace each punctuation character with a space (default).
     ///
@@ -36,7 +34,7 @@ pub enum PunctPolicy {
 }
 
 /// Configuration for [`normalize`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NormalizeConfig {
     /// Punctuation policy.
     pub punct: PunctPolicy,

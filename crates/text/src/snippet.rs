@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::interner::{Interner, Sym};
 use crate::tokenizer::Tokenizer;
 
@@ -19,7 +17,7 @@ use crate::tokenizer::Tokenizer;
 pub const MAX_LINES: usize = 8;
 
 /// One line of a snippet: its raw text.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Line {
     /// The raw (un-normalized) text of the line.
     pub text: String,
@@ -33,7 +31,7 @@ impl Line {
 }
 
 /// A search-result snippet or ad creative: an ordered list of short lines.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Snippet {
     lines: Vec<Line>,
 }
@@ -160,7 +158,7 @@ impl fmt::Display for Snippet {
 
 /// The tokenized, interned view of a [`Snippet`]: one `Vec<Sym>` per line,
 /// in line order, token order preserved.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct TokenizedSnippet {
     /// Interned tokens, one vector per snippet line.
     pub lines: Vec<Vec<Sym>>,

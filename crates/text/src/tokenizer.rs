@@ -17,13 +17,11 @@
 //! and [`crate::Snippet::tokenize_into`] use). Interning a snippet's tokens
 //! therefore costs no per-token allocation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::normalize::{is_kept_symbol, normalize, normalize_into, NormalizeConfig};
 
 /// A single token: its text and the half-open byte span `[start, end)` in
 /// the string it was produced from.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Token {
     /// The token text (already normalized if produced by
     /// [`Tokenizer::tokenize_normalized`]).
@@ -49,7 +47,7 @@ impl Token {
 }
 
 /// Configuration for [`Tokenizer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TokenizerConfig {
     /// Normalization applied by [`Tokenizer::tokenize_normalized`].
     pub normalize: NormalizeConfig,

@@ -83,6 +83,18 @@ echo "==> live-socket chaos gate (shed under overload, no stranded workers, full
 cargo build --locked --release -q -p microbrowse-bench --bin chaos_serve
 ./target/release/chaos_serve --seed 42 --out /tmp/BENCH_chaos.check.json
 
+echo "==> perfbench smoke (each workload 1 s: correct, no failed requests)"
+for workload in batch_hot suggest_explain; do
+    result=$(bash perfbench/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    python3 -c '
+import json, sys
+r = json.loads(sys.argv[2])
+print("perfbench", sys.argv[1], "correct:", r.get("correct"), "failed:", r.get("failed"),
+      "of", r.get("attempted"))
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' "$workload" "$result"
+done
+
 echo "==> wire-API docs complete and warning-free"
 RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps -q -p microbrowse-api
 
@@ -92,4 +104,4 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "OK: build, tests, fault injection, unwrap audit, overhead gate, trace schema, flight recorder, hot-path gate, server smoke, online drift gate, suggest gate, chaos gate, api docs, clippy, fmt all green"
+echo "OK: build, tests, fault injection, unwrap audit, overhead gate, trace schema, flight recorder, hot-path gate, server smoke, online drift gate, suggest gate, chaos gate, perfbench smoke, api docs, clippy, fmt all green"
