@@ -129,15 +129,76 @@ const ALIGN_SHARDS: usize = 16;
 /// would exceed either clears that set wholesale (alignments are cheap to
 /// recompute, so wholesale eviction beats LRU bookkeeping on this path).
 const ALIGN_SHARD_CAP: usize = 8192;
+/// Cap on the entries one pair hash holds. Pair hashes are unkeyed Fx
+/// hashes of client text, so colliding creatives can be crafted; a pair
+/// past the cap is not stored and is recomputed on every sighting, and no
+/// lookup compares against more than this many keys.
+const ALIGN_BUCKET_CAP: usize = 4;
 
-/// One bucket slot: the exact snippet pair and its rewrite-family
-/// features.
-type AlignSlot = ((Snippet, Snippet), Box<[CoupledFeature]>);
+/// The identity of an ordered pair `(r, s)`: R's side key, then S's, in
+/// one buffer reused from pair to pair. A side key is the snippet's line
+/// count, then each line's byte length and bytes, so it spells exactly
+/// one snippet and no side key is a prefix of another: equal pair keys
+/// are equal pairs. The alignment cache stores and compares pair keys,
+/// and a scratch's snippet arena stores and compares side keys.
+#[derive(Debug, Default)]
+pub struct PairKey {
+    bytes: Vec<u8>,
+    /// Where S's side key starts.
+    split: usize,
+}
+
+impl PairKey {
+    /// Overwrite with the key of `(r, s)`; returns the two side hashes,
+    /// for [`AlignCache::combine_hashes`] and for indexing the sides on
+    /// their own.
+    pub fn set(&mut self, r: &Snippet, s: &Snippet) -> (u64, u64) {
+        self.bytes.clear();
+        put_side(&mut self.bytes, r);
+        self.split = self.bytes.len();
+        put_side(&mut self.bytes, s);
+        (fx_hash(self.r()), fx_hash(self.s()))
+    }
+
+    /// The whole pair key.
+    pub fn pair(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// R's side key.
+    pub fn r(&self) -> &[u8] {
+        &self.bytes[..self.split]
+    }
+
+    /// S's side key.
+    pub fn s(&self) -> &[u8] {
+        &self.bytes[self.split..]
+    }
+}
+
+/// Append `snippet`'s side key to `out`.
+fn put_side(out: &mut Vec<u8>, snippet: &Snippet) {
+    let lines = snippet.lines();
+    out.extend_from_slice(&(lines.len() as u64).to_le_bytes());
+    for line in lines {
+        out.extend_from_slice(&(line.text.len() as u64).to_le_bytes());
+        out.extend_from_slice(line.text.as_bytes());
+    }
+}
+
+fn fx_hash(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// One bucket slot: the pair key and its rewrite-family features.
+type AlignSlot = (Box<[u8]>, Box<[CoupledFeature]>);
 
 /// A shard: buckets keyed by the pair's 64-bit hash, each bucket holding
-/// the exact snippet pairs (collisions are resolved by full equality, so a
-/// hash collision can never return another pair's features), plus the
-/// doorkeeper of pairs that missed once.
+/// at most [`ALIGN_BUCKET_CAP`] exact pair keys (collisions are resolved
+/// by key equality, so a hash collision can never return another pair's
+/// features), plus the doorkeeper of pairs that missed once.
 #[derive(Debug, Default)]
 struct AlignShard {
     buckets: FxHashMap<u64, Vec<AlignSlot>>,
@@ -167,11 +228,12 @@ impl AlignShard {
 /// The serve-time rewrite-alignment cache — the serving analogue of
 /// [`PairCache`], shared across batches and worker threads.
 ///
-/// An entry is the pair's rewrite-family features as the engine prices
-/// them: (position group, weight index, value) triples in the bundle's
-/// weight-index space, features the model does not price already dropped.
-/// Nothing in an entry depends on the scratch that computed it, so any
-/// scratch of the bundle appends it as is.
+/// An entry is a [`PairKey`] and the pair's rewrite-family features as the
+/// engine prices them: (position group, weight index, value) triples in
+/// the bundle's weight-index space, features the model does not price
+/// already dropped, equal keys summed and the list sorted. Nothing in an
+/// entry depends on the scratch that computed it, so any scratch of the
+/// bundle appends it as is.
 ///
 /// A missed pair is stored only on its second miss. Most serving misses
 /// are single-use — `/v1/suggest` scores hundreds of never-seen variants
@@ -197,15 +259,6 @@ fn lock_shard(m: &Mutex<AlignShard>) -> std::sync::MutexGuard<'_, AlignShard> {
     }
 }
 
-/// Hash of one snippet, usable with [`AlignCache::combine_hashes`] so a
-/// caller that already hashed the snippets (the scorer's arena does) never
-/// hashes them twice.
-pub fn snippet_hash(snippet: &Snippet) -> u64 {
-    let mut h = FxHasher::default();
-    snippet.hash(&mut h);
-    h.finish()
-}
-
 impl AlignCache {
     /// An empty cache.
     pub fn new() -> Self {
@@ -214,8 +267,9 @@ impl AlignCache {
         }
     }
 
-    /// Combine two per-snippet hashes into the ordered-pair key used by
-    /// [`Self::get_hashed`] / [`Self::insert_hashed`].
+    /// Combine the two side hashes [`PairKey::set`] returns into the
+    /// ordered-pair hash used by [`Self::get_hashed`] /
+    /// [`Self::insert_hashed`].
     pub fn combine_hashes(hr: u64, hs: u64) -> u64 {
         let mut h = FxHasher::default();
         hr.hash(&mut h);
@@ -223,21 +277,15 @@ impl AlignCache {
         h.finish()
     }
 
-    /// Append the cached features of the ordered pair `(r, s)`, whose pair
-    /// hash `h` comes from [`Self::combine_hashes`], to `out`. `false` (and
-    /// `out` untouched) on a miss.
-    pub fn get_hashed(
-        &self,
-        h: u64,
-        r: &Snippet,
-        s: &Snippet,
-        out: &mut Vec<CoupledFeature>,
-    ) -> bool {
+    /// Append the cached features of the pair whose [`PairKey::pair`] is
+    /// `key` and whose pair hash `h` comes from [`Self::combine_hashes`],
+    /// to `out`. `false` (and `out` untouched) on a miss.
+    pub fn get_hashed(&self, h: u64, key: &[u8], out: &mut Vec<CoupledFeature>) -> bool {
         let shard = lock_shard(&self.shards[(h as usize) % ALIGN_SHARDS]);
         let found = shard
             .buckets
             .get(&h)
-            .and_then(|bucket| bucket.iter().find(|((br, bs), _)| br == r && bs == s));
+            .and_then(|bucket| bucket.iter().find(|(k, _)| **k == *key));
         if let Some((_, feats)) = found {
             out.extend_from_slice(feats);
             microbrowse_obs::counter!("microbrowse_aligncache_hits_total").add(1);
@@ -247,25 +295,26 @@ impl AlignCache {
         false
     }
 
-    /// Offer the freshly computed features of a missed pair `(r, s)` (pair
-    /// hash `h`). The first offer of a pair only remembers its hash
-    /// (deferred); the second stores the entry (admitted), and only then do
-    /// `capture` and the snippet clones run. `capture` runs under the
+    /// Offer the freshly computed features of a missed pair (pair key
+    /// `key`, pair hash `h`). The first offer of a pair only remembers its
+    /// hash (deferred); the second stores the entry (admitted), and only
+    /// then do `capture` and the key copy run. `capture` runs under the
     /// shard's lock, so it must not use this cache. Offering an
-    /// already-cached pair — a racing insert — is a no-op; a shard at
-    /// capacity is cleared before an admitted entry is stored.
+    /// already-cached pair — a racing insert — or a pair whose hash bucket
+    /// is full is a no-op; a shard at capacity is cleared before an
+    /// admitted entry is stored.
     pub fn insert_hashed(
         &self,
         h: u64,
-        r: &Snippet,
-        s: &Snippet,
+        key: &[u8],
         capture: impl FnOnce() -> Box<[CoupledFeature]>,
     ) {
         let mut shard = lock_shard(&self.shards[(h as usize) % ALIGN_SHARDS]);
-        // Duplicate check first: racing inserts of an already-cached pair
-        // must not trigger the at-capacity wholesale eviction below.
+        // A racing insert of an already-cached pair, or a pair whose bucket
+        // is full, returns before the doorkeeper and the at-capacity
+        // wholesale eviction below: it must neither store nor clear.
         if let Some(bucket) = shard.buckets.get(&h) {
-            if bucket.iter().any(|((br, bs), _)| br == r && bs == s) {
+            if bucket.len() >= ALIGN_BUCKET_CAP || bucket.iter().any(|(k, _)| **k == *key) {
                 return;
             }
         }
@@ -284,7 +333,7 @@ impl AlignCache {
             .buckets
             .entry(h)
             .or_default()
-            .push(((r.clone(), s.clone()), feats));
+            .push((key.into(), feats));
         shard.entries += 1;
     }
 
@@ -296,7 +345,7 @@ impl AlignCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::corpus::{AdCorpus, AdGroup, AdGroupId, Creative, PairFilter, Placement};
     use microbrowse_text::Snippet;
@@ -373,68 +422,86 @@ mod tests {
     }
 
     fn feature() -> CoupledFeature {
+        feature_of(1)
+    }
+
+    fn feature_of(term: u32) -> CoupledFeature {
         CoupledFeature {
             pos: 3,
-            term: 1,
+            term,
             value: -1.0,
         }
     }
 
-    /// Offer `(r, s)` under pair hash `h`; whether the capture ran.
-    fn offer(cache: &AlignCache, h: u64, r: &Snippet, s: &Snippet) -> bool {
+    /// The pair key bytes and pair hash of `(r, s)`.
+    fn key_of(r: &Snippet, s: &Snippet) -> (Vec<u8>, u64) {
+        let mut key = PairKey::default();
+        let (hr, hs) = key.set(r, s);
+        (key.pair().to_vec(), AlignCache::combine_hashes(hr, hs))
+    }
+
+    /// Offer `key` under pair hash `h`, capturing `[feature_of(term)]`;
+    /// whether the capture ran.
+    fn offer_as(cache: &AlignCache, h: u64, key: &[u8], term: u32) -> bool {
         let mut captured = false;
-        cache.insert_hashed(h, r, s, || {
+        cache.insert_hashed(h, key, || {
             captured = true;
-            Box::new([feature()])
+            Box::new([feature_of(term)])
         });
         captured
     }
 
-    /// Look `(r, s)` up under pair hash `h`; the appended features on a hit.
-    fn lookup(cache: &AlignCache, h: u64, r: &Snippet, s: &Snippet) -> Option<Vec<CoupledFeature>> {
-        let mut out = Vec::new();
-        cache.get_hashed(h, r, s, &mut out).then_some(out)
+    fn offer(cache: &AlignCache, h: u64, key: &[u8]) -> bool {
+        offer_as(cache, h, key, 1)
     }
 
-    fn pair() -> (Snippet, Snippet, u64) {
-        let r = Snippet::from_lines(["cheap flights"]);
-        let s = Snippet::from_lines(["pricey flights"]);
-        let h = AlignCache::combine_hashes(snippet_hash(&r), snippet_hash(&s));
-        (r, s, h)
+    /// Look `key` up under pair hash `h`; the appended features on a hit.
+    fn lookup(cache: &AlignCache, h: u64, key: &[u8]) -> Option<Vec<CoupledFeature>> {
+        let mut out = Vec::new();
+        cache.get_hashed(h, key, &mut out).then_some(out)
+    }
+
+    fn pair() -> (Snippet, Snippet) {
+        (
+            Snippet::from_lines(["cheap flights"]),
+            Snippet::from_lines(["pricey flights"]),
+        )
     }
 
     #[test]
     fn align_cache_admits_a_pair_on_its_second_miss() {
         let cache = AlignCache::new();
-        let (r, s, h) = pair();
+        let (r, s) = pair();
+        let (key, h) = key_of(&r, &s);
         // First sighting: a miss whose offer is deferred — nothing is
         // captured or stored.
-        assert!(lookup(&cache, h, &r, &s).is_none());
-        assert!(!offer(&cache, h, &r, &s));
+        assert!(lookup(&cache, h, &key).is_none());
+        assert!(!offer(&cache, h, &key));
         assert_eq!(cache.entries(), 0);
         // Second sighting: a miss whose offer is admitted.
-        assert!(lookup(&cache, h, &r, &s).is_none());
-        assert!(offer(&cache, h, &r, &s));
+        assert!(lookup(&cache, h, &key).is_none());
+        assert!(offer(&cache, h, &key));
         assert_eq!(cache.entries(), 1);
         // Third sighting: a hit appending the stored features.
-        assert_eq!(lookup(&cache, h, &r, &s), Some(vec![feature()]));
+        assert_eq!(lookup(&cache, h, &key), Some(vec![feature()]));
         // The swapped pair is a different pair, still never seen.
-        let swapped = AlignCache::combine_hashes(snippet_hash(&s), snippet_hash(&r));
-        assert!(lookup(&cache, swapped, &s, &r).is_none());
-        assert!(!offer(&cache, swapped, &s, &r));
+        let (swapped, hs) = key_of(&s, &r);
+        assert!(lookup(&cache, hs, &swapped).is_none());
+        assert!(!offer(&cache, hs, &swapped));
         assert_eq!(cache.entries(), 1);
     }
 
     #[test]
     fn duplicate_insert_is_a_no_op() {
         let cache = AlignCache::new();
-        let (r, s, h) = pair();
-        assert!(!offer(&cache, h, &r, &s));
-        assert!(offer(&cache, h, &r, &s));
+        let (r, s) = pair();
+        let (key, h) = key_of(&r, &s);
+        assert!(!offer(&cache, h, &key));
+        assert!(offer(&cache, h, &key));
         // A racing offer of the cached pair neither captures nor stores,
         // and does not re-arm the doorkeeper.
         for _ in 0..3 {
-            assert!(!offer(&cache, h, &r, &s));
+            assert!(!offer(&cache, h, &key));
         }
         assert_eq!(cache.entries(), 1);
         let shard = lock_shard(&cache.shards[(h as usize) % ALIGN_SHARDS]);
@@ -444,19 +511,85 @@ mod tests {
     #[test]
     fn doorkeeper_never_exceeds_its_cap() {
         let cache = AlignCache::new();
-        let (r, s, _) = pair();
+        let (r, s) = pair();
+        let (key, _) = key_of(&r, &s);
         // Distinct hashes that all land in shard 0: every offer is a first
         // sighting, so nothing is ever stored.
         let hash = |k: usize| (k * ALIGN_SHARDS) as u64;
         for k in 0..2 * ALIGN_SHARD_CAP + 3 {
-            assert!(!offer(&cache, hash(k), &r, &s));
+            assert!(!offer(&cache, hash(k), &key));
             assert!(lock_shard(&cache.shards[0]).seen_once.len() <= ALIGN_SHARD_CAP);
         }
         assert_eq!(cache.entries(), 0);
         // The wholesale clears forgot the early hashes: offering the first
         // one again is a first sighting, not an admission.
-        assert!(!offer(&cache, hash(0), &r, &s));
+        assert!(!offer(&cache, hash(0), &key));
         // The most recent one is still remembered.
-        assert!(offer(&cache, hash(2 * ALIGN_SHARD_CAP + 2), &r, &s));
+        assert!(offer(&cache, hash(2 * ALIGN_SHARD_CAP + 2), &key));
+    }
+
+    /// Pairs whose keys would coincide if a side key dropped its line
+    /// lengths or line count, or if the pair key were unordered.
+    pub(crate) fn confusable_pairs() -> [((Snippet, Snippet), (Snippet, Snippet)); 3] {
+        let s = Snippet::from_lines(["pricey flights", "no fees"]);
+        let (r, _) = pair();
+        [
+            (
+                (Snippet::from_lines(["ab", "c"]), s.clone()),
+                (Snippet::from_lines(["a", "bc"]), s.clone()),
+            ),
+            (
+                (Snippet::from_lines(["a"]), s.clone()),
+                (Snippet::from_lines(["a", ""]), s.clone()),
+            ),
+            ((r.clone(), s.clone()), (s, r)),
+        ]
+    }
+
+    #[test]
+    fn the_key_is_the_pairs_identity() {
+        // One forced hash for every key: only the key comparison tells the
+        // two pairs of each case apart.
+        let h = 7;
+        for ((ar, as_), (br, bs)) in confusable_pairs() {
+            let cache = AlignCache::new();
+            let (a, _) = key_of(&ar, &as_);
+            let (b, _) = key_of(&br, &bs);
+            assert_ne!(a, b);
+            assert!(!offer_as(&cache, h, &a, 10));
+            assert!(offer_as(&cache, h, &a, 10));
+            assert!(lookup(&cache, h, &b).is_none(), "{br:?} hit {ar:?}'s entry");
+            assert!(!offer_as(&cache, h, &b, 20));
+            assert!(offer_as(&cache, h, &b, 20));
+            assert_eq!(cache.entries(), 2);
+            assert_eq!(lookup(&cache, h, &a), Some(vec![feature_of(10)]));
+            assert_eq!(lookup(&cache, h, &b), Some(vec![feature_of(20)]));
+        }
+    }
+
+    #[test]
+    fn colliding_pairs_fill_one_bucket_at_most_to_its_cap() {
+        let cache = AlignCache::new();
+        let h = 7;
+        let keys: Vec<Vec<u8>> = (0..ALIGN_BUCKET_CAP + 5)
+            .map(|k| key_of(&Snippet::from_lines([format!("draft {k}")]), &pair().1).0)
+            .collect();
+        // Twice each: the doorkeeper admits every colliding key at its
+        // second offer until the bucket is full.
+        for (k, key) in keys.iter().enumerate() {
+            offer_as(&cache, h, key, k as u32);
+            offer_as(&cache, h, key, k as u32);
+            let shard = lock_shard(&cache.shards[(h as usize) % ALIGN_SHARDS]);
+            assert!(shard.buckets[&h].len() <= ALIGN_BUCKET_CAP);
+        }
+        assert_eq!(cache.entries(), ALIGN_BUCKET_CAP);
+        for (k, key) in keys.iter().enumerate() {
+            let got = lookup(&cache, h, key);
+            if k < ALIGN_BUCKET_CAP {
+                assert_eq!(got, Some(vec![feature_of(k as u32)]), "key {k}");
+            } else {
+                assert!(got.is_none(), "key {k} past the cap");
+            }
+        }
     }
 }

@@ -53,7 +53,7 @@ use crate::classifier::{ModelSpec, TrainedClassifier};
 use crate::compiled::{CompiledEvidence, CompiledFeatureTable, ScoringEngine};
 use crate::error::{read_file_with_retry, MbError, RetryPolicy};
 use crate::features::{aggregate, walk_features, OwnedTermFeat, PairFeature};
-use crate::paircache::{snippet_hash, AlignCache};
+use crate::paircache::{AlignCache, PairKey};
 use crate::rewrite::{prepare_pair, MatchStrategy, RewriteExtraction, RewriteExtractor};
 
 const MAGIC: &[u8; 8] = b"MBMODEL\0";
@@ -362,15 +362,17 @@ pub struct Scratch<'a> {
     sparse_buf: SparseVec,
     /// Reusable normalization buffer for arena tokenization.
     norm: String,
+    /// The key of the pair being scored, rewritten in place for each pair.
+    key: PairKey,
     /// Persistent snippet arena: each distinct snippet's tokens and priced
     /// term features, kept across calls; `arena_len` is the number of live
     /// entries.
     arena: Vec<ArenaEntry>,
     arena_len: usize,
-    /// Snippet-hash → arena index. Hash-keyed to stay allocation-free on
-    /// lookups; hits verify full snippet equality against the entry's own
-    /// copy, so a 64-bit collision degrades to reprocessing, never to a
-    /// wrong score.
+    /// Side hash → arena index. Hash-keyed to stay allocation-free on
+    /// lookups; hits verify the side key against the entry's own copy, so
+    /// a 64-bit collision degrades to reprocessing, never to a wrong
+    /// score.
     arena_index: FxHashMap<u64, usize>,
     /// A scratch serves the bundle its scorer borrows.
     bundle: PhantomData<&'a ServingBundle>,
@@ -393,9 +395,9 @@ const SNIPPET_ARENA_CAP: usize = 8192;
 /// (buffers keep their capacity on eviction reuse), so a warmed-up scratch
 /// scores repeat traffic without tokenizing at all.
 struct ArenaEntry {
-    /// The snippet this entry was filled from — hash-index hits are
-    /// verified against it by full equality.
-    snippet: Snippet,
+    /// The side key ([`PairKey`]) of the snippet this entry was filled
+    /// from — hash-index hits are verified against it by slice equality.
+    key: Vec<u8>,
     tok: TokenizedSnippet,
     /// The snippet's term features the model prices, valued as R-side
     /// occurrences (`+1`).
@@ -466,6 +468,7 @@ impl<'a> Scorer<'a> {
             pair_buf: Vec::new(),
             sparse_buf: SparseVec::new(),
             norm: String::new(),
+            key: PairKey::default(),
             arena: Vec::new(),
             arena_len: 0,
             arena_index: FxHashMap::default(),
@@ -511,13 +514,14 @@ impl<'a> Scorer<'a> {
     /// `s` (the Eq. 5 orientation), and the magnitude is the model's
     /// log-odds margin.
     ///
-    /// Both sides resolve through the scratch's persistent snippet arena,
-    /// then score through the compiled table and the bundle-shared
-    /// alignment cache.
+    /// The pair's key probes the bundle-shared alignment cache; the sides
+    /// resolve through the scratch's persistent snippet arena when term
+    /// features or a cache miss need their tokens.
     pub fn score_pair(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
         let start = obs::now_if_enabled();
         let score = self.score_engine(r, s, scratch);
-        self.record_score(start);
+        self.count_scores(1);
+        obs::histogram!("microbrowse_score_latency_us").observe_since(start);
         score
     }
 
@@ -557,7 +561,8 @@ impl<'a> Scorer<'a> {
         order
     }
 
-    /// Score many pairs through one scratch: a [`Self::score_pair`] loop.
+    /// Score many pairs through one scratch, as a [`Self::score_pair`] loop
+    /// would.
     /// Each distinct snippet is tokenized and n-gram-extracted once per
     /// scratch (the arena), however many pairs it appears in.
     pub fn score_batch(&self, pairs: &[(Snippet, Snippet)], scratch: &mut Scratch<'a>) -> Vec<f64> {
@@ -566,20 +571,31 @@ impl<'a> Scorer<'a> {
 
     /// [`Self::score_batch`] plus per-item wall-clock latency in
     /// microseconds (first-time tokenization/extraction of a snippet is
-    /// attributed to the first pair that touches it).
+    /// attributed to the first pair that touches it). The clock is read
+    /// once before the first pair and once after each pair; an item's
+    /// latency is the difference between the whole microseconds elapsed
+    /// at its two boundaries, so the items partition the batch and sum to
+    /// its elapsed microseconds.
     pub fn score_batch_timed(
         &self,
         pairs: &[(Snippet, Snippet)],
         scratch: &mut Scratch<'a>,
     ) -> (Vec<f64>, Vec<u64>) {
-        pairs
-            .iter()
-            .map(|(r, s)| {
-                let wall = std::time::Instant::now();
-                let score = self.score_pair(r, s, scratch);
-                (score, wall.elapsed().as_micros() as u64)
-            })
-            .unzip()
+        let latency = obs::histogram!("microbrowse_score_latency_us");
+        let mut scores = Vec::with_capacity(pairs.len());
+        let mut latencies = Vec::with_capacity(pairs.len());
+        let start = std::time::Instant::now();
+        let mut prev_us = 0;
+        for (r, s) in pairs {
+            scores.push(self.score_engine(r, s, scratch));
+            let now_us = start.elapsed().as_micros() as u64;
+            let us = now_us - prev_us;
+            prev_us = now_us;
+            latencies.push(us);
+            latency.observe_us(us);
+        }
+        self.count_scores(pairs.len() as u64);
+        (scores, latencies)
     }
 
     /// Make room for both sides of a pair before resolving either:
@@ -596,34 +612,41 @@ impl<'a> Scorer<'a> {
         }
     }
 
-    /// Arena index and hash of `snippet`, tokenizing on first encounter.
-    /// Hash-index hits are verified by full equality against the entry's
-    /// own snippet; a 64-bit collision falls through to reprocessing (only
-    /// slower).
+    /// Arena index of the pair side `side` picks out of the scratch's
+    /// [`PairKey`] (side hash `h`), tokenizing `snippet` — that side — on
+    /// first encounter. Hash-index hits are verified by slice equality
+    /// against the entry's own side key; a 64-bit collision falls through
+    /// to reprocessing (only slower).
     fn arena_entry(
         snippet: &Snippet,
+        side: fn(&PairKey) -> &[u8],
+        h: u64,
         tokenizer: &Tokenizer,
         scratch: &mut Scratch<'a>,
-    ) -> (usize, u64) {
-        let h = snippet_hash(snippet);
+    ) -> usize {
         if let Some(&i) = scratch.arena_index.get(&h) {
-            if i < scratch.arena_len && scratch.arena[i].snippet == *snippet {
-                return (i, h);
+            if i < scratch.arena_len && scratch.arena[i].key == side(&scratch.key) {
+                return i;
             }
         }
-        let i = Self::arena_fill(snippet, tokenizer, scratch);
+        let i = Self::arena_fill(snippet, side, tokenizer, scratch);
         scratch.arena_index.insert(h, i);
-        (i, h)
+        i
     }
 
-    /// Fill the next arena slot with `snippet`'s tokenization (reusing the
-    /// slot's buffers) and return its index. The caller has made room
-    /// ([`Self::make_room`]).
-    fn arena_fill(snippet: &Snippet, tokenizer: &Tokenizer, scratch: &mut Scratch<'a>) -> usize {
+    /// Fill the next arena slot with `snippet`'s side key and tokenization
+    /// (reusing the slot's buffers) and return its index. The caller has
+    /// made room ([`Self::make_room`]).
+    fn arena_fill(
+        snippet: &Snippet,
+        side: fn(&PairKey) -> &[u8],
+        tokenizer: &Tokenizer,
+        scratch: &mut Scratch<'a>,
+    ) -> usize {
         let i = scratch.arena_len;
         if scratch.arena.len() == i {
             scratch.arena.push(ArenaEntry {
-                snippet: snippet.clone(),
+                key: Vec::new(),
                 tok: TokenizedSnippet::default(),
                 terms: Vec::new(),
                 terms_ready: false,
@@ -633,14 +656,30 @@ impl<'a> Scorer<'a> {
             arena,
             interner,
             norm,
+            key,
             ..
         } = scratch;
         let e = &mut arena[i];
-        e.snippet.clone_from(snippet);
+        e.key.clear();
+        e.key.extend_from_slice(side(key));
         e.terms_ready = false;
         snippet.tokenize_into(tokenizer, interner, norm, &mut e.tok);
         scratch.arena_len = i + 1;
         i
+    }
+
+    /// Arena indices of both sides of the pair whose key the scratch holds
+    /// (`hashes` as [`PairKey::set`] returned them).
+    fn arena_pair(
+        &self,
+        r: &Snippet,
+        s: &Snippet,
+        (hr, hs): (u64, u64),
+        scratch: &mut Scratch<'a>,
+    ) -> (usize, usize) {
+        let ri = Self::arena_entry(r, PairKey::r, hr, &self.tokenizer, scratch);
+        let si = Self::arena_entry(s, PairKey::s, hs, &self.tokenizer, scratch);
+        (ri, si)
     }
 
     /// Price the term features of arena entry `i` if not already cached
@@ -687,45 +726,55 @@ impl<'a> Scorer<'a> {
             .extract_prepared_into(r, s, &prepared, &evidence, interner, ext);
     }
 
-    /// Score one pair through the engine. The pair's features are the
-    /// arena's priced term features of each side plus its rewrite-family
-    /// features: a cache hit appends them, a miss extracts and walks the
-    /// pair once and offers the result to the cache, which keeps it from
-    /// the pair's second miss on. The classifier then sees exactly the
-    /// priced part of what training's encoding of the pair holds.
+    /// Score one pair through the engine. The pair's features are its
+    /// rewrite-family features plus the arena's priced term features of
+    /// each side. The pair's key is written first and the alignment cache
+    /// probed with it: a hit appends the rewrite features, and only term
+    /// features or a miss resolve the two sides in the arena, so a hit on
+    /// a term-free spec (M3, M4) never touches it. A miss extracts and
+    /// walks the pair once, aggregates the result and offers it to the
+    /// cache, which keeps it from the pair's second miss on; a hit then
+    /// hands the classifier an already-sorted list. Values are ±1 counts,
+    /// so pre-aggregating a family and appending the families in either
+    /// order leaves the encoding unchanged: the classifier sees exactly
+    /// the priced part of what training's encoding of the pair holds.
     fn score_engine(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
         Self::make_room(scratch);
-        let (ri, hr) = Self::arena_entry(r, &self.tokenizer, scratch);
-        let (si, hs) = Self::arena_entry(s, &self.tokenizer, scratch);
+        let hashes = scratch.key.set(r, s);
+        let pair_hash = AlignCache::combine_hashes(hashes.0, hashes.1);
+        let align = self.engine.align();
         scratch.feats.clear();
-        if self.spec.terms {
-            self.ensure_arena_terms(ri, scratch);
-            self.ensure_arena_terms(si, scratch);
-            let Scratch { arena, feats, .. } = scratch;
-            feats.extend_from_slice(&arena[ri].terms);
-            feats.extend(arena[si].terms.iter().map(|f| CoupledFeature {
-                value: -f.value,
-                ..*f
-            }));
-        }
-        if self.spec.rewrites {
-            let pair_hash = AlignCache::combine_hashes(hr, hs);
-            let align = self.engine.align();
-            if !align.get_hashed(pair_hash, r, s, &mut scratch.feats) {
+        let missed = self.spec.rewrites
+            && !align.get_hashed(pair_hash, scratch.key.pair(), &mut scratch.feats);
+        if self.spec.terms || missed {
+            let (ri, si) = self.arena_pair(r, s, hashes, scratch);
+            if missed {
                 let Scratch {
                     arena,
                     interner,
                     ext_buf,
                     feats,
+                    key,
                     ..
                 } = scratch;
                 self.extract_rewrites(&arena[ri].tok, &arena[si].tok, interner, ext_buf);
-                let start = feats.len();
                 let table = self.engine.table();
+                // `feats` is empty here: a miss appended nothing.
                 walk_features(&self.spec, interner, &[], &[], Some(ext_buf), |f| {
                     price(table, feats, f)
                 });
-                align.insert_hashed(pair_hash, r, s, || feats[start..].into());
+                aggregate(feats);
+                align.insert_hashed(pair_hash, key.pair(), || feats.as_slice().into());
+            }
+            if self.spec.terms {
+                self.ensure_arena_terms(ri, scratch);
+                self.ensure_arena_terms(si, scratch);
+                let Scratch { arena, feats, .. } = scratch;
+                feats.extend_from_slice(&arena[ri].terms);
+                feats.extend(arena[si].terms.iter().map(|f| CoupledFeature {
+                    value: -f.value,
+                    ..*f
+                }));
             }
         }
         let Scratch {
@@ -760,8 +809,8 @@ impl<'a> Scorer<'a> {
         scratch: &mut Scratch<'a>,
     ) -> Vec<(PairFeature, Option<u32>)> {
         Self::make_room(scratch);
-        let (ri, _) = Self::arena_entry(r, &self.tokenizer, scratch);
-        let (si, _) = Self::arena_entry(s, &self.tokenizer, scratch);
+        let hashes = scratch.key.set(r, s);
+        let (ri, si) = self.arena_pair(r, s, hashes, scratch);
         let Scratch {
             arena,
             interner,
@@ -789,13 +838,12 @@ impl<'a> Scorer<'a> {
         out
     }
 
-    /// Per-score instrumentation.
-    fn record_score(&self, start: Option<std::time::Instant>) {
-        obs::counter!("microbrowse_scores_total").inc();
+    /// Count `n` scores (and `n` degraded ones at degraded fidelity).
+    fn count_scores(&self, n: u64) {
+        obs::counter!("microbrowse_scores_total").add(n);
         if self.fidelity.is_degraded() {
-            obs::counter!("microbrowse_scores_degraded_total").inc();
+            obs::counter!("microbrowse_scores_degraded_total").add(n);
         }
-        obs::histogram!("microbrowse_score_latency_us").observe_since(start);
     }
 }
 
@@ -1561,6 +1609,68 @@ mod tests {
         .into_iter()
         .flat_map(|s| [(base.clone(), s.clone()), (s, base.clone())])
         .collect()
+    }
+
+    /// Pairs that only a key with line counts, line lengths and side order
+    /// tells apart, scored back to back by one scratch — three passes, so
+    /// the later ones score from the alignment cache — agree bit for bit
+    /// with a fresh scratch per score and with `ReferenceScorer`.
+    #[test]
+    fn confusable_pairs_score_as_themselves() {
+        let vocab = vec![
+            OwnedTermFeat::Term("ab".into()),
+            OwnedTermFeat::Term("bc".into()),
+            OwnedTermFeat::Term("a".into()),
+            OwnedTermFeat::Term("c".into()),
+            OwnedTermFeat::Term("cheap".into()),
+            OwnedTermFeat::Rewrite("cheap".into(), "pricey".into()),
+        ];
+        let mut stats = StatsDb::new();
+        for _ in 0..5 {
+            stats.record(
+                microbrowse_store::FeatureKey::rewrite("cheap", "pricey"),
+                true,
+            );
+        }
+        let groups = crate::features::PositionVocab::num_groups() as usize;
+        let flat = DeployedModel {
+            spec: ModelSpec::m5(),
+            classifier: TrainedClassifier::Flat(LogReg::from_parts(
+                vec![1.0, -2.0, 0.5, 0.25, 0.75, -1.5],
+                0.0,
+            )),
+            vocab: vocab.clone(),
+        };
+        let coupled = DeployedModel {
+            spec: ModelSpec::m6(),
+            classifier: TrainedClassifier::Coupled(CoupledModel::from_parts(
+                (0..groups).map(|g| 1.0 - 0.01 * g as f64).collect(),
+                vec![1.0, -2.0, 0.5, 0.25, 0.75, -1.5],
+                0.05,
+            )),
+            vocab,
+        };
+        let pairs: Vec<(Snippet, Snippet)> = crate::paircache::tests::confusable_pairs()
+            .into_iter()
+            .flat_map(|(a, b)| [a, b])
+            .collect();
+        for m in [flat, coupled] {
+            let bundle = ServingBundle::from_parts(m.clone(), stats.clone(), Fidelity::Full)
+                .expect("bundle");
+            let scorer = bundle.scorer();
+            let mut scratch = scorer.scratch();
+            let mut reference = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full);
+            for pass in 0..3 {
+                for (r, s) in &pairs {
+                    let want = reference.score_pair(r, s).to_bits();
+                    let fresh = scorer.score_pair(r, s, &mut scorer.scratch()).to_bits();
+                    let got = scorer.score_pair(r, s, &mut scratch).to_bits();
+                    assert_eq!(fresh, want, "{} pass {pass}: {r:?} vs {s:?}", m.spec.name);
+                    assert_eq!(got, want, "{} pass {pass}: {r:?} vs {s:?}", m.spec.name);
+                }
+            }
+            assert!(bundle.engine().align().entries() > 0);
+        }
     }
 
     /// One scratch scoring a stream of never-seen tokens keeps every table

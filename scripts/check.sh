@@ -95,6 +95,20 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
 ' "$workload" "$result"
 done
 
+echo "==> perfbench traced smoke (batch_hot 1 s: every alignment a cache hit, 256 hits and 0 misses per request)"
+result=$(bash perfbench/run.sh --workload batch_hot --seed 1 --seconds 1 --trace 1 | tail -n 1)
+python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+m = r.get("metrics", {})
+hits = m.get("aligncache_hits_per_req", {}).get("value")
+misses = m.get("aligncache_misses_per_req", {}).get("value")
+print("perfbench batch_hot traced: correct:", r.get("correct"), "failed:", r.get("failed"),
+      "hits/req:", hits, "misses/req:", misses)
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0
+         and hits == 256 and misses == 0 else 1)
+' "$result"
+
 echo "==> wire-API docs complete and warning-free"
 RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps -q -p microbrowse-api
 
@@ -104,4 +118,4 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "OK: build, tests, fault injection, unwrap audit, overhead gate, trace schema, flight recorder, hot-path gate, server smoke, online drift gate, suggest gate, chaos gate, perfbench smoke, api docs, clippy, fmt all green"
+echo "OK: build, tests, fault injection, unwrap audit, overhead gate, trace schema, flight recorder, hot-path gate, server smoke, online drift gate, suggest gate, chaos gate, perfbench smoke, perfbench traced smoke, api docs, clippy, fmt all green"
