@@ -657,11 +657,32 @@ pub struct BatchResponse {
 
 impl BatchResponse {
     /// Render the response body into one buffer, sized up front for every
-    /// result (about 80 bytes each).
+    /// result (about 80 bytes each). A result scored at the batch's
+    /// fidelity and generation — every result the server renders — differs
+    /// from the others only in its score, winner and latency, so its
+    /// members from `"winner"` up to `"latency_us":` are rendered once per
+    /// winner and copied; any other result renders all of its own fields.
     pub fn to_json(&self) -> String {
+        let [tail_r, tail_s] =
+            [Winner::R, Winner::S].map(|w| item_tail(w, &self.fidelity, self.generation));
         let buf = String::with_capacity(128 + 96 * self.results.len());
         let obj = JsonObject::continue_in(buf)
-            .objects("results", &self.results, |obj, r| r.fill(obj))
+            .array("results", &self.results, |out, r| {
+                if r.fidelity != self.fidelity || r.generation != self.generation {
+                    *out = r
+                        .fill(JsonObject::continue_in(std::mem::take(out)))
+                        .finish();
+                    return;
+                }
+                out.push_str("{\"score\":");
+                json::write_f64(out, r.score);
+                out.push(',');
+                out.push_str(match r.winner {
+                    Winner::R => &tail_r,
+                    Winner::S => &tail_s,
+                });
+                let _ = write!(out, "{}}}", r.latency_us);
+            })
             .u64("count", self.results.len() as u64);
         append_generation(self.fidelity.append_to(obj), self.generation)
             .u64("latency_us", self.latency_us)
@@ -693,6 +714,21 @@ impl BatchResponse {
             latency_us,
         })
     }
+}
+
+/// The members a [`ScoreResponse`] with `winner`, `fidelity` and
+/// `generation` renders between its score and its latency value:
+/// `"winner":…` up to and including `"latency_us":`. Rendered by the same
+/// builder calls as [`ScoreResponse::fill`], so a copied tail is
+/// byte-identical to the fields it stands for.
+fn item_tail(winner: Winner, fidelity: &Fidelity, generation: Option<u64>) -> String {
+    let obj = JsonObject::new().str("winner", winner.as_str());
+    let mut tail = append_generation(fidelity.append_to(obj), generation)
+        .u64("latency_us", 0)
+        .finish();
+    // `{"winner":…,"latency_us":0}` → `"winner":…,"latency_us":`
+    tail.truncate(tail.len() - "0}".len());
+    tail.split_off(1)
 }
 
 /// One aggregated impression/click observation for a creative, as it
@@ -1449,6 +1485,7 @@ impl From<WireError> for ErrorEnvelope {
 mod tests {
     use super::*;
     use microbrowse_obs::json::assert_parses;
+    use proptest::prelude::*;
 
     // ---- golden strings: every v1 shape, byte for byte -----------------
 
@@ -2009,6 +2046,110 @@ mod tests {
         assert_eq!(Winner::from_score(1e-9), Winner::R);
         assert_eq!(Winner::from_score(0.0), Winner::S);
         assert_eq!(Winner::from_score(-3.0), Winner::S);
+    }
+
+    /// `BatchResponse::to_json` as it was before per-batch tails, copied
+    /// verbatim: every result rendered through `ScoreResponse::fill`.
+    mod oracle {
+        use super::super::*;
+
+        pub trait BatchRender {
+            fn to_json(&self) -> String;
+        }
+
+        impl BatchRender for BatchResponse {
+            /// Render the response body into one buffer, sized up front for every
+            /// result (about 80 bytes each).
+            fn to_json(&self) -> String {
+                let buf = String::with_capacity(128 + 96 * self.results.len());
+                let obj = JsonObject::continue_in(buf)
+                    .objects("results", &self.results, |obj, r| r.fill(obj))
+                    .u64("count", self.results.len() as u64);
+                append_generation(self.fidelity.append_to(obj), self.generation)
+                    .u64("latency_us", self.latency_us)
+                    .finish()
+            }
+        }
+    }
+
+    fn arb_fidelity() -> impl Strategy<Value = Fidelity> {
+        prop_oneof![
+            Just(Fidelity::Full),
+            "[a-z \"\\\n\u{1}\u{e9}]{0,12}".prop_map(|reason| Fidelity::Degraded { reason }),
+        ]
+    }
+
+    fn arb_generation() -> impl Strategy<Value = Option<u64>> {
+        prop_oneof![Just(None), (0u64..3).prop_map(Some)]
+    }
+
+    /// Zero of both signs, whole floats, any bit pattern (NaN and the
+    /// infinities render `null`).
+    fn arb_score() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            (-1000i32..1000).prop_map(f64::from),
+            any::<u64>().prop_map(f64::from_bits),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ]
+    }
+
+    /// A batch whose results mostly share its fidelity and generation; the
+    /// rest carry their own, which may or may not happen to equal it.
+    fn arb_batch() -> impl Strategy<Value = BatchResponse> {
+        let item = (
+            arb_score(),
+            any::<bool>(),
+            any::<u64>(),
+            any::<u8>(),
+            arb_fidelity(),
+            arb_generation(),
+        );
+        (
+            arb_fidelity(),
+            arb_generation(),
+            prop::collection::vec(item, 0..12),
+            any::<u64>(),
+        )
+            .prop_map(|(fidelity, generation, items, latency_us)| BatchResponse {
+                results: items
+                    .into_iter()
+                    .map(
+                        |(score, r_wins, latency_us, own, own_fidelity, own_generation)| {
+                            let shared = own % 4 != 0;
+                            ScoreResponse {
+                                score,
+                                winner: if r_wins { Winner::R } else { Winner::S },
+                                fidelity: if shared {
+                                    fidelity.clone()
+                                } else {
+                                    own_fidelity
+                                },
+                                generation: if shared { generation } else { own_generation },
+                                latency_us,
+                            }
+                        },
+                    )
+                    .collect(),
+                fidelity,
+                generation,
+                latency_us,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Per-batch tails render exactly the bytes every result rendered
+        /// on its own did, winners of both sides, escaped degrade reasons
+        /// and results off the batch's fidelity or generation included.
+        #[test]
+        fn batch_render_matches_the_per_result_render(batch in arb_batch()) {
+            prop_assert_eq!(batch.to_json(), oracle::BatchRender::to_json(&batch));
+        }
     }
 
     #[test]

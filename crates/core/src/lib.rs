@@ -69,7 +69,7 @@ pub use explain::{explain_pair, Explanation, SpanAttribution, SpanKind};
 pub use features::{Featurizer, PositionVocab, SpanSide};
 pub use model::{score_factored, score_flat, snippet_relevance, TermJudgment};
 pub use optimize::{apply_edit, optimize_creative, Edit, OptimizeConfig, OptimizeOutcome};
-pub use paircache::{AlignCache, PairCache};
+pub use paircache::{AlignCache, PairCache, PairSide};
 pub use pipeline::{
     run_all_models, run_experiment, run_experiments, ExperimentConfig, ExperimentOutcome,
 };

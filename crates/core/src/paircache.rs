@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use microbrowse_ml::CoupledFeature;
 use microbrowse_text::hash::FxHasher;
 use microbrowse_text::{
-    FxHashMap, FxHashSet, NGramConfig, NGramExtractor, Snippet, TermOccurrence,
+    wire_lines, FxHashMap, FxHashSet, NGramConfig, NGramExtractor, Snippet, TermOccurrence,
 };
 
 use crate::corpus::{CreativeId, CreativePair};
@@ -135,12 +135,43 @@ const ALIGN_SHARD_CAP: usize = 8192;
 /// lookup compares against more than this many keys.
 const ALIGN_BUCKET_CAP: usize = 4;
 
+/// One side of a scored pair as the engine reads it: a creative's lines,
+/// in order. They are all the engine needs — a side's key is written from
+/// them, and an arena fill tokenizes them — so a [`Snippet`] and a
+/// creative's wire text (`str`, read through [`wire_lines`]) are both
+/// sides, and a wire text writes the same key, and so shares the same
+/// cache and arena entries, as the snippet [`Snippet::from_wire`] builds
+/// from it.
+pub trait PairSide {
+    /// The side's lines, in order.
+    fn side_lines(&self) -> impl Iterator<Item = &str>;
+}
+
+impl PairSide for Snippet {
+    fn side_lines(&self) -> impl Iterator<Item = &str> {
+        self.lines().iter().map(|line| line.text.as_str())
+    }
+}
+
+/// A creative in wire form (`"Cheap Flights|book today"`).
+impl PairSide for str {
+    fn side_lines(&self) -> impl Iterator<Item = &str> {
+        wire_lines(self)
+    }
+}
+
+impl<T: PairSide + ?Sized> PairSide for &T {
+    fn side_lines(&self) -> impl Iterator<Item = &str> {
+        (**self).side_lines()
+    }
+}
+
 /// The identity of an ordered pair `(r, s)`: R's side key, then S's, in
-/// one buffer reused from pair to pair. A side key is the snippet's line
+/// one buffer reused from pair to pair. A side key is the side's line
 /// count, then each line's byte length and bytes, so it spells exactly
-/// one snippet and no side key is a prefix of another: equal pair keys
-/// are equal pairs. The alignment cache stores and compares pair keys,
-/// and a scratch's snippet arena stores and compares side keys.
+/// one list of lines and no side key is a prefix of another: equal pair
+/// keys are equal pairs. The alignment cache stores and compares pair
+/// keys, and a scratch's snippet arena stores and compares side keys.
 #[derive(Debug, Default)]
 pub struct PairKey {
     bytes: Vec<u8>,
@@ -152,11 +183,11 @@ impl PairKey {
     /// Overwrite with the key of `(r, s)`; returns the two side hashes,
     /// for [`AlignCache::combine_hashes`] and for indexing the sides on
     /// their own.
-    pub fn set(&mut self, r: &Snippet, s: &Snippet) -> (u64, u64) {
+    pub fn set<S: PairSide + ?Sized>(&mut self, r: &S, s: &S) -> (u64, u64) {
         self.bytes.clear();
-        put_side(&mut self.bytes, r);
+        put_side(&mut self.bytes, r.side_lines());
         self.split = self.bytes.len();
-        put_side(&mut self.bytes, s);
+        put_side(&mut self.bytes, s.side_lines());
         (fx_hash(self.r()), fx_hash(self.s()))
     }
 
@@ -176,14 +207,18 @@ impl PairKey {
     }
 }
 
-/// Append `snippet`'s side key to `out`.
-fn put_side(out: &mut Vec<u8>, snippet: &Snippet) {
-    let lines = snippet.lines();
-    out.extend_from_slice(&(lines.len() as u64).to_le_bytes());
+/// Append the side key of `lines` to `out`: the count goes first, so it
+/// is written once the lines are.
+fn put_side<'l>(out: &mut Vec<u8>, lines: impl Iterator<Item = &'l str>) {
+    let count_at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let mut count = 0u64;
     for line in lines {
-        out.extend_from_slice(&(line.text.len() as u64).to_le_bytes());
-        out.extend_from_slice(line.text.as_bytes());
+        out.extend_from_slice(&(line.len() as u64).to_le_bytes());
+        out.extend_from_slice(line.as_bytes());
+        count += 1;
     }
+    out[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
 }
 
 fn fx_hash(bytes: &[u8]) -> u64 {

@@ -53,7 +53,7 @@ use crate::classifier::{ModelSpec, TrainedClassifier};
 use crate::compiled::{CompiledEvidence, CompiledFeatureTable, ScoringEngine};
 use crate::error::{read_file_with_retry, MbError, RetryPolicy};
 use crate::features::{aggregate, walk_features, OwnedTermFeat, PairFeature};
-use crate::paircache::{AlignCache, PairKey};
+use crate::paircache::{AlignCache, PairKey, PairSide};
 use crate::rewrite::{prepare_pair, MatchStrategy, RewriteExtraction, RewriteExtractor};
 
 const MAGIC: &[u8; 8] = b"MBMODEL\0";
@@ -514,10 +514,12 @@ impl<'a> Scorer<'a> {
     /// `s` (the Eq. 5 orientation), and the magnitude is the model's
     /// log-odds margin.
     ///
-    /// The pair's key probes the bundle-shared alignment cache; the sides
-    /// resolve through the scratch's persistent snippet arena when term
-    /// features or a cache miss need their tokens.
-    pub fn score_pair(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
+    /// The sides are [`PairSide`]s: [`Snippet`]s, or creatives in wire
+    /// form (`str`), which score exactly like their
+    /// [`Snippet::from_wire`]. The pair's key probes the bundle-shared
+    /// alignment cache; the sides resolve through the scratch's persistent
+    /// snippet arena when term features or a cache miss need their tokens.
+    pub fn score_pair<S: PairSide + ?Sized>(&self, r: &S, s: &S, scratch: &mut Scratch<'a>) -> f64 {
         let start = obs::now_if_enabled();
         let score = self.score_engine(r, s, scratch);
         self.count_scores(1);
@@ -528,10 +530,10 @@ impl<'a> Scorer<'a> {
     /// [`Self::score_pair`] with the fidelity attached: the API a serving
     /// system should prefer, because it cannot mistake a degraded score
     /// for a full-fidelity one.
-    pub fn score_pair_outcome(
+    pub fn score_pair_outcome<S: PairSide + ?Sized>(
         &self,
-        r: &Snippet,
-        s: &Snippet,
+        r: &S,
+        s: &S,
         scratch: &mut Scratch<'a>,
     ) -> ScoreOutcome {
         ScoreOutcome {
@@ -563,22 +565,26 @@ impl<'a> Scorer<'a> {
 
     /// Score many pairs through one scratch, as a [`Self::score_pair`] loop
     /// would.
-    /// Each distinct snippet is tokenized and n-gram-extracted once per
+    /// Each distinct side is tokenized and n-gram-extracted once per
     /// scratch (the arena), however many pairs it appears in.
-    pub fn score_batch(&self, pairs: &[(Snippet, Snippet)], scratch: &mut Scratch<'a>) -> Vec<f64> {
+    pub fn score_batch<S: PairSide>(
+        &self,
+        pairs: &[(S, S)],
+        scratch: &mut Scratch<'a>,
+    ) -> Vec<f64> {
         self.score_batch_timed(pairs, scratch).0
     }
 
     /// [`Self::score_batch`] plus per-item wall-clock latency in
-    /// microseconds (first-time tokenization/extraction of a snippet is
+    /// microseconds (first-time tokenization/extraction of a side is
     /// attributed to the first pair that touches it). The clock is read
     /// once before the first pair and once after each pair; an item's
     /// latency is the difference between the whole microseconds elapsed
     /// at its two boundaries, so the items partition the batch and sum to
     /// its elapsed microseconds.
-    pub fn score_batch_timed(
+    pub fn score_batch_timed<S: PairSide>(
         &self,
-        pairs: &[(Snippet, Snippet)],
+        pairs: &[(S, S)],
         scratch: &mut Scratch<'a>,
     ) -> (Vec<f64>, Vec<u64>) {
         let latency = obs::histogram!("microbrowse_score_latency_us");
@@ -613,12 +619,12 @@ impl<'a> Scorer<'a> {
     }
 
     /// Arena index of the pair side `side` picks out of the scratch's
-    /// [`PairKey`] (side hash `h`), tokenizing `snippet` — that side — on
+    /// [`PairKey`] (side hash `h`), tokenizing `lines` — that side — on
     /// first encounter. Hash-index hits are verified by slice equality
     /// against the entry's own side key; a 64-bit collision falls through
     /// to reprocessing (only slower).
-    fn arena_entry(
-        snippet: &Snippet,
+    fn arena_entry<S: PairSide + ?Sized>(
+        lines: &S,
         side: fn(&PairKey) -> &[u8],
         h: u64,
         tokenizer: &Tokenizer,
@@ -629,16 +635,16 @@ impl<'a> Scorer<'a> {
                 return i;
             }
         }
-        let i = Self::arena_fill(snippet, side, tokenizer, scratch);
+        let i = Self::arena_fill(lines, side, tokenizer, scratch);
         scratch.arena_index.insert(h, i);
         i
     }
 
-    /// Fill the next arena slot with `snippet`'s side key and tokenization
-    /// (reusing the slot's buffers) and return its index. The caller has
-    /// made room ([`Self::make_room`]).
-    fn arena_fill(
-        snippet: &Snippet,
+    /// Fill the next arena slot with the side key and the tokenized lines
+    /// of `lines` (reusing the slot's buffers) and return its index. The
+    /// caller has made room ([`Self::make_room`]).
+    fn arena_fill<S: PairSide + ?Sized>(
+        lines: &S,
         side: fn(&PairKey) -> &[u8],
         tokenizer: &Tokenizer,
         scratch: &mut Scratch<'a>,
@@ -663,17 +669,17 @@ impl<'a> Scorer<'a> {
         e.key.clear();
         e.key.extend_from_slice(side(key));
         e.terms_ready = false;
-        snippet.tokenize_into(tokenizer, interner, norm, &mut e.tok);
+        e.tok.fill(lines.side_lines(), tokenizer, interner, norm);
         scratch.arena_len = i + 1;
         i
     }
 
     /// Arena indices of both sides of the pair whose key the scratch holds
     /// (`hashes` as [`PairKey::set`] returned them).
-    fn arena_pair(
+    fn arena_pair<S: PairSide + ?Sized>(
         &self,
-        r: &Snippet,
-        s: &Snippet,
+        r: &S,
+        s: &S,
         (hr, hs): (u64, u64),
         scratch: &mut Scratch<'a>,
     ) -> (usize, usize) {
@@ -738,7 +744,7 @@ impl<'a> Scorer<'a> {
     /// so pre-aggregating a family and appending the families in either
     /// order leaves the encoding unchanged: the classifier sees exactly
     /// the priced part of what training's encoding of the pair holds.
-    fn score_engine(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
+    fn score_engine<S: PairSide + ?Sized>(&self, r: &S, s: &S, scratch: &mut Scratch<'a>) -> f64 {
         Self::make_room(scratch);
         let hashes = scratch.key.set(r, s);
         let pair_hash = AlignCache::combine_hashes(hashes.0, hashes.1);
@@ -802,10 +808,10 @@ impl<'a> Scorer<'a> {
     /// alignment is extracted afresh: explaining neither reads nor offers
     /// to the alignment cache. Phrase ids resolve through
     /// [`Scratch::interner`] until the scratch scores again.
-    pub(crate) fn explain_features(
+    pub(crate) fn explain_features<S: PairSide + ?Sized>(
         &self,
-        r: &Snippet,
-        s: &Snippet,
+        r: &S,
+        s: &S,
         scratch: &mut Scratch<'a>,
     ) -> Vec<(PairFeature, Option<u32>)> {
         Self::make_room(scratch);
@@ -1721,6 +1727,36 @@ mod tests {
         }
     }
 
+    /// A creative in wire form is keyed and scored as the snippet
+    /// `Snippet::from_wire` builds from it: the padded snippet's alignment,
+    /// admitted on its second miss, serves the unpadded wire texts as hits
+    /// — one cache entry for both spellings — and every score matches
+    /// `ReferenceScorer` bit for bit.
+    #[test]
+    fn wire_texts_share_their_snippets_entries() {
+        let m = sample_model();
+        let stats = StatsDb::new();
+        let bundle =
+            ServingBundle::from_parts(m.clone(), stats.clone(), Fidelity::Full).expect("bundle");
+        let r = Snippet::from_wire(" find cheap | flights ");
+        let s = Snippet::from_wire("get discounts |\u{a0}fees apply");
+        let expected = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full).score_pair(&r, &s);
+        let scorer = bundle.scorer();
+        let mut scratch = scorer.scratch();
+        for _ in 0..2 {
+            assert_eq!(
+                scorer.score_pair(&r, &s, &mut scratch).to_bits(),
+                expected.to_bits()
+            );
+        }
+        assert_eq!(bundle.engine().align().entries(), 1);
+        let wire = [("find cheap|flights", "get discounts|fees apply"); 3];
+        for score in scorer.score_batch(&wire, &mut scratch) {
+            assert_eq!(score.to_bits(), expected.to_bits());
+        }
+        assert_eq!(bundle.engine().align().entries(), 1);
+    }
+
     #[test]
     fn batch_of_zero_or_one_pair_matches_reference() {
         let m = sample_model();
@@ -1729,7 +1765,7 @@ mod tests {
             ServingBundle::from_parts(m.clone(), stats.clone(), Fidelity::Full).expect("bundle");
         let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
-        let (scores, lat) = scorer.score_batch_timed(&[], &mut scratch);
+        let (scores, lat) = scorer.score_batch_timed::<Snippet>(&[], &mut scratch);
         assert!(scores.is_empty() && lat.is_empty());
         let r = Snippet::creative("air", "find cheap flights", "book now");
         let s = Snippet::creative("air", "get discounts", "fees apply");

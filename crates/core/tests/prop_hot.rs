@@ -11,6 +11,7 @@ mod edit_pairs;
 use edit_pairs::{arb_edited, edited_pair};
 use microbrowse_core::compiled::CompiledFeatureTable;
 use microbrowse_core::features::{OwnedTermFeat, PositionVocab};
+use microbrowse_core::paircache::PairKey;
 use microbrowse_core::reference::ReferenceScorer;
 use microbrowse_core::rewrite::{
     canonical_rewrite_key, greedy_candidate_score, is_canonical_order,
@@ -73,6 +74,21 @@ fn arb_stats() -> impl Strategy<Value = StatsDb> {
 
 fn arb_snippet_lines() -> impl Strategy<Value = Vec<String>> {
     prop::collection::vec("[a-d]{1,3}( [a-d]{1,3}){0,5}", 1..3)
+}
+
+/// A creative in wire form over the salad alphabet: 1 to 10 lines (so
+/// sometimes more than `MAX_LINES`), some empty, each padded with
+/// whitespace `str::trim` strips.
+fn arb_wire_text() -> impl Strategy<Value = String> {
+    let pad = "[ \t\u{a0}\u{3000}]{0,2}";
+    let line = "([a-d]{1,3}( [a-d]{1,3}){0,3}){0,1}";
+    prop::collection::vec((pad, line, pad), 1..11).prop_map(|lines| {
+        let lines: Vec<String> = lines
+            .into_iter()
+            .map(|(lead, text, trail)| format!("{lead}{text}{trail}"))
+            .collect();
+        lines.join("|")
+    })
 }
 
 /// Vocabulary with term and rewrite features over the salad alphabet.
@@ -260,6 +276,53 @@ proptest! {
                 .map(|(r, s)| reference.score_pair(r, s).to_bits())
                 .collect();
             prop_assert_eq!(&expect, &engine, "spec {:?}", model.spec);
+        }
+    }
+
+    /// The key written from two wire texts is, byte for byte and hash for
+    /// hash, the key of the snippets `Snippet::from_wire` builds from them.
+    #[test]
+    fn wire_keys_equal_snippet_keys(r in arb_wire_text(), s in arb_wire_text()) {
+        let (mut wire, mut snippets) = (PairKey::default(), PairKey::default());
+        let wire_hashes = wire.set(r.as_str(), s.as_str());
+        let snippet_hashes = snippets.set(&Snippet::from_wire(&r), &Snippet::from_wire(&s));
+        prop_assert_eq!(wire.pair(), snippets.pair());
+        prop_assert_eq!(wire.r(), snippets.r());
+        prop_assert_eq!(wire_hashes, snippet_hashes);
+    }
+
+    /// A batch of wire texts scores bit for bit as `ReferenceScorer` scores
+    /// the snippets `Snippet::from_wire` builds from them, flat and
+    /// coupled, over three batches on one scratch (deferred, admitted,
+    /// cached).
+    #[test]
+    fn wire_sides_score_as_their_snippets(
+        db in arb_stats(),
+        raw in prop::collection::vec((arb_wire_text(), arb_wire_text()), 1..4),
+    ) {
+        let wire: Vec<(&str, &str)> = raw.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
+        for model in [flat_model(), coupled_model()] {
+            let mut reference = ReferenceScorer::from_parts(&model, &db, &Fidelity::Full);
+            let want: Vec<u64> = raw
+                .iter()
+                .map(|(r, s)| {
+                    reference
+                        .score_pair(&Snippet::from_wire(r), &Snippet::from_wire(s))
+                        .to_bits()
+                })
+                .collect();
+            let bundle = ServingBundle::from_parts(model.clone(), db.clone(), Fidelity::Full)
+                .expect("bundle");
+            let scorer = bundle.scorer();
+            let mut scratch = scorer.scratch();
+            for pass in 0..3 {
+                let got: Vec<u64> = scorer
+                    .score_batch(&wire, &mut scratch)
+                    .into_iter()
+                    .map(f64::to_bits)
+                    .collect();
+                prop_assert_eq!(&got, &want, "spec {:?} pass {}", model.spec, pass);
+            }
         }
     }
 

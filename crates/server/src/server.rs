@@ -870,16 +870,10 @@ fn worker_loop(shared: &Shared) {
 /// [`Scorer::score_batch`] pass (see [`serve_score_group`]) and writes the
 /// responses back in arrival order — identical bytes, amortized engine
 /// work.
-///
-/// Next to the scratch the connection keeps one buffer of snippet pairs
-/// that `/v1/batch` and coalesced `/v1/score` groups overwrite in place
-/// (see [`wire_pairs`]), so a steady stream of batches stops allocating a
-/// line buffer per creative.
 fn serve_connection(shared: &Shared, conn: QueuedConn) {
     let stream = &conn.stream;
     let dequeued = Instant::now();
     let mut reader = RequestReader::new(stream, shared.cfg.limits.clone());
-    let mut pairs: Vec<(Snippet, Snippet)> = Vec::new();
     let mut first_request = true;
     'epoch: loop {
         let epoch = shared.state.epoch();
@@ -1013,22 +1007,9 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                     }
                     let score_started = Instant::now();
                     let responses = if group.len() == 1 {
-                        vec![route(
-                            &group[0],
-                            &scorer,
-                            &mut scratch,
-                            &mut pairs,
-                            &bundle,
-                            shared,
-                        )]
+                        vec![route(&group[0], &scorer, &mut scratch, &bundle, shared)]
                     } else {
-                        serve_score_group(
-                            &group,
-                            &scorer,
-                            &mut scratch,
-                            &mut pairs,
-                            bundle.model_generation(),
-                        )
+                        serve_score_group(&group, &scorer, &mut scratch, bundle.model_generation())
                     };
                     // A coalesced group is one engine pass: the score stage
                     // is shared, and the queue/parse stages belong to the
@@ -1227,7 +1208,6 @@ fn route<'a>(
     req: &HttpRequest,
     scorer: &Scorer<'a>,
     scratch: &mut Scratch<'a>,
-    pairs: &mut Vec<(Snippet, Snippet)>,
     bundle: &ServingBundle,
     shared: &Shared,
 ) -> Response {
@@ -1256,7 +1236,7 @@ fn route<'a>(
     let resp = match endpoint {
         "score" => handle_score(req, scorer, scratch, generation),
         "rank" => handle_rank(req, scorer, scratch, shared, generation),
-        "batch" => handle_batch(req, scorer, scratch, pairs, shared, generation),
+        "batch" => handle_batch(req, scorer, scratch, shared, generation),
         "suggest" => handle_suggest(req, scorer, scratch, shared, generation),
         "explain" => handle_explain(req, scorer, scratch, generation),
         "feedback" => handle_feedback(req, shared),
@@ -1315,24 +1295,10 @@ fn body_str(req: &HttpRequest) -> Result<&str, Response> {
     std::str::from_utf8(&req.body).map_err(|_| bad_request("body is not valid UTF-8"))
 }
 
-/// Overwrite the front of the connection's reused pair buffer with the
-/// creatives of `items` (in wire form), growing the buffer only when a
-/// request has more pairs than any before it, and return those pairs.
-fn wire_pairs<'p, 'i>(
-    pairs: &'p mut Vec<(Snippet, Snippet)>,
-    items: impl IntoIterator<Item = &'i PairRef<'i>>,
-) -> &'p [(Snippet, Snippet)] {
-    let mut n = 0;
-    for item in items {
-        if n == pairs.len() {
-            pairs.push(Default::default());
-        }
-        let (r, s) = &mut pairs[n];
-        r.set_wire(&item.r);
-        s.set_wire(&item.s);
-        n += 1;
-    }
-    &pairs[..n]
+/// The wire texts of a decoded pair, as the engine scores them: each side
+/// a creative in wire form, split into lines by the engine itself.
+fn wire_sides<'p>(pair: &'p PairRef<'_>) -> (&'p str, &'p str) {
+    (&pair.r, &pair.s)
 }
 
 /// `POST /v1/score` — body `{"r": "l1|l2|l3", "s": "l1|l2|l3"}`.
@@ -1347,11 +1313,8 @@ fn handle_score<'a>(
         Err(resp) => return resp,
     };
     let started = Instant::now();
-    let outcome = scorer.score_pair_outcome(
-        &Snippet::from_wire(&pair.r),
-        &Snippet::from_wire(&pair.s),
-        scratch,
-    );
+    let (r, s) = wire_sides(&pair);
+    let outcome = scorer.score_pair_outcome(r, s, scratch);
     let resp = ScoreResponse::from_outcome(&outcome, started.elapsed().as_micros() as u64)
         .with_generation(generation);
     Response::json(200, resp.to_json())
@@ -1489,15 +1452,14 @@ fn handle_rank<'a>(
 
 /// `POST /v1/batch` — body `[{"r": …, "s": …}, …]`, at most
 /// [`ServerConfig::max_batch`] items. The body is decoded in place
-/// ([`BatchRequest::from_json_borrowed`]) into the connection's reused
-/// snippet pairs, the whole array goes through one [`Scorer::score_batch`]
-/// pass, and the response — a per-item [`ScoreResponse`] (own latency
-/// each) plus the aggregate wall time — is rendered into one buffer.
+/// ([`BatchRequest::from_json_borrowed`]), the items' wire texts go
+/// through one [`Scorer::score_batch`] pass as they are, and the response
+/// — a per-item [`ScoreResponse`] (own latency each) plus the aggregate
+/// wall time — is rendered into one buffer.
 fn handle_batch<'a>(
     req: &HttpRequest,
     scorer: &Scorer<'a>,
     scratch: &mut Scratch<'a>,
-    pairs: &mut Vec<(Snippet, Snippet)>,
     shared: &Shared,
     generation: Option<u64>,
 ) -> Response {
@@ -1518,9 +1480,9 @@ fn handle_batch<'a>(
     obs::counter!("microbrowse_batch_items_total").add(items.len() as u64);
     obs::histogram!("microbrowse_batch_size").observe_us(items.len() as u64);
 
-    let pairs = wire_pairs(pairs, &items);
+    let pairs: Vec<(&str, &str)> = items.iter().map(wire_sides).collect();
     let started = Instant::now();
-    let (scores, latencies) = scorer.score_batch_timed(pairs, scratch);
+    let (scores, latencies) = scorer.score_batch_timed(&pairs, scratch);
     let fidelity: Fidelity = scorer.fidelity().into();
     let results: Vec<ScoreResponse> = scores
         .iter()
@@ -1636,7 +1598,6 @@ fn serve_score_group<'a>(
     group: &[HttpRequest],
     scorer: &Scorer<'a>,
     scratch: &mut Scratch<'a>,
-    pairs: &mut Vec<(Snippet, Snippet)>,
     generation: Option<u64>,
 ) -> Vec<Response> {
     let mut span = obs::trace::span("serve.coalesced").with("size", group.len() as u64);
@@ -1647,8 +1608,11 @@ fn serve_score_group<'a>(
         .iter()
         .map(|req| body_str(req).and_then(|t| PairRef::from_json(t).map_err(bad_request)))
         .collect();
-    let pairs = wire_pairs(pairs, parsed.iter().filter_map(|p| p.as_ref().ok()));
-    let (scores, latencies) = scorer.score_batch_timed(pairs, scratch);
+    let pairs: Vec<(&str, &str)> = parsed
+        .iter()
+        .filter_map(|p| p.as_ref().ok().map(wire_sides))
+        .collect();
+    let (scores, latencies) = scorer.score_batch_timed(&pairs, scratch);
     let fidelity: Fidelity = scorer.fidelity().into();
 
     let mut scored = scores.iter().zip(&latencies);

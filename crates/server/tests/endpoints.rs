@@ -331,7 +331,18 @@ fn normalize_latency(body: &str) -> String {
 
 #[test]
 fn batch_of_one_matches_single_score_byte_for_byte() {
-    let handle = start(ServerConfig::default(), static_bundle(1.0)).expect("start");
+    // `model(1.0)` plus a trigram that only a creative whose `|` failed to
+    // split into lines would have ("cheap flights|book now" read as one
+    // line), so every spelling below must split like the plain one.
+    let mut m = model(1.0);
+    m.classifier = TrainedClassifier::Flat(microbrowse_ml::LogReg::from_parts(vec![1.0, 0.5], 0.0));
+    m.vocab.push(OwnedTermFeat::Term("flights book now".into()));
+    let bundle = ServingBundle::from_parts(m, StatsDb::new(), Fidelity::Full).expect("bundle");
+    let handle = start(
+        ServerConfig::default(),
+        BundleSource::Static(Arc::new(bundle)),
+    )
+    .expect("start");
     let mut c = Client::connect(handle.addr()).expect("connect");
 
     let single = c
@@ -342,26 +353,40 @@ fn batch_of_one_matches_single_score_byte_for_byte() {
         .expect("score");
     assert_eq!(single.status, 200, "{}", single.body_str());
 
-    let batch = c
-        .post(
-            "/v1/batch",
-            r#"[{"r":"cheap flights|book now","s":"flights|book"}]"#,
-        )
-        .expect("batch");
-    assert_eq!(batch.status, 200, "{}", batch.body_str());
-    let body = batch.body_str();
-    assert!(body.contains("\"count\":1"), "{body}");
+    // The pair as clients render it, with its lines padded (trimmed away
+    // by the wire grammar), and with its separators escaped (`\u007c` is a
+    // `|` once decoded, so it still separates lines): each spelling scores
+    // as the same pair, alone and as a batch of one.
+    let spellings = [
+        r#"{"r":"cheap flights|book now","s":"flights|book"}"#,
+        r#"{"r":"  cheap flights | book now ","s":"flights |book "}"#,
+        r#"{"r":"cheap flights\u007cbook now","s":"flights\u007cbook"}"#,
+    ];
+    for pair in spellings {
+        let alone = c.post("/v1/score", pair).expect("score");
+        assert_eq!(alone.status, 200, "{}", alone.body_str());
+        assert_eq!(
+            normalize_latency(&alone.body_str()),
+            normalize_latency(&single.body_str()),
+            "{pair} scored differently"
+        );
 
-    // The lone result object must be the /v1/score body, byte for byte,
-    // once latency (the only nondeterministic field) is zeroed.
-    let start_i = body.find("\"results\":[").expect("results array") + "\"results\":[".len();
-    let end_i = body.rfind("],\"count\"").expect("count after results");
-    let item = &body[start_i..end_i];
-    assert_eq!(
-        normalize_latency(item),
-        normalize_latency(&single.body_str()),
-        "batch item diverged from /v1/score"
-    );
+        let batch = c.post("/v1/batch", &format!("[{pair}]")).expect("batch");
+        assert_eq!(batch.status, 200, "{}", batch.body_str());
+        let body = batch.body_str();
+        assert!(body.contains("\"count\":1"), "{body}");
+
+        // The lone result object must be the /v1/score body, byte for
+        // byte, once latency (the only nondeterministic field) is zeroed.
+        let start_i = body.find("\"results\":[").expect("results array") + "\"results\":[".len();
+        let end_i = body.rfind("],\"count\"").expect("count after results");
+        let item = &body[start_i..end_i];
+        assert_eq!(
+            normalize_latency(item),
+            normalize_latency(&single.body_str()),
+            "batch item of {pair} diverged from /v1/score"
+        );
+    }
     handle.shutdown();
 }
 

@@ -36,5 +36,5 @@ pub use hash::{FxHashMap, FxHashSet};
 pub use interner::{Interner, Sym};
 pub use ngram::{NGram, NGramConfig, NGramExtractor, TermOccurrence};
 pub use normalize::{normalize, NormalizeConfig};
-pub use snippet::{Line, Snippet, TokenizedSnippet};
+pub use snippet::{wire_lines, Line, Snippet, TokenizedSnippet, WireLines};
 pub use tokenizer::{Token, Tokenizer, TokenizerConfig};

@@ -16,6 +16,103 @@ use crate::tokenizer::Tokenizer;
 /// paper are 3 lines; we allow a little slack for organic snippets.
 pub const MAX_LINES: usize = 8;
 
+/// The lines of a creative in wire form: `text` split at each `|`, every
+/// part trimmed of Unicode whitespace, at most [`MAX_LINES`] parts — the
+/// lines `text.split('|').take(MAX_LINES).map(str::trim)` yields, found
+/// sixteen bytes at a time. This is the one home of the wire grammar:
+/// [`Snippet::from_wire`] and the serving engine's pair keys both read a
+/// creative's lines through it.
+#[inline]
+pub fn wire_lines(text: &str) -> WireLines<'_> {
+    WireLines {
+        rest: Some(text),
+        left: MAX_LINES,
+    }
+}
+
+/// Iterator returned by [`wire_lines`].
+#[derive(Debug, Clone)]
+pub struct WireLines<'a> {
+    /// The text after the last `|` taken; `None` once the last part is out.
+    rest: Option<&'a str>,
+    /// Parts still allowed.
+    left: usize,
+}
+
+impl<'a> Iterator for WireLines<'a> {
+    type Item = &'a str;
+
+    // This and the helpers below are inlined across crates: the serving
+    // engine writes every pair key through this loop.
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        if self.left == 0 {
+            return None;
+        }
+        let rest = self.rest?;
+        self.left -= 1;
+        // `|` is ASCII, so both cuts fall on char boundaries.
+        let part = match find_bar(rest.as_bytes()) {
+            Some(i) => {
+                self.rest = Some(&rest[i + 1..]);
+                &rest[..i]
+            }
+            None => {
+                self.rest = None;
+                rest
+            }
+        };
+        Some(trim_line(part))
+    }
+}
+
+const ONES: u128 = u128::from_le_bytes([0x01; 16]);
+const HIGHS: u128 = u128::from_le_bytes([0x80; 16]);
+
+/// Flags (high bit of the byte) the bytes of the little-endian word `w`
+/// that are `|`: a byte of `w ^ '|'…` is zero exactly there, and the
+/// zero-byte test can only flag a byte *above* a true zero wrongly (its
+/// borrows run upwards), so the lowest flag is exact.
+#[inline]
+fn bars(w: u128) -> u128 {
+    let x = w ^ (ONES * u128::from(b'|'));
+    x.wrapping_sub(ONES) & !x & HIGHS
+}
+
+/// Offset of the first `|` in `b`, 16 bytes at a time. The last
+/// `b.len() % 16` bytes are tested as one zero-padded word: a zero byte is
+/// no `|` and flags nothing.
+#[inline]
+fn find_bar(b: &[u8]) -> Option<usize> {
+    let words = b.chunks_exact(16);
+    let tail = words.remainder();
+    for (i, chunk) in words.enumerate() {
+        let mut word = [0; 16];
+        word.copy_from_slice(chunk);
+        let hit = bars(u128::from_le_bytes(word));
+        if hit != 0 {
+            return Some(16 * i + (hit.trailing_zeros() / 8) as usize);
+        }
+    }
+    let mut word = [0; 16];
+    word[..tail.len()].copy_from_slice(tail);
+    let hit = bars(u128::from_le_bytes(word));
+    (hit != 0).then(|| b.len() - tail.len() + (hit.trailing_zeros() / 8) as usize)
+}
+
+/// `line.trim()`, skipped when both edge bytes are printable ASCII other
+/// than space: such a line has no whitespace to trim. Any other edge — a
+/// space, a control byte or a non-ASCII char — takes `str::trim`.
+#[inline]
+fn trim_line(line: &str) -> &str {
+    let plain = |b: &u8| (0x21..=0x7e).contains(b);
+    let b = line.as_bytes();
+    match (b.first(), b.last()) {
+        (Some(first), Some(last)) if plain(first) && plain(last) => line,
+        _ => line.trim(),
+    }
+}
+
 /// One line of a snippet: its raw text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Line {
@@ -48,34 +145,13 @@ impl Snippet {
         Self { lines }
     }
 
-    /// A creative from its wire form: lines separated by `|`, each trimmed
-    /// (`"Cheap Flights | book today"`), capped at [`MAX_LINES`] like
-    /// [`Snippet::from_lines`]. This is the spelling `/v1/score`, the CLI and
-    /// the feedback journal share.
+    /// A creative from its wire form: the lines [`wire_lines`] yields
+    /// (`"Cheap Flights | book today"` is two lines). This is the spelling
+    /// `/v1/score`, the CLI and the feedback journal share.
     pub fn from_wire(text: &str) -> Self {
-        let mut snippet = Self::default();
-        snippet.set_wire(text);
-        snippet
-    }
-
-    /// Overwrite this snippet with the creative `text` spells in wire form,
-    /// reusing the existing line buffers. The result equals
-    /// [`Snippet::from_wire`]`(text)`; with warmed-up buffers it allocates
-    /// nothing unless a line outgrows its buffer or a line is added.
-    pub fn set_wire(&mut self, text: &str) {
-        let mut n = 0;
-        for part in text.split('|').take(MAX_LINES) {
-            let part = part.trim();
-            match self.lines.get_mut(n) {
-                Some(line) => {
-                    line.text.clear();
-                    line.text.push_str(part);
-                }
-                None => self.lines.push(Line::new(part)),
-            }
-            n += 1;
+        Self {
+            lines: wire_lines(text).map(Line::new).collect(),
         }
-        self.lines.truncate(n);
     }
 
     /// The wire form: the lines joined by `|`.
@@ -124,10 +200,8 @@ impl Snippet {
     }
 
     /// Tokenize into a caller-provided [`TokenizedSnippet`], reusing its
-    /// per-line symbol buffers and the normalization buffer `norm`.
-    /// Produces exactly what [`Snippet::tokenize`] would — same tokens, same
-    /// interner side effects — but with warmed-up buffers it allocates
-    /// nothing except the interner's entries for never-seen tokens.
+    /// per-line symbol buffers and the normalization buffer `norm` (see
+    /// [`TokenizedSnippet::fill`]).
     pub fn tokenize_into(
         &self,
         tokenizer: &Tokenizer,
@@ -135,12 +209,12 @@ impl Snippet {
         norm: &mut String,
         out: &mut TokenizedSnippet,
     ) {
-        out.lines.truncate(self.lines.len());
-        out.lines.resize_with(self.lines.len(), Vec::new);
-        for (line, dst) in self.lines.iter().zip(out.lines.iter_mut()) {
-            dst.clear();
-            tokenizer.for_each_term(&line.text, norm, |t| dst.push(interner.intern(t)));
-        }
+        out.fill(
+            self.lines.iter().map(|l| l.text.as_str()),
+            tokenizer,
+            interner,
+            norm,
+        );
     }
 }
 
@@ -181,6 +255,32 @@ impl TokenizedSnippet {
             .iter()
             .enumerate()
             .flat_map(|(li, line)| line.iter().enumerate().map(move |(pi, &s)| (li, pi, s)))
+    }
+
+    /// Overwrite with the tokens of `lines`, one line per item, reusing the
+    /// per-line symbol buffers and the normalization buffer `norm`.
+    /// Produces exactly what [`Snippet::tokenize`] of those lines would —
+    /// same tokens, same interner side effects — but with warmed-up buffers
+    /// it allocates nothing except the interner's entries for never-seen
+    /// tokens.
+    pub fn fill<'l>(
+        &mut self,
+        lines: impl IntoIterator<Item = &'l str>,
+        tokenizer: &Tokenizer,
+        interner: &mut Interner,
+        norm: &mut String,
+    ) {
+        let mut n = 0;
+        for line in lines {
+            if n == self.lines.len() {
+                self.lines.push(Vec::new());
+            }
+            let dst = &mut self.lines[n];
+            dst.clear();
+            tokenizer.for_each_term(line, norm, |t| dst.push(interner.intern(t)));
+            n += 1;
+        }
+        self.lines.truncate(n);
     }
 
     /// Render back to text through an interner (space-joined tokens per
@@ -228,9 +328,41 @@ mod tests {
         assert_eq!(s.to_wire(), "Cheap Flights|book today||");
         assert_eq!(Snippet::from_wire("").num_lines(), 1);
         assert_eq!(Snippet::from_wire(&"x|".repeat(20)).num_lines(), MAX_LINES);
-        let mut reused = Snippet::from_wire("a|b|c|d");
-        reused.set_wire("e");
-        assert_eq!(reused, Snippet::from_wire("e"));
+    }
+
+    /// The 16-byte `|` finder agrees with a byte-at-a-time search with a
+    /// `|` at every offset modulo 16 and at every distance from the end up
+    /// to 19 bytes, inside ASCII, multi-byte UTF-8 and the bytes next to `|`
+    /// (0x7b, 0x7d) or one bit from it (0xfc), and in texts without one.
+    #[test]
+    fn bar_finder_matches_a_byte_search() {
+        let fills: [&[u8]; 7] = [
+            b"a",
+            b"{",
+            b"}",
+            "\u{e9}".as_bytes(),
+            "\u{4e2d}".as_bytes(),
+            "\u{1f642}".as_bytes(),
+            &[0xfc],
+        ];
+        for fill in fills {
+            for lead in 0..8 {
+                for before in 0..12 {
+                    for after in 0..20 {
+                        let mut text = b"a".repeat(lead);
+                        text.extend(fill.repeat(before));
+                        assert_eq!(find_bar(&text), None);
+                        text.push(b'|');
+                        text.extend(fill.repeat(after));
+                        text.push(b'|');
+                        let want = text.iter().position(|&c| c == b'|');
+                        assert_eq!(find_bar(&text), want, "{text:?}");
+                        text.pop();
+                        assert_eq!(find_bar(&text), want, "{text:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

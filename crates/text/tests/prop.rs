@@ -1,9 +1,10 @@
 //! Property-based tests for the text substrate.
 
 use microbrowse_text::normalize::PunctPolicy;
+use microbrowse_text::snippet::MAX_LINES;
 use microbrowse_text::{
-    normalize, Interner, NGramConfig, NGramExtractor, NormalizeConfig, Snippet, TokenizedSnippet,
-    Tokenizer, TokenizerConfig,
+    normalize, wire_lines, Interner, NGramConfig, NGramExtractor, NormalizeConfig, Snippet,
+    TokenizedSnippet, Tokenizer, TokenizerConfig,
 };
 use proptest::prelude::*;
 
@@ -196,35 +197,34 @@ proptest! {
 }
 
 /// Segment characters for wire-form texts: separators, Unicode whitespace
-/// that `str::trim` strips (U+0085, U+00A0, U+2003, U+3000 included), and
-/// text, so segments come out empty, padded and plain.
+/// that `str::trim` strips (U+000B, U+0085, U+00A0, U+2003, U+3000
+/// included), control bytes it keeps, and text, so segments come out
+/// empty, padded and plain, and texts often have more than `MAX_LINES`
+/// segments.
 const WIRE_ALPHABET: &[char] = &[
-    '|', '|', '|', ' ', '\t', '\n', '\u{b}', '\u{85}', '\u{a0}', '\u{2003}', '\u{3000}', 'a', 'b',
-    'é', '中', '🙂', '"', '\\',
+    '|', '|', '|', ' ', '\t', '\n', '\u{b}', '\u{85}', '\u{a0}', '\u{2003}', '\u{3000}', '\u{1}',
+    '\u{7f}', 'a', 'b', 'é', '中', '🙂', '"', '\\',
 ];
 
 fn arb_wire() -> impl Strategy<Value = String> {
-    prop::collection::vec(0usize..WIRE_ALPHABET.len(), 0..48)
+    prop::collection::vec(0usize..WIRE_ALPHABET.len(), 0..64)
         .prop_map(|ix| ix.into_iter().map(|i| WIRE_ALPHABET[i]).collect())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `Snippet::set_wire` into a dirty snippet (any earlier line count and
-    /// contents) builds exactly the snippet the split-and-trim spelling
-    /// every caller used to inline builds, including texts with empty
-    /// segments and more than `MAX_LINES` of them; `from_wire` is the same,
-    /// and `to_wire` joins the lines back with `|`.
+    /// `wire_lines` yields exactly the lines of the split-and-trim spelling
+    /// every caller used to inline, on texts with runs of `|`, empty
+    /// segments and more than `MAX_LINES` of them; `from_wire` builds the
+    /// snippet of those lines, and `to_wire` joins them back with `|`.
     #[test]
-    fn set_wire_matches_split_and_trim(dirty in arb_wire(), text in arb_wire()) {
-        let want = Snippet::from_lines(text.split('|').map(str::trim));
-        let mut reused = Snippet::from_wire(&dirty);
-        reused.set_wire(&text);
-        prop_assert_eq!(&reused, &want);
-        prop_assert_eq!(&Snippet::from_wire(&text), &want);
-        let lines: Vec<&str> = want.lines().iter().map(|l| l.text.as_str()).collect();
-        prop_assert_eq!(want.to_wire(), lines.join("|"));
+    fn wire_lines_match_split_and_trim(text in arb_wire()) {
+        let want: Vec<&str> = text.split('|').take(MAX_LINES).map(str::trim).collect();
+        prop_assert_eq!(wire_lines(&text).collect::<Vec<_>>(), want.clone());
+        let snippet = Snippet::from_wire(&text);
+        prop_assert_eq!(&snippet, &Snippet::from_lines(want.iter().copied()));
+        prop_assert_eq!(snippet.to_wire(), want.join("|"));
     }
 }
 

@@ -22,6 +22,7 @@ if grep -rn 'unwrap()\|expect(' crates/store/src crates/core/src/serve.rs \
     crates/core/src/compiled.rs crates/core/src/paircache.rs \
     crates/core/src/features.rs crates/core/src/rewrite.rs \
     crates/core/src/suggest.rs crates/core/src/explain.rs \
+    crates/text/src/snippet.rs \
     | python3 -c '
 import sys, re
 bad = []
