@@ -9,15 +9,17 @@
 //!    tokenization and n-gram extraction per pair, hash-map statistics
 //!    lookups, alignment recomputed every pair), and
 //! 2. **engine** — `ServingBundle::scorer()` (precompiled feature table,
-//!    arena-backed scratch, cross-batch alignment cache),
+//!    arena-backed scratch, cross-batch score cache),
 //!
 //! asserting the two produce bit-identical scores before reporting
 //! pairs/second for each, the engine-over-reference speedup (the two are
-//! timed in alternating rounds, so host drift moves both alike), a
-//! statistics-lookup microbenchmark (`StatsDb` hash probe vs compiled
-//! binary search), and the alignment-cache
-//! hit, miss, admission and deferral counters from an instrumented pass. Results land in
-//! `results/BENCH_score_hot.json`.
+//! timed in alternating rounds, so host drift moves both alike), the
+//! engine's first-sighting rate (every distinct pair scored once by a
+//! fresh bundle and scratch, so every cache lookup misses: the compute
+//! path a cache hit skips; reported, not gated), a statistics-lookup
+//! microbenchmark (`StatsDb` hash probe vs compiled binary search), and
+//! the score-cache hit, miss, admission and deferral counters from an
+//! instrumented pass. Results land in `results/BENCH_score_hot.json`.
 //!
 //! With `--gate R` (used by `scripts/check.sh`) the process exits non-zero
 //! unless the engine is at least `R`× the reference throughput.
@@ -84,7 +86,7 @@ fn cycle(batches: &[Vec<(Snippet, Snippet)>], score_batch: &mut ScoreBatch) -> (
 /// (elapsed seconds, scores of the final batch).
 ///
 /// Warmup: two full cycles each populate arena capacity and (for the
-/// engine) the alignment cache, which keeps a pair from its second miss on,
+/// engine) the score cache, which keeps a pair from its second miss on,
 /// so the timed section measures the steady state a long-lived serving
 /// worker reaches. The timed passes then alternate between the scorers
 /// round by round, so a slowdown of the host lands on all of them instead
@@ -166,7 +168,7 @@ fn main() {
 
     // The scoring workload: creative pairs within adgroups, cycled into
     // fixed-size batches. Distinct pairs repeat across batches, which is
-    // exactly the serving shape the alignment cache exists for (the same
+    // exactly the serving shape the score cache exists for (the same
     // creative matchups are scored again and again between reloads).
     let mut pairs: Vec<(Snippet, Snippet)> = Vec::new();
     'outer: for group in &synth.corpus.adgroups {
@@ -210,7 +212,7 @@ fn main() {
     let engine_pps = (reps * pairs_per_cycle) as f64 / engine_s;
 
     // Multi-threaded engine phase: one shared bundle, one scratch per
-    // thread — the serving shape. Threads share the alignment cache, so
+    // thread — the serving shape. Threads share the score cache, so
     // the aggregate is what a warmed multi-worker server sustains.
     let threads: usize = args.get(
         "threads",
@@ -235,6 +237,24 @@ fn main() {
     let mt_s = per_thread.iter().cloned().fold(0.0f64, f64::max);
     let mt_pps = (threads * reps * pairs_per_cycle) as f64 / mt_s;
 
+    // First sightings: each pass scores every distinct pair once through a
+    // bundle and a scratch that have seen none of them (both built outside
+    // the timing), so every lookup misses and each pair is tokenized,
+    // aligned, walked and classified.
+    eprintln!("timing engine first sightings…");
+    let mut first_s = 0.0;
+    let mut first_scores = Vec::new();
+    for _ in 0..reps {
+        let fresh = ServingBundle::from_parts(model.clone(), stats.clone(), Fidelity::Full)
+            .expect("bundle compiles");
+        let scorer = fresh.scorer();
+        let mut scratch = scorer.scratch();
+        let t = Instant::now();
+        first_scores = black_box(scorer.score_batch(&pairs, &mut scratch));
+        first_s += t.elapsed().as_secs_f64();
+    }
+    let first_pps = (reps * pairs.len()) as f64 / first_s;
+
     // The optimization contract: not one bit of drift.
     assert_eq!(reference_scores.len(), engine_scores.len());
     for (i, (a, b)) in reference_scores.iter().zip(&engine_scores).enumerate() {
@@ -245,7 +265,17 @@ fn main() {
         );
     }
 
-    // Instrumented pass: alignment-cache behaviour under metrics, so the
+    let mut reference = ReferenceScorer::from_parts(&model, &stats, &Fidelity::Full);
+    for (i, ((r, s), first)) in pairs.iter().zip(&first_scores).enumerate() {
+        let want = reference.score_pair(r, s);
+        assert_eq!(
+            want.to_bits(),
+            first.to_bits(),
+            "a first sighting diverged from reference at pair {i}: {want} vs {first}"
+        );
+    }
+
+    // Instrumented pass: score-cache behaviour under metrics, so the
     // report carries the counters operators will see in production.
     let hits0 = microbrowse_obs::counter!("microbrowse_aligncache_hits_total").get();
     let misses0 = microbrowse_obs::counter!("microbrowse_aligncache_misses_total").get();
@@ -283,13 +313,14 @@ fn main() {
 
     let speedup = engine_pps / reference_pps;
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"reference\": {{\n    \"elapsed_s\": {reference_s:.4},\n    \"pairs_per_s\": {reference_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses},\n    \"align_cache_admitted\": {cache_admitted},\n    \"align_cache_deferred\": {cache_deferred}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate:.2},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"reference\": {{\n    \"elapsed_s\": {reference_s:.4},\n    \"pairs_per_s\": {reference_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses},\n    \"align_cache_admitted\": {cache_admitted},\n    \"align_cache_deferred\": {cache_deferred}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"engine_first_sighting\": {{\n    \"pairs_scored\": {},\n    \"elapsed_s\": {first_s:.4},\n    \"pairs_per_s\": {first_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate:.2},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1}\n  }}\n}}\n",
         stats.len(),
         model.vocab.len(),
         pairs.len(),
         reps * pairs_per_cycle,
         table.len(),
         bundle.engine().align().entries(),
+        reps * pairs.len(),
         probes.len(),
     );
     microbrowse_obs::json::assert_parses(&json);
@@ -299,6 +330,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write benchmark json");
     eprintln!(
         "reference {reference_pps:.0} pairs/s | engine {engine_pps:.0} pairs/s | {threads} threads {mt_pps:.0} pairs/s \
+         | first sightings {first_pps:.0} pairs/s \
          | speedup {speedup:.2}x | lookup {ns_db:.0}ns -> {ns_compiled:.0}ns | cache {cache_hits} hits / {cache_misses} misses ({cache_admitted} admitted, {cache_deferred} deferred)"
     );
     println!("{json}");

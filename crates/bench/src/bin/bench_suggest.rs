@@ -125,7 +125,7 @@ fn main() {
     let scorer = bundle.scorer();
     let mut scratch = scorer.scratch();
 
-    // Two warmup passes populate arena capacity and the alignment cache,
+    // Two warmup passes populate arena capacity and the score cache,
     // which keeps a pair from its second miss on. The first is the
     // reference output for the determinism check; the second must already
     // reproduce it.

@@ -428,10 +428,10 @@ impl RewriteEvidence for CompiledEvidence<'_> {
 }
 
 /// The serving hot-path engine: the compiled table plus the cross-batch
-/// rewrite-alignment cache. Owned by a [`crate::serve::ServingBundle`], so a
-/// hot reload swaps in a freshly compiled table *and* an empty cache in one
-/// `Arc` swap — stale alignments can never outlive the statistics and the
-/// model they were scored under.
+/// score cache. Owned by a [`crate::serve::ServingBundle`], so a hot reload
+/// swaps in a freshly compiled table *and* an empty cache in one `Arc`
+/// swap — stale scores can never outlive the statistics and the model they
+/// were computed under.
 #[derive(Debug, Default)]
 pub struct ScoringEngine {
     table: CompiledFeatureTable,
@@ -440,7 +440,7 @@ pub struct ScoringEngine {
 
 impl ScoringEngine {
     /// Compile `db` with the model vocabulary `vocab` and pair them with an
-    /// empty alignment cache. Fails only on inputs too large for the
+    /// empty score cache. Fails only on inputs too large for the
     /// table's id spaces (see [`CompileError`]).
     pub fn compile(db: &StatsDb, vocab: &[OwnedTermFeat]) -> Result<Self, CompileError> {
         Ok(Self {
@@ -454,7 +454,7 @@ impl ScoringEngine {
         &self.table
     }
 
-    /// The serve-time rewrite-alignment cache.
+    /// The serve-time score cache (named for the alignments it once held).
     pub fn align(&self) -> &AlignCache {
         &self.align
     }

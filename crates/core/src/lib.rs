@@ -25,7 +25,7 @@
 //! | [`serveweight`] | §V-B — serve weights, `sw-diff`, `delta-sw` |
 //! | [`rewrite`] | §IV-A — snippet diffing and greedy rewrite matching |
 //! | [`statsbuild`] | §V-C / Figure 1 phase 1 — the feature statistics build |
-//! | [`paircache`] | — shared pair preprocessing and the serve-time alignment cache |
+//! | [`paircache`] | — shared pair preprocessing, pair keys and the serve-time score cache |
 //! | [`features`] | §IV-A / §V-D.1 — classifier features for M1–M6, one walk for every consumer |
 //! | [`classifier`] | §V-D — the six ablation models M1–M6 |
 //! | [`pipeline`] | §IV-B / Figure 1 — end-to-end corpus → CV metrics |

@@ -24,7 +24,7 @@ use crate::features::Featurizer;
 use crate::serve::{effective_spec, DeployedModel, Fidelity};
 
 /// Single-pair scorer over a deployed model and its statistics database,
-/// with no compiled table, arena or alignment cache.
+/// with no compiled table, arena or score cache.
 pub struct ReferenceScorer<'a> {
     model: &'a DeployedModel,
     tokenizer: Tokenizer,

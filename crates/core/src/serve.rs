@@ -27,7 +27,7 @@
 //!   adds generation numbering with automatic rollback on load).
 //! * [`ScorerBuilder`] loads a model + stats bundle under an explicit
 //!   [`LoadPolicy`]: `Strict` turns any damage into a typed
-//!   [`MbError`](crate::error::MbError); `Degrade` keeps serving on a
+//!   [`MbError`]; `Degrade` keeps serving on a
 //!   missing or corrupt stats snapshot by falling back to term-only
 //!   features — the paper's own Table 2 ablation shows term-only models
 //!   still beat the CTR baseline, so this fallback is principled, and it
@@ -452,7 +452,7 @@ pub struct Scorer<'a> {
     ngram: NGramExtractor,
     rewriter: RewriteExtractor,
     fidelity: Fidelity,
-    /// Compiled feature table + alignment cache.
+    /// Compiled feature table + score cache.
     engine: &'a ScoringEngine,
 }
 
@@ -517,8 +517,8 @@ impl<'a> Scorer<'a> {
     /// The sides are [`PairSide`]s: [`Snippet`]s, or creatives in wire
     /// form (`str`), which score exactly like their
     /// [`Snippet::from_wire`]. The pair's key probes the bundle-shared
-    /// alignment cache; the sides resolve through the scratch's persistent
-    /// snippet arena when term features or a cache miss need their tokens.
+    /// score cache; only a miss resolves the sides through the scratch's
+    /// persistent snippet arena.
     pub fn score_pair<S: PairSide + ?Sized>(&self, r: &S, s: &S, scratch: &mut Scratch<'a>) -> f64 {
         let start = obs::now_if_enabled();
         let score = self.score_engine(r, s, scratch);
@@ -581,13 +581,13 @@ impl<'a> Scorer<'a> {
     /// once before the first pair and once after each pair; an item's
     /// latency is the difference between the whole microseconds elapsed
     /// at its two boundaries, so the items partition the batch and sum to
-    /// its elapsed microseconds.
+    /// its elapsed microseconds. The latencies reach the score-latency
+    /// histogram in one record per batch.
     pub fn score_batch_timed<S: PairSide>(
         &self,
         pairs: &[(S, S)],
         scratch: &mut Scratch<'a>,
     ) -> (Vec<f64>, Vec<u64>) {
-        let latency = obs::histogram!("microbrowse_score_latency_us");
         let mut scores = Vec::with_capacity(pairs.len());
         let mut latencies = Vec::with_capacity(pairs.len());
         let start = std::time::Instant::now();
@@ -598,8 +598,8 @@ impl<'a> Scorer<'a> {
             let us = now_us - prev_us;
             prev_us = now_us;
             latencies.push(us);
-            latency.observe_us(us);
         }
+        obs::histogram!("microbrowse_score_latency_us").observe_all_us(&latencies);
         self.count_scores(pairs.len() as u64);
         (scores, latencies)
     }
@@ -732,56 +732,63 @@ impl<'a> Scorer<'a> {
             .extract_prepared_into(r, s, &prepared, &evidence, interner, ext);
     }
 
-    /// Score one pair through the engine. The pair's features are its
-    /// rewrite-family features plus the arena's priced term features of
-    /// each side. The pair's key is written first and the alignment cache
-    /// probed with it: a hit appends the rewrite features, and only term
-    /// features or a miss resolve the two sides in the arena, so a hit on
-    /// a term-free spec (M3, M4) never touches it. A miss extracts and
-    /// walks the pair once, aggregates the result and offers it to the
-    /// cache, which keeps it from the pair's second miss on; a hit then
-    /// hands the classifier an already-sorted list. Values are ±1 counts,
-    /// so pre-aggregating a family and appending the families in either
-    /// order leaves the encoding unchanged: the classifier sees exactly
-    /// the priced part of what training's encoding of the pair holds.
+    /// Score one pair through the engine. The pair's key is written and
+    /// the bundle's score cache probed with it: a hit is the score, with
+    /// no arena entry resolved and no feature walked. A miss scores the
+    /// pair from its features ([`Self::score_features`]) and offers the
+    /// score to the cache, which keeps it from the pair's second miss on.
     fn score_engine<S: PairSide + ?Sized>(&self, r: &S, s: &S, scratch: &mut Scratch<'a>) -> f64 {
-        Self::make_room(scratch);
         let hashes = scratch.key.set(r, s);
         let pair_hash = AlignCache::combine_hashes(hashes.0, hashes.1);
-        let align = self.engine.align();
+        let cache = self.engine.align();
+        if let Some(score) = cache.get_hashed(pair_hash, scratch.key.pair()) {
+            return score;
+        }
+        let score = self.score_features(r, s, hashes, scratch);
+        cache.insert_hashed(pair_hash, scratch.key.pair(), score);
+        score
+    }
+
+    /// Score the pair whose key the scratch holds from its features: both
+    /// sides resolve in the arena, the rewrite family is extracted and
+    /// walked when the spec has it, and the arena's priced term features
+    /// of each side are appended when it has them. Values are ±1 counts
+    /// summed exactly, so appending the families in either order leaves the
+    /// encoding unchanged: the classifier sees exactly the priced part of
+    /// what training's encoding of the pair holds.
+    fn score_features<S: PairSide + ?Sized>(
+        &self,
+        r: &S,
+        s: &S,
+        hashes: (u64, u64),
+        scratch: &mut Scratch<'a>,
+    ) -> f64 {
+        Self::make_room(scratch);
+        let (ri, si) = self.arena_pair(r, s, hashes, scratch);
         scratch.feats.clear();
-        let missed = self.spec.rewrites
-            && !align.get_hashed(pair_hash, scratch.key.pair(), &mut scratch.feats);
-        if self.spec.terms || missed {
-            let (ri, si) = self.arena_pair(r, s, hashes, scratch);
-            if missed {
-                let Scratch {
-                    arena,
-                    interner,
-                    ext_buf,
-                    feats,
-                    key,
-                    ..
-                } = scratch;
-                self.extract_rewrites(&arena[ri].tok, &arena[si].tok, interner, ext_buf);
-                let table = self.engine.table();
-                // `feats` is empty here: a miss appended nothing.
-                walk_features(&self.spec, interner, &[], &[], Some(ext_buf), |f| {
-                    price(table, feats, f)
-                });
-                aggregate(feats);
-                align.insert_hashed(pair_hash, key.pair(), || feats.as_slice().into());
-            }
-            if self.spec.terms {
-                self.ensure_arena_terms(ri, scratch);
-                self.ensure_arena_terms(si, scratch);
-                let Scratch { arena, feats, .. } = scratch;
-                feats.extend_from_slice(&arena[ri].terms);
-                feats.extend(arena[si].terms.iter().map(|f| CoupledFeature {
-                    value: -f.value,
-                    ..*f
-                }));
-            }
+        if self.spec.rewrites {
+            let Scratch {
+                arena,
+                interner,
+                ext_buf,
+                feats,
+                ..
+            } = scratch;
+            self.extract_rewrites(&arena[ri].tok, &arena[si].tok, interner, ext_buf);
+            let table = self.engine.table();
+            walk_features(&self.spec, interner, &[], &[], Some(ext_buf), |f| {
+                price(table, feats, f)
+            });
+        }
+        if self.spec.terms {
+            self.ensure_arena_terms(ri, scratch);
+            self.ensure_arena_terms(si, scratch);
+            let Scratch { arena, feats, .. } = scratch;
+            feats.extend_from_slice(&arena[ri].terms);
+            feats.extend(arena[si].terms.iter().map(|f| CoupledFeature {
+                value: -f.value,
+                ..*f
+            }));
         }
         let Scratch {
             feats,
@@ -806,7 +813,7 @@ impl<'a> Scorer<'a> {
     /// weight index the model prices it at (`None` outside the
     /// vocabulary), for the attribution path (`crate::explain`). The
     /// alignment is extracted afresh: explaining neither reads nor offers
-    /// to the alignment cache. Phrase ids resolve through
+    /// to the score cache. Phrase ids resolve through
     /// [`Scratch::interner`] until the scratch scores again.
     pub(crate) fn explain_features<S: PairSide + ?Sized>(
         &self,
@@ -929,7 +936,7 @@ impl ServingBundle {
     }
 
     /// The compiled scoring engine for this bundle: the precompiled
-    /// feature table plus the serve-time alignment cache. Replacing the
+    /// feature table plus the serve-time score cache. Replacing the
     /// bundle on hot reload replaces the engine — and thus invalidates the
     /// cache — atomically with the stats it was compiled from.
     pub fn engine(&self) -> &ScoringEngine {
@@ -995,7 +1002,7 @@ impl ScorerBuilder {
         self
     }
 
-    /// [`Self::load`], returning the bundle behind an [`Arc`](std::sync::Arc)
+    /// [`Self::load`], returning the bundle behind an [`Arc`]
     /// so a multi-threaded server can share one loaded bundle across its
     /// worker pool (each worker builds its own cheap [`Scorer`] over the
     /// shared data) and atomically swap in a replacement on hot reload.
@@ -1727,34 +1734,155 @@ mod tests {
         }
     }
 
-    /// A creative in wire form is keyed and scored as the snippet
-    /// `Snippet::from_wire` builds from it: the padded snippet's alignment,
-    /// admitted on its second miss, serves the unpadded wire texts as hits
-    /// — one cache entry for both spellings — and every score matches
-    /// `ReferenceScorer` bit for bit.
+    /// A pair spelled three ways — as `Snippet`s, as padded wire texts and
+    /// as the trimmed wire texts `Snippet::to_wire` writes — takes three
+    /// cache entries, each admitted on its second miss, and every score,
+    /// missed or cached, matches `ReferenceScorer` bit for bit.
     #[test]
-    fn wire_texts_share_their_snippets_entries() {
+    fn each_spelling_of_a_pair_takes_its_own_entry() {
         let m = sample_model();
         let stats = StatsDb::new();
         let bundle =
             ServingBundle::from_parts(m.clone(), stats.clone(), Fidelity::Full).expect("bundle");
-        let r = Snippet::from_wire(" find cheap | flights ");
-        let s = Snippet::from_wire("get discounts |\u{a0}fees apply");
-        let expected = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full).score_pair(&r, &s);
+        let padded = (" find cheap | flights ", "get discounts |\u{a0}fees apply");
+        let snippets = (Snippet::from_wire(padded.0), Snippet::from_wire(padded.1));
+        let trimmed = (snippets.0.to_wire(), snippets.1.to_wire());
+        assert_eq!(trimmed.0, "find cheap|flights");
+        let expected = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full)
+            .score_pair(&snippets.0, &snippets.1)
+            .to_bits();
         let scorer = bundle.scorer();
-        let mut scratch = scorer.scratch();
-        for _ in 0..2 {
-            assert_eq!(
-                scorer.score_pair(&r, &s, &mut scratch).to_bits(),
-                expected.to_bits()
+        let (mut scratch, mut fresh) = (scorer.scratch(), scorer.scratch());
+        for (pass, entries) in [0, 3, 3].into_iter().enumerate() {
+            // Deferred, admitted, then three hits in a fresh scratch.
+            let scratch = if pass < 2 { &mut scratch } else { &mut fresh };
+            let got = [
+                scorer.score_pair(&snippets.0, &snippets.1, scratch),
+                scorer.score_pair(padded.0, padded.1, scratch),
+                scorer.score_pair(trimmed.0.as_str(), trimmed.1.as_str(), scratch),
+            ];
+            assert_eq!(got.map(f64::to_bits), [expected; 3], "pass {pass}");
+            assert_eq!(bundle.engine().align().entries(), entries, "pass {pass}");
+        }
+        assert_eq!(fresh.arena_len, 0, "a hit resolved an arena entry");
+    }
+
+    /// For a flat (M5), a coupled (M6), a term-only (M1) and a degraded
+    /// scorer, a cache hit returns the score its pair's misses computed, bit
+    /// for bit, which is `ReferenceScorer`'s; and it resolves no arena
+    /// entry, so a fresh scratch's arena stays empty.
+    #[test]
+    fn a_cache_hit_is_the_missed_score_without_the_arena() {
+        let mut stats = StatsDb::new();
+        for _ in 0..5 {
+            stats.record(
+                microbrowse_store::FeatureKey::rewrite("find cheap", "get discounts"),
+                true,
             );
         }
-        assert_eq!(bundle.engine().align().entries(), 1);
-        let wire = [("find cheap|flights", "get discounts|fees apply"); 3];
-        for score in scorer.score_batch(&wire, &mut scratch) {
-            assert_eq!(score.to_bits(), expected.to_bits());
+        let groups = crate::features::PositionVocab::num_groups() as usize;
+        let coupled = DeployedModel {
+            spec: ModelSpec::m6(),
+            classifier: TrainedClassifier::Coupled(CoupledModel::from_parts(
+                (0..groups).map(|g| 1.0 - 0.002 * g as f64).collect(),
+                vec![0.4, -0.9, 0.3],
+                0.05,
+            )),
+            vocab: sample_model().vocab,
+        };
+        let term_only = DeployedModel {
+            spec: ModelSpec::m1(),
+            classifier: TrainedClassifier::Flat(LogReg::from_parts(vec![1.5, -0.75], 0.1)),
+            vocab: vec![
+                OwnedTermFeat::Term("cheap".into()),
+                OwnedTermFeat::Term("fees".into()),
+            ],
+        };
+        let degraded = Fidelity::Degraded(DegradeReason::StatsMissing);
+        for (m, fidelity) in [
+            (sample_model(), Fidelity::Full),
+            (coupled, Fidelity::Full),
+            (term_only, Fidelity::Full),
+            (sample_model(), degraded),
+        ] {
+            let bundle = ServingBundle::from_parts(m.clone(), stats.clone(), fidelity.clone())
+                .expect("bundle");
+            let scorer = bundle.scorer();
+            let mut reference = ReferenceScorer::from_parts(&m, &stats, &fidelity);
+            let mut scratch = scorer.scratch();
+            for (r, s) in edited_pairs() {
+                let want = reference.score_pair(&r, &s).to_bits();
+                for _ in 0..2 {
+                    assert_eq!(scorer.score_pair(&r, &s, &mut scratch).to_bits(), want);
+                }
+                let mut fresh = scorer.scratch();
+                let hit = scorer.score_pair(&r, &s, &mut fresh).to_bits();
+                assert_eq!(hit, want, "{} {fidelity:?}: {r:?} vs {s:?}", m.spec.name);
+                assert_eq!(fresh.arena_len, 0, "{} {fidelity:?}", m.spec.name);
+            }
+            assert!(bundle.engine().align().entries() > 0);
         }
-        assert_eq!(bundle.engine().align().entries(), 1);
+    }
+
+    /// Wire pairs that only a key with byte lengths, form markers and side
+    /// order tells apart from each other or from a `Snippet` pair score as
+    /// themselves: on a term model where every case's two pairs score
+    /// differently, three passes (deferred, admitted, cached) agree bit for
+    /// bit with `ReferenceScorer` on the lines each side holds.
+    #[test]
+    fn confusable_wire_pairs_score_as_themselves() {
+        use crate::paircache::tests::{confusable_wire_pairs, snippet_pair_spelled_by_wire};
+        let m = DeployedModel {
+            spec: ModelSpec::m1(),
+            classifier: TrainedClassifier::Flat(LogReg::from_parts(
+                vec![1.5, -1.0, 0.5, 0.25, -0.5, 0.75],
+                0.0,
+            )),
+            vocab: ["cheap", "fees", "ab", "c", "a", "bc"]
+                .map(|t| OwnedTermFeat::Term(t.into()))
+                .to_vec(),
+        };
+        let stats = StatsDb::new();
+        let mut reference = ReferenceScorer::from_parts(&m, &stats, &Fidelity::Full);
+        let bundle =
+            ServingBundle::from_parts(m.clone(), stats.clone(), Fidelity::Full).expect("bundle");
+        let scorer = bundle.scorer();
+        let mut scratch = scorer.scratch();
+        for (a, b) in confusable_wire_pairs() {
+            let want = [&a, &b].map(|(r, s)| {
+                reference
+                    .score_pair(&Snippet::from_wire(r), &Snippet::from_wire(s))
+                    .to_bits()
+            });
+            assert_ne!(want[0], want[1], "{a:?} and {b:?} score alike");
+            for pass in 0..3 {
+                let got = [&a, &b].map(|(r, s)| {
+                    scorer
+                        .score_pair(r.as_str(), s.as_str(), &mut scratch)
+                        .to_bits()
+                });
+                assert_eq!(got, want, "pass {pass}: {a:?} / {b:?}");
+            }
+        }
+        for bare in [true, false] {
+            let ((r, s), (wr, ws)) = snippet_pair_spelled_by_wire(bare);
+            let want = [
+                reference.score_pair(&r, &s).to_bits(),
+                reference
+                    .score_pair(&Snippet::from_wire(&wr), &Snippet::from_wire(&ws))
+                    .to_bits(),
+            ];
+            assert_ne!(want[0], want[1], "bare {bare}: both pairs score alike");
+            for pass in 0..3 {
+                let got = [
+                    scorer.score_pair(&r, &s, &mut scratch).to_bits(),
+                    scorer
+                        .score_pair(wr.as_str(), ws.as_str(), &mut scratch)
+                        .to_bits(),
+                ];
+                assert_eq!(got, want, "bare {bare}, pass {pass}");
+            }
+        }
     }
 
     #[test]

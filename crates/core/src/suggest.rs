@@ -15,7 +15,7 @@
 //!
 //! Candidates are single-use: a variant is built as rendered text straight
 //! from its parent's text (phrase lookups are slices of it, so enumeration
-//! joins nothing), scored once, and never captured by the alignment cache,
+//! joins nothing), scored once, and never stored by the score cache,
 //! which keeps a pair only from its second miss on. Edit trails are stored
 //! as offsets and rendered only for the variants returned.
 //!

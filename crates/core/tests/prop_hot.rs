@@ -8,7 +8,7 @@
 
 mod edit_pairs;
 
-use edit_pairs::{arb_edited, edited_pair};
+use edit_pairs::{arb_edited, edited_pair, Edit};
 use microbrowse_core::compiled::CompiledFeatureTable;
 use microbrowse_core::features::{OwnedTermFeat, PositionVocab};
 use microbrowse_core::paircache::PairKey;
@@ -279,16 +279,47 @@ proptest! {
         }
     }
 
-    /// The key written from two wire texts is, byte for byte and hash for
-    /// hash, the key of the snippets `Snippet::from_wire` builds from them.
+    /// A wire pair is keyed by its texts: two wire pairs key alike exactly
+    /// when both texts are byte-equal — a padded spelling and its trimmed
+    /// form key apart — and no wire pair keys like a `Snippet` pair, not
+    /// even the snippets `Snippet::from_wire` builds from its texts.
     #[test]
-    fn wire_keys_equal_snippet_keys(r in arb_wire_text(), s in arb_wire_text()) {
-        let (mut wire, mut snippets) = (PairKey::default(), PairKey::default());
-        let wire_hashes = wire.set(r.as_str(), s.as_str());
-        let snippet_hashes = snippets.set(&Snippet::from_wire(&r), &Snippet::from_wire(&s));
-        prop_assert_eq!(wire.pair(), snippets.pair());
-        prop_assert_eq!(wire.r(), snippets.r());
-        prop_assert_eq!(wire_hashes, snippet_hashes);
+    fn wire_keys_are_their_texts(a in arb_wire_text(), b in arb_wire_text()) {
+        let texts = [
+            Snippet::from_wire(&a).to_wire(),
+            Snippet::from_wire(&b).to_wire(),
+            a,
+            b,
+        ];
+        let pairs: Vec<(&str, &str)> = texts
+            .iter()
+            .flat_map(|r| texts.iter().map(move |s| (r.as_str(), s.as_str())))
+            .collect();
+        let wire_keys: Vec<(Vec<u8>, (u64, u64))> = pairs
+            .iter()
+            .map(|&(r, s)| {
+                let mut key = PairKey::default();
+                let hashes = key.set(r, s);
+                (key.pair().to_vec(), hashes)
+            })
+            .collect();
+        let snippet_keys: Vec<Vec<u8>> = pairs
+            .iter()
+            .map(|&(r, s)| {
+                let mut key = PairKey::default();
+                key.set(&Snippet::from_wire(r), &Snippet::from_wire(s));
+                key.pair().to_vec()
+            })
+            .collect();
+        for (&(r1, s1), (k1, h1)) in pairs.iter().zip(&wire_keys) {
+            for (&(r2, s2), (k2, h2)) in pairs.iter().zip(&wire_keys) {
+                prop_assert_eq!(k1 == k2, r1 == r2 && s1 == s2, "{:?} / {:?}", (r1, s1), (r2, s2));
+                if k1 == k2 {
+                    prop_assert_eq!(h1, h2);
+                }
+            }
+            prop_assert!(!snippet_keys.contains(k1), "{:?} keys like a Snippet pair", (r1, s1));
+        }
     }
 
     /// A batch of wire texts scores bit for bit as `ReferenceScorer` scores
@@ -431,4 +462,51 @@ fn shared_align_cache_is_scratch_independent() {
     // Orientation is a property of the pair, not of the scratch: both
     // scratches must agree bit-for-bit.
     assert_eq!(score_a.to_bits(), score_b.to_bits());
+}
+
+/// Side keys of a few thousand distinct creatives — edit-built variants of
+/// a few bases, each as a `Snippet` and as its wire text — hash without a
+/// collision.
+#[test]
+fn distinct_side_keys_hash_apart() {
+    let bases: [&[&str]; 3] = [
+        &["ab cd", "a b c d", "bc"],
+        &["dd ca", "ab ab b", "c d a"],
+        &["a", "b cd da", "cab"],
+    ];
+    let mut creatives: Vec<Snippet> = Vec::new();
+    for base in bases {
+        let r: Vec<String> = base.iter().map(|l| (*l).to_owned()).collect();
+        for line in 0..3 {
+            for at in 0..4 {
+                for token in 0..100 {
+                    let edit = Edit::Insert { line, at, token };
+                    creatives.push(edited_pair(&r, &[edit], &StatsDb::new(), &vocab()).1);
+                }
+                for to in 0..4 {
+                    let edit = Edit::Move {
+                        line,
+                        start: at,
+                        len: 1,
+                        to,
+                    };
+                    creatives.push(edited_pair(&r, &[edit], &StatsDb::new(), &vocab()).1);
+                }
+            }
+        }
+    }
+    let mut seen: std::collections::HashMap<u64, Vec<u8>> = std::collections::HashMap::new();
+    let mut side = |key: &PairKey, h: u64| {
+        let prior = seen.entry(h).or_insert_with(|| key.r().to_vec());
+        assert_eq!(prior.as_slice(), key.r(), "two side keys hash to {h:#x}");
+    };
+    let mut key = PairKey::default();
+    for creative in &creatives {
+        let (h, _) = key.set(creative, creative);
+        side(&key, h);
+        let wire = creative.to_wire();
+        let (h, _) = key.set(wire.as_str(), wire.as_str());
+        side(&key, h);
+    }
+    assert!(seen.len() > 5_000, "only {} distinct side keys", seen.len());
 }

@@ -156,6 +156,33 @@ impl Histogram {
         self.max.fetch_max(us, Ordering::Relaxed);
     }
 
+    /// Record every observation of `us` (microseconds each), leaving the
+    /// snapshot an [`Self::observe_us`] loop over them would: one atomic
+    /// update per touched bucket and per aggregate, however many values
+    /// (no-op while instrumentation is disabled).
+    pub fn observe_all_us(&self, us: &[u64]) {
+        if us.is_empty() || !crate::enabled() {
+            return;
+        }
+        let mut counts = [0u64; BUCKETS];
+        let (mut sum, mut min, mut max) = (0u64, u64::MAX, 0u64);
+        for &v in us {
+            counts[bucket_index(v)] += 1;
+            sum = sum.wrapping_add(v);
+            min = min.min(v);
+            max = max.max(v);
+        }
+        for (bucket, &n) in self.buckets.iter().zip(&counts) {
+            if n != 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(us.len() as u64, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        self.min.fetch_min(min, Ordering::Relaxed);
+        self.max.fetch_max(max, Ordering::Relaxed);
+    }
+
     /// Record the elapsed time since `start` (the partner of
     /// [`crate::now_if_enabled`]; `None` is a no-op).
     #[inline]
@@ -410,6 +437,38 @@ mod tests {
         assert_eq!(snap.max, u64::MAX);
         assert_eq!(snap.p50, 0);
         assert_eq!(snap.p99, u64::MAX);
+    }
+
+    /// One batch record leaves the snapshot a loop of single observations
+    /// leaves, down to the wrapping sum, for the empty slice and for 0 and
+    /// `u64::MAX` among ordinary values.
+    #[test]
+    fn batch_record_matches_an_observation_loop() {
+        let _x = exclusive();
+        crate::set_enabled(true);
+        let batches: [&[u64]; 5] = [
+            &[],
+            &[0],
+            &[u64::MAX],
+            &[7, 0, 1000, 3, 3, 65_536, 12],
+            &[5, u64::MAX, 0, 9, u64::MAX, 1 << 40],
+        ];
+        for values in batches {
+            let (looped, batched) = (Histogram::default(), Histogram::default());
+            for &v in values {
+                looped.observe_us(v);
+            }
+            batched.observe_all_us(values);
+            assert_eq!(batched.snapshot(), looped.snapshot(), "{values:?}");
+            for (b, l) in batched.buckets.iter().zip(&looped.buckets) {
+                assert_eq!(b.load(Ordering::Relaxed), l.load(Ordering::Relaxed));
+            }
+        }
+        // Disabled, a batch records nothing.
+        crate::set_enabled(false);
+        let h = Histogram::default();
+        h.observe_all_us(&[1, 2, 3]);
+        assert_eq!(h.count(), 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! speak the [`microbrowse_api::v1`] wire types, so callers never assemble
 //! or pick apart JSON by hand; 2xx bodies parse into the response structs
 //! and everything else comes back as the typed [`ApiError`]. Each is a
-//! one-liner over the generic [`Client::call_typed`], which owns the
-//! encode → POST → parse round trip once for every endpoint.
+//! one-liner over one private generic helper, `Client::call_typed`, which
+//! owns the encode → POST → parse round trip once for every endpoint.
 //!
 //! [`ResilientClient`] wraps the raw client into the failover-ready tier
 //! used under overload: jittered exponential-backoff retries (only for

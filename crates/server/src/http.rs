@@ -502,10 +502,12 @@ impl Response {
         self
     }
 
-    /// Serialize head + body to `w`.
+    /// Serialize head + body to `w` in one write: a response is one
+    /// syscall, not two, and under `TCP_NODELAY` one segment train instead
+    /// of a head segment the peer waits on before the body.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
         use std::fmt::Write as _;
-        let mut head = String::with_capacity(128);
+        let mut head = String::with_capacity(128 + self.body.len());
         let _ = write!(
             head,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -522,8 +524,9 @@ impl Response {
             let _ = write!(head, "{name}: {value}\r\n");
         }
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        let mut out = head.into_bytes();
+        out.extend_from_slice(&self.body);
+        w.write_all(&out)?;
         w.flush()
     }
 }
@@ -752,6 +755,34 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("Connection: close\r\n"));
+    }
+
+    /// Records every `write` call's bytes.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        let resp = Response::json(200, "{\"score\":1.5}".to_owned())
+            .with_header("X-Mb-Trace-Id", "abc123".to_owned())
+            .retry_after(2);
+        let mut writes = Writes::default();
+        resp.write_to(&mut writes).unwrap();
+        let want = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                    Content-Length: 13\r\nConnection: keep-alive\r\nRetry-After: 2\r\n\
+                    X-Mb-Trace-Id: abc123\r\n\r\n{\"score\":1.5}";
+        assert_eq!(writes.0, [want.as_bytes()]);
     }
 
     /// Delivers `data` one byte per read, sleeping `delay` before each —

@@ -20,8 +20,9 @@ pub const MAX_LINES: usize = 8;
 /// part trimmed of Unicode whitespace, at most [`MAX_LINES`] parts — the
 /// lines `text.split('|').take(MAX_LINES).map(str::trim)` yields, found
 /// sixteen bytes at a time. This is the one home of the wire grammar:
-/// [`Snippet::from_wire`] and the serving engine's pair keys both read a
-/// creative's lines through it.
+/// [`Snippet::from_wire`] and the serving engine's snippet arena both read
+/// a creative's lines through it. The engine keys a wire text by its bytes
+/// and reads its lines only to tokenize them, on a cache miss.
 #[inline]
 pub fn wire_lines(text: &str) -> WireLines<'_> {
     WireLines {
@@ -43,7 +44,7 @@ impl<'a> Iterator for WireLines<'a> {
     type Item = &'a str;
 
     // This and the helpers below are inlined across crates: the serving
-    // engine writes every pair key through this loop.
+    // engine's arena fills read a wire text's lines through this loop.
     #[inline]
     fn next(&mut self) -> Option<&'a str> {
         if self.left == 0 {

@@ -110,8 +110,8 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0
          and hits == 256 and misses == 0 else 1)
 ' "$result"
 
-echo "==> wire-API docs complete and warning-free"
-RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps -q -p microbrowse-api
+echo "==> docs of every workspace crate warning-free"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps -q --workspace
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -119,4 +119,4 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "OK: build, tests, fault injection, unwrap audit, overhead gate, trace schema, flight recorder, hot-path gate, server smoke, online drift gate, suggest gate, chaos gate, perfbench smoke, perfbench traced smoke, api docs, clippy, fmt all green"
+echo "OK: build, tests, fault injection, unwrap audit, overhead gate, trace schema, flight recorder, hot-path gate, server smoke, online drift gate, suggest gate, chaos gate, perfbench smoke, perfbench traced smoke, workspace docs, clippy, fmt all green"
