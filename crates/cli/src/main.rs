@@ -924,6 +924,7 @@ fn snapshot_failed_check(e: &SnapshotError) -> &'static str {
         SnapshotError::ChecksumMismatch { .. } => "crc",
         SnapshotError::Decode(_) => "decode",
         SnapshotError::Truncated => "truncated",
+        SnapshotError::KeyOrder { .. } => "order",
     }
 }
 
@@ -1184,7 +1185,7 @@ fn cmd_replay(flags: &Flags) -> Result<(), MbError> {
         ))
     })?;
 
-    let mut learner = OnlineLearner::new(bundle.stats().clone(), bundle.model().spec);
+    let mut learner = OnlineLearner::new(bundle.stats()?, bundle.model().spec);
     if let Some(state) = &recovery.state {
         learner.restore_state(state).map_err(|e| {
             MbError::invariant(format!("journal checkpoint state did not restore: {e}"))

@@ -3,9 +3,11 @@
 //! The paper's CTR-scoring model is, at serve time, a *static* log-odds
 //! table: the statistics database never changes between hot reloads, so the
 //! `FxHashMap<FeatureKey, FeatureStat>` inside [`StatsDb`] — whose keys hash
-//! owned `String`s — is pure overhead in the per-pair inner loop. At
-//! [`crate::serve::ServingBundle`] load we compile the database once into an
-//! immutable [`CompiledFeatureTable`]:
+//! owned `String`s — is pure overhead in the per-pair inner loop, and
+//! serving never builds one. At [`crate::serve::ServingBundle`] load the
+//! snapshot's records, read in key order with their phrases borrowed from
+//! its bytes ([`microbrowse_store::file::records`]), compile in one pass
+//! into an immutable [`CompiledFeatureTable`]:
 //!
 //! * every phrase the database or the model vocabulary mentions is
 //!   interned into one frozen [`Interner`], the *bundle vocabulary*; a
@@ -28,7 +30,9 @@
 use std::sync::Arc;
 
 use microbrowse_store::key::SnippetPos;
-use microbrowse_store::{FeatureKey, FeatureStat, StatsDb};
+#[cfg(doc)]
+use microbrowse_store::StatsDb;
+use microbrowse_store::{FeatureKey, FeatureStat, KeyRef, SortedRecords};
 use microbrowse_text::{FxHashMap, Interner, Sym};
 
 use crate::features::{OwnedTermFeat, TermFeat};
@@ -127,15 +131,15 @@ pub struct RewriteNeighbor {
     pub stored_from: bool,
 }
 
-/// An immutable, probe-optimized compilation of a [`StatsDb`] and a model
-/// vocabulary.
+/// An immutable, probe-optimized compilation of a statistics database's
+/// records and a model vocabulary.
 ///
 /// Built once per [`crate::serve::ServingBundle`]; shared read-only across
 /// worker threads behind the bundle's `Arc`.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledFeatureTable {
     /// The bundle vocabulary: every phrase any key or vocabulary feature
-    /// mentions, database phrases first (in record order).
+    /// mentions, database phrases first (in key order).
     phrases: Arc<Interner>,
     /// Phrase id → rank of the phrase in lexicographic string order.
     /// Lets canonical-order decisions compare two `u32`s instead of two
@@ -157,7 +161,7 @@ pub struct CompiledFeatureTable {
     rw_pos_keys: Vec<u64>,
     /// Entry index parallel to `rw_pos_keys`.
     rw_pos_entries: Vec<u32>,
-    /// All compiled entries, in [`StatsDb::sorted_records`] order.
+    /// All compiled entries, in key order.
     entries: Vec<CompiledStat>,
     /// Phrase id → start offset into `rw_adj` (length `num_phrases + 1`;
     /// empty when the database holds no rewrite records).
@@ -171,39 +175,52 @@ pub struct CompiledFeatureTable {
 }
 
 impl CompiledFeatureTable {
-    /// Compile `db` and the model vocabulary `vocab` into the
-    /// probe-optimized form. Deterministic: the same inputs always produce
-    /// the same table (database input is [`StatsDb::sorted_records`]), and
-    /// database phrases get the same ids whatever the vocabulary. Fails
-    /// with [`CompileError`] on inputs too large for the table's 32-bit id
-    /// spaces — impossible in practice, but a load-time error beats
-    /// silently mis-resolving keys.
-    pub fn compile(db: &StatsDb, vocab: &[OwnedTermFeat]) -> Result<Self, CompileError> {
+    /// Compile a database's records, in key order, and the model
+    /// vocabulary `vocab` into the probe-optimized form. The records come
+    /// from a snapshot's bytes ([`microbrowse_store::file::records`]) or
+    /// from a [`StatsDb`] (`&db` converts through
+    /// [`StatsDb::sorted_refs`]), so equal databases compile to equal
+    /// tables, and database phrases get the same ids whatever the
+    /// vocabulary. Fails with [`CompileError`] on inputs too large for the
+    /// table's 32-bit id spaces — impossible in practice, but a load-time
+    /// error beats silently mis-resolving keys.
+    pub fn compile<'a>(
+        records: impl Into<SortedRecords<'a>>,
+        vocab: &[OwnedTermFeat],
+    ) -> Result<Self, CompileError> {
+        let records = records.into();
         // One entry per record, so bounding the record count up front makes
         // every entry-index cast below infallible and keeps real indices
         // clear of the NO_ENTRY sentinel.
-        if db.len() >= NO_ENTRY as usize {
-            return Err(CompileError::TooManyRecords(db.len()));
+        if records.len() >= NO_ENTRY as usize {
+            return Err(CompileError::TooManyRecords(records.len()));
         }
-        let mut t = Self::default();
-        let mut phrases = Interner::new();
+        let mut t = Self {
+            entries: Vec::with_capacity(records.len()),
+            ..Self::default()
+        };
+        // Term records bring one new phrase each and position records none;
+        // rewrite records and vocabulary features mostly reuse phrases. So
+        // records plus features is close to the final phrase count, and
+        // the interner seldom regrows.
+        let mut phrases = Interner::with_capacity(records.len() + vocab.len());
         let mut intern = |phrase: &str| phrases.intern(phrase).0;
         let mut rewrites: Vec<(u64, u32)> = Vec::new();
         let mut term_pos: Vec<(u32, u32)> = Vec::new();
         let mut rw_pos: Vec<(u64, u32)> = Vec::new();
         let mut term_stats: Vec<(u32, u32)> = Vec::new();
-        for (key, stat) in db.sorted_records() {
+        for &(key, stat) in records.iter() {
             let idx = t.entries.len() as u32;
             t.entries.push(CompiledStat::new(stat));
             match key {
-                FeatureKey::Term { phrase } => term_stats.push((intern(&phrase), idx)),
-                FeatureKey::Rewrite { from, to } => {
-                    let fid = intern(&from);
-                    let tid = intern(&to);
+                KeyRef::Term { phrase } => term_stats.push((intern(phrase), idx)),
+                KeyRef::Rewrite { from, to } => {
+                    let fid = intern(from);
+                    let tid = intern(to);
                     rewrites.push((pack_rw(fid, tid), idx));
                 }
-                FeatureKey::TermPosition(p) => term_pos.push((pack_pos(p), idx)),
-                FeatureKey::RewritePosition { from, to } => {
+                KeyRef::TermPosition(p) => term_pos.push((pack_pos(p), idx)),
+                KeyRef::RewritePosition { from, to } => {
                     rw_pos.push((pack_rw_pos(from, to), idx));
                 }
             }
@@ -232,9 +249,11 @@ impl CompiledFeatureTable {
         (t.term_pos_keys, t.term_pos_entries) = term_pos.into_iter().unzip();
         (t.rw_pos_keys, t.rw_pos_entries) = rw_pos.into_iter().unzip();
 
-        // Lexicographic ranks over the phrase id space.
+        // Lexicographic ranks over the phrase id space. Term phrases were
+        // interned in key order, so ids start with one long sorted run that
+        // a stable (run-detecting) sort passes over in linear time.
         let mut by_string: Vec<u32> = (0..phrases.len() as u32).collect();
-        by_string.sort_unstable_by_key(|&id| phrases.resolve(Sym(id)));
+        by_string.sort_by_key(|&id| phrases.resolve(Sym(id)));
         t.lex_rank = vec![0; phrases.len()];
         for (rank, &id) in by_string.iter().enumerate() {
             t.lex_rank[id as usize] = rank as u32;
@@ -439,12 +458,16 @@ pub struct ScoringEngine {
 }
 
 impl ScoringEngine {
-    /// Compile `db` with the model vocabulary `vocab` and pair them with an
-    /// empty score cache. Fails only on inputs too large for the
-    /// table's id spaces (see [`CompileError`]).
-    pub fn compile(db: &StatsDb, vocab: &[OwnedTermFeat]) -> Result<Self, CompileError> {
+    /// Compile a database's records with the model vocabulary `vocab`
+    /// ([`CompiledFeatureTable::compile`]) and pair them with an empty
+    /// score cache. Fails only on inputs too large for the table's id
+    /// spaces (see [`CompileError`]).
+    pub fn compile<'a>(
+        records: impl Into<SortedRecords<'a>>,
+        vocab: &[OwnedTermFeat],
+    ) -> Result<Self, CompileError> {
         Ok(Self {
-            table: CompiledFeatureTable::compile(db, vocab)?,
+            table: CompiledFeatureTable::compile(records, vocab)?,
             align: AlignCache::new(),
         })
     }
@@ -463,6 +486,7 @@ impl ScoringEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use microbrowse_store::StatsDb;
 
     fn demo_db() -> StatsDb {
         StatsDb::from_records([

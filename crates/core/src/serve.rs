@@ -12,8 +12,10 @@
 //! * [`DeployedModel::save`] / [`DeployedModel::load`] write and read one
 //!   versioned, CRC-checked [`frame`](microbrowse_store::codec::frame) in
 //!   the same codec as the statistics snapshots.
-//! * [`ServingBundle`] holds a deployed model, its statistics database and
-//!   the [`ScoringEngine`] compiled from them; [`ServingBundle::scorer`]
+//! * [`ServingBundle`] holds a deployed model, its statistics snapshot's
+//!   bytes and the [`ScoringEngine`] compiled from them in one pass over
+//!   the snapshot's key-ordered records (no statistics map is built to
+//!   serve); [`ServingBundle::scorer`]
 //!   builds the one-call [`Scorer`] a serving system wants: *given two
 //!   creatives for the same keyword, which is expected to earn the higher
 //!   CTR?*
@@ -39,18 +41,21 @@ use std::io::Read;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use microbrowse_ml::coupled::CoupledModel;
 use microbrowse_ml::{CoupledFeature, LogReg, SparseVec};
 use microbrowse_obs as obs;
 use microbrowse_store::codec::{self, DecodeError, FrameError};
-use microbrowse_store::{write_atomic, ArtifactSlot, SlotError, SlotLoad, SnapshotError, StatsDb};
+use microbrowse_store::{
+    file, write_atomic, ArtifactSlot, SlotError, SlotLoad, SnapshotError, StatsDb,
+};
 use microbrowse_text::{
     FxHashMap, Interner, NGramExtractor, Snippet, TermOccurrence, TokenizedSnippet, Tokenizer,
 };
 
 use crate::classifier::{ModelSpec, TrainedClassifier};
-use crate::compiled::{CompiledEvidence, CompiledFeatureTable, ScoringEngine};
+use crate::compiled::{CompileError, CompiledEvidence, CompiledFeatureTable, ScoringEngine};
 use crate::error::{read_file_with_retry, MbError, RetryPolicy};
 use crate::features::{aggregate, walk_features, OwnedTermFeat, PairFeature};
 use crate::paircache::{AlignCache, PairKey, PairSide};
@@ -874,12 +879,15 @@ pub enum LoadPolicy {
 }
 
 /// Everything [`ScorerBuilder::load`] recovered from disk: the model, the
-/// stats (empty when degraded), the fidelity, and which slot generations
+/// statistics snapshot's bytes (an empty database's when degraded) and the
+/// engine compiled from them, the fidelity, and which slot generations
 /// were served (when slots were used).
 #[derive(Debug)]
 pub struct ServingBundle {
     model: DeployedModel,
-    stats: StatsDb,
+    /// The snapshot the engine was compiled from; [`Self::stats`] decodes
+    /// it on demand.
+    snapshot: Vec<u8>,
     fidelity: Fidelity,
     model_generation: Option<u64>,
     stats_generation: Option<u64>,
@@ -890,18 +898,20 @@ impl ServingBundle {
     /// Assemble a bundle from in-memory parts (no disk involved). This is
     /// the construction path for servers and load generators that build or
     /// receive artifacts directly; generation numbers are `None` because
-    /// nothing came from a slot. Fails only when `stats` cannot be compiled
-    /// into the hot-path engine (a database too large for its id spaces —
-    /// impossible for any database that fits in memory).
+    /// nothing came from a slot. `stats` is encoded as a snapshot and
+    /// compiled through the same reader a load uses. Fails only when it
+    /// cannot be compiled into the hot-path engine (a database too large
+    /// for its id spaces — impossible for any database that fits in
+    /// memory).
     pub fn from_parts(
         model: DeployedModel,
         stats: StatsDb,
         fidelity: Fidelity,
     ) -> Result<Self, MbError> {
-        let engine = compile_engine(&stats, &model.vocab)?;
+        let (snapshot, engine) = compile_in_memory(&stats, &model.vocab)?;
         Ok(Self {
             model,
-            stats,
+            snapshot,
             fidelity,
             model_generation: None,
             stats_generation: None,
@@ -914,9 +924,13 @@ impl ServingBundle {
         &self.model
     }
 
-    /// The loaded statistics database (empty when degraded).
-    pub fn stats(&self) -> &StatsDb {
-        &self.stats
+    /// Decode the statistics database the engine was compiled from (empty
+    /// when degraded). Serving never needs it; the online learner and
+    /// journal replay, which fold feedback into a database, do.
+    pub fn stats(&self) -> Result<StatsDb, MbError> {
+        file::from_bytes(&self.snapshot).map_err(|e| {
+            MbError::invariant(format!("the served stats snapshot no longer reads: {e}"))
+        })
     }
 
     /// Fidelity every scorer built from this bundle will serve at.
@@ -1010,8 +1024,12 @@ impl ScorerBuilder {
         self.load().map(std::sync::Arc::new)
     }
 
-    /// Load the artifacts under the configured policy.
+    /// Load the artifacts under the configured policy. The load's wall
+    /// time goes to the `microbrowse_serve_load_us` histogram and, with
+    /// the compiled table's record and phrase counts, to the `serve.load`
+    /// span.
     pub fn load(&self) -> Result<ServingBundle, MbError> {
+        let started = Instant::now();
         let mut span = obs::trace::span("serve.load").with(
             "policy",
             match self.policy {
@@ -1020,19 +1038,25 @@ impl ScorerBuilder {
             },
         );
         let loaded = self.load_model().and_then(|(model, model_generation)| {
-            let (stats, fidelity, stats_generation) = self.load_stats()?;
-            let engine = compile_engine(&stats, &model.vocab)?;
+            let (snapshot, engine, fidelity, stats_generation) = self.load_stats(&model.vocab)?;
             Ok(ServingBundle {
                 model,
-                stats,
+                snapshot,
                 fidelity,
                 model_generation,
                 stats_generation,
                 engine,
             })
         });
+        let load_us = started.elapsed().as_micros() as u64;
+        obs::histogram!("microbrowse_serve_load_us").observe_us(load_us);
+        span.add("load_us", load_us);
         match &loaded {
-            Ok(bundle) => span.add("degraded", bundle.fidelity.is_degraded()),
+            Ok(bundle) => {
+                span.add("degraded", bundle.fidelity.is_degraded());
+                span.add("records", bundle.engine.table().len());
+                span.add("phrases", bundle.engine.table().num_phrases());
+            }
             Err(_) => {
                 span.add("failed", true);
                 obs::counter!("microbrowse_load_failures_total").inc();
@@ -1067,22 +1091,26 @@ impl ScorerBuilder {
         }
     }
 
-    fn load_stats(&self) -> Result<(StatsDb, Fidelity, Option<u64>), MbError> {
+    /// Read the stats snapshot and compile it with the model vocabulary
+    /// `vocab`. A slot generation is compiled inside the slot's validator,
+    /// so one that fails to read or compile rolls back like a CRC failure.
+    fn load_stats(&self, vocab: &[OwnedTermFeat]) -> Result<LoadedStats, MbError> {
+        let degrade = |reason: DegradeReason| {
+            emit_degraded(&reason);
+            let (snapshot, engine) = compile_in_memory(&StatsDb::new(), vocab)?;
+            Ok((snapshot, engine, Fidelity::Degraded(reason), None))
+        };
         let Some(path) = &self.stats_path else {
             return match self.policy {
                 LoadPolicy::Strict => Err(MbError::usage(
                     "strict loading requires a stats snapshot path",
                 )),
-                LoadPolicy::Degrade => {
-                    let reason = DegradeReason::StatsMissing;
-                    emit_degraded(&reason);
-                    Ok((StatsDb::new(), Fidelity::Degraded(reason), None))
-                }
+                LoadPolicy::Degrade => degrade(DegradeReason::StatsMissing),
             };
         };
-        let attempt: Result<(StatsDb, Option<u64>), MbError> = if path.is_dir() {
+        let attempt: Result<(Vec<u8>, ScoringEngine, Option<u64>), MbError> = if path.is_dir() {
             ArtifactSlot::new(path, STATS_SLOT_NAME)
-                .load_with(microbrowse_store::file::from_bytes)
+                .load_with(|bytes| compile_snapshot(bytes, vocab).map(|e| (bytes.to_vec(), e)))
                 .map(|l| {
                     if l.rolled_back {
                         obs::counter!("microbrowse_slot_rollbacks_total").inc();
@@ -1090,36 +1118,77 @@ impl ScorerBuilder {
                             .with("artifact", "stats")
                             .with("generation", l.generation);
                     }
-                    (l.value, Some(l.generation))
+                    let (snapshot, engine) = l.value;
+                    (snapshot, engine, Some(l.generation))
                 })
                 .map_err(|e| MbError::slot(path, e))
         } else {
             read_file_with_retry(path, &self.retry)
                 .map_err(|e| MbError::stats(path, SnapshotError::Io(e)))
-                .and_then(|bytes| {
-                    microbrowse_store::file::from_bytes(&bytes)
-                        .map(|db| (db, None))
-                        .map_err(|e| MbError::stats(path, e))
+                .and_then(|bytes| match compile_snapshot(&bytes, vocab) {
+                    Ok(engine) => Ok((bytes, engine, None)),
+                    Err(EngineError::Snapshot(e)) => Err(MbError::stats(path, e)),
+                    Err(e) => Err(MbError::validation(e.to_string())),
                 })
         };
         match (attempt, self.policy) {
-            (Ok((stats, generation)), _) => Ok((stats, Fidelity::Full, generation)),
-            (Err(e), LoadPolicy::Strict) => Err(e),
-            (Err(e), LoadPolicy::Degrade) => {
-                let reason = classify_stats_failure(&e);
-                emit_degraded(&reason);
-                Ok((StatsDb::new(), Fidelity::Degraded(reason), None))
+            (Ok((snapshot, engine, generation)), _) => {
+                Ok((snapshot, engine, Fidelity::Full, generation))
             }
+            (Err(e), LoadPolicy::Strict) => Err(e),
+            (Err(e), LoadPolicy::Degrade) => degrade(classify_stats_failure(&e)),
         }
     }
 }
 
-/// Compile the hot-path engine for a bundle, mapping the (practically
-/// unreachable) too-large-database failure into the serve-path error
-/// taxonomy so a load reports it instead of serving mis-resolved keys.
-fn compile_engine(stats: &StatsDb, vocab: &[OwnedTermFeat]) -> Result<ScoringEngine, MbError> {
-    ScoringEngine::compile(stats, vocab)
-        .map_err(|e| MbError::validation(format!("stats database not compilable for serving: {e}")))
+/// What [`ScorerBuilder::load_stats`] hands the bundle: the snapshot's
+/// bytes, the engine compiled from them, the fidelity and the slot
+/// generation.
+type LoadedStats = (Vec<u8>, ScoringEngine, Fidelity, Option<u64>);
+
+/// Why statistics snapshot bytes did not become a scoring engine.
+#[derive(Debug)]
+enum EngineError {
+    /// The bytes are not a valid snapshot.
+    Snapshot(SnapshotError),
+    /// The records do not fit the table's id spaces.
+    Compile(CompileError),
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::Snapshot(e) => e.fmt(f),
+            EngineError::Compile(e) => write!(f, "stats database not compilable for serving: {e}"),
+        }
+    }
+}
+
+/// Compile the engine a statistics snapshot describes: the snapshot
+/// reader's key-ordered records, their phrases borrowed from `bytes`, fed
+/// straight into the table compile. A compile failure (the practically
+/// unreachable too-large database) is reported instead of serving
+/// mis-resolved keys.
+fn compile_snapshot(bytes: &[u8], vocab: &[OwnedTermFeat]) -> Result<ScoringEngine, EngineError> {
+    let records = file::records(bytes).map_err(EngineError::Snapshot)?;
+    ScoringEngine::compile(records, vocab).map_err(EngineError::Compile)
+}
+
+/// Encode an in-memory database and compile it through the snapshot
+/// reader, so a bundle built from parts takes the one path from
+/// statistics to table that a load does.
+fn compile_in_memory(
+    stats: &StatsDb,
+    vocab: &[OwnedTermFeat],
+) -> Result<(Vec<u8>, ScoringEngine), MbError> {
+    let snapshot = file::to_bytes(stats);
+    match compile_snapshot(&snapshot, vocab) {
+        Ok(engine) => Ok((snapshot, engine)),
+        Err(EngineError::Snapshot(e)) => Err(MbError::invariant(format!(
+            "an encoded stats database does not read back: {e}"
+        ))),
+        Err(e) => Err(MbError::validation(e.to_string())),
+    }
 }
 
 /// One structured event + counter per degraded-fidelity fallback.
@@ -1325,7 +1394,7 @@ mod tests {
             bundle.fidelity(),
             &Fidelity::Degraded(DegradeReason::StatsMissing)
         );
-        assert!(bundle.stats().is_empty());
+        assert!(bundle.stats().expect("stats").is_empty());
         let scorer = bundle.scorer();
         let mut scratch = scorer.scratch();
         let r = Snippet::creative("air", "cheap flights", "book now");

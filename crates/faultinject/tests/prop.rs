@@ -325,7 +325,11 @@ fn load_outcomes_partition_under_random_faults() {
             .expect("degrade policy never fails on stats damage");
         match degrade.fidelity() {
             Fidelity::Full => {
-                assert_eq!(degrade.stats().len(), db.len(), "seed {seed}");
+                assert_eq!(
+                    degrade.stats().expect("stats").len(),
+                    db.len(),
+                    "seed {seed}"
+                );
                 full += 1;
             }
             Fidelity::Degraded(reason) => {

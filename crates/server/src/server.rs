@@ -478,7 +478,7 @@ fn open_online(
 
     let (journal, recovery) = Journal::open(&ocfg.journal_dir)
         .map_err(|e| MbError::invariant(format!("feedback journal open failed: {e}")))?;
-    let mut learner = OnlineLearner::new(bundle.stats().clone(), bundle.model().spec);
+    let mut learner = OnlineLearner::new(bundle.stats()?, bundle.model().spec);
     if let Some(state) = &recovery.state {
         learner
             .restore_state(state)

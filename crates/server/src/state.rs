@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use microbrowse_core::serve::{
     LoadPolicy, ScorerBuilder, ServingBundle, MODEL_SLOT_NAME, STATS_SLOT_NAME,
@@ -131,12 +131,15 @@ pub fn reload_loop(
         if !model_newer && !stats_newer {
             continue;
         }
+        let started = Instant::now();
         match source.builder().load_shared() {
             Ok(fresh) => {
+                let load_us = started.elapsed().as_micros() as u64;
                 let epoch = state.install(Arc::clone(&fresh));
                 obs::counter!("microbrowse_serve_reloads_total").inc();
                 obs::trace::event("serve.reload")
                     .with("epoch", epoch)
+                    .with("load_us", load_us)
                     .with("model_generation", fresh.model_generation().unwrap_or(0))
                     .with("stats_generation", fresh.stats_generation().unwrap_or(0))
                     .with("degraded", fresh.fidelity().is_degraded());

@@ -3,10 +3,12 @@
 //! Layout choices are the usual storage-engine ones: LEB128 varints for
 //! counts and lengths (most features are rare, so counts are small),
 //! length-prefixed UTF-8 for phrases, a one-byte family tag
-//! discriminating [`FeatureKey`] variants, and little-endian fixed-width
+//! discriminating [`FeatureKey`](crate::FeatureKey) variants, and little-endian fixed-width
 //! numbers. Encoders append to a `Vec<u8>`; decoders consume a `&mut &[u8]`
 //! through the checked reads [`get_u8`], [`get_f64`] and [`get_bytes`],
-//! which report [`DecodeError::UnexpectedEof`] at the end of input.
+//! which report [`DecodeError::UnexpectedEof`] at the end of input. Keys
+//! and records decode as [`KeyRef`]s borrowing their phrases from the
+//! input, so reading a snapshot allocates nothing per record.
 //!
 //! Every artifact on disk — stats snapshot, model, slot manifest, journal
 //! segment, listing and checkpoint, learner state — is one [`frame`]:
@@ -19,7 +21,7 @@
 //! ```
 
 use crate::crc::crc32;
-use crate::key::{FeatureKey, KeyFamily, SnippetPos};
+use crate::key::{KeyFamily, KeyRef, SnippetPos};
 use crate::stats::FeatureStat;
 
 /// Errors produced while decoding.
@@ -172,11 +174,14 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 
 /// Read a length-prefixed UTF-8 string.
 pub fn get_str(buf: &mut &[u8]) -> Result<String, DecodeError> {
+    get_str_ref(buf).map(str::to_owned)
+}
+
+/// Read a length-prefixed UTF-8 string in place.
+pub fn get_str_ref<'a>(buf: &mut &'a [u8]) -> Result<&'a str, DecodeError> {
     let len = get_varint(buf)? as usize;
     let bytes = get_bytes(buf, len)?;
-    std::str::from_utf8(bytes)
-        .map(str::to_owned)
-        .map_err(|_| DecodeError::InvalidUtf8)
+    std::str::from_utf8(bytes).map_err(|_| DecodeError::InvalidUtf8)
 }
 
 fn put_pos(buf: &mut Vec<u8>, p: SnippetPos) {
@@ -191,37 +196,37 @@ fn get_pos(buf: &mut &[u8]) -> Result<SnippetPos, DecodeError> {
     Ok(SnippetPos { line, pos })
 }
 
-/// Encode a [`FeatureKey`].
-pub fn put_key(buf: &mut Vec<u8>, key: &FeatureKey) {
+/// Encode a feature key.
+pub fn put_key(buf: &mut Vec<u8>, key: KeyRef<'_>) {
     buf.push(key.family().tag());
     match key {
-        FeatureKey::Term { phrase } => put_str(buf, phrase),
-        FeatureKey::Rewrite { from, to } => {
+        KeyRef::Term { phrase } => put_str(buf, phrase),
+        KeyRef::Rewrite { from, to } => {
             put_str(buf, from);
             put_str(buf, to);
         }
-        FeatureKey::TermPosition(p) => put_pos(buf, *p),
-        FeatureKey::RewritePosition { from, to } => {
-            put_pos(buf, *from);
-            put_pos(buf, *to);
+        KeyRef::TermPosition(p) => put_pos(buf, p),
+        KeyRef::RewritePosition { from, to } => {
+            put_pos(buf, from);
+            put_pos(buf, to);
         }
     }
 }
 
-/// Decode a [`FeatureKey`].
-pub fn get_key(buf: &mut &[u8]) -> Result<FeatureKey, DecodeError> {
+/// Decode a feature key, borrowing its phrases from `buf`.
+pub fn get_key<'a>(buf: &mut &'a [u8]) -> Result<KeyRef<'a>, DecodeError> {
     let tag = get_u8(buf)?;
     let family = KeyFamily::from_tag(tag).ok_or(DecodeError::UnknownTag(tag))?;
     Ok(match family {
-        KeyFamily::Term => FeatureKey::Term {
-            phrase: get_str(buf)?,
+        KeyFamily::Term => KeyRef::Term {
+            phrase: get_str_ref(buf)?,
         },
-        KeyFamily::Rewrite => FeatureKey::Rewrite {
-            from: get_str(buf)?,
-            to: get_str(buf)?,
+        KeyFamily::Rewrite => KeyRef::Rewrite {
+            from: get_str_ref(buf)?,
+            to: get_str_ref(buf)?,
         },
-        KeyFamily::TermPosition => FeatureKey::TermPosition(get_pos(buf)?),
-        KeyFamily::RewritePosition => FeatureKey::RewritePosition {
+        KeyFamily::TermPosition => KeyRef::TermPosition(get_pos(buf)?),
+        KeyFamily::RewritePosition => KeyRef::RewritePosition {
             from: get_pos(buf)?,
             to: get_pos(buf)?,
         },
@@ -229,14 +234,14 @@ pub fn get_key(buf: &mut &[u8]) -> Result<FeatureKey, DecodeError> {
 }
 
 /// Encode one `(key, stat)` record.
-pub fn put_record(buf: &mut Vec<u8>, key: &FeatureKey, stat: &FeatureStat) {
+pub fn put_record(buf: &mut Vec<u8>, key: KeyRef<'_>, stat: &FeatureStat) {
     put_key(buf, key);
     put_varint(buf, stat.up);
     put_varint(buf, stat.down);
 }
 
-/// Decode one `(key, stat)` record.
-pub fn get_record(buf: &mut &[u8]) -> Result<(FeatureKey, FeatureStat), DecodeError> {
+/// Decode one `(key, stat)` record, borrowing the key's phrases from `buf`.
+pub fn get_record<'a>(buf: &mut &'a [u8]) -> Result<(KeyRef<'a>, FeatureStat), DecodeError> {
     let key = get_key(buf)?;
     let up = get_varint(buf)?;
     let down = get_varint(buf)?;
@@ -246,13 +251,14 @@ pub fn get_record(buf: &mut &[u8]) -> Result<(FeatureKey, FeatureStat), DecodeEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::FeatureKey;
 
     fn round_trip_key(key: FeatureKey) {
         let mut buf = Vec::new();
-        put_key(&mut buf, &key);
+        put_key(&mut buf, key.as_key_ref());
         let mut slice = &buf[..];
         let back = get_key(&mut slice).expect("decode");
-        assert_eq!(back, key);
+        assert_eq!(back, key.as_key_ref());
         assert!(slice.is_empty(), "trailing bytes after {key:?}");
     }
 
@@ -359,9 +365,9 @@ mod tests {
             down: 7,
         };
         let mut buf = Vec::new();
-        put_record(&mut buf, &key, &stat);
+        put_record(&mut buf, key.as_key_ref(), &stat);
         let mut s = &buf[..];
-        assert_eq!(get_record(&mut s).unwrap(), (key, stat));
+        assert_eq!(get_record(&mut s).unwrap(), (key.as_key_ref(), stat));
     }
 
     const MAGIC: &[u8; 8] = b"MBTEST0\0";

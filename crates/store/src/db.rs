@@ -13,8 +13,37 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use microbrowse_text::hash::{FxHashMap, FxHasher};
 
-use crate::key::{FeatureKey, KeyFamily};
+use crate::key::{FeatureKey, KeyFamily, KeyRef};
 use crate::stats::FeatureStat;
+
+/// Records in strictly increasing key order, their phrases borrowed: what
+/// the serving table compiles from. Only [`crate::file::records`], which
+/// checks a snapshot's order, and [`StatsDb::sorted_refs`], which sorts a
+/// map's unique keys, build one.
+#[derive(Debug)]
+pub struct SortedRecords<'a>(Vec<(KeyRef<'a>, FeatureStat)>);
+
+impl<'a> SortedRecords<'a> {
+    /// Wrap records the caller has checked to be in strictly increasing
+    /// key order.
+    pub(crate) fn from_ordered(records: Vec<(KeyRef<'a>, FeatureStat)>) -> Self {
+        Self(records)
+    }
+}
+
+impl<'a> std::ops::Deref for SortedRecords<'a> {
+    type Target = [(KeyRef<'a>, FeatureStat)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<'a> From<&'a StatsDb> for SortedRecords<'a> {
+    fn from(db: &'a StatsDb) -> Self {
+        db.sorted_refs()
+    }
+}
 
 /// The frozen feature statistics database.
 #[derive(Debug, Clone, Default)]
@@ -30,7 +59,9 @@ impl StatsDb {
 
     /// Build from an iterator of records, merging duplicate keys.
     pub fn from_records(records: impl IntoIterator<Item = (FeatureKey, FeatureStat)>) -> Self {
+        let records = records.into_iter();
         let mut db = Self::new();
+        db.map.reserve(records.size_hint().0);
         for (k, s) in records {
             db.map.entry(k).or_default().merge(&s);
         }
@@ -76,13 +107,22 @@ impl StatsDb {
         }
     }
 
-    /// Records in deterministic (sorted-key) order — used by the snapshot
-    /// writer so byte-identical inputs produce byte-identical files.
+    /// Records in deterministic (sorted-key) order, keys owned.
     pub fn sorted_records(&self) -> Vec<(FeatureKey, FeatureStat)> {
-        let mut v: Vec<(FeatureKey, FeatureStat)> =
-            self.map.iter().map(|(k, s)| (k.clone(), *s)).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
+        self.sorted_refs()
+            .iter()
+            .map(|&(k, s)| (k.into(), s))
+            .collect()
+    }
+
+    /// Records in sorted-key order, keys borrowed: what the snapshot writer
+    /// encodes, so equal databases produce byte-identical files, and what
+    /// the serving table compiles from.
+    pub fn sorted_refs(&self) -> SortedRecords<'_> {
+        let mut v: Vec<(KeyRef<'_>, FeatureStat)> =
+            self.map.iter().map(|(k, s)| (k.as_key_ref(), *s)).collect();
+        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        SortedRecords::from_ordered(v)
     }
 
     /// Per-family record counts (reporting / sanity checks).

@@ -6,15 +6,19 @@
 //! payload is a varint record count followed by the records
 //! ([`codec::put_record`] each).
 //!
-//! Records are written in sorted key order, so the same database always
-//! produces the same bytes (important for reproducible experiment bundles
-//! and for content-addressed caching).
+//! Records are written in strictly increasing key order, so the same
+//! database always produces the same bytes (important for reproducible
+//! experiment bundles and for content-addressed caching). [`records`] is
+//! the one reader: it checks the frame and every record, rejects keys that
+//! do not strictly increase, and returns the records in place, their
+//! phrases borrowed from the snapshot's bytes. [`from_bytes`] is its owned
+//! view.
 
 use std::io::Read;
 use std::path::Path;
 
 use crate::codec::{self, DecodeError, FrameError};
-use crate::db::StatsDb;
+use crate::db::{SortedRecords, StatsDb};
 
 const MAGIC: &[u8; 8] = b"MBSTATS\0";
 const VERSION: u32 = 1;
@@ -39,6 +43,13 @@ pub enum SnapshotError {
     Decode(DecodeError),
     /// The file ended before the declared record count was read.
     Truncated,
+    /// A record's key does not follow its predecessor's: the writer emits
+    /// keys in strictly increasing order, so a repeated or descending key
+    /// means the file was not written by it.
+    KeyOrder {
+        /// Zero-based index of the offending record.
+        record: u64,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -55,6 +66,10 @@ impl std::fmt::Display for SnapshotError {
             }
             SnapshotError::Decode(e) => write!(f, "snapshot record decode failed: {e}"),
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
+            SnapshotError::KeyOrder { record } => write!(
+                f,
+                "snapshot record {record} is out of key order (keys must strictly increase)"
+            ),
         }
     }
 }
@@ -97,28 +112,47 @@ impl From<FrameError> for SnapshotError {
 /// Serialize `db` to bytes (header + payload + CRC trailer).
 pub fn to_bytes(db: &StatsDb) -> Vec<u8> {
     let mut payload = Vec::new();
-    let records = db.sorted_records();
+    let records = db.sorted_refs();
     codec::put_varint(&mut payload, records.len() as u64);
-    for (key, stat) in &records {
-        codec::put_record(&mut payload, key, stat);
+    for (key, stat) in records.iter() {
+        codec::put_record(&mut payload, *key, stat);
     }
     codec::frame(MAGIC, VERSION, &payload)
 }
 
-/// Deserialize a snapshot produced by [`to_bytes`].
-pub fn from_bytes(bytes: &[u8]) -> Result<StatsDb, SnapshotError> {
+/// Read a snapshot produced by [`to_bytes`] into its records, in key
+/// order, their phrases borrowed from `bytes`. Checks the frame (magic,
+/// version, CRC), every record (tag, UTF-8, position range), that the
+/// declared count is present, and that keys strictly increase.
+pub fn records(bytes: &[u8]) -> Result<SortedRecords<'_>, SnapshotError> {
     let mut buf = codec::unframe(MAGIC, VERSION, bytes)?;
     let count = codec::get_varint(&mut buf)?;
-    let mut records = Vec::with_capacity(count.min(1 << 20) as usize);
-    for _ in 0..count {
+    // A record takes at least four bytes, which bounds the allocation a
+    // forged count can ask for.
+    let mut records = Vec::with_capacity(count.min(buf.len() as u64 / 4) as usize);
+    for record in 0..count {
         // Running out on a record boundary means records are missing: the
         // file was cut, not malformed.
         if buf.is_empty() {
             return Err(SnapshotError::Truncated);
         }
-        records.push(codec::get_record(&mut buf)?);
+        let (key, stat) = codec::get_record(&mut buf)?;
+        if records.last().is_some_and(|&(prev, _)| prev >= key) {
+            return Err(SnapshotError::KeyOrder { record });
+        }
+        records.push((key, stat));
     }
-    Ok(StatsDb::from_records(records))
+    Ok(SortedRecords::from_ordered(records))
+}
+
+/// Deserialize a snapshot produced by [`to_bytes`]: the owned view of
+/// [`records`].
+pub fn from_bytes(bytes: &[u8]) -> Result<StatsDb, SnapshotError> {
+    Ok(StatsDb::from_records(
+        records(bytes)?
+            .iter()
+            .map(|&(key, stat)| (key.into(), stat)),
+    ))
 }
 
 /// Write a snapshot of `db` to `path`, crash-safely (temp file + fsync +

@@ -7,7 +7,9 @@
 //!
 //! Keys store phrases as owned strings (not interner symbols) because the
 //! database outlives any one process's interner: it is written to disk in
-//! Phase 1 and read back in Phase 2.
+//! Phase 1 and read back in Phase 2. [`KeyRef`] is the same key with
+//! borrowed phrases: what a snapshot's records decode to in place, and the
+//! order the snapshot writes them in.
 
 /// A position inside a snippet: zero-based line and token position. `pos`
 /// is bucketed by the caller if desired (raw token index by default).
@@ -83,11 +85,74 @@ impl FeatureKey {
 
     /// A small discriminant used by the codec and by family-level reporting.
     pub fn family(&self) -> KeyFamily {
+        self.as_key_ref().family()
+    }
+
+    /// This key with its phrases borrowed.
+    pub fn as_key_ref(&self) -> KeyRef<'_> {
         match self {
-            FeatureKey::Term { .. } => KeyFamily::Term,
-            FeatureKey::Rewrite { .. } => KeyFamily::Rewrite,
-            FeatureKey::TermPosition(_) => KeyFamily::TermPosition,
-            FeatureKey::RewritePosition { .. } => KeyFamily::RewritePosition,
+            FeatureKey::Term { phrase } => KeyRef::Term { phrase },
+            FeatureKey::Rewrite { from, to } => KeyRef::Rewrite { from, to },
+            FeatureKey::TermPosition(p) => KeyRef::TermPosition(*p),
+            FeatureKey::RewritePosition { from, to } => KeyRef::RewritePosition {
+                from: *from,
+                to: *to,
+            },
+        }
+    }
+}
+
+/// A [`FeatureKey`] whose phrases are borrowed, typically from a
+/// snapshot's bytes.
+///
+/// The variants and their fields come in the same order as
+/// [`FeatureKey`]'s, and `str` orders bytewise exactly as `String` does,
+/// so the derived order agrees with [`FeatureKey`]'s:
+/// `a.as_key_ref() < b.as_key_ref()` iff `a < b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum KeyRef<'a> {
+    /// See [`FeatureKey::Term`].
+    Term {
+        /// Normalized space-joined phrase.
+        phrase: &'a str,
+    },
+    /// See [`FeatureKey::Rewrite`].
+    Rewrite {
+        /// Phrase in the source snippet R.
+        from: &'a str,
+        /// Phrase it was rewritten to in snippet S.
+        to: &'a str,
+    },
+    /// See [`FeatureKey::TermPosition`].
+    TermPosition(SnippetPos),
+    /// See [`FeatureKey::RewritePosition`].
+    RewritePosition {
+        /// Position of the rewritten-from phrase in R.
+        from: SnippetPos,
+        /// Position of the rewritten-to phrase in S.
+        to: SnippetPos,
+    },
+}
+
+impl KeyRef<'_> {
+    /// The key's family.
+    pub fn family(&self) -> KeyFamily {
+        match self {
+            KeyRef::Term { .. } => KeyFamily::Term,
+            KeyRef::Rewrite { .. } => KeyFamily::Rewrite,
+            KeyRef::TermPosition(_) => KeyFamily::TermPosition,
+            KeyRef::RewritePosition { .. } => KeyFamily::RewritePosition,
+        }
+    }
+}
+
+impl From<KeyRef<'_>> for FeatureKey {
+    fn from(key: KeyRef<'_>) -> Self {
+        match key {
+            KeyRef::Term { phrase } => FeatureKey::term(phrase),
+            KeyRef::Rewrite { from, to } => FeatureKey::rewrite(from, to),
+            KeyRef::TermPosition(p) => FeatureKey::TermPosition(p),
+            KeyRef::RewritePosition { from, to } => FeatureKey::RewritePosition { from, to },
         }
     }
 }
@@ -153,6 +218,19 @@ mod tests {
             FeatureKey::term_position(0, 1),
             FeatureKey::term_position(1, 0),
         );
+    }
+
+    #[test]
+    fn borrowed_keys_convert_both_ways() {
+        for key in [
+            FeatureKey::term("cheap"),
+            FeatureKey::rewrite("a", "b"),
+            FeatureKey::term_position(1, 4),
+            FeatureKey::rewrite_position(SnippetPos::new(1, 0), SnippetPos::new(2, 5)),
+        ] {
+            assert_eq!(key.as_key_ref().family(), key.family());
+            assert_eq!(FeatureKey::from(key.as_key_ref()), key);
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod key;
 pub mod slot;
 pub mod stats;
 
-pub use db::{ShardedBuilder, StatsDb};
+pub use db::{ShardedBuilder, SortedRecords, StatsDb};
 pub use file::{merge_snapshots, read_snapshot, write_snapshot, SnapshotError};
-pub use key::FeatureKey;
+pub use key::{FeatureKey, KeyRef};
 pub use slot::{write_atomic, ArtifactSlot, SlotError, SlotLoad};
 pub use stats::FeatureStat;

@@ -3,10 +3,10 @@
 //! fixtures with valid CRC trailers matter most — they prove the decoder's
 //! own structural checks fire even when the checksum cannot help.
 
-use microbrowse_store::codec::DecodeError;
+use microbrowse_store::codec::{self, DecodeError};
 use microbrowse_store::crc::crc32;
-use microbrowse_store::file::{from_bytes, to_bytes};
-use microbrowse_store::{read_snapshot, FeatureKey, SnapshotError, StatsDb};
+use microbrowse_store::file::{from_bytes, records, to_bytes};
+use microbrowse_store::{read_snapshot, FeatureKey, FeatureStat, SnapshotError, StatsDb};
 
 const MAGIC: &[u8; 8] = b"MBSTATS\0";
 const VERSION: u32 = 1;
@@ -152,6 +152,58 @@ fn decode_string_body_truncated_variant() {
     ));
 }
 
+/// A snapshot holding exactly `keys`, in the order given, each in the
+/// writer's record encoding, under a valid CRC.
+fn snapshot_of(keys: &[FeatureKey]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    codec::put_varint(&mut payload, keys.len() as u64);
+    for key in keys {
+        codec::put_record(
+            &mut payload,
+            key.as_key_ref(),
+            &FeatureStat { up: 1, down: 2 },
+        );
+    }
+    frame(&payload)
+}
+
+fn assert_key_order(bytes: &[u8], record: u64) {
+    assert!(
+        matches!(from_bytes(bytes), Err(SnapshotError::KeyOrder { record: r }) if r == record),
+        "{:?}",
+        from_bytes(bytes)
+    );
+    assert!(matches!(records(bytes), Err(SnapshotError::KeyOrder { record: r }) if r == record));
+}
+
+#[test]
+fn key_order_variant_on_repeated_key() {
+    // Merging the two would load counts no writer wrote for one key.
+    let t = FeatureKey::term;
+    assert_key_order(&snapshot_of(&[t("a"), t("b"), t("b")]), 2);
+    let rw = FeatureKey::rewrite("find cheap", "save 20%");
+    assert_key_order(&snapshot_of(&[rw.clone(), rw]), 1);
+}
+
+#[test]
+fn key_order_variant_on_descending_key() {
+    let t = FeatureKey::term;
+    assert_key_order(&snapshot_of(&[t("b"), t("a")]), 1);
+    // A prefix sorts first: "ab" after "abc" descends.
+    assert_key_order(&snapshot_of(&[t("abc"), t("ab")]), 1);
+    // Families order Term < Rewrite < TermPosition < RewritePosition.
+    let keys = [
+        t("z"),
+        FeatureKey::term_position(0, 1),
+        FeatureKey::rewrite("a", "b"),
+    ];
+    assert_key_order(&snapshot_of(&keys), 2);
+    // The ascending order of the same keys reads.
+    let mut sorted = keys.to_vec();
+    sorted.sort();
+    assert_eq!(from_bytes(&snapshot_of(&sorted)).expect("sorted").len(), 3);
+}
+
 /// The error messages an operator actually reads: each variant renders
 /// with the discriminating detail in it.
 #[test]
@@ -168,6 +220,10 @@ fn error_rendering_names_the_problem() {
         ),
         (SnapshotError::Truncated, "truncated"),
         (SnapshotError::Decode(DecodeError::UnknownTag(42)), "tag 42"),
+        (
+            SnapshotError::KeyOrder { record: 7 },
+            "record 7 is out of key order",
+        ),
         (
             SnapshotError::Decode(DecodeError::PositionOutOfRange(65_536)),
             "position 65536",

@@ -1,6 +1,6 @@
 //! Property-based tests for the statistics store.
 
-use microbrowse_store::file::{from_bytes, to_bytes};
+use microbrowse_store::file::{from_bytes, records, to_bytes};
 use microbrowse_store::key::SnippetPos;
 use microbrowse_store::{FeatureKey, FeatureStat, StatsDb};
 use proptest::prelude::*;
@@ -11,6 +11,19 @@ fn arb_key() -> impl Strategy<Value = FeatureKey> {
         ("[a-z ]{0,16}", "[a-z ]{0,16}").prop_map(|(a, b)| FeatureKey::rewrite(a, b)),
         (0u8..8, 0u16..40).prop_map(|(l, p)| FeatureKey::term_position(l, p)),
         (0u8..8, 0u16..40, 0u8..8, 0u16..40).prop_map(|(l1, p1, l2, p2)| {
+            FeatureKey::rewrite_position(SnippetPos::new(l1, p1), SnippetPos::new(l2, p2))
+        }),
+    ]
+}
+
+/// Keys of all four families over any Unicode text, so phrases that
+/// differ only past a multi-byte character, or by a prefix, meet.
+fn arb_any_key() -> impl Strategy<Value = FeatureKey> {
+    prop_oneof![
+        "\\PC{0,6}".prop_map(FeatureKey::term),
+        ("\\PC{0,4}", "\\PC{0,4}").prop_map(|(a, b)| FeatureKey::rewrite(a, b)),
+        (any::<u8>(), any::<u16>()).prop_map(|(l, p)| FeatureKey::term_position(l, p)),
+        (any::<u8>(), any::<u16>(), any::<u8>(), any::<u16>()).prop_map(|(l1, p1, l2, p2)| {
             FeatureKey::rewrite_position(SnippetPos::new(l1, p1), SnippetPos::new(l2, p2))
         }),
     ]
@@ -27,6 +40,28 @@ proptest! {
         let db = StatsDb::from_records(records);
         let back = from_bytes(&to_bytes(&db)).expect("round trip");
         prop_assert_eq!(db.sorted_records(), back.sorted_records());
+    }
+
+    /// A borrowed key orders exactly as its owned key does, within and
+    /// across families, so the order a snapshot is checked in is the order
+    /// the writer sorts by.
+    #[test]
+    fn key_ref_order_agrees_with_feature_key_order(a in arb_any_key(), b in arb_any_key()) {
+        prop_assert_eq!(a.as_key_ref().cmp(&b.as_key_ref()), a.cmp(&b));
+        prop_assert_eq!(a.as_key_ref() == b.as_key_ref(), a == b);
+    }
+
+    /// The borrowed reader returns exactly the database's records in key
+    /// order, and the owned view decodes the same database.
+    #[test]
+    fn records_read_back_in_key_order(
+        recs in prop::collection::vec((arb_any_key(), arb_stat()), 0..40),
+    ) {
+        let db = StatsDb::from_records(recs);
+        let bytes = to_bytes(&db);
+        let read = records(&bytes).expect("read");
+        prop_assert_eq!(&*read, &*db.sorted_refs());
+        prop_assert_eq!(from_bytes(&bytes).expect("decode").sorted_records(), db.sorted_records());
     }
 
     /// Any single-byte corruption of the payload (or trailer) is detected.

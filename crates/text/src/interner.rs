@@ -56,6 +56,15 @@ impl Interner {
         Self::default()
     }
 
+    /// An empty interner with room for `n` strings before it regrows.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            base: None,
+            map: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+            strings: Vec::with_capacity(n),
+        }
+    }
+
     /// An empty layer over `base`: `base`'s strings keep their symbols,
     /// and every other string gets the next symbol above them. Panics if
     /// `base` is itself layered: one level keeps lookups flat.
@@ -176,6 +185,17 @@ mod tests {
         assert_eq!(i.intern("b"), Sym(1));
         assert_eq!(i.intern("a"), Sym(0));
         assert_eq!(i.intern("c"), Sym(2));
+    }
+
+    #[test]
+    fn with_capacity_interns_like_new() {
+        let mut i = Interner::with_capacity(2);
+        assert!(i.is_empty());
+        assert_eq!(i.intern("a"), Sym(0));
+        assert_eq!(i.intern("b"), Sym(1));
+        assert_eq!(i.intern("c"), Sym(2));
+        assert_eq!(i.intern("a"), Sym(0));
+        assert_eq!(i.len(), 3);
     }
 
     #[test]
