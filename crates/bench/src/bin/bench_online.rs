@@ -32,7 +32,7 @@
 use std::collections::HashMap;
 
 use microbrowse_api::v1::{FeedbackEvent, FeedbackRequest};
-use microbrowse_bench::{corpus_config, Args};
+use microbrowse_bench::{corpus_config, gate_json, write_artifact, Args};
 use microbrowse_core::serve::{Fidelity, ServingBundle};
 use microbrowse_core::{AdCorpus, ModelSpec, PairFilter, Placement};
 use microbrowse_online::{OnlineLearner, RefitOutput};
@@ -182,19 +182,16 @@ fn main() {
     let post_margin = post_online_acc - post_frozen_acc;
     let pre_margin = mean(&pre_margins);
 
+    let gate_field = gate_json(gate);
     let json = format!(
-        "{{\n  \"config\": {{\n    \"train_adgroups\": {train_adgroups},\n    \"adgroups\": {adgroups},\n    \"windows\": {windows},\n    \"drift_at\": {drift_at},\n    \"batch_adgroups\": {batch_adgroups},\n    \"seed\": {seed},\n    \"spec\": \"m4\"\n  }},\n  \"windows\": [\n{}\n  ],\n  \"pre_drift_margin\": {pre_margin:.4},\n  \"post_drift\": {{\n    \"windows\": {},\n    \"frozen_acc\": {post_frozen_acc:.4},\n    \"online_acc\": {post_online_acc:.4},\n    \"margin\": {post_margin:.4}\n  }},\n  \"gate\": {gate:.4},\n  \"learner\": {{\n    \"batches_folded\": {},\n    \"events_folded\": {},\n    \"delta_features\": {}\n  }}\n}}\n",
+        "{{\n  \"config\": {{\n    \"train_adgroups\": {train_adgroups},\n    \"adgroups\": {adgroups},\n    \"windows\": {windows},\n    \"drift_at\": {drift_at},\n    \"batch_adgroups\": {batch_adgroups},\n    \"seed\": {seed},\n    \"spec\": \"m4\"\n  }},\n  \"windows\": [\n{}\n  ],\n  \"pre_drift_margin\": {pre_margin:.4},\n  \"post_drift\": {{\n    \"windows\": {},\n    \"frozen_acc\": {post_frozen_acc:.4},\n    \"online_acc\": {post_online_acc:.4},\n    \"margin\": {post_margin:.4}\n  }},\n  \"gate\": {gate_field},\n  \"learner\": {{\n    \"batches_folded\": {},\n    \"events_folded\": {},\n    \"delta_features\": {}\n  }}\n}}\n",
         rows.join(",\n"),
         post_frozen.len(),
         learner.batches_folded(),
         learner.events_folded(),
         learner.delta_features(),
     );
-    microbrowse_obs::json::assert_parses(&json);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out_path, &json).expect("write benchmark json");
+    let json = write_artifact(&out_path, &json);
     eprintln!(
         "post-drift: frozen {post_frozen_acc:.3} | online {post_online_acc:.3} | margin {post_margin:+.3} (gate {gate:.3})"
     );

@@ -19,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 
-use microbrowse_bench::{corpus_config, experiment_config, Args};
+use microbrowse_bench::{corpus_config, experiment_config, write_artifact, Args};
 use microbrowse_core::classifier::{ModelSpec, TrainConfig, TrainedClassifier};
 use microbrowse_core::features::Featurizer;
 use microbrowse_core::paircache::PairCache;
@@ -347,12 +347,7 @@ fn main() {
         speedupn,
         secs(traced_total),
     );
-    microbrowse_obs::json::assert_parses(&json);
-
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out_path, &json).expect("write benchmark json");
+    let json = write_artifact(&out_path, &json);
     eprintln!(
         "legacy {:.2}s | engine staged {:.2}s | engine 1t {:.2}s ({speedup1:.2}x) | engine {threads}t {:.2}s ({speedupn:.2}x)",
         secs(legacy_stages.total),

@@ -31,7 +31,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use microbrowse_bench::{corpus_config, Args};
+use microbrowse_bench::{corpus_config, gate_json, write_artifact, Args};
 use microbrowse_core::classifier::{ModelSpec, TrainedClassifier};
 use microbrowse_core::features::OwnedTermFeat;
 use microbrowse_core::reference::ReferenceScorer;
@@ -312,8 +312,9 @@ fn main() {
     let ns_compiled = time_lookups(&probes, lookup_reps, |k| table.log_odds(k));
 
     let speedup = engine_pps / reference_pps;
+    let gate_field = gate_json(gate);
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"reference\": {{\n    \"elapsed_s\": {reference_s:.4},\n    \"pairs_per_s\": {reference_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses},\n    \"align_cache_admitted\": {cache_admitted},\n    \"align_cache_deferred\": {cache_deferred}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"engine_first_sighting\": {{\n    \"pairs_scored\": {},\n    \"elapsed_s\": {first_s:.4},\n    \"pairs_per_s\": {first_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate:.2},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"reference\": {{\n    \"elapsed_s\": {reference_s:.4},\n    \"pairs_per_s\": {reference_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses},\n    \"align_cache_admitted\": {cache_admitted},\n    \"align_cache_deferred\": {cache_deferred}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"engine_first_sighting\": {{\n    \"pairs_scored\": {},\n    \"elapsed_s\": {first_s:.4},\n    \"pairs_per_s\": {first_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate_field},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1}\n  }}\n}}\n",
         stats.len(),
         model.vocab.len(),
         pairs.len(),
@@ -323,11 +324,7 @@ fn main() {
         reps * pairs.len(),
         probes.len(),
     );
-    microbrowse_obs::json::assert_parses(&json);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out_path, &json).expect("write benchmark json");
+    let json = write_artifact(&out_path, &json);
     eprintln!(
         "reference {reference_pps:.0} pairs/s | engine {engine_pps:.0} pairs/s | {threads} threads {mt_pps:.0} pairs/s \
          | first sightings {first_pps:.0} pairs/s \

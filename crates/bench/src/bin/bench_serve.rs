@@ -1,81 +1,37 @@
 //! Loopback load test of the HTTP scoring server.
 //!
 //! Starts an in-process `microbrowse-server` on an ephemeral port with a
-//! trained-shape model and runs two phases against it from keep-alive
-//! client threads:
+//! trained-shape model and runs two phases of the same length against it
+//! from keep-alive driver clients ([`microbrowse_bench::load`]):
 //!
 //! 1. **single** — hammer `POST /v1/score`, one pair per request (the
 //!    pre-batch baseline).
-//! 2. **batch** — push the same number of pairs through `POST /v1/batch`
-//!    in fixed-size arrays, measuring how much the amortized
-//!    `score_batch` engine pass raises pairs/second.
+//! 2. **batch** — push pairs through `POST /v1/batch` in fixed-size
+//!    arrays, measuring how much the amortized `score_batch` engine pass
+//!    raises pairs/second.
 //!
 //! Reports throughput plus latency quantiles for both phases, and the
 //! batch-over-single `speedup_pairs_per_s` ratio, to
-//! `results/BENCH_serve.json`.
+//! `results/BENCH_serve.json`. The run fails unless every call is a 200.
 //!
-//! Usage: `bench_serve [--requests 30000] [--clients 2] [--workers 2]
+//! Usage: `bench_serve [--seconds 1] [--clients 2] [--workers 2]
 //! [--batch-size 64] [--out results/BENCH_serve.json]`
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
-use microbrowse_bench::Args;
-use microbrowse_core::classifier::{ModelSpec, TrainedClassifier};
-use microbrowse_core::features::OwnedTermFeat;
-use microbrowse_core::serve::{DeployedModel, Fidelity, ServingBundle};
+use microbrowse_bench::fixture::{pair_body, term_bundle};
+use microbrowse_bench::load::{quantile, Load, Request, Tally};
+use microbrowse_bench::{write_artifact, Args};
 use microbrowse_server::client::Client;
 use microbrowse_server::{start, BundleSource, ServerConfig};
-use microbrowse_store::{FeatureKey, StatsDb};
 
-/// A model with a realistically sized term vocabulary (the synthetic
-/// corpus vocabulary is a few hundred terms) so per-request featurization
-/// cost is representative, without paying a full training run on every
-/// benchmark invocation.
-fn bundle() -> Arc<ServingBundle> {
-    let terms: Vec<String> = (0..400).map(|i| format!("term{i}")).collect();
-    let vocab: Vec<OwnedTermFeat> = terms
-        .iter()
-        .map(|t| OwnedTermFeat::Term(t.clone()))
-        .collect();
-    let weights: Vec<f64> = (0..vocab.len())
-        .map(|i| ((i % 13) as f64 - 6.0) / 10.0)
-        .collect();
-    let model = DeployedModel {
-        spec: ModelSpec::m1(),
-        classifier: TrainedClassifier::Flat(microbrowse_ml::LogReg::from_parts(weights, 0.05)),
-        vocab,
-    };
-    let mut stats = StatsDb::new();
-    for (i, t) in terms.iter().enumerate() {
-        stats.record(FeatureKey::term(t), i % 3 == 0);
-    }
-    Arc::new(ServingBundle::from_parts(model, stats, Fidelity::Full).expect("bundle compiles"))
-}
-
-/// One `{"r":…,"s":…}` pair object, varied by `i` so scoring isn't one
-/// degenerate pair.
-fn pair_object(i: usize) -> String {
-    format!(
-        "{{\"r\":\"term{} cheap flights|book term{} now|save 20%\",\
-         \"s\":\"term{} flights|standard fare|fees may apply\"}}",
-        i % 400,
-        (i * 7) % 400,
-        (i * 13) % 400
-    )
-}
-
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
+/// Distinct bodies each client rotates through.
+const ROTATION: usize = 16;
 
 /// Throughput and per-request latency stats for one phase.
 struct PhaseStats {
-    requests: usize,
+    requests: u64,
     elapsed_s: f64,
     rps: f64,
     mean: f64,
@@ -86,17 +42,17 @@ struct PhaseStats {
 }
 
 impl PhaseStats {
-    fn from_latencies(mut lat: Vec<u64>, elapsed_s: f64) -> Self {
+    fn from_tally(mut tally: Tally, elapsed_s: f64) -> Self {
+        let lat = &mut tally.ok_latencies_us;
         lat.sort_unstable();
-        let requests = lat.len();
         Self {
-            requests,
+            requests: tally.calls,
             elapsed_s,
-            rps: requests as f64 / elapsed_s,
-            mean: lat.iter().sum::<u64>() as f64 / requests.max(1) as f64,
-            p50: quantile(&lat, 0.50),
-            p90: quantile(&lat, 0.90),
-            p99: quantile(&lat, 0.99),
+            rps: tally.calls as f64 / elapsed_s,
+            mean: lat.iter().sum::<u64>() as f64 / lat.len().max(1) as f64,
+            p50: quantile(lat, 0.50),
+            p90: quantile(lat, 0.90),
+            p99: quantile(lat, 0.99),
             max: lat.last().copied().unwrap_or(0),
         }
     }
@@ -111,52 +67,46 @@ impl PhaseStats {
     }
 }
 
-/// Run `per_client * clients` requests against `path`, each client posting
-/// bodies from its own rotation built by `body(client, slot)`.
+/// Drive `clients` clients at `path` for `seconds`, each rotating through
+/// its own bodies `body(client, slot)`. Exits non-zero unless every call
+/// was a 200.
 fn run_phase(
     addr: std::net::SocketAddr,
     path: &'static str,
     clients: usize,
-    per_client: usize,
-    body: impl Fn(usize, usize) -> String + Send + Sync + 'static,
+    seconds: f64,
+    body: impl Fn(usize, usize) -> String,
 ) -> PhaseStats {
-    let body = Arc::new(body);
-    let started = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let body = Arc::clone(&body);
-            std::thread::spawn(move || {
-                let mut lat = Vec::with_capacity(per_client);
-                let mut client = Client::connect(addr).expect("client connect");
-                let b: Vec<String> = (0..16).map(|i| body(c, i)).collect();
-                for i in 0..per_client {
-                    let t0 = Instant::now();
-                    let resp = client.post(path, &b[i % b.len()]).expect("request");
-                    let us = t0.elapsed().as_micros() as u64;
-                    assert_eq!(resp.status, 200, "{}", resp.body_str());
-                    lat.push(us);
-                }
-                lat
-            })
-        })
-        .collect();
-    let mut lat: Vec<u64> = Vec::with_capacity(per_client * clients);
-    for h in handles {
-        lat.extend(h.join().expect("client thread"));
+    let bodies: Arc<Vec<Vec<String>>> = Arc::new(
+        (0..clients)
+            .map(|c| (0..ROTATION).map(|slot| body(c, slot)).collect())
+            .collect(),
+    );
+    let load = Load::start(addr, clients, move |c, i| {
+        Request::post(path, bodies[c][i as usize % ROTATION].clone())
+    });
+    std::thread::sleep(Duration::from_secs_f64(seconds));
+    let (tally, elapsed_s) = load.stop();
+    if tally.calls == 0 || tally.ok != tally.calls {
+        eprintln!(
+            "FAIL: {path}: {} of {} calls answered 200 ({:?})",
+            tally.ok, tally.calls, tally
+        );
+        std::process::exit(1);
     }
-    PhaseStats::from_latencies(lat, started.elapsed().as_secs_f64())
+    PhaseStats::from_tally(tally, elapsed_s)
 }
 
 /// Batch body rotation: `batch_size` pair objects per request.
 fn batch_body(client: usize, slot: usize, batch_size: usize) -> String {
     let base = client * 1000 + slot * batch_size;
-    let items: Vec<String> = (0..batch_size).map(|j| pair_object(base + j)).collect();
+    let items: Vec<String> = (0..batch_size).map(|j| pair_body(base + j)).collect();
     format!("[{}]", items.join(","))
 }
 
 fn main() {
     let args = Args::parse();
-    let requests: usize = args.get("requests", 30_000);
+    let seconds: f64 = args.get("seconds", 1.0);
     let clients: usize = args.get("clients", 2);
     let workers: usize = args.get("workers", 2);
     let batch_size: usize = args.get::<usize>("batch-size", 64).max(1);
@@ -168,34 +118,32 @@ fn main() {
         max_batch: batch_size.max(256),
         ..ServerConfig::default()
     };
-    let handle = start(cfg, BundleSource::Static(bundle())).expect("start server");
+    let handle = start(cfg, BundleSource::Static(term_bundle())).expect("start server");
     let addr = handle.addr();
 
     // Warmup: populate caches, let every worker build its scorer.
     let mut warm = Client::connect(addr).expect("warmup connect");
     for i in 0..200 {
         let resp = warm
-            .post("/v1/score", &pair_object(i))
+            .post("/v1/score", &pair_body(i))
             .expect("warmup request");
         assert_eq!(resp.status, 200, "{}", resp.body_str());
     }
     drop(warm);
 
     // Phase 1: one pair per request.
-    let per_client = requests / clients;
-    let single = run_phase(addr, "/v1/score", clients, per_client, |c, i| {
-        pair_object(c * 1000 + i)
+    let single = run_phase(addr, "/v1/score", clients, seconds, |c, i| {
+        pair_body(c * 1000 + i)
     });
 
-    // Phase 2: the same number of pairs, `batch_size` per request.
-    let batch_per_client = (per_client / batch_size).max(1);
-    let batch = run_phase(addr, "/v1/batch", clients, batch_per_client, move |c, i| {
+    // Phase 2: as long again, `batch_size` pairs per request.
+    let batch = run_phase(addr, "/v1/batch", clients, seconds, |c, i| {
         batch_body(c, i, batch_size)
     });
     handle.shutdown();
 
     let single_pairs_per_s = single.rps;
-    let batch_pairs = batch.requests * batch_size;
+    let batch_pairs = batch.requests * batch_size as u64;
     let batch_pairs_per_s = batch_pairs as f64 / batch.elapsed_s;
     let speedup = batch_pairs_per_s / single_pairs_per_s;
 
@@ -204,11 +152,7 @@ fn main() {
         single.json_fields("/v1/score", clients, workers),
         batch.json_fields("/v1/batch", clients, workers),
     );
-    microbrowse_obs::json::assert_parses(&json);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out_path, &json).expect("write benchmark json");
+    let json = write_artifact(&out_path, &json);
     eprintln!(
         "single: {} req in {:.2}s = {:.0} pairs/s | batch(x{batch_size}): {} pairs in {:.2}s = {:.0} pairs/s | speedup {speedup:.2}x",
         single.requests, single.elapsed_s, single_pairs_per_s, batch_pairs, batch.elapsed_s,

@@ -34,7 +34,7 @@
 
 use std::time::Instant;
 
-use microbrowse_bench::{corpus_config, Args};
+use microbrowse_bench::{corpus_config, gate_json, write_artifact, Args};
 use microbrowse_core::classifier::{ModelSpec, TrainedClassifier};
 use microbrowse_core::features::OwnedTermFeat;
 use microbrowse_core::serve::{DeployedModel, Fidelity, ServingBundle};
@@ -194,18 +194,15 @@ fn main() {
     let creatives_per_s = (reps * creatives.len()) as f64 / elapsed;
     let suggestions_per_s = (reps * total_suggestions) as f64 / elapsed;
 
+    let gate_field = gate_json(gate);
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"creatives\": {},\n    \"reps\": {reps},\n    \"beam_width\": {},\n    \"max_depth\": {},\n    \"top_k\": {},\n    \"vocab\": {vocab}\n  }},\n  \"throughput\": {{\n    \"elapsed_s\": {elapsed:.4},\n    \"creatives_per_s\": {creatives_per_s:.1},\n    \"suggestions_per_s\": {suggestions_per_s:.1}\n  }},\n  \"quality\": {{\n    \"covered\": {covered},\n    \"coverage\": {coverage:.4},\n    \"suggestions\": {total_suggestions},\n    \"top1_beats_input\": {top1_beats},\n    \"deterministic\": true\n  }},\n  \"gate\": {gate:.4}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"creatives\": {},\n    \"reps\": {reps},\n    \"beam_width\": {},\n    \"max_depth\": {},\n    \"top_k\": {},\n    \"vocab\": {vocab}\n  }},\n  \"throughput\": {{\n    \"elapsed_s\": {elapsed:.4},\n    \"creatives_per_s\": {creatives_per_s:.1},\n    \"suggestions_per_s\": {suggestions_per_s:.1}\n  }},\n  \"quality\": {{\n    \"covered\": {covered},\n    \"coverage\": {coverage:.4},\n    \"suggestions\": {total_suggestions},\n    \"top1_beats_input\": {top1_beats},\n    \"deterministic\": true\n  }},\n  \"gate\": {gate_field}\n}}\n",
         creatives.len(),
         cfg.beam_width,
         cfg.max_depth,
         cfg.top_k,
     );
-    microbrowse_obs::json::assert_parses(&json);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out_path, &json).expect("write benchmark json");
+    let json = write_artifact(&out_path, &json);
     eprintln!(
         "{creatives_per_s:.0} creatives/s | {suggestions_per_s:.0} suggestions/s | \
          coverage {coverage:.3} ({covered}/{}) | top-1 beats input {top1_beats}/{covered}",

@@ -4,7 +4,7 @@
 //! with a mixed population of clients:
 //!
 //! * **well-behaved** — keep-alive scoring clients at ~4× worker capacity,
-//!   half raw (`Client` + `X-Mb-Deadline-Ms`), half through the
+//!   half raw (the [`Load`] driver + `X-Mb-Deadline-Ms`), half through the
 //!   [`ResilientClient`] retry/breaker tier;
 //! * **slowloris** — one byte of request every few tens of milliseconds,
 //!   which only the wall-clock read cap can stop;
@@ -12,8 +12,10 @@
 //!   close, random byte faults ([`FaultPlan::random`]), and connect-then
 //!   -idle, all over real TCP via [`FaultyStream`].
 //!
-//! The run is a **gate**: it exits nonzero unless, across baseline → chaos
-//! → recovery,
+//! Baseline and recovery each drive `workers` clients for one fixed second
+//! ([`MEASURED_PHASE`]), long enough that a host stall of a few tens of
+//! milliseconds cannot halve a phase's throughput. The run is a **gate**:
+//! it exits nonzero unless, across baseline → chaos → recovery,
 //!
 //! 1. no thread panics (a process-wide panic hook counts them);
 //! 2. every parsed response carries an expected status — no cross-request
@@ -40,9 +42,8 @@
 //! The distinct id sets land in `results/BENCH_chaos.json` for post-hoc
 //! joins against `/debug/trace` dumps and trace JSONL.
 //!
-//! Usage: `chaos_serve [--seed 42] [--workers 2] [--baseline-requests 1500]
-//! [--chaos-secs 3] [--shed-secs 2] [--p99-factor 3]
-//! [--out results/BENCH_chaos.json]`
+//! Usage: `chaos_serve [--seed 42] [--workers 2] [--chaos-secs 3]
+//! [--shed-secs 2] [--p99-factor 3] [--out results/BENCH_chaos.json]`
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -52,54 +53,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use microbrowse_api::debug::DebugTraceResponse;
-use microbrowse_bench::Args;
-use microbrowse_core::classifier::{ModelSpec, TrainedClassifier};
-use microbrowse_core::features::OwnedTermFeat;
-use microbrowse_core::serve::{DeployedModel, Fidelity, ServingBundle};
+use microbrowse_bench::fixture::{pair_body, term_bundle};
+use microbrowse_bench::load::{Load, Request, Tally};
+use microbrowse_bench::{write_artifact, Args};
 use microbrowse_faultinject::{FaultPlan, FaultyStream, SocketFault};
 use microbrowse_obs::trace::parse_trace_id;
-use microbrowse_server::client::{Client, HttpResponse, ResilientClient, RetryPolicy};
+use microbrowse_server::client::{Client, ResilientClient, RetryPolicy};
 use microbrowse_server::{start, BundleSource, ServerConfig, ServerHandle};
-use microbrowse_store::{FeatureKey, StatsDb};
 
-fn bundle() -> Arc<ServingBundle> {
-    let terms: Vec<String> = (0..400).map(|i| format!("term{i}")).collect();
-    let vocab: Vec<OwnedTermFeat> = terms
-        .iter()
-        .map(|t| OwnedTermFeat::Term(t.clone()))
-        .collect();
-    let weights: Vec<f64> = (0..vocab.len())
-        .map(|i| ((i % 13) as f64 - 6.0) / 10.0)
-        .collect();
-    let model = DeployedModel {
-        spec: ModelSpec::m1(),
-        classifier: TrainedClassifier::Flat(microbrowse_ml::LogReg::from_parts(weights, 0.05)),
-        vocab,
-    };
-    let mut stats = StatsDb::new();
-    for (i, t) in terms.iter().enumerate() {
-        stats.record(FeatureKey::term(t), i % 3 == 0);
-    }
-    Arc::new(ServingBundle::from_parts(model, stats, Fidelity::Full).expect("bundle compiles"))
-}
-
-fn score_body(i: usize) -> String {
-    format!(
-        "{{\"r\":\"term{} cheap flights|book term{} now|save 20%\",\
-         \"s\":\"term{} flights|standard fare|fees may apply\"}}",
-        i % 400,
-        (i * 7) % 400,
-        (i * 13) % 400
-    )
-}
-
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
+/// How long baseline and recovery each drive load.
+const MEASURED_PHASE: Duration = Duration::from_secs(1);
 
 /// Local SplitMix64 so the chaos schedule reproduces from `--seed` alone.
 struct Rng(u64);
@@ -114,115 +77,35 @@ impl Rng {
     }
 }
 
-/// Statuses the server is allowed to answer a scoring client with. Anything
-/// else (or a frame that parses to garbage) is a protocol violation —
-/// evidence of cross-request desync.
-fn expected_status(status: u16) -> bool {
-    matches!(status, 200 | 400 | 408 | 413 | 503 | 504)
-}
-
-/// Tally from one client population. The `*_traces` sets hold the trace
-/// ids the server **echoed** back (`X-Mb-Trace-Id`), which is the id the
-/// flight recorder and access log filed the request under.
-#[derive(Default, Clone)]
-struct Tally {
-    calls: u64,
-    ok: u64,
-    shed_503: u64,
-    shed_504: u64,
-    err_4xx: u64,
-    io_errors: u64,
-    violations: u64,
-    ok_latencies_us: Vec<u64>,
-    ok_traces: Vec<u128>,
-    shed_traces: Vec<u128>,
-}
-
-impl Tally {
-    fn absorb(&mut self, other: Tally) {
-        self.calls += other.calls;
-        self.ok += other.ok;
-        self.shed_503 += other.shed_503;
-        self.shed_504 += other.shed_504;
-        self.err_4xx += other.err_4xx;
-        self.io_errors += other.io_errors;
-        self.violations += other.violations;
-        self.ok_latencies_us.extend(other.ok_latencies_us);
-        self.ok_traces.extend(other.ok_traces);
-        self.shed_traces.extend(other.shed_traces);
-    }
-
-    fn record_response(&mut self, status: u16, us: u64, trace: Option<u128>) {
-        self.calls += 1;
-        match status {
-            200 => {
-                self.ok += 1;
-                self.ok_latencies_us.push(us);
-                self.ok_traces.extend(trace);
-            }
-            503 => {
-                self.shed_503 += 1;
-                self.shed_traces.extend(trace);
-            }
-            504 => {
-                self.shed_504 += 1;
-                self.shed_traces.extend(trace);
-            }
-            s if expected_status(s) => self.err_4xx += 1,
-            _ => self.violations += 1,
-        }
-    }
-
-    fn record_io_error(&mut self, e: &std::io::Error) {
-        self.calls += 1;
-        // A desync shows up as an unparseable frame (InvalidData that is
-        // not simply the peer closing between responses).
-        let msg = e.to_string();
-        if e.kind() == std::io::ErrorKind::InvalidData && !msg.contains("closed mid-response") {
-            self.violations += 1;
-        } else {
-            self.io_errors += 1;
-        }
-    }
-
-    fn p99_ok(&mut self) -> u64 {
-        self.ok_latencies_us.sort_unstable();
-        quantile(&self.ok_latencies_us, 0.99)
-    }
-}
-
-/// The trace id the server filed this response under, from the echoed
-/// `X-Mb-Trace-Id` header every response carries.
-fn echoed_trace(resp: &HttpResponse) -> Option<u128> {
-    resp.header("x-mb-trace-id").and_then(parse_trace_id)
-}
-
 /// A deterministic per-request trace id: unique across the run, cheap to
 /// regenerate offline from `(client, i)` for joins.
-fn tag(client: usize, i: usize) -> String {
+fn tag(client: usize, i: u64) -> String {
     format!("{:032x}", ((client as u128 + 1) << 64) | i as u128)
 }
 
-/// Run `threads` well-behaved keep-alive clients flat out until `stop`,
-/// half raw (+deadline header), half through the resilient tier.
-fn good_clients(
+/// Client `c`'s `i`-th well-behaved scoring request: trace-tagged, with
+/// the deadline header when the run sets one.
+fn score_request(c: usize, i: u64, deadline_ms: Option<u64>) -> Request {
+    let req = Request::post("/v1/score", pair_body(c * 1000 + i as usize))
+        .header("x-mb-trace-id", tag(c, i));
+    match deadline_ms {
+        Some(ms) => req.header("x-mb-deadline-ms", ms.to_string()),
+        None => req,
+    }
+}
+
+/// Run `threads` keep-alive clients through the resilient tier flat out
+/// until `stop`, each call's budget `deadline` (sent as its deadline).
+fn resilient_clients(
     addr: SocketAddr,
     threads: usize,
-    deadline_ms: Option<u64>,
+    deadline: Duration,
     stop: Arc<AtomicBool>,
 ) -> Tally {
     let handles: Vec<_> = (0..threads)
         .map(|t| {
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut tally = Tally::default();
-                if t % 2 == 0 {
-                    raw_good_client(addr, t, deadline_ms, &stop, &mut tally);
-                } else {
-                    resilient_good_client(addr, t, deadline_ms, &stop, &mut tally);
-                }
-                tally
-            })
+            std::thread::spawn(move || resilient_client(addr, t, deadline, &stop))
         })
         .collect();
     let mut total = Tally::default();
@@ -235,67 +118,19 @@ fn good_clients(
     total
 }
 
-fn raw_good_client(
-    addr: SocketAddr,
-    id: usize,
-    deadline_ms: Option<u64>,
-    stop: &AtomicBool,
-    tally: &mut Tally,
-) {
-    let mut conn: Option<Client> = None;
-    let mut i = id * 1000;
-    while !stop.load(Ordering::Relaxed) {
-        i += 1;
-        let c = match conn.as_mut() {
-            Some(c) => c,
-            None => match Client::connect_with_timeout(addr, Duration::from_secs(2)) {
-                Ok(c) => conn.insert(c),
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
-                }
-            },
-        };
-        let mut headers: Vec<(&str, String)> = vec![("x-mb-trace-id", tag(id, i))];
-        if let Some(ms) = deadline_ms {
-            headers.push(("x-mb-deadline-ms", ms.to_string()));
-        }
-        let t0 = Instant::now();
-        match c.request_with_headers("POST", "/v1/score", &headers, Some(&score_body(i))) {
-            Ok(resp) => {
-                let trace = echoed_trace(&resp);
-                tally.record_response(resp.status, t0.elapsed().as_micros() as u64, trace);
-                if resp.header("connection").is_some_and(|v| v == "close") {
-                    conn = None;
-                }
-            }
-            Err(e) => {
-                tally.record_io_error(&e);
-                conn = None;
-            }
-        }
-    }
-}
-
-fn resilient_good_client(
-    addr: SocketAddr,
-    id: usize,
-    deadline_ms: Option<u64>,
-    stop: &AtomicBool,
-    tally: &mut Tally,
-) {
+fn resilient_client(addr: SocketAddr, id: usize, deadline: Duration, stop: &AtomicBool) -> Tally {
+    let mut tally = Tally::default();
     let mut rc = ResilientClient::new(addr).with_policy(RetryPolicy {
         max_attempts: 2,
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(50),
         treat_posts_idempotent: true, // scoring is read-only
     });
-    let budget = Duration::from_millis(deadline_ms.unwrap_or(2000));
     let mut i = id * 1000;
     while !stop.load(Ordering::Relaxed) {
         i += 1;
         let t0 = Instant::now();
-        match rc.call("POST", "/v1/score", Some(&score_body(i)), budget) {
+        match rc.call("POST", "/v1/score", Some(&pair_body(i)), deadline) {
             Ok(resp) => {
                 // The resilient tier mints and propagates the trace id
                 // itself; all attempts of this call shared it.
@@ -309,11 +144,10 @@ fn resilient_good_client(
                 tally.io_errors += 1;
             }
         }
-        if deadline_ms.is_some() {
-            // Let a tripped breaker cool down instead of spinning.
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // Let a tripped breaker cool down instead of spinning.
+        std::thread::sleep(Duration::from_millis(1));
     }
+    tally
 }
 
 /// Slowloris: dribble a request one byte at a time until the server's
@@ -335,7 +169,7 @@ fn slowloris_clients(addr: SocketAddr, threads: usize, stop: Arc<AtomicBool>) ->
                         max: 1,
                         delay: Duration::from_millis(30),
                     });
-                    let body = score_body(attempts as usize);
+                    let body = pair_body(attempts as usize);
                     let req = format!(
                         "POST /v1/score HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
                         body.len()
@@ -368,7 +202,7 @@ fn malicious_clients(addr: SocketAddr, threads: usize, seed: u64, stop: Arc<Atom
                         continue;
                     };
                     let _ = stream.set_read_timeout(Some(Duration::from_millis(800)));
-                    let body = score_body(attempts as usize);
+                    let body = pair_body(attempts as usize);
                     let req = format!(
                         "POST /v1/score HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
                         body.len()
@@ -413,58 +247,13 @@ fn malicious_clients(addr: SocketAddr, threads: usize, seed: u64, stop: Arc<Atom
     handles.into_iter().filter_map(|h| h.join().ok()).sum()
 }
 
-/// A timed, fixed-count phase of well-behaved traffic (baseline/recovery).
-fn measured_phase(addr: SocketAddr, threads: usize, requests: u64) -> (Tally, f64) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let counter = Arc::new(AtomicU64::new(0));
-    let started = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let stop = Arc::clone(&stop);
-            let counter = Arc::clone(&counter);
-            std::thread::spawn(move || {
-                let mut tally = Tally::default();
-                let mut conn: Option<Client> = None;
-                let mut i = t * 1000;
-                while counter.fetch_add(1, Ordering::Relaxed) < requests
-                    && !stop.load(Ordering::Relaxed)
-                {
-                    i += 1;
-                    let c = match conn.as_mut() {
-                        Some(c) => c,
-                        None => match Client::connect_with_timeout(addr, Duration::from_secs(2)) {
-                            Ok(c) => conn.insert(c),
-                            Err(_) => {
-                                std::thread::sleep(Duration::from_millis(5));
-                                continue;
-                            }
-                        },
-                    };
-                    let t0 = Instant::now();
-                    match c.post("/v1/score", &score_body(i)) {
-                        Ok(resp) => tally.record_response(
-                            resp.status,
-                            t0.elapsed().as_micros() as u64,
-                            None,
-                        ),
-                        Err(e) => {
-                            tally.record_io_error(&e);
-                            conn = None;
-                        }
-                    }
-                }
-                tally
-            })
-        })
-        .collect();
-    let mut total = Tally::default();
-    for h in handles {
-        match h.join() {
-            Ok(t) => total.absorb(t),
-            Err(_) => total.violations += 1,
-        }
-    }
-    (total, started.elapsed().as_secs_f64())
+/// A timed phase of well-behaved, untagged traffic (baseline/recovery).
+fn measured_phase(addr: SocketAddr, clients: usize) -> (Tally, f64) {
+    let load = Load::start(addr, clients, |c, i| {
+        Request::post("/v1/score", pair_body(c * 1000 + i as usize))
+    });
+    std::thread::sleep(MEASURED_PHASE);
+    load.stop()
 }
 
 /// How many distinct traces the shed-run flight recorder may retain. The
@@ -523,7 +312,7 @@ fn join_debug_trace(addr: SocketAddr, shed_traces: &[u128]) -> DebugJoin {
 /// with shedding on, every outcome arrives bounded. When `shed_on`, the
 /// observed shed trace ids are joined against `/debug/trace` before the
 /// server shuts down.
-fn shed_run(shed_on: bool, workers: usize, secs: u64) -> (Tally, u64, f64, Option<DebugJoin>) {
+fn shed_run(shed_on: bool, workers: usize, secs: u64) -> (Tally, f64, Option<DebugJoin>) {
     let cfg = ServerConfig {
         workers,
         queue_depth: 16,
@@ -537,84 +326,22 @@ fn shed_run(shed_on: bool, workers: usize, secs: u64) -> (Tally, u64, f64, Optio
         flight_retained: SHED_FLIGHT_RETAINED,
         ..ServerConfig::default()
     };
-    let handle = start(cfg, BundleSource::Static(bundle())).expect("start shed server");
+    let handle = start(cfg, BundleSource::Static(term_bundle())).expect("start shed server");
     let addr = handle.addr();
-    let stop = Arc::new(AtomicBool::new(false));
     let deadline_ms = shed_on.then_some(250);
-    let stopper = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_secs(secs));
-            stop.store(true, Ordering::Relaxed);
-        })
-    };
-    // Time-to-outcome for EVERY call: track max over all calls, not just
-    // the 200s (starvation hides from success-only percentiles).
-    let max_outcome = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..workers * 4)
-        .map(|t| {
-            let stop = Arc::clone(&stop);
-            let max_outcome = Arc::clone(&max_outcome);
-            std::thread::spawn(move || {
-                let mut tally = Tally::default();
-                let mut conn: Option<Client> = None;
-                let mut i = t * 1000;
-                while !stop.load(Ordering::Relaxed) {
-                    i += 1;
-                    let t0 = Instant::now();
-                    let c = match conn.as_mut() {
-                        Some(c) => c,
-                        None => match Client::connect_with_timeout(addr, Duration::from_secs(2)) {
-                            Ok(c) => conn.insert(c),
-                            Err(_) => {
-                                std::thread::sleep(Duration::from_millis(5));
-                                continue;
-                            }
-                        },
-                    };
-                    let mut headers: Vec<(&str, String)> = vec![("x-mb-trace-id", tag(t, i))];
-                    if let Some(ms) = deadline_ms {
-                        headers.push(("x-mb-deadline-ms", ms.to_string()));
-                    }
-                    let outcome =
-                        c.request_with_headers("POST", "/v1/score", &headers, Some(&score_body(i)));
-                    let us = t0.elapsed().as_micros() as u64;
-                    max_outcome.fetch_max(us, Ordering::Relaxed);
-                    match outcome {
-                        Ok(resp) => {
-                            let shed = matches!(resp.status, 503 | 504);
-                            tally.record_response(resp.status, us, echoed_trace(&resp));
-                            if shed {
-                                // Back off after a shed: keeps the server
-                                // saturated (4× clients per worker) while
-                                // bounding distinct sheds well under
-                                // SHED_FLIGHT_RETAINED for an exact join.
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                        }
-                        Err(e) => {
-                            tally.record_io_error(&e);
-                            conn = None;
-                        }
-                    }
-                }
-                tally
-            })
-        })
-        .collect();
-    let started = Instant::now();
-    let mut total = Tally::default();
-    for h in handles {
-        match h.join() {
-            Ok(t) => total.absorb(t),
-            Err(_) => total.violations += 1,
-        }
-    }
-    let elapsed = started.elapsed().as_secs_f64().max(secs as f64);
-    stopper.join().expect("stopper");
+    // The driver pauses each client 2 ms after a shed: that keeps the
+    // server saturated (4× clients per worker) while bounding distinct
+    // sheds well under SHED_FLIGHT_RETAINED for an exact join. Its tally's
+    // longest time to outcome covers every call, not just the 200s
+    // (starvation hides from success-only percentiles).
+    let load = Load::start(addr, workers * 4, move |c, i| {
+        score_request(c, i, deadline_ms)
+    });
+    std::thread::sleep(Duration::from_secs(secs));
+    let (total, elapsed) = load.stop();
     let join = shed_on.then(|| join_debug_trace(addr, &total.shed_traces));
     handle.shutdown();
-    (total, max_outcome.load(Ordering::Relaxed), elapsed, join)
+    (total, elapsed, join)
 }
 
 /// Distinct trace ids in wire form as a JSON array, capped at `cap`
@@ -635,18 +362,15 @@ fn trace_set_json(ids: &[u128], cap: usize) -> (usize, String) {
 }
 
 fn tally_json(t: &mut Tally, elapsed_s: f64) -> String {
-    let p50 = {
-        t.ok_latencies_us.sort_unstable();
-        quantile(&t.ok_latencies_us, 0.50)
-    };
-    let p99 = t.p99_ok();
+    let p50 = t.ok_quantile_us(0.50);
+    let p99 = t.ok_quantile_us(0.99);
     format!(
         "{{\"calls\": {}, \"ok\": {}, \"shed_503\": {}, \"shed_504\": {}, \"err_4xx\": {}, \"io_errors\": {}, \"violations\": {}, \"elapsed_s\": {:.2}, \"ok_rps\": {:.1}, \"ok_p50_us\": {p50}, \"ok_p99_us\": {p99}}}",
         t.calls,
         t.ok,
         t.shed_503,
         t.shed_504,
-        t.err_4xx,
+        t.other,
         t.io_errors,
         t.violations,
         elapsed_s,
@@ -658,7 +382,6 @@ fn main() {
     let args = Args::parse();
     let seed: u64 = args.get("seed", 42);
     let workers: usize = args.get("workers", 2);
-    let baseline_requests: u64 = args.get("baseline-requests", 1500);
     let chaos_secs: u64 = args.get("chaos-secs", 3);
     let shed_secs: u64 = args.get("shed-secs", 2);
     let p99_factor: u64 = args.get("p99-factor", 3);
@@ -685,19 +408,26 @@ fn main() {
     let mut limits_cfg = cfg;
     limits_cfg.limits.max_request_wall = Duration::from_millis(700);
     let handle: ServerHandle =
-        start(limits_cfg, BundleSource::Static(bundle())).expect("start server");
+        start(limits_cfg, BundleSource::Static(term_bundle())).expect("start server");
     let addr = handle.addr();
 
-    eprintln!("chaos_serve: baseline ({baseline_requests} requests)…");
-    let (mut baseline, baseline_s) = measured_phase(addr, workers, baseline_requests);
-    let baseline_p99 = baseline.p99_ok().max(1000); // 1ms floor against timer noise
+    eprintln!(
+        "chaos_serve: baseline ({:.0}s)…",
+        MEASURED_PHASE.as_secs_f64()
+    );
+    let (mut baseline, baseline_s) = measured_phase(addr, workers);
+    let baseline_p99 = baseline.ok_quantile_us(0.99).max(1000); // 1ms floor against timer noise
     let baseline_rps = baseline.ok as f64 / baseline_s.max(0.001);
 
     eprintln!("chaos_serve: chaos for {chaos_secs}s (seed {seed})…");
     let stop = Arc::new(AtomicBool::new(false));
-    let good = {
+    // ~4× worker capacity of well-behaved clients: half raw, half resilient.
+    let raw = Load::start(addr, workers * 2, |c, i| score_request(c, i, Some(250)));
+    let resilient = {
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || good_clients(addr, workers * 4, Some(250), stop))
+        std::thread::spawn(move || {
+            resilient_clients(addr, workers * 2, Duration::from_millis(250), stop)
+        })
     };
     let slow = {
         let stop = Arc::clone(&stop);
@@ -709,21 +439,27 @@ fn main() {
     };
     std::thread::sleep(Duration::from_secs(chaos_secs));
     stop.store(true, Ordering::Relaxed);
-    let mut chaos = good.join().expect("good clients");
+    let (mut chaos, _) = raw.stop();
+    chaos.absorb(resilient.join().expect("resilient clients"));
     let slow_attempts = slow.join().expect("slowloris clients");
     let bad_attempts = bad.join().expect("malicious clients");
-    let chaos_p99 = chaos.p99_ok();
+    let chaos_p99 = chaos.ok_quantile_us(0.99);
 
-    eprintln!("chaos_serve: recovery ({baseline_requests} requests)…");
-    let (mut recovery, recovery_s) = measured_phase(addr, workers, baseline_requests);
-    let recovery_p99 = recovery.p99_ok();
+    eprintln!(
+        "chaos_serve: recovery ({:.0}s)…",
+        MEASURED_PHASE.as_secs_f64()
+    );
+    let (mut recovery, recovery_s) = measured_phase(addr, workers);
+    let recovery_p99 = recovery.ok_quantile_us(0.99);
     let recovery_rps = recovery.ok as f64 / recovery_s.max(0.001);
     let report = handle.shutdown();
 
     eprintln!("chaos_serve: shed-under-overload, shedding OFF ({shed_secs}s)…");
-    let (mut shed_off, off_max_us, off_s, _) = shed_run(false, workers, shed_secs);
+    let (mut shed_off, off_s, _) = shed_run(false, workers, shed_secs);
+    let off_max_us = shed_off.longest_us;
     eprintln!("chaos_serve: shed-under-overload, shedding ON ({shed_secs}s)…");
-    let (mut shed_on, on_max_us, on_s, on_join) = shed_run(true, workers, shed_secs);
+    let (mut shed_on, on_s, on_join) = shed_run(true, workers, shed_secs);
+    let on_max_us = shed_on.longest_us;
     let on_join = on_join.unwrap_or(DebugJoin {
         shed_distinct: 0,
         retrieved: 0,
@@ -797,11 +533,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", "),
     );
-    microbrowse_obs::json::assert_parses(&json);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out_path, &json).expect("write chaos json");
+    let json = write_artifact(&out_path, &json);
     println!("{json}");
 
     eprintln!(

@@ -7,8 +7,9 @@
 //! 2. start `microbrowse serve` on an ephemeral port with online feedback
 //!    enabled (`--feedback-journal`, 1-second refit cadence);
 //! 3. hit `/v1/score`, `/healthz`, `/metrics`;
-//! 4. under sustained multi-threaded load, commit a new slot generation
-//!    and assert a hot reload happens with **zero** failed requests;
+//! 4. under sustained load from three [`Load`] clients, commit a new slot
+//!    generation and assert a hot reload happens with **zero** failed
+//!    requests;
 //! 5. still under load, POST `/v1/feedback` click batches (plus a
 //!    duplicate idempotency key that must dedupe) and assert the
 //!    background refit publishes a new generation — provenance flips to
@@ -23,11 +24,11 @@ use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use microbrowse_api::v1::{FeedbackEvent, FeedbackRequest};
+use microbrowse_bench::load::{Load, Request};
+use microbrowse_bench::Args;
 use microbrowse_core::serve::MODEL_SLOT_NAME;
 use microbrowse_server::client::Client;
 use microbrowse_store::ArtifactSlot;
@@ -54,14 +55,6 @@ impl Drop for ChildGuard {
         let _ = self.0.kill();
         let _ = self.0.wait();
     }
-}
-
-fn flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// A feedback batch with unambiguous CTR gaps, so the background refit
@@ -102,10 +95,15 @@ fn feedback_batch(tag: u64, key: &str) -> FeedbackRequest {
 }
 
 fn run() -> Result<(), String> {
-    let bin = flag("--bin").ok_or("missing --bin PATH (the microbrowse binary)")?;
-    let dir = flag("--dir").map(PathBuf::from).unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("mb-serve-smoke-{}", std::process::id()))
-    });
+    let args = Args::parse();
+    let bin: String = args.get("bin", String::new());
+    if bin.is_empty() {
+        return Err("missing --bin PATH (the microbrowse binary)".into());
+    }
+    let dir: PathBuf = args.get(
+        "dir",
+        std::env::temp_dir().join(format!("mb-serve-smoke-{}", std::process::id())),
+    );
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
 
@@ -195,41 +193,10 @@ fn run() -> Result<(), String> {
     }
 
     // 4. Hot reload under sustained load, zero failed requests allowed.
-    let stop = Arc::new(AtomicBool::new(false));
-    let ok_count = Arc::new(AtomicU64::new(0));
-    let err_count = Arc::new(AtomicU64::new(0));
-    let loaders: Vec<_> = (0..3)
-        .map(|_| {
-            let (stop, ok_count, err_count) = (
-                Arc::clone(&stop),
-                Arc::clone(&ok_count),
-                Arc::clone(&err_count),
-            );
-            std::thread::spawn(move || {
-                let mut client = match Client::connect(addr) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        err_count.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                };
-                while !stop.load(Ordering::Relaxed) {
-                    match client.post(
-                        "/v1/score",
-                        "{\"r\":\"cheap flights|book now\",\"s\":\"flights|book\"}",
-                    ) {
-                        Ok(resp) if resp.status == 200 => {
-                            ok_count.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {
-                            err_count.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
+    let load = Load::start(addr, 3, |_, _| {
+        let body = "{\"r\":\"cheap flights|book now\",\"s\":\"flights|book\"}";
+        Request::post("/v1/score", body.to_string())
+    });
 
     std::thread::sleep(Duration::from_millis(300));
     // Commit a fresh model generation (byte-identical is enough to bump
@@ -259,7 +226,6 @@ fn run() -> Result<(), String> {
         std::thread::sleep(Duration::from_millis(100));
     }
     if !reloaded {
-        stop.store(true, Ordering::Relaxed);
         return Err(format!(
             "hot reload to generation {committed} not observed within deadline"
         ));
@@ -321,7 +287,6 @@ fn run() -> Result<(), String> {
         std::thread::sleep(Duration::from_millis(100));
     }
     if !refitted {
-        stop.store(true, Ordering::Relaxed);
         return Err("provenance never flipped to online-refit within deadline".into());
     }
     let version = probe.get("/version").map_err(|e| format!("version: {e}"))?;
@@ -334,15 +299,12 @@ fn run() -> Result<(), String> {
 
     // Keep hammering briefly across the swap, then stop.
     std::thread::sleep(Duration::from_millis(300));
-    stop.store(true, Ordering::Relaxed);
-    for h in loaders {
-        h.join().map_err(|_| "load thread panicked")?;
-    }
-    let ok = ok_count.load(Ordering::Relaxed);
-    let errs = err_count.load(Ordering::Relaxed);
-    if errs > 0 || ok == 0 {
+    let (tally, _) = load.stop();
+    let ok = tally.ok;
+    if tally.calls != ok || ok == 0 {
         return Err(format!(
-            "sustained load saw {errs} failed request(s) ({ok} ok) across the reload"
+            "sustained load saw {} failed request(s) ({ok} ok) across the reload: {tally:?}",
+            tally.calls - ok
         ));
     }
     let metrics = probe.get("/metrics").map_err(|e| format!("metrics: {e}"))?;

@@ -1,16 +1,24 @@
 //! Shared experiment harness for the `microbrowse` reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see EXPERIMENTS.md at the workspace root). This library holds the
-//! configuration presets and the tiny CLI-argument helper they share, so
-//! that the experiments agree on corpus scale and training settings unless
-//! a flag says otherwise.
+//! (see EXPERIMENTS.md at the workspace root) or runs one gate. This
+//! library holds the configuration presets and the tiny CLI-argument
+//! helper they share, so that the experiments agree on corpus scale and
+//! training settings unless a flag says otherwise; the one load driver
+//! and the fixtures of the serving harnesses ([`load`], [`fixture`]); and
+//! the writer of the `results/BENCH_*.json` artifacts ([`write_artifact`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod fixture;
+pub mod load;
+
+use std::process::Command;
+
 use microbrowse_core::pipeline::ExperimentConfig;
 use microbrowse_core::Placement;
+use microbrowse_obs::json::{assert_parses, write_str};
 use microbrowse_synth::GeneratorConfig;
 
 /// Default adgroup count for experiment binaries (overridable with
@@ -85,6 +93,70 @@ impl Args {
     }
 }
 
+/// Write a bench artifact: `json`, one object, with the run's `commit`,
+/// `args` and `cpus` put first, checked to parse, to `path` (its directory
+/// created). Returns the text written.
+///
+/// `commit` is the source tree's abbreviated `HEAD`, suffixed `-dirty`
+/// when a source or manifest differs from it (`results/` is not a
+/// source), or `unknown` outside a git checkout.
+pub fn write_artifact(path: &str, json: &str) -> String {
+    let fields = json
+        .trim_start()
+        .strip_prefix('{')
+        .expect("an artifact is one JSON object");
+    let mut out = String::from("{\n  \"commit\": ");
+    write_str(&mut out, &source_commit());
+    out.push_str(",\n  \"args\": [");
+    for (i, arg) in std::env::args().skip(1).enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_str(&mut out, &arg);
+    }
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    out.push_str(&format!("],\n  \"cpus\": {cpus},"));
+    out.push_str(fields);
+    assert_parses(&out);
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("create output dir");
+    }
+    std::fs::write(path, &out).expect("write bench artifact");
+    out
+}
+
+/// A gate threshold as JSON: `null` when the gate is off (0).
+pub fn gate_json(gate: f64) -> String {
+    if gate > 0.0 {
+        format!("{gate}")
+    } else {
+        "null".to_string()
+    }
+}
+
+fn source_commit() -> String {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .arg("-C")
+            .arg(root)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(head) = git(&["rev-parse", "--short=7", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let changed = ["status", "--porcelain", "--"];
+    let sources = ["crates", "Cargo.toml", "Cargo.lock"];
+    match git(&[&changed[..], &sources[..]].concat()) {
+        Some(status) if status.is_empty() => head,
+        _ => format!("{head}-dirty"),
+    }
+}
+
 /// Paper reference numbers, used by the binaries to print the comparison
 /// column next to measured results.
 pub mod paper {
@@ -120,6 +192,27 @@ mod tests {
         let e = experiment_config(9);
         assert_eq!(e.seed, 9);
         assert_eq!(e.folds, 10);
+    }
+
+    #[test]
+    fn artifacts_name_their_commit_args_and_cpus() {
+        use microbrowse_obs::json::Json;
+        let path = std::env::temp_dir().join(format!("mb-artifact-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        let out = write_artifact(path, "{\n  \"gate\": null\n}\n");
+        assert_eq!(std::fs::read_to_string(path).expect("written"), out);
+        std::fs::remove_file(path).ok();
+        let json = Json::parse(&out).expect("parses");
+        assert!(!json
+            .get("commit")
+            .and_then(Json::as_str)
+            .expect("commit")
+            .is_empty());
+        assert!(json.get("args").and_then(Json::as_array).is_some());
+        assert!(json.get("cpus").and_then(Json::as_f64).expect("cpus") >= 1.0);
+        assert!(matches!(json.get("gate"), Some(Json::Null)));
+        assert_eq!(gate_json(0.0), "null");
+        assert_eq!(gate_json(5.1), "5.1");
     }
 
     #[test]

@@ -925,6 +925,7 @@ fn snapshot_failed_check(e: &SnapshotError) -> &'static str {
         SnapshotError::Decode(_) => "decode",
         SnapshotError::Truncated => "truncated",
         SnapshotError::KeyOrder { .. } => "order",
+        SnapshotError::TrailingBytes { .. } => "trailing",
     }
 }
 
@@ -999,21 +1000,26 @@ fn cmd_validate(flags: &Flags) -> Result<(), MbError> {
         }
     };
 
-    // Stats: magic, version, CRC, record decode — and a cross-check that
-    // the model's rewrite vocabulary can actually be served from it.
+    // Stats: magic, version, CRC, record decode and key order, counted
+    // through the one snapshot reader without building the map — and a
+    // cross-check that the model's rewrite vocabulary can actually be
+    // served from it.
     if let Some(stats_path) = &stats_path {
+        let count = |bytes: &[u8]| microbrowse_store::file::records(bytes).map(|r| r.len());
         let stats_result = if stats_path.is_dir() {
             ArtifactSlot::new(stats_path, STATS_SLOT_NAME)
-                .load_with(microbrowse_store::file::from_bytes)
+                .load_with(count)
                 .map(|l| (l.value, Some(l.generation)))
                 .map_err(|e| (String::from("slot"), e.to_string()))
         } else {
-            microbrowse_store::read_snapshot(stats_path)
-                .map(|db| (db, None))
+            std::fs::read(stats_path)
+                .map_err(SnapshotError::Io)
+                .and_then(|bytes| count(&bytes))
+                .map(|records| (records, None))
                 .map_err(|e| (snapshot_failed_check(&e).to_string(), e.to_string()))
         };
         match stats_result {
-            Ok((stats, generation)) => {
+            Ok((records, generation)) => {
                 verdict_line(&[
                     ("artifact", "stats".into()),
                     ("path", stats_path.display().to_string()),
@@ -1022,10 +1028,10 @@ fn cmd_validate(flags: &Flags) -> Result<(), MbError> {
                         "generation",
                         generation.map_or("-".into(), |g| g.to_string()),
                     ),
-                    ("records", stats.len().to_string()),
+                    ("records", records.to_string()),
                 ]);
                 if let Some(model) = &model {
-                    if model.spec.rewrites && stats.is_empty() && !model.vocab.is_empty() {
+                    if model.spec.rewrites && records == 0 && !model.vocab.is_empty() {
                         verdict_line(&[
                             ("check", "stats_support_rewrites".into()),
                             ("status", "fail".into()),

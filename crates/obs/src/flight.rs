@@ -16,7 +16,7 @@
 //! `fetch_add` to claim a slot plus one uncontended per-slot mutex; records
 //! without a trace id — e.g. offline pipeline spans — are skipped
 //! entirely). `scripts/check.sh` gates the per-record cost via the
-//! `flight_overhead` bench binary.
+//! `overhead_gate` bench binary.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

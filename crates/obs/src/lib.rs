@@ -28,7 +28,7 @@
 //! relaxed load plus a predictable branch: cheap enough to leave the
 //! instrumentation compiled into the serve hot path permanently.
 //! `scripts/check.sh` enforces this with an overhead gate (see the
-//! `obs_overhead` bench binary).
+//! `overhead_gate` bench binary).
 //!
 //! ## Thread handoff
 //!

@@ -1,10 +1,11 @@
 //! Minimal blocking HTTP/1.1 client.
 //!
-//! Exists so the integration tests, the `serve_smoke` gate, and the
-//! `bench_serve` load generator can drive the server without external
-//! tooling (`curl` is not guaranteed in the build environment). Keep-alive
-//! is the default: one [`Client`] holds one connection and reuses it
-//! across requests.
+//! Exists so the integration tests, perfbench, and the bench crate's one
+//! closed-loop load driver (`microbrowse_bench::load`, behind
+//! `bench_serve`, `chaos_serve`, `serve_smoke` and the overhead gate) can
+//! drive the server without external tooling (`curl` is not guaranteed in
+//! the build environment). Keep-alive is the default: one [`Client`] holds
+//! one connection and reuses it across requests.
 //!
 //! The typed helpers ([`Client::score`], [`Client::rank`],
 //! [`Client::score_batch`], [`Client::suggest`], [`Client::explain`])

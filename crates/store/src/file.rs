@@ -50,6 +50,12 @@ pub enum SnapshotError {
         /// Zero-based index of the offending record.
         record: u64,
     },
+    /// Bytes follow the last declared record: the count understates the
+    /// records, so reading only the count would load a prefix.
+    TrailingBytes {
+        /// How many payload bytes were left unread.
+        bytes: u64,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -69,6 +75,10 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::KeyOrder { record } => write!(
                 f,
                 "snapshot record {record} is out of key order (keys must strictly increase)"
+            ),
+            SnapshotError::TrailingBytes { bytes } => write!(
+                f,
+                "snapshot has {bytes} trailing byte(s) after its declared records"
             ),
         }
     }
@@ -123,7 +133,8 @@ pub fn to_bytes(db: &StatsDb) -> Vec<u8> {
 /// Read a snapshot produced by [`to_bytes`] into its records, in key
 /// order, their phrases borrowed from `bytes`. Checks the frame (magic,
 /// version, CRC), every record (tag, UTF-8, position range), that the
-/// declared count is present, and that keys strictly increase.
+/// declared count is present and nothing follows it, and that keys
+/// strictly increase.
 pub fn records(bytes: &[u8]) -> Result<SortedRecords<'_>, SnapshotError> {
     let mut buf = codec::unframe(MAGIC, VERSION, bytes)?;
     let count = codec::get_varint(&mut buf)?;
@@ -141,6 +152,11 @@ pub fn records(bytes: &[u8]) -> Result<SortedRecords<'_>, SnapshotError> {
             return Err(SnapshotError::KeyOrder { record });
         }
         records.push((key, stat));
+    }
+    if !buf.is_empty() {
+        return Err(SnapshotError::TrailingBytes {
+            bytes: buf.len() as u64,
+        });
     }
     Ok(SortedRecords::from_ordered(records))
 }

@@ -204,6 +204,46 @@ fn key_order_variant_on_descending_key() {
     assert_eq!(from_bytes(&snapshot_of(&sorted)).expect("sorted").len(), 3);
 }
 
+fn assert_trailing(bytes: &[u8], trailing: u64) {
+    assert!(
+        matches!(from_bytes(bytes), Err(SnapshotError::TrailingBytes { bytes: n }) if n == trailing),
+        "{:?}",
+        from_bytes(bytes)
+    );
+    assert!(
+        matches!(records(bytes), Err(SnapshotError::TrailingBytes { bytes: n }) if n == trailing)
+    );
+}
+
+#[test]
+fn trailing_bytes_variant_when_count_understates() {
+    // Two well-formed, ordered records under a count of one: reading only
+    // the count would load the first record and drop the second.
+    let stat = FeatureStat { up: 1, down: 2 };
+    let mut payload = Vec::new();
+    codec::put_varint(&mut payload, 1);
+    codec::put_record(&mut payload, FeatureKey::term("a").as_key_ref(), &stat);
+    let first_end = payload.len();
+    codec::put_record(&mut payload, FeatureKey::term("b").as_key_ref(), &stat);
+    assert_trailing(&frame(&payload), (payload.len() - first_end) as u64);
+}
+
+#[test]
+fn trailing_bytes_variant_on_stray_byte() {
+    // A byte no record claims, after an empty snapshot and after a full one.
+    assert_trailing(&frame(&[0, 0]), 1);
+    let mut payload = Vec::new();
+    codec::put_varint(&mut payload, 1);
+    codec::put_record(
+        &mut payload,
+        FeatureKey::term("cheap").as_key_ref(),
+        &FeatureStat { up: 3, down: 4 },
+    );
+    assert_eq!(records(&frame(&payload)).expect("exact").len(), 1);
+    payload.extend_from_slice(&[0xff, 0x00]);
+    assert_trailing(&frame(&payload), 2);
+}
+
 /// The error messages an operator actually reads: each variant renders
 /// with the discriminating detail in it.
 #[test]
@@ -223,6 +263,10 @@ fn error_rendering_names_the_problem() {
         (
             SnapshotError::KeyOrder { record: 7 },
             "record 7 is out of key order",
+        ),
+        (
+            SnapshotError::TrailingBytes { bytes: 5 },
+            "5 trailing byte(s)",
         ),
         (
             SnapshotError::Decode(DecodeError::PositionOutOfRange(65_536)),
