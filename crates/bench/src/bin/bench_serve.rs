@@ -23,11 +23,13 @@ use std::time::Duration;
 use microbrowse_bench::fixture::{pair_body, term_bundle};
 use microbrowse_bench::load::{quantile, Load, Request, Tally};
 use microbrowse_bench::{write_artifact, Args};
-use microbrowse_server::client::Client;
 use microbrowse_server::{start, BundleSource, ServerConfig};
 
 /// Distinct bodies each client rotates through.
 const ROTATION: usize = 16;
+
+/// Untimed load before the phases.
+const WARMUP_SECONDS: f64 = 0.1;
 
 /// Throughput and per-request latency stats for one phase.
 struct PhaseStats {
@@ -122,19 +124,11 @@ fn main() {
     let addr = handle.addr();
 
     // Warmup: populate caches, let every worker build its scorer.
-    let mut warm = Client::connect(addr).expect("warmup connect");
-    for i in 0..200 {
-        let resp = warm
-            .post("/v1/score", &pair_body(i))
-            .expect("warmup request");
-        assert_eq!(resp.status, 200, "{}", resp.body_str());
-    }
-    drop(warm);
+    let single_body = |c, i| pair_body(c * 1000 + i);
+    run_phase(addr, "/v1/score", clients, WARMUP_SECONDS, single_body);
 
     // Phase 1: one pair per request.
-    let single = run_phase(addr, "/v1/score", clients, seconds, |c, i| {
-        pair_body(c * 1000 + i)
-    });
+    let single = run_phase(addr, "/v1/score", clients, seconds, single_body);
 
     // Phase 2: as long again, `batch_size` pairs per request.
     let batch = run_phase(addr, "/v1/batch", clients, seconds, |c, i| {
