@@ -22,7 +22,7 @@
 //!    recorder of the server's default geometry, and the skip path
 //!    (records with no trace id) the same way.
 //! 2. Start an in-process server, drive traced scoring requests over
-//!    loopback from one [`Load`] client for `--serve-secs`, and read the
+//!    loopback from one [`Load`] client for [`SERVE_PHASE`], and read the
 //!    actual ring-write count from the handle.
 //! 3. Estimate the recorder's share of the serving wall time as
 //!    `ring writes × per-record cost`. The deterministic estimate avoids
@@ -32,8 +32,7 @@
 //! on process-wide. The gate prints one JSON line holding both halves and
 //! exits 1 if either estimate exceeds the cap.
 //!
-//! Usage: `overhead_gate [--adgroups 120] [--seed 42] [--serve-secs 0.5]
-//! [--max-overhead 0.02]`
+//! Usage: `overhead_gate [--adgroups 120] [--seed 42] [--max-overhead 0.02]`
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -54,6 +53,12 @@ use microbrowse_store::StatsDb;
 use microbrowse_synth::generate;
 
 const ITERS: u64 = 1_000_000;
+
+/// How long the flight half serves traced requests. Its estimate is ring
+/// writes × push ns over the same wall time, a ratio of two rates that
+/// does not grow with the window; half a second averages it over
+/// thousands of one-term requests.
+const SERVE_PHASE: Duration = Duration::from_millis(500);
 
 /// One half's estimate: its JSON members, and the overhead fraction.
 struct Half {
@@ -156,19 +161,22 @@ fn per_record_ns(recorder: &FlightRecorder, trace: u128) -> f64 {
     t.elapsed().as_nanos() as f64 / ITERS as f64
 }
 
-fn flight_recorder(serve_secs: f64) -> Half {
+fn flight_recorder() -> Half {
     let recorder = FlightRecorder::new(FlightConfig::default());
     let push_ns = per_record_ns(&recorder, 0xabc);
     let skip_ns = per_record_ns(&recorder, 0);
 
-    eprintln!("serving traced requests for {serve_secs}s…");
+    eprintln!(
+        "serving traced requests for {:.1}s…",
+        SERVE_PHASE.as_secs_f64()
+    );
     let handle = start(ServerConfig::default(), one_term_bundle()).expect("start server");
     let load = Load::start(handle.addr(), 1, |_, i| {
         let body = r#"{"r":"cheap flights|book now","s":"flights|book"}"#;
         Request::post("/v1/score", body.to_string())
             .header("x-mb-trace-id", format!("{:032x}", u128::from(i) + 1))
     });
-    std::thread::sleep(Duration::from_secs_f64(serve_secs));
+    std::thread::sleep(SERVE_PHASE);
     let (tally, wall_s) = load.stop();
     let (ring_writes, retained, evicted) = handle.flight_stats();
     handle.shutdown();
@@ -206,11 +214,10 @@ fn main() {
     let args = Args::parse();
     let adgroups: usize = args.get("adgroups", 120);
     let seed: u64 = args.get("seed", 42);
-    let serve_secs: f64 = args.get("serve-secs", 0.5);
     let max_overhead: f64 = args.get("max-overhead", 0.02);
 
     let disabled = disabled_path(adgroups, seed);
-    let flight = flight_recorder(serve_secs);
+    let flight = flight_recorder();
     let halves = [("disabled path", &disabled), ("flight recorder", &flight)];
     let pass = halves.iter().all(|(_, h)| h.fraction <= max_overhead);
     println!(

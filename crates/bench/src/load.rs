@@ -7,8 +7,8 @@
 //! long the run lasts is the caller's choice, made by when it stops.
 //!
 //! Each client:
-//! - connects with a 2 s IO timeout, and pauses briefly after a failed
-//!   connect;
+//! - connects with a 2 s IO timeout; a failed connect counts as a call
+//!   and an IO error, and the client pauses briefly before retrying;
 //! - times each call from its request's first byte to the parsed
 //!   response, and its time to outcome from before any connect it needed;
 //! - drops its connection on an IO error or a `Connection: close` answer;
@@ -86,7 +86,7 @@ pub struct Tally {
     pub shed_504: u64,
     /// Other expected statuses (400, 408, 413).
     pub other: u64,
-    /// Calls that failed at the IO layer.
+    /// Calls that failed at the IO layer, failed connects included.
     pub io_errors: u64,
     /// Unexpected statuses and unparseable frames.
     pub violations: u64,
@@ -230,7 +230,8 @@ fn client_loop(
             Some(c) => c,
             None => match Client::connect_with_timeout(addr, CONNECT_TIMEOUT) {
                 Ok(c) => conn.insert(c),
-                Err(_) => {
+                Err(e) => {
+                    tally.record_io_error(&e);
                     std::thread::sleep(CONNECT_RETRY_PAUSE);
                     continue;
                 }

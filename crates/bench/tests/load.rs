@@ -1,6 +1,7 @@
 //! The load driver against an in-process server: every call lands in one
-//! outcome, a closed connection is reopened, and an accept-thread reject
-//! is a shed carrying the trace id the server echoed.
+//! outcome, a refused connect is an IO error, a closed connection is
+//! reopened, and an accept-thread reject is a shed carrying the trace id
+//! the server echoed.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -38,6 +39,22 @@ fn every_call_lands_in_exactly_one_outcome() {
     assert_eq!(t.ok_latencies_us.len() as u64, t.ok);
     assert_eq!(t.ok_traces.len() as u64, t.ok, "every 200 echoes its id");
     assert!(t.longest_us >= *t.ok_latencies_us.iter().max().expect("a 200"));
+}
+
+#[test]
+fn a_refused_connect_is_an_io_error() {
+    // A port just bound and released has no listener.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("bind");
+    let load = Load::start(addr, 1, |_, i| {
+        Request::post("/v1/score", pair_body(i as usize))
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    let (t, _) = load.stop();
+    assert!(t.io_errors > 0, "{t:?}");
+    assert_eq!(t.ok, 0, "{t:?}");
+    assert_eq!(t.calls, t.io_errors, "{t:?}");
 }
 
 #[test]
