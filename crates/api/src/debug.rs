@@ -5,7 +5,10 @@
 //! recently retained anomalous traces from the in-process flight recorder,
 //! each with its promotion reason, outcome, per-stage budget breakdown,
 //! and the spans/events the recorder still held. `GET /debug/requests`
-//! returns a [`DebugRequestsResponse`]: the recent access-log ring. Like
+//! returns a [`DebugRequestsResponse`]: the request records still in the
+//! flight recorder's ring, newest first. Both views render the same
+//! per-request record, so a trace id present in both has the same status
+//! and stages in each. Like
 //! the `/v1` shapes, every type here serializes through
 //! [`microbrowse_obs::json`] and is pinned byte-for-byte by golden-string
 //! tests; these are diagnostics, but clients still script against them.
@@ -260,12 +263,14 @@ impl DebugTraceResponse {
     }
 }
 
-/// One access-log ring entry, as served by `GET /debug/requests`.
+/// One request record from the flight recorder's ring, as served by
+/// `GET /debug/requests`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DebugRequestEntry {
-    /// Request method.
+    /// Request method, or `"-"` when the request was never parsed (a
+    /// shed connection or a malformed request).
     pub method: String,
-    /// Request path (query stripped).
+    /// Request path (query stripped), or `"-"` when never parsed.
     pub path: String,
     /// Response status.
     pub status: u16,
@@ -307,8 +312,8 @@ impl DebugRequestEntry {
     }
 }
 
-/// Response body of `GET /debug/requests`: the access-log ring, newest
-/// first.
+/// Response body of `GET /debug/requests`: the request records still in
+/// the flight recorder's ring, newest first.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DebugRequestsResponse {
     /// Recent requests, newest first.

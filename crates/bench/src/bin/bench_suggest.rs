@@ -34,43 +34,13 @@
 
 use std::time::Instant;
 
+use microbrowse_bench::fixture::model_from_stats;
 use microbrowse_bench::{corpus_config, gate_json, write_artifact, Args};
-use microbrowse_core::classifier::{ModelSpec, TrainedClassifier};
-use microbrowse_core::features::OwnedTermFeat;
-use microbrowse_core::serve::{DeployedModel, Fidelity, ServingBundle};
+use microbrowse_core::serve::{Fidelity, ServingBundle};
 use microbrowse_core::suggest::{suggest, SuggestConfig, Suggestion};
 use microbrowse_core::{build_stats_from_corpus, PairFilter, Placement, StatsBuildConfig};
-use microbrowse_ml::LogReg;
-use microbrowse_store::{FeatureKey, StatsDb};
 use microbrowse_synth::generate;
 use microbrowse_text::Snippet;
-
-/// Deploy an M5-shape flat model whose vocabulary is every term and
-/// rewrite feature the statistics database recorded (capped), with
-/// deterministic nonzero weights — the same shape `bench_score_hot` uses,
-/// so suggestion throughput is comparable with scoring throughput.
-fn model_from_stats(stats: &StatsDb) -> DeployedModel {
-    const MAX_VOCAB: usize = 4_000;
-    let mut vocab: Vec<OwnedTermFeat> = Vec::new();
-    for (key, _) in stats.sorted_records() {
-        match key {
-            FeatureKey::Term { phrase } => vocab.push(OwnedTermFeat::Term(phrase)),
-            FeatureKey::Rewrite { from, to } => vocab.push(OwnedTermFeat::Rewrite(from, to)),
-            _ => {}
-        }
-        if vocab.len() >= MAX_VOCAB {
-            break;
-        }
-    }
-    let weights: Vec<f64> = (0..vocab.len())
-        .map(|i| ((i % 13) as f64 - 6.0) / 10.0)
-        .collect();
-    DeployedModel {
-        spec: ModelSpec::m5(),
-        classifier: TrainedClassifier::Flat(LogReg::from_parts(weights, 0.05)),
-        vocab,
-    }
-}
 
 /// One full pass of the beam over every creative, returning per-creative
 /// suggestion lists (reuses one scratch like a serving worker).

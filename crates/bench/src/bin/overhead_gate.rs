@@ -16,17 +16,22 @@
 //!    can have introduced when disabled.
 //!
 //! **Flight recorder.** The recorder is always on in the server: every
-//! span and event carrying a trace id is pushed into its fixed ring.
+//! span and event carrying a trace id is pushed into its fixed ring, and
+//! so is one request record per response.
 //!
-//! 1. Measure the real per-record ring-push cost in a tight loop against a
-//!    recorder of the server's default geometry, and the skip path
-//!    (records with no trace id) the same way.
+//! 1. Measure, in tight loops against a recorder of the server's default
+//!    geometry, the real cost of a span push, of the skip path (records
+//!    with no trace id), and of a request-record write (building the
+//!    record's method and path strings, as the server does per response,
+//!    and writing it into the ring).
 //! 2. Start an in-process server, drive traced scoring requests over
 //!    loopback from one [`Load`] client for [`SERVE_PHASE`], and read the
-//!    actual ring-write count from the handle.
+//!    actual ring-write and request-record counts from its recorder once
+//!    the server has shut down.
 //! 3. Estimate the recorder's share of the serving wall time as
-//!    `ring writes × per-record cost`. The deterministic estimate avoids
-//!    the noise of differencing two live wall-clock runs.
+//!    `span/event writes × push cost + request records × record cost`.
+//!    The deterministic estimate avoids the noise of differencing two live
+//!    wall-clock runs.
 //!
 //! The disabled path runs first: starting a server turns instrumentation
 //! on process-wide. The gate prints one JSON line holding both halves and
@@ -45,7 +50,7 @@ use microbrowse_core::features::OwnedTermFeat;
 use microbrowse_core::pipeline::{run_all_models, ExperimentConfig};
 use microbrowse_core::serve::{DeployedModel, Fidelity, ServingBundle};
 use microbrowse_core::Placement;
-use microbrowse_obs::flight::{FlightConfig, FlightRecorder};
+use microbrowse_obs::flight::{FlightConfig, FlightRecorder, RequestRecord};
 use microbrowse_obs::json::JsonObject;
 use microbrowse_obs::trace::{MemorySink, SpanRecord, TraceSink};
 use microbrowse_server::{start, BundleSource, ServerConfig};
@@ -55,7 +60,7 @@ use microbrowse_synth::generate;
 const ITERS: u64 = 1_000_000;
 
 /// How long the flight half serves traced requests. Its estimate is ring
-/// writes × push ns over the same wall time, a ratio of two rates that
+/// writes × their ns over the same wall time, a ratio of two rates that
 /// does not grow with the window; half a second averages it over
 /// thousands of one-term requests.
 const SERVE_PHASE: Duration = Duration::from_millis(500);
@@ -161,10 +166,33 @@ fn per_record_ns(recorder: &FlightRecorder, trace: u128) -> f64 {
     t.elapsed().as_nanos() as f64 / ITERS as f64
 }
 
+/// ns per request-record write: the record's strings built as the server
+/// builds them per response, then written into the ring.
+fn per_request_ns(recorder: &FlightRecorder) -> f64 {
+    let method = "POST";
+    let path = "/v1/score";
+    let t = Instant::now();
+    for i in 0..ITERS {
+        let record = RequestRecord {
+            method: black_box(method).to_owned(),
+            path: black_box(path).to_owned(),
+            status: 200,
+            trace: u128::from(i) + 1,
+            queue_us: 12,
+            parse_us: 3,
+            score_us: 40,
+            write_us: 9,
+        };
+        recorder.record(record, None);
+    }
+    t.elapsed().as_nanos() as f64 / ITERS as f64
+}
+
 fn flight_recorder() -> Half {
     let recorder = FlightRecorder::new(FlightConfig::default());
     let push_ns = per_record_ns(&recorder, 0xabc);
     let skip_ns = per_record_ns(&recorder, 0);
+    let record_ns = per_request_ns(&recorder);
 
     eprintln!(
         "serving traced requests for {:.1}s…",
@@ -178,31 +206,36 @@ fn flight_recorder() -> Half {
     });
     std::thread::sleep(SERVE_PHASE);
     let (tally, wall_s) = load.stop();
-    let (ring_writes, retained, evicted) = handle.flight_stats();
+    let flight = handle.flight().clone();
     handle.shutdown();
+    let (ring_writes, request_records) = (flight.ring_writes(), flight.request_writes());
+    let span_writes = ring_writes - request_records;
     assert!(
         tally.calls > 0 && tally.ok == tally.calls,
         "every traced request must answer 200: {tally:?}"
     );
     assert!(
-        ring_writes > 0,
-        "traced serving must write flight-ring records"
+        span_writes > 0 && request_records >= tally.calls,
+        "traced serving must write spans and one request record per response"
     );
 
-    let overhead_s = ring_writes as f64 * push_ns * 1e-9;
+    let overhead_s = (span_writes as f64 * push_ns + request_records as f64 * record_ns) * 1e-9;
     let fraction = overhead_s / wall_s;
     eprintln!(
-        "flight recorder: {ring_writes} ring writes × {push_ns:.1} ns ≈ {overhead_s:.4}s over \
-         {wall_s:.2}s wall ({:.4}%); traceless skip path {skip_ns:.1} ns/record",
+        "flight recorder: {span_writes} span/event writes × {push_ns:.1} ns + {request_records} \
+         request records × {record_ns:.1} ns ≈ {overhead_s:.4}s over {wall_s:.2}s wall \
+         ({:.4}%); traceless skip path {skip_ns:.1} ns/record",
         fraction * 100.0
     );
     let json = JsonObject::new()
         .u64("requests", tally.calls)
         .f64("per_record_push_ns", push_ns)
         .f64("per_record_skip_ns", skip_ns)
+        .f64("per_request_record_ns", record_ns)
         .u64("ring_writes", ring_writes)
-        .u64("retained_traces", retained as u64)
-        .u64("retained_evicted", evicted)
+        .u64("request_records", request_records)
+        .u64("retained_traces", flight.retained_len() as u64)
+        .u64("retained_evicted", flight.evicted())
         .f64("wall_s", wall_s)
         .f64("estimated_overhead_s", overhead_s)
         .f64("overhead_fraction", fraction)

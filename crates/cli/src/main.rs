@@ -164,12 +164,17 @@ const USAGE: &str = "usage:
                         graceful drain on stdin EOF; sheds expired work under
                         overload — see X-Mb-Deadline-Ms. Requests may carry
                         X-Mb-Trace-Id/X-Mb-Parent-Span/X-Mb-Sampled; every
-                        response echoes X-Mb-Trace-Id, and anomalous traces
-                        land in GET /debug/trace. --feedback-journal enables
-                        POST /v1/feedback: click batches are journalled
-                        crash-safely, folded into the statistics, and a
-                        background refit republishes the model through the
-                        slot — zero-drop hot reload, provenance in /healthz)
+                        response echoes X-Mb-Trace-Id. Each response's record
+                        (method, path, status, trace id, queue/parse/score/
+                        write µs) goes into the flight recorder's ring, which
+                        GET /debug/requests reads back and --access-log
+                        prints to stderr; anomalous requests are retained
+                        with their spans for GET /debug/trace.
+                        --feedback-journal enables POST /v1/feedback: click
+                        batches are journalled crash-safely, folded into the
+                        statistics, and a background refit republishes the
+                        model through the slot — zero-drop hot reload,
+                        provenance in /healthz)
   microbrowse replay   --slot-dir DIR --journal DIR
                        (offline recovery: fold an existing feedback journal
                         into the slot artifacts without a running server —

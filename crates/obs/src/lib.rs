@@ -13,9 +13,10 @@
 //!   RMW, so worker threads of `microbrowse-par` scoped pools aggregate
 //!   into the same instrument without locks or post-hoc merging.
 //! * [`flight`] — an always-on in-memory flight recorder: a fixed-size
-//!   ring of recent trace-tagged records with tail sampling (anomalous
-//!   requests are promoted to a retained buffer after the fact), serving
-//!   the HTTP `/debug/trace` endpoint without a file sink.
+//!   ring of recent trace-tagged records and per-request records, with
+//!   tail sampling (anomalous requests are promoted to a retained buffer
+//!   after the fact), serving the HTTP `/debug/trace` and
+//!   `/debug/requests` endpoints without a file sink.
 //! * [`json`] — the tiny JSON writer backing the JSONL sink and the CLI's
 //!   machine-readable outputs.
 //!

@@ -192,6 +192,13 @@ impl<R: Read> RequestReader<R> {
         self.last_started
     }
 
+    /// When the first byte of the request being read arrived: after an
+    /// error, the start of the request that failed. `None` when no byte of
+    /// a next request has arrived.
+    pub fn request_started(&self) -> Option<Instant> {
+        self.started
+    }
+
     /// Fail with [`HttpError::SlowRequest`] once the in-progress request
     /// has been trickling in longer than the wall cap.
     fn check_wall(&self) -> Result<(), HttpError> {

@@ -15,7 +15,8 @@
 //! * `GET /debug/trace` — recently retained anomalous traces from the
 //!   in-process flight recorder (tail sampling: slow / errored / shed /
 //!   degraded / force-sampled requests).
-//! * `GET /debug/requests` — recent access-log ring with per-stage
+//! * `GET /debug/requests` — the request records still in the flight
+//!   recorder's ring, newest first, with per-stage
 //!   (queue/parse/score/write) latency breakdown.
 //!
 //! Distributed tracing: callers may send `X-Mb-Trace-Id` (32 hex chars)
@@ -23,7 +24,11 @@
 //! client → accept → queue wait → worker → scoring engine. Every response
 //! echoes `X-Mb-Trace-Id` (minting an id when the caller sent none), so
 //! any outcome — including 503s shed from the accept thread — can be
-//! joined to `/debug/trace`.
+//! joined to `/debug/trace`. Every response the server writes — served,
+//! shed, or answering bytes that never parsed — is one
+//! [`RequestRecord`](microbrowse_obs::flight::RequestRecord), built in
+//! one place: it fills `X-Mb-Server-Timing`, is the `--access-log` line,
+//! backs `/debug/requests`, and is what `/debug/trace` retains.
 //!
 //! Architecture (DESIGN.md §11): a strict bounded HTTP parser feeds an
 //! accept loop that pushes connections onto a **bounded queue** drained by
@@ -45,7 +50,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod accesslog;
 pub mod client;
 pub mod deadline;
 pub mod http;

@@ -39,7 +39,7 @@ use microbrowse_core::serve::{Scorer, Scratch, ServingBundle, MODEL_SLOT_NAME, S
 use microbrowse_core::suggest::{suggest as beam_suggest, SuggestConfig, Suggestion};
 use microbrowse_obs as obs;
 use microbrowse_obs::flight::{
-    FlightConfig, FlightRecorder, PromoteReason, RetainedTrace, TraceSummary,
+    FlightConfig, FlightRecorder, PromoteReason, RequestRecord, RetainedTrace,
 };
 use microbrowse_obs::json::JsonObject;
 use microbrowse_obs::trace::{format_trace_id, TraceContext};
@@ -47,7 +47,6 @@ use microbrowse_online::{Append, Journal, OnlineError, OnlineLearner};
 use microbrowse_store::{file as stats_file, ArtifactSlot};
 use microbrowse_text::Snippet;
 
-use crate::accesslog::{AccessLog, AccessRecord};
 use crate::deadline::{Deadline, DEADLINE_HEADER};
 use crate::http::{
     error_response, HttpError, HttpRequest, Limits, RequestReader, Response, IDEMPOTENCY_HEADER,
@@ -101,9 +100,7 @@ pub struct ServerConfig {
     /// How many promoted (anomalous) traces the flight recorder keeps for
     /// `GET /debug/trace`; oldest evicted first.
     pub flight_retained: usize,
-    /// Capacity of the access-log ring behind `GET /debug/requests`.
-    pub access_log_size: usize,
-    /// Also print one access-log line per request to stderr
+    /// Also print one access-log line per response to stderr
     /// (`--access-log`).
     pub access_log_stderr: bool,
     /// Online-learning configuration; `None` disables `POST /v1/feedback`
@@ -160,7 +157,6 @@ impl Default for ServerConfig {
             queue_timeout: Duration::from_secs(4),
             flight_slow: Duration::from_millis(500),
             flight_retained: 256,
-            access_log_size: 256,
             access_log_stderr: false,
             online: None,
             max_beam: 32,
@@ -270,11 +266,9 @@ struct Shared {
     /// Connections currently open (queued + being served): the `--max-conns`
     /// accounting and the `/healthz` `open_conns` field.
     open_conns: Arc<AtomicI64>,
-    /// Always-on flight recorder behind `GET /debug/trace` (also installed
-    /// as a trace sink).
+    /// Always-on flight recorder behind `GET /debug/trace` and
+    /// `GET /debug/requests` (also installed as a trace sink).
     flight: Arc<FlightRecorder>,
-    /// Recent-request ring behind `GET /debug/requests`.
-    access: AccessLog,
     /// Online-learning state (`POST /v1/feedback` + the refit thread);
     /// `None` when started without [`OnlineConfig`].
     online: Option<Arc<OnlineState>>,
@@ -388,7 +382,6 @@ pub fn start(cfg: ServerConfig, source: BundleSource) -> Result<ServerHandle, Mb
     };
     obs::trace::install_sink(sink);
 
-    let access = AccessLog::new(cfg.access_log_size, cfg.access_log_stderr);
     let shared = Arc::new(Shared {
         state: ServeState::new(bundle),
         queue: Bounded::new(cfg.queue_depth),
@@ -399,7 +392,6 @@ pub fn start(cfg: ServerConfig, source: BundleSource) -> Result<ServerHandle, Mb
         aborted: AtomicU64::new(0),
         open_conns: Arc::new(AtomicI64::new(0)),
         flight,
-        access,
         online,
     });
 
@@ -624,14 +616,9 @@ impl ServerHandle {
         self.shared.state.current().fidelity().is_degraded()
     }
 
-    /// Flight-recorder introspection for benches and tests:
-    /// `(ring writes, retained traces, retained-buffer evictions)`.
-    pub fn flight_stats(&self) -> (u64, usize, u64) {
-        (
-            self.shared.flight.ring_writes(),
-            self.shared.flight.retained_len(),
-            self.shared.flight.evicted(),
-        )
+    /// The flight recorder, for benches and tests.
+    pub fn flight(&self) -> &Arc<FlightRecorder> {
+        &self.shared.flight
     }
 
     /// Graceful shutdown: stop accepting, serve what is queued, give
@@ -750,13 +737,8 @@ fn reject_busy(shared: &Shared, stream: TcpStream, why: &str) {
     obs::trace::event("serve.rejected").with("why", why);
     let secs = retry_after_secs(shared.queue.len(), shared.cfg.workers);
     let body = ErrorEnvelope::with_code(format!("server busy, {why}"), CODE_OVERLOADED).to_json();
-    let write_started = Instant::now();
-    let _ = Response::json(503, body)
-        .retry_after(secs)
-        .closing()
-        .with_header("X-Mb-Trace-Id", format_trace_id(trace))
-        .write_to(&mut &stream);
-    record_shed(shared, trace, 0, write_started.elapsed().as_micros() as u64);
+    let mut resp = Response::json(503, body).retry_after(secs).closing();
+    respond(shared, &stream, Answered::Shed(trace), 0, 0, 0, &mut resp);
 }
 
 /// Shed one stale queued connection: its client has been waiting longer
@@ -770,49 +752,15 @@ fn shed_stale(shared: &Shared, entry: QueuedConn) {
     obs::trace::event("serve.reaped").with("queued_ms", queue_us / 1000);
     let secs = retry_after_secs(shared.queue.len(), shared.cfg.workers);
     let body = ErrorEnvelope::with_code("server busy, queued too long", CODE_OVERLOADED).to_json();
-    let write_started = Instant::now();
-    let _ = Response::json(503, body)
-        .retry_after(secs)
-        .closing()
-        .with_header("X-Mb-Trace-Id", format_trace_id(trace))
-        .write_to(&mut &entry.stream);
-    record_shed(
+    let mut resp = Response::json(503, body).retry_after(secs).closing();
+    respond(
         shared,
-        trace,
+        &entry.stream,
+        Answered::Shed(trace),
         queue_us,
-        write_started.elapsed().as_micros() as u64,
-    );
-}
-
-/// Make a shed retrievable after the fact: the generated trace id (echoed
-/// to the client in `X-Mb-Trace-Id`) lands in both the access log and the
-/// flight recorder's retained buffer, so every 503 written from the accept
-/// thread or the reaper can be looked up via `GET /debug/trace`. The shed
-/// never parsed a request, hence the `"-"` method/path placeholders.
-fn record_shed(shared: &Shared, trace: u128, queue_us: u64, write_us: u64) {
-    shared.access.push(AccessRecord {
-        method: "-".to_owned(),
-        path: "-".to_owned(),
-        status: 503,
-        trace,
-        queue_us,
-        parse_us: 0,
-        score_us: 0,
-        write_us,
-    });
-    shared.flight.promote_direct(
-        trace,
-        TraceSummary {
-            reason: PromoteReason::Shed,
-            status: 503,
-            endpoint: "-".to_owned(),
-            total_us: queue_us.saturating_add(write_us),
-            queue_us,
-            parse_us: 0,
-            score_us: 0,
-            write_us,
-        },
-        Vec::new(),
+        0,
+        0,
+        &mut resp,
     );
 }
 
@@ -890,21 +838,21 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                 continue 'epoch;
             }
             let draining = shared.draining.load(Ordering::SeqCst);
+            // Stage accounting: queue wait is accept → worker dequeue and
+            // exists only for the first request of a session; parse is the
+            // request's own first byte → parsed, or → failed (keep-alive
+            // idle time is excluded because the reader anchors at the first
+            // byte).
+            let queue_us = if first_request {
+                dequeued
+                    .saturating_duration_since(conn.accepted)
+                    .as_micros() as u64
+            } else {
+                0
+            };
             match reader.next_request() {
                 Ok(Some(req)) => {
                     let parsed_at = Instant::now();
-                    // Stage accounting: queue wait is accept → worker
-                    // dequeue and exists only for the first request of a
-                    // session; parse is the request's own first byte →
-                    // parsed (keep-alive idle time is excluded because the
-                    // reader anchors at the first byte).
-                    let queue_us = if first_request {
-                        dequeued
-                            .saturating_duration_since(conn.accepted)
-                            .as_micros() as u64
-                    } else {
-                        0
-                    };
                     let parse_us = reader.last_request_started().map_or(0, |s| {
                         parsed_at.saturating_duration_since(s).as_micros() as u64
                     });
@@ -939,14 +887,13 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                                 ErrorEnvelope::with_code(e, CODE_BAD_DEADLINE).to_json(),
                             );
                             resp.close = draining || !req.keep_alive;
-                            let stages = Stages {
-                                queue_us,
-                                parse_us,
-                                score_us: 0,
+                            let answered = Answered::Request {
+                                req: &req,
+                                ctx,
+                                degraded,
                             };
-                            let wrote = finish_response(
-                                shared, stream, &req, ctx, stages, degraded, &mut resp,
-                            );
+                            let wrote =
+                                respond(shared, stream, answered, queue_us, parse_us, 0, &mut resp);
                             if resp.close || !wrote {
                                 return;
                             }
@@ -970,14 +917,13 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                                 .to_json(),
                             );
                             resp.close = draining || !req.keep_alive;
-                            let stages = Stages {
-                                queue_us,
-                                parse_us,
-                                score_us: 0,
+                            let answered = Answered::Request {
+                                req: &req,
+                                ctx,
+                                degraded,
                             };
-                            let wrote = finish_response(
-                                shared, stream, &req, ctx, stages, degraded, &mut resp,
-                            );
+                            let wrote =
+                                respond(shared, stream, answered, queue_us, parse_us, 0, &mut resp);
                             if draining {
                                 shared.aborted.fetch_add(1, Ordering::Relaxed);
                             }
@@ -1021,13 +967,16 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                         }
                         let rctx = if i == 0 { ctx } else { wire_context(req) };
                         let _follower_guard = (i > 0).then(|| rctx.enter());
-                        let stages = Stages {
-                            queue_us: if i == 0 { queue_us } else { 0 },
-                            parse_us: if i == 0 { parse_us } else { 0 },
-                            score_us,
+                        let (queue_us, parse_us) =
+                            if i == 0 { (queue_us, parse_us) } else { (0, 0) };
+                        let answered = Answered::Request {
+                            req,
+                            ctx: rctx,
+                            degraded,
                         };
-                        let wrote =
-                            finish_response(shared, stream, req, rctx, stages, degraded, &mut resp);
+                        let wrote = respond(
+                            shared, stream, answered, queue_us, parse_us, score_us, &mut resp,
+                        );
                         if draining {
                             if wrote {
                                 shared.drained.fetch_add(1, Ordering::Relaxed);
@@ -1043,8 +992,8 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                 Ok(None) => return, // clean close between requests
                 Err(e) => {
                     // The request never parsed, so there is no caller trace
-                    // id to adopt — mint one so the error response, the
-                    // access log, and the flight recorder still join up.
+                    // id to adopt — mint one so the error response and its
+                    // request record still join up.
                     let trace = obs::trace::new_trace_id();
                     let _ctx_guard = TraceContext::for_trace(trace).enter();
                     if matches!(e, HttpError::SlowRequest) {
@@ -1054,37 +1003,12 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                         obs::counter!("microbrowse_http_bad_requests_total").inc();
                         obs::trace::event("serve.bad_request").with("error", e.to_string());
                     }
-                    if let Some(resp) = error_response(&e) {
-                        let status = resp.status;
+                    if let Some(mut resp) = error_response(&e) {
                         let parse_us = reader
-                            .last_request_started()
+                            .request_started()
                             .map_or(0, |s| s.elapsed().as_micros() as u64);
-                        let _ = resp
-                            .with_header("X-Mb-Trace-Id", format_trace_id(trace))
-                            .write_to(&mut &*stream);
-                        shared.access.push(AccessRecord {
-                            method: "-".to_owned(),
-                            path: "-".to_owned(),
-                            status,
-                            trace,
-                            queue_us: 0,
-                            parse_us,
-                            score_us: 0,
-                            write_us: 0,
-                        });
-                        shared.flight.promote(
-                            trace,
-                            TraceSummary {
-                                reason: PromoteReason::Error,
-                                status,
-                                endpoint: "-".to_owned(),
-                                total_us: parse_us,
-                                queue_us: 0,
-                                parse_us,
-                                score_us: 0,
-                                write_us: 0,
-                            },
-                        );
+                        let answered = Answered::Malformed(trace);
+                        respond(shared, stream, answered, queue_us, parse_us, 0, &mut resp);
                     }
                     // An idle keep-alive connection timing out during the
                     // drain is a clean close, not an aborted request.
@@ -1097,16 +1021,6 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
             }
         }
     }
-}
-
-/// Per-stage latency accounting for one request, microseconds. The write
-/// stage is measured inside [`finish_response`]; these three are the
-/// pre-write stages that can be reported in `X-Mb-Server-Timing`.
-#[derive(Clone, Copy, Default)]
-struct Stages {
-    queue_us: u64,
-    parse_us: u64,
-    score_us: u64,
 }
 
 /// Reconstruct a request's trace context from its wire headers, minting a
@@ -1129,76 +1043,97 @@ fn wire_context(req: &HttpRequest) -> TraceContext {
     TraceContext::from_wire(trace, parent, sampled)
 }
 
-/// Write one response with its trace id echoed in `X-Mb-Trace-Id` (and the
-/// stage breakdown in `X-Mb-Server-Timing` when the caller opted in by
-/// sending that header), push the access-log record, and hand the trace to
-/// the flight recorder when the tail sampler deems it anomalous: shed
-/// (503/504), errored (other 4xx/5xx), slower than the configured
+/// What a response answers.
+#[derive(Clone, Copy)]
+enum Answered<'r> {
+    /// A parsed request, in its trace context, served from a bundle that
+    /// is degraded or not.
+    Request {
+        req: &'r HttpRequest,
+        ctx: TraceContext,
+        degraded: bool,
+    },
+    /// Bytes that failed to parse; the trace id was minted for the error.
+    Malformed(u128),
+    /// A connection shed from the accept thread or the reaper before any
+    /// worker read it; the trace id was minted for the shed.
+    Shed(u128),
+}
+
+/// Write one response and record it. Every response the server writes
+/// passes through here once, and this is where its [`RequestRecord`] is
+/// built: the trace id is echoed in `X-Mb-Trace-Id`, the queue/parse/score
+/// stages go in `X-Mb-Server-Timing` when the caller opted in by sending
+/// that header, the write is timed, `--access-log` prints the record, and
+/// the flight recorder writes it into its ring. The one tail-sampling rule
+/// also has the recorder retain it with its trace when the request was
+/// shed (503/504), errored (other 4xx/5xx), slower than the configured
 /// threshold, served degraded, or force-sampled by the caller. Returns
 /// whether the write succeeded.
-fn finish_response(
+fn respond(
     shared: &Shared,
     stream: &TcpStream,
-    req: &HttpRequest,
-    ctx: TraceContext,
-    stages: Stages,
-    degraded: bool,
+    answered: Answered,
+    queue_us: u64,
+    parse_us: u64,
+    score_us: u64,
     resp: &mut Response,
 ) -> bool {
+    let (method, path, trace) = match answered {
+        Answered::Request { req, ctx, .. } => {
+            (req.method.clone(), req.path().to_owned(), ctx.trace_id())
+        }
+        Answered::Malformed(trace) | Answered::Shed(trace) => {
+            ("-".to_owned(), "-".to_owned(), trace)
+        }
+    };
+    let mut record = RequestRecord {
+        method,
+        path,
+        status: resp.status,
+        trace,
+        queue_us,
+        parse_us,
+        score_us,
+        write_us: 0,
+    };
     resp.extra_headers
-        .push(("X-Mb-Trace-Id", format_trace_id(ctx.trace_id())));
-    if req.header(SERVER_TIMING_HEADER).is_some() {
-        resp.extra_headers.push((
-            "X-Mb-Server-Timing",
-            format!(
-                "queue={};parse={};score={}",
-                stages.queue_us, stages.parse_us, stages.score_us
-            ),
-        ));
-    }
+        .push(("X-Mb-Trace-Id", format_trace_id(trace)));
+    let (degraded, sampled) = match answered {
+        Answered::Request { req, ctx, degraded } => {
+            if req.header(SERVER_TIMING_HEADER).is_some() {
+                resp.extra_headers.push((
+                    "X-Mb-Server-Timing",
+                    format!("queue={queue_us};parse={parse_us};score={score_us}"),
+                ));
+            }
+            (degraded, ctx.sampled())
+        }
+        Answered::Malformed(_) | Answered::Shed(_) => (false, false),
+    };
     let write_started = Instant::now();
     let wrote = resp.write_to(&mut &*stream).is_ok();
-    let write_us = write_started.elapsed().as_micros() as u64;
-    let record = AccessRecord {
-        method: req.method.clone(),
-        path: req.path().to_owned(),
-        status: resp.status,
-        trace: ctx.trace_id(),
-        queue_us: stages.queue_us,
-        parse_us: stages.parse_us,
-        score_us: stages.score_us,
-        write_us,
-    };
-    let total_us = record.total_us();
-    let endpoint = format!("{} {}", record.method, record.path);
-    shared.access.push(record);
+    record.write_us = write_started.elapsed().as_micros() as u64;
+    if shared.cfg.access_log_stderr {
+        eprintln!("{record}");
+    }
     let reason = if matches!(resp.status, 503 | 504) {
         Some(PromoteReason::Shed)
     } else if resp.status >= 400 {
         Some(PromoteReason::Error)
-    } else if total_us > shared.cfg.flight_slow.as_micros() as u64 {
+    } else if record.total_us() > shared.cfg.flight_slow.as_micros() as u64 {
         Some(PromoteReason::Slow)
     } else if degraded {
         Some(PromoteReason::Degraded)
-    } else if ctx.sampled() {
+    } else if sampled {
         Some(PromoteReason::Sampled)
     } else {
         None
     };
-    if let Some(reason) = reason {
-        shared.flight.promote(
-            ctx.trace_id(),
-            TraceSummary {
-                reason,
-                status: resp.status,
-                endpoint,
-                total_us,
-                queue_us: stages.queue_us,
-                parse_us: stages.parse_us,
-                score_us: stages.score_us,
-                write_us,
-            },
-        );
+    match (answered, reason) {
+        // A shed left nothing in the ring to collect.
+        (Answered::Shed(_), Some(reason)) => shared.flight.record_direct(record, reason),
+        _ => shared.flight.record(record, reason),
     }
     wrote
 }
@@ -1768,16 +1703,17 @@ fn handle_debug_trace(req: &HttpRequest, shared: &Shared) -> Response {
     Response::json(200, DebugTraceResponse { traces }.to_json())
 }
 
-/// `GET /debug/requests?last=N` — the recent access-log ring (default 64),
-/// newest first, as [`DebugRequestsResponse`].
+/// `GET /debug/requests?last=N` — the request records still in the flight
+/// recorder's ring (up to `N`, default 64), newest first, as
+/// [`DebugRequestsResponse`].
 fn handle_debug_requests(req: &HttpRequest, shared: &Shared) -> Response {
     let last = req
         .query_param("last")
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(64);
     let requests = shared
-        .access
-        .recent(last)
+        .flight
+        .recent_requests(last)
         .iter()
         .map(|r| DebugRequestEntry {
             method: r.method.clone(),
@@ -1785,31 +1721,32 @@ fn handle_debug_requests(req: &HttpRequest, shared: &Shared) -> Response {
             status: r.status,
             trace_id: format_trace_id(r.trace),
             total_us: r.total_us(),
-            stages: DebugStages {
-                queue_us: r.queue_us,
-                parse_us: r.parse_us,
-                score_us: r.score_us,
-                write_us: r.write_us,
-            },
+            stages: debug_stages(r),
         })
         .collect();
     Response::json(200, DebugRequestsResponse { requests }.to_json())
 }
 
+/// A request record's stages in their `/debug` wire form.
+fn debug_stages(r: &RequestRecord) -> DebugStages {
+    DebugStages {
+        queue_us: r.queue_us,
+        parse_us: r.parse_us,
+        score_us: r.score_us,
+        write_us: r.write_us,
+    }
+}
+
 /// A retained flight-recorder trace in its `/debug/trace` wire form.
 fn retained_to_wire(t: &RetainedTrace) -> DebugTraceEntry {
+    let r = &t.request;
     DebugTraceEntry {
-        trace_id: format_trace_id(t.trace),
-        reason: t.summary.reason.as_str().to_owned(),
-        status: t.summary.status,
-        endpoint: t.summary.endpoint.clone(),
-        total_us: t.summary.total_us,
-        stages: DebugStages {
-            queue_us: t.summary.queue_us,
-            parse_us: t.summary.parse_us,
-            score_us: t.summary.score_us,
-            write_us: t.summary.write_us,
-        },
+        trace_id: format_trace_id(r.trace),
+        reason: t.reason.as_str().to_owned(),
+        status: r.status,
+        endpoint: r.endpoint(),
+        total_us: r.total_us(),
+        stages: debug_stages(r),
         spans: t
             .spans
             .iter()

@@ -347,3 +347,245 @@ fn shed_responses_are_retrievable_from_debug_trace() {
 
     handle.shutdown();
 }
+
+/// Read one response off `stream`: its status and echoed trace id.
+fn read_response(stream: &mut TcpStream) -> (u16, String) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        assert_eq!(
+            stream.read(&mut byte).expect("read head"),
+            1,
+            "closed mid-head"
+        );
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("UTF-8 head");
+    let header = |name: &str| {
+        head.lines().find_map(|line| {
+            let (n, v) = line.split_once(':')?;
+            n.eq_ignore_ascii_case(name).then(|| v.trim().to_owned())
+        })
+    };
+    let len: usize = header("content-length").map_or(0, |v| v.parse().expect("length"));
+    let mut body = vec![0; len];
+    stream.read_exact(&mut body).expect("read body");
+    let status = head
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status line");
+    (status, header("x-mb-trace-id").expect("echoed trace id"))
+}
+
+/// Send `parts` on a fresh connection, pausing `gap` between them, and read
+/// the one response: status and trace id.
+fn send_raw(addr: SocketAddr, parts: &[&[u8]], gap: Duration) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    for (i, part) in parts.iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(gap);
+        }
+        stream.write_all(part).expect("write");
+    }
+    read_response(&mut stream)
+}
+
+fn debug_views(addr: SocketAddr, last: usize) -> (DebugRequestsResponse, DebugTraceResponse) {
+    let mut c = Client::connect(addr).expect("connect");
+    let resp = c
+        .get(&format!("/debug/requests?last={last}"))
+        .expect("debug requests");
+    assert_eq!(resp.status, 200);
+    let requests = DebugRequestsResponse::from_json(&resp.body_str()).expect("strict parse");
+    let resp = c
+        .get(&format!("/debug/trace?last={last}"))
+        .expect("debug trace");
+    assert_eq!(resp.status, 200);
+    let traces = DebugTraceResponse::from_json(&resp.body_str()).expect("strict parse");
+    (requests, traces)
+}
+
+#[test]
+fn a_malformed_request_times_its_own_parse() {
+    let _x = obs_exclusive();
+    let handle = start(ServerConfig::default(), static_bundle()).expect("start");
+
+    // Keep-alive: a good request, then 300 ms later a malformed one. Its
+    // parse stage starts at its own first byte, not the good request's.
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    stream
+        .write_all(b"GET /version HTTP/1.1\r\n\r\n")
+        .expect("write");
+    assert_eq!(read_response(&mut stream).0, 200);
+    std::thread::sleep(Duration::from_millis(300));
+    stream.write_all(b"NOT A REQUEST\r\n\r\n").expect("write");
+    let (status, second) = read_response(&mut stream);
+    assert_eq!(status, 400);
+
+    // A session's first request that trickles in over 200 ms and then
+    // fails to parse spent those 200 ms parsing.
+    let gap = Duration::from_millis(200);
+    let (status, trickled) = send_raw(handle.addr(), &[b"NOT A ", b"REQUEST\r\n\r\n"], gap);
+    assert_eq!(status, 400);
+
+    let (requests, traces) = debug_views(handle.addr(), 16);
+    let parse_of = |id: &str| {
+        let r = requests
+            .requests
+            .iter()
+            .find(|r| r.trace_id == id)
+            .unwrap_or_else(|| panic!("{id} not in /debug/requests"));
+        let t = traces
+            .traces
+            .iter()
+            .find(|t| t.trace_id == id)
+            .unwrap_or_else(|| panic!("{id} not in /debug/trace"));
+        assert_eq!((r.method.as_str(), r.path.as_str()), ("-", "-"));
+        assert_eq!((t.endpoint.as_str(), t.reason.as_str()), ("-", "error"));
+        assert_eq!(r.stages, t.stages, "{id}: both views hold one record");
+        r.stages.parse_us
+    };
+    let second_parse = parse_of(&second);
+    assert!(
+        second_parse < 150_000,
+        "parse of the malformed request reached back to the previous one: {second_parse} µs"
+    );
+    let trickled_parse = parse_of(&trickled);
+    assert!(
+        trickled_parse >= gap.as_micros() as u64,
+        "a trickled first request parsed for {trickled_parse} µs"
+    );
+
+    handle.shutdown();
+}
+
+#[test]
+fn every_response_kind_reads_the_same_in_both_debug_views() {
+    let _x = obs_exclusive();
+    // A depth-1 queue behind one pinned worker: further connections are
+    // shed from the accept thread.
+    let cfg = ServerConfig {
+        workers: 1,
+        queue_depth: 1,
+        read_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    let handle = start(cfg, static_bundle()).expect("start");
+    let pin = TcpStream::connect(handle.addr()).expect("pin connect");
+    let _ = (&pin).write_all(b"POST /v1/score HTTP/1.1\r\n");
+    std::thread::sleep(Duration::from_millis(50));
+    let filler = TcpStream::connect(handle.addr()).expect("filler connect");
+    std::thread::sleep(Duration::from_millis(50));
+    let mut shed = None;
+    for _ in 0..6 {
+        let Ok(mut c) = Client::connect(handle.addr()) else {
+            continue;
+        };
+        if let Ok(resp) = c.post("/v1/score", SCORE_BODY) {
+            if resp.status == 503 {
+                shed = resp.header("x-mb-trace-id").map(str::to_owned);
+                break;
+            }
+        }
+    }
+    let shed = shed.expect("a connection was shed from the accept thread");
+    drop(pin);
+    drop(filler);
+
+    // Once the worker is free again: a malformed request, a sampled 200
+    // and an unsampled 200.
+    let malformed = loop {
+        match send_raw(handle.addr(), &[b"NOT A REQUEST\r\n\r\n"], Duration::ZERO) {
+            (400, id) => break id,
+            _ => std::thread::sleep(Duration::from_millis(50)),
+        }
+    };
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    let sampled = "00000000000000000000000000000def";
+    let resp = c
+        .request_tagged(
+            "POST",
+            "/v1/score",
+            &[
+                ("x-mb-trace-id", sampled.to_owned()),
+                ("x-mb-sampled", "1".to_owned()),
+            ],
+            Some(SCORE_BODY),
+        )
+        .expect("sampled score");
+    assert_eq!(resp.status, 200);
+    assert_eq!(c.post("/v1/score", SCORE_BODY).expect("score").status, 200);
+    drop(c);
+
+    let (requests, traces) = debug_views(handle.addr(), 64);
+    for id in [&shed, &malformed] {
+        let r = requests
+            .requests
+            .iter()
+            .find(|r| &r.trace_id == id)
+            .unwrap_or_else(|| panic!("{id} not in /debug/requests"));
+        assert_eq!((r.method.as_str(), r.path.as_str()), ("-", "-"));
+    }
+    let mut in_both = 0;
+    for r in &requests.requests {
+        let s = r.stages;
+        assert_eq!(
+            r.total_us,
+            s.queue_us + s.parse_us + s.score_us + s.write_us
+        );
+        let Some(t) = traces.traces.iter().find(|t| t.trace_id == r.trace_id) else {
+            continue;
+        };
+        in_both += 1;
+        assert_eq!((t.status, t.stages), (r.status, r.stages), "{}", r.trace_id);
+        assert_eq!(t.total_us, r.total_us, "{}", r.trace_id);
+    }
+    assert!(
+        in_both >= 3,
+        "shed, malformed and sampled are in both views"
+    );
+    assert!(traces.traces.iter().any(|t| t.trace_id == sampled));
+
+    handle.shutdown();
+}
+
+#[test]
+fn request_records_read_back_newest_first() {
+    let _x = obs_exclusive();
+    let handle = start(ServerConfig::default(), static_bundle()).expect("start");
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    let ids: Vec<String> = (1..=300u128).map(trace::format_trace_id).collect();
+    for id in &ids {
+        let resp = c
+            .request_tagged(
+                "POST",
+                "/v1/score",
+                &[("x-mb-trace-id", id.clone())],
+                Some(SCORE_BODY),
+            )
+            .expect("score");
+        assert_eq!(resp.status, 200);
+    }
+    let resp = c.get("/debug/requests?last=300").expect("debug requests");
+    let requests = DebugRequestsResponse::from_json(&resp.body_str()).expect("strict parse");
+    let read: Vec<&str> = requests
+        .requests
+        .iter()
+        .map(|r| r.trace_id.as_str())
+        .collect();
+    let newest_first: Vec<&str> = ids.iter().rev().map(String::as_str).collect();
+    assert_eq!(read, newest_first);
+    assert!(requests
+        .requests
+        .iter()
+        .all(|r| r.method == "POST" && r.path == "/v1/score" && r.status == 200));
+
+    handle.shutdown();
+}
