@@ -1104,7 +1104,10 @@ fn respond(
             if req.header(SERVER_TIMING_HEADER).is_some() {
                 resp.extra_headers.push((
                     "X-Mb-Server-Timing",
-                    format!("queue={queue_us};parse={parse_us};score={score_us}"),
+                    format!(
+                        "queue={};parse={};score={}",
+                        record.queue_us, record.parse_us, record.score_us
+                    ),
                 ));
             }
             (degraded, ctx.sampled())
