@@ -451,7 +451,7 @@ fn trace_json_covers_pipeline_stages() {
     assert!(lines.len() >= 10, "suspiciously few records: {body}");
     for line in &lines {
         assert!(
-            microbrowse_obs::json::validate(line).is_ok(),
+            microbrowse_obs::json::Json::parse(line).is_ok(),
             "invalid JSONL line: {line}"
         );
     }
@@ -532,7 +532,7 @@ fn score_and_rank_json_output() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let line = stdout.trim();
     assert!(
-        microbrowse_obs::json::validate(line).is_ok(),
+        microbrowse_obs::json::Json::parse(line).is_ok(),
         "bad JSON: {line}"
     );
     for field in [
@@ -564,7 +564,7 @@ fn score_and_rank_json_output() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let line = stdout.trim();
     assert!(
-        microbrowse_obs::json::validate(line).is_ok(),
+        microbrowse_obs::json::Json::parse(line).is_ok(),
         "bad JSON: {line}"
     );
     assert!(line.contains("\"command\":\"rank\""), "{line}");
@@ -641,7 +641,7 @@ fn bare_json_flag_and_bad_json_value() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let line = stdout.trim();
     assert!(
-        microbrowse_obs::json::validate(line).is_ok(),
+        microbrowse_obs::json::Json::parse(line).is_ok(),
         "bad JSON: {line}"
     );
     assert!(line.contains("\"command\":\"score\""), "{line}");

@@ -1,4 +1,4 @@
-//! Minimal JSON writing, a validating reader, a small DOM, and a borrowed
+//! Minimal JSON writing, a strict reader into a small DOM, and a borrowed
 //! decode for the flat string objects request bodies carry.
 //!
 //! The workspace has no serialization framework, so every
@@ -186,30 +186,16 @@ impl JsonObject {
     }
 }
 
-// --- validating reader ---------------------------------------------------
+// --- strict reader -------------------------------------------------------
 //
-// Tests (here, in the CLI, and in bench) need to check that emitted lines
-// are well-formed JSON without an external parser. This is a strict
-// recursive-descent validator, not a DOM: it accepts exactly the JSON
-// grammar and reports the byte offset of the first violation.
-
-/// Validate that `s` is one complete JSON value. Returns the byte offset
-/// of the first syntax error, if any.
-pub fn validate(s: &str) -> Result<(), usize> {
-    let b = s.as_bytes();
-    let mut pos = ws(b, 0);
-    pos = value(b, pos)?;
-    pos = ws(b, pos);
-    if pos == b.len() {
-        Ok(())
-    } else {
-        Err(pos)
-    }
-}
+// The scanners below read JSON's strings, numbers and literals strictly and
+// report the byte offset of the first violation. `Json::parse` walks the
+// grammar over them into a DOM; tests (here, in the CLI, and in bench)
+// check emitted lines with it.
 
 /// Panic (with context) unless `s` is valid JSON. Test helper.
 pub fn assert_parses(s: &str) {
-    if let Err(at) = validate(s) {
+    if let Err(at) = Json::parse(s) {
         panic!("invalid JSON at byte {at}: {s}");
     }
 }
@@ -224,19 +210,6 @@ fn ws(b: &[u8], mut pos: usize) -> usize {
         pos += 1;
     }
     pos
-}
-
-fn value(b: &[u8], pos: usize) -> Result<usize, usize> {
-    match b.get(pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array_value(b, pos),
-        Some(b'"') => scan_string(b, pos).map(|(end, _)| end),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(b'-' | b'0'..=b'9') => number(b, pos),
-        _ => Err(pos),
-    }
 }
 
 fn literal(b: &[u8], pos: usize, lit: &[u8]) -> Result<usize, usize> {
@@ -341,52 +314,12 @@ fn number(b: &[u8], mut pos: usize) -> Result<usize, usize> {
     }
 }
 
-fn object(b: &[u8], mut pos: usize) -> Result<usize, usize> {
-    pos = ws(b, pos + 1);
-    if b.get(pos) == Some(&b'}') {
-        return Ok(pos + 1);
-    }
-    loop {
-        if b.get(pos) != Some(&b'"') {
-            return Err(pos);
-        }
-        pos = ws(b, scan_string(b, pos)?.0);
-        if b.get(pos) != Some(&b':') {
-            return Err(pos);
-        }
-        pos = value(b, ws(b, pos + 1))?;
-        pos = ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos = ws(b, pos + 1),
-            Some(b'}') => return Ok(pos + 1),
-            _ => return Err(pos),
-        }
-    }
-}
-
-fn array_value(b: &[u8], mut pos: usize) -> Result<usize, usize> {
-    pos = ws(b, pos + 1);
-    if b.get(pos) == Some(&b']') {
-        return Ok(pos + 1);
-    }
-    loop {
-        pos = value(b, pos)?;
-        pos = ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos = ws(b, pos + 1),
-            Some(b']') => return Ok(pos + 1),
-            _ => return Err(pos),
-        }
-    }
-}
-
 // --- DOM parser ----------------------------------------------------------
 //
 // The HTTP server needs to *read* request bodies, not just validate them.
 // This is the smallest DOM that supports that: parse once, walk with
-// `get`/`as_*`. It accepts exactly the same grammar as `validate` (both
-// lean on the same scanners) plus a recursion-depth cap, because server
-// input is adversarial.
+// `get`/`as_*`. It accepts exactly the JSON grammar plus a recursion-depth
+// cap, because server input is adversarial.
 
 /// Maximum nesting depth [`Json::parse`] accepts. Deeper input is rejected
 /// (it would otherwise let a hostile client drive stack growth).
@@ -412,7 +345,7 @@ pub enum Json {
 
 impl Json {
     /// Parse one complete JSON value. Returns the byte offset of the first
-    /// syntax error (or of the depth-limit violation), like [`validate`].
+    /// syntax error (or of the depth-limit violation).
     pub fn parse(s: &str) -> Result<Json, usize> {
         let b = s.as_bytes();
         let mut pos = ws(b, 0);
@@ -718,7 +651,7 @@ mod tests {
             "{\"a\":[1,{\"b\":null}],\"c\":false}",
             " { \"k\" : 1 } ",
         ] {
-            assert!(validate(good).is_ok(), "{good}");
+            assert!(Json::parse(good).is_ok(), "{good}");
         }
         for bad in [
             "",
@@ -733,7 +666,7 @@ mod tests {
             "nul",
             "\"bad\\q\"",
         ] {
-            assert!(validate(bad).is_err(), "{bad}");
+            assert!(Json::parse(bad).is_err(), "{bad}");
         }
     }
 
@@ -797,13 +730,6 @@ mod tests {
         assert_eq!(v.as_str(), Some("a\"b\\c\n\té😀"));
         // Lone high surrogate is rejected.
         assert!(Json::parse(r#""\ud83d""#).is_err());
-    }
-
-    #[test]
-    fn dom_rejects_what_validator_rejects() {
-        for bad in ["", "{", "{\"a\":1,}", "[1,]", "01", "nul", "{\"a\":1}x"] {
-            assert!(Json::parse(bad).is_err(), "{bad}");
-        }
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! the build environment). Keep-alive is the default: one [`Client`] holds
 //! one connection and reuses it across requests.
 //!
-//! The typed helpers ([`Client::score`], [`Client::rank`],
-//! [`Client::score_batch`], [`Client::suggest`], [`Client::explain`])
-//! speak the [`microbrowse_api::v1`] wire types, so callers never assemble
-//! or pick apart JSON by hand; 2xx bodies parse into the response structs
-//! and everything else comes back as the typed [`ApiError`]. Each is a
-//! one-liner over one private generic helper, `Client::call_typed`, which
-//! owns the encode → POST → parse round trip once for every endpoint.
+//! The typed helpers ([`Client::score`], [`Client::suggest`],
+//! [`Client::explain`], [`Client::feedback`]) speak the
+//! [`microbrowse_api::v1`] wire types, so callers never assemble or pick
+//! apart JSON by hand; 2xx bodies parse into the response structs and
+//! everything else comes back as the typed [`ApiError`]. The first three
+//! are one-liners over one private generic helper, `Client::call_typed`,
+//! which owns the encode → POST → parse round trip.
 //!
 //! [`ResilientClient`] wraps the raw client into the failover-ready tier
 //! used under overload: jittered exponential-backoff retries (only for
@@ -37,9 +37,8 @@ use crate::deadline::DEADLINE_HEADER;
 use crate::http::{PARENT_SPAN_HEADER, TRACE_ID_HEADER};
 
 use microbrowse_api::v1::{
-    BatchRequest, BatchResponse, ErrorEnvelope, ExplainRequest, ExplainResponse, FeedbackRequest,
-    FeedbackResponse, RankRequest, RankResponse, ScoreRequest, ScoreResponse, SuggestRequest,
-    SuggestResponse,
+    ErrorEnvelope, ExplainRequest, ExplainResponse, FeedbackRequest, FeedbackResponse,
+    ScoreRequest, ScoreResponse, SuggestRequest, SuggestResponse,
 };
 
 use crate::http::IDEMPOTENCY_HEADER;
@@ -211,8 +210,8 @@ impl Client {
     }
 
     /// One typed endpoint round trip: `POST` the encoded request, then
-    /// map the response through [`Client::parse_2xx`]. Every per-endpoint
-    /// helper is a one-liner over this.
+    /// map the response through [`Client::parse_2xx`]. The score, suggest
+    /// and explain helpers are one-liners over this.
     fn call_typed<T>(
         &mut self,
         path: &str,
@@ -226,16 +225,6 @@ impl Client {
     /// `POST /v1/score`, typed end to end.
     pub fn score(&mut self, req: &ScoreRequest) -> Result<ScoreResponse, ApiError> {
         self.call_typed("/v1/score", &req.to_json(), ScoreResponse::from_json)
-    }
-
-    /// `POST /v1/rank`, typed end to end.
-    pub fn rank(&mut self, req: &RankRequest) -> Result<RankResponse, ApiError> {
-        self.call_typed("/v1/rank", &req.to_json(), RankResponse::from_json)
-    }
-
-    /// `POST /v1/batch`, typed end to end.
-    pub fn score_batch(&mut self, req: &BatchRequest) -> Result<BatchResponse, ApiError> {
-        self.call_typed("/v1/batch", &req.to_json(), BatchResponse::from_json)
     }
 
     /// `POST /v1/suggest`, typed end to end.
@@ -722,83 +711,6 @@ impl ResilientClient {
         }
     }
 
-    /// One typed endpoint round trip through the retry/breaker/deadline
-    /// machinery: `POST` the encoded request with a budget, then map the
-    /// final response through [`Client::parse_2xx`]. Every read-only
-    /// per-endpoint helper is a one-liner over this (feedback differs: it
-    /// pins an idempotency key across attempts).
-    fn call_typed<T>(
-        &mut self,
-        path: &str,
-        body: &str,
-        budget: Duration,
-        parse: impl FnOnce(&str) -> Result<T, microbrowse_api::v1::WireError>,
-    ) -> Result<T, ApiError> {
-        let resp = self.post_json(path, body, budget)?;
-        Client::parse_2xx(&resp, parse)
-    }
-
-    /// `POST /v1/score` with retries and a deadline budget.
-    pub fn score(
-        &mut self,
-        req: &ScoreRequest,
-        budget: Duration,
-    ) -> Result<ScoreResponse, ApiError> {
-        self.call_typed(
-            "/v1/score",
-            &req.to_json(),
-            budget,
-            ScoreResponse::from_json,
-        )
-    }
-
-    /// `POST /v1/rank` with retries and a deadline budget.
-    pub fn rank(&mut self, req: &RankRequest, budget: Duration) -> Result<RankResponse, ApiError> {
-        self.call_typed("/v1/rank", &req.to_json(), budget, RankResponse::from_json)
-    }
-
-    /// `POST /v1/batch` with retries and a deadline budget.
-    pub fn score_batch(
-        &mut self,
-        req: &BatchRequest,
-        budget: Duration,
-    ) -> Result<BatchResponse, ApiError> {
-        self.call_typed(
-            "/v1/batch",
-            &req.to_json(),
-            budget,
-            BatchResponse::from_json,
-        )
-    }
-
-    /// `POST /v1/suggest` with retries and a deadline budget.
-    pub fn suggest(
-        &mut self,
-        req: &SuggestRequest,
-        budget: Duration,
-    ) -> Result<SuggestResponse, ApiError> {
-        self.call_typed(
-            "/v1/suggest",
-            &req.to_json(),
-            budget,
-            SuggestResponse::from_json,
-        )
-    }
-
-    /// `POST /v1/explain` with retries and a deadline budget.
-    pub fn explain(
-        &mut self,
-        req: &ExplainRequest,
-        budget: Duration,
-    ) -> Result<ExplainResponse, ApiError> {
-        self.call_typed(
-            "/v1/explain",
-            &req.to_json(),
-            budget,
-            ExplainResponse::from_json,
-        )
-    }
-
     /// `POST /v1/feedback` with retries and a deadline budget.
     ///
     /// Unlike the scoring POSTs, feedback ingestion *mutates* server state,
@@ -839,24 +751,6 @@ impl ResilientClient {
                 )),
             })?;
         Client::parse_2xx(&resp, FeedbackResponse::from_json)
-    }
-
-    fn post_json(
-        &mut self,
-        path: &str,
-        body: &str,
-        budget: Duration,
-    ) -> Result<HttpResponse, ApiError> {
-        self.call("POST", path, Some(body), budget)
-            .map_err(|e| match e {
-                CallError::Transport { error, .. } | CallError::Ambiguous { error } => {
-                    ApiError::Io(error)
-                }
-                other => ApiError::Io(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    other.to_string(),
-                )),
-            })
     }
 
     /// One attempt: (re)connect if needed, clamp IO timeouts to the

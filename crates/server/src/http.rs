@@ -166,8 +166,10 @@ pub struct RequestReader<R> {
     inner: R,
     buf: Vec<u8>,
     limits: Limits,
-    /// When the first byte of the request currently being read arrived;
-    /// cleared once the request completes. Drives the slowloris wall cap.
+    /// When the request currently being read began: its first byte, or,
+    /// for bytes already buffered behind the previous request, the end of
+    /// that one's parse. Cleared once the request completes. Drives the
+    /// slowloris wall cap.
     started: Option<Instant>,
     /// `started` of the most recently *completed* request — the anchor for
     /// per-request deadline math in the server.
@@ -186,15 +188,17 @@ impl<R: Read> RequestReader<R> {
         }
     }
 
-    /// When the first byte of the most recently returned request arrived
-    /// (as observed by this reader). `None` before any request completes.
+    /// When the most recently returned request began (see `started`: a
+    /// pipelined request already buffered begins when the previous one
+    /// parsed). `None` before any request completes.
     pub fn last_request_started(&self) -> Option<Instant> {
         self.last_started
     }
 
-    /// When the first byte of the request being read arrived: after an
-    /// error, the start of the request that failed. `None` when no byte of
-    /// a next request has arrived.
+    /// When the request being read began, as for
+    /// [`RequestReader::last_request_started`]: after an error, the start
+    /// of the request that failed. `None` when no byte of a next request
+    /// has arrived.
     pub fn request_started(&self) -> Option<Instant> {
         self.started
     }
@@ -205,15 +209,6 @@ impl<R: Read> RequestReader<R> {
         match self.started {
             Some(t0) if t0.elapsed() > self.limits.max_request_wall => Err(HttpError::SlowRequest),
             _ => Ok(()),
-        }
-    }
-
-    /// A full request just left the buffer: remember its start time and
-    /// re-anchor `started` for any pipelined bytes already buffered.
-    fn finish_request(&mut self) {
-        self.last_started = self.started.take();
-        if !self.buf.is_empty() {
-            self.started = Some(Instant::now());
         }
     }
 
@@ -266,43 +261,13 @@ impl<R: Read> RequestReader<R> {
             }
         }
         req.body = body;
-        self.finish_request();
+        // Remember this request's start, and anchor any pipelined bytes
+        // already buffered here, where they start waiting.
+        self.last_started = self.started.take();
+        if !self.buf.is_empty() {
+            self.started = Some(Instant::now());
+        }
         Ok(Some(req))
-    }
-
-    /// Pop one more *already-buffered* pipelined request, without touching
-    /// the socket. Returns the request only when a complete head + body is
-    /// sitting in the buffer **and** `accept` (which sees the parsed head
-    /// with an empty body) approves it; in every other case — incomplete
-    /// bytes, a parse error, or a rejected request — the buffer is left
-    /// untouched for the next [`RequestReader::next_request`] call to
-    /// handle normally.
-    ///
-    /// This is what makes opportunistic micro-batching safe: the server
-    /// can drain a burst of pipelined `/v1/score` requests into one engine
-    /// pass, while anything it does not want to coalesce (other endpoints,
-    /// malformed requests, half-arrived bytes) takes the ordinary path
-    /// with ordinary error handling.
-    pub fn next_buffered_if(
-        &mut self,
-        accept: impl FnOnce(&HttpRequest) -> bool,
-    ) -> Option<HttpRequest> {
-        let head_end = find(&self.buf, b"\r\n\r\n")? + 4;
-        if head_end > self.limits.max_head_bytes {
-            return None;
-        }
-        let mut req = parse_head(&self.buf[..head_end - 4], &self.limits).ok()?;
-        let body_len = body_length(&req, &self.limits).ok()?;
-        if self.buf.len() < head_end + body_len {
-            return None;
-        }
-        if !accept(&req) {
-            return None;
-        }
-        req.body = self.buf[head_end..head_end + body_len].to_vec();
-        self.buf.drain(..head_end + body_len);
-        self.finish_request();
-        Some(req)
     }
 
     /// One `read` into the buffer; a timeout is mid-request iff bytes are
@@ -596,39 +561,25 @@ mod tests {
 
     #[test]
     fn pipelined_requests_parse_in_order() {
-        let bytes = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxyGET /b HTTP/1.1\r\n\r\n";
-        let mut reader = RequestReader::new(&bytes[..], Limits::default());
-        let first = reader.next_request().unwrap().unwrap();
-        assert_eq!((first.path(), first.body.as_slice()), ("/a", &b"xy"[..]));
-        let second = reader.next_request().unwrap().unwrap();
-        assert_eq!(second.path(), "/b");
-        assert!(reader.next_request().unwrap().is_none());
-    }
-
-    #[test]
-    fn buffered_pop_consumes_only_accepted_complete_requests() {
-        let bytes = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxy\
-                      POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nzw\
-                      GET /b HTTP/1.1\r\n\r\n\
-                      POST /a HTTP/1.1\r\nContent-Length: 9\r\n\r\ntrunc";
-        let mut reader = RequestReader::new(&bytes[..], Limits::default());
-        // Prime the buffer through the normal path.
-        let first = reader.next_request().unwrap().unwrap();
-        assert_eq!(first.body, b"xy");
-        // Second /a is complete and accepted.
-        let second = reader.next_buffered_if(|r| r.path() == "/a").unwrap();
-        assert_eq!(second.body, b"zw");
-        // /b is complete but rejected by the predicate: left in place…
-        assert!(reader.next_buffered_if(|r| r.path() == "/a").is_none());
-        // …and still served by the ordinary path.
-        let third = reader.next_request().unwrap().unwrap();
-        assert_eq!(third.path(), "/b");
-        // The truncated request is never popped from the buffer alone.
-        assert!(reader.next_buffered_if(|_| true).is_none());
-        assert!(matches!(
-            reader.next_request(),
-            Err(HttpError::BadRequest(_))
-        ));
+        let two = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxyGET /b HTTP/1.1\r\n\r\n";
+        // The same two, then a buffered request cut off mid-body.
+        let cut = [
+            &two[..],
+            b"POST /a HTTP/1.1\r\nContent-Length: 9\r\n\r\ntrunc",
+        ]
+        .concat();
+        for bytes in [&two[..], &cut[..]] {
+            let mut reader = RequestReader::new(bytes, Limits::default());
+            let first = reader.next_request().unwrap().unwrap();
+            assert_eq!((first.path(), first.body.as_slice()), ("/a", &b"xy"[..]));
+            let second = reader.next_request().unwrap().unwrap();
+            assert_eq!(second.path(), "/b");
+            match reader.next_request() {
+                Ok(None) => assert_eq!(bytes, two),
+                Err(HttpError::BadRequest(_)) => assert_eq!(bytes, cut),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     /// Delivers `data` at most `chunk` bytes per read and shares how far

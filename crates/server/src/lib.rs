@@ -40,12 +40,9 @@
 //! drained/aborted counts.
 //!
 //! Every request and response body is a [`microbrowse_api::v1`] wire type —
-//! this crate contains no ad-hoc JSON shapes. Workers also coalesce bursts
-//! of pipelined `/v1/score` requests into one
-//! [`Scorer::score_batch`](microbrowse_core::serve::Scorer::score_batch)
-//! pass (micro-batching), which `/metrics` reports through the
-//! `microbrowse_batch_*` counters and the `microbrowse_batch_size`
-//! histogram.
+//! this crate contains no ad-hoc JSON shapes. A worker answers a
+//! connection's requests one at a time, in arrival order, pipelined or
+//! not.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

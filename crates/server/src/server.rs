@@ -47,7 +47,7 @@ use microbrowse_online::{Append, Journal, OnlineError, OnlineLearner};
 use microbrowse_store::{file as stats_file, ArtifactSlot};
 use microbrowse_text::Snippet;
 
-use crate::deadline::{Deadline, DEADLINE_HEADER};
+use crate::deadline::Deadline;
 use crate::http::{
     error_response, HttpError, HttpRequest, Limits, RequestReader, Response, IDEMPOTENCY_HEADER,
     PARENT_SPAN_HEADER, SAMPLED_HEADER, SERVER_TIMING_HEADER, TRACE_ID_HEADER,
@@ -76,11 +76,10 @@ pub struct ServerConfig {
     /// How long [`ServerHandle::shutdown`] waits for in-flight sessions
     /// before force-aborting them.
     pub drain_deadline: Duration,
-    /// Largest `/v1/batch` request accepted (items), the cap on how many
-    /// pipelined `/v1/score` requests one worker coalesces into a single
-    /// engine pass, and the cap on the pairs one `/v1/rank` request scores:
-    /// `n` creatives are `n(n−1)/2` pairs, so the default of 256 admits 23
-    /// creatives. Larger batches and rankings answer `413`.
+    /// Largest `/v1/batch` request accepted (items), and the cap on the
+    /// pairs one `/v1/rank` request scores: `n` creatives are `n(n−1)/2`
+    /// pairs, so the default of 256 admits 23 creatives. Larger batches and
+    /// rankings answer `413`.
     pub max_batch: usize,
     /// Cap on simultaneously open connections (queued + being served);
     /// beyond it, new connections are answered `503` with the `overloaded`
@@ -196,7 +195,6 @@ pub const HTTP_METRIC_COUNTERS: &[&str] = &[
     "microbrowse_serve_reload_failures_total",
     "microbrowse_batch_requests_total",
     "microbrowse_batch_items_total",
-    "microbrowse_batch_coalesced_total",
     "microbrowse_http_deadline_exceeded_total",
     "microbrowse_http_slow_requests_total",
     "microbrowse_http_conn_limit_rejected_total",
@@ -210,7 +208,7 @@ pub const HTTP_METRIC_COUNTERS: &[&str] = &[
 ];
 
 /// Per-endpoint latency histograms (microseconds), plus the batch-size
-/// distribution (items per engine pass, `/v1/batch` and coalesced alike).
+/// distribution (items per `/v1/batch` request).
 pub const HTTP_METRIC_HISTOGRAMS: &[&str] = &[
     "microbrowse_http_score_latency_us",
     "microbrowse_http_rank_latency_us",
@@ -733,8 +731,6 @@ fn retry_after_secs(depth: usize, workers: usize) -> u32 {
 fn reject_busy(shared: &Shared, stream: TcpStream, why: &str) {
     obs::counter!("microbrowse_http_rejected_total").inc();
     let trace = obs::trace::new_trace_id();
-    let _ctx = TraceContext::for_trace(trace).enter();
-    obs::trace::event("serve.rejected").with("why", why);
     let secs = retry_after_secs(shared.queue.len(), shared.cfg.workers);
     let body = ErrorEnvelope::with_code(format!("server busy, {why}"), CODE_OVERLOADED).to_json();
     let mut resp = Response::json(503, body).retry_after(secs).closing();
@@ -747,9 +743,7 @@ fn reject_busy(shared: &Shared, stream: TcpStream, why: &str) {
 fn shed_stale(shared: &Shared, entry: QueuedConn) {
     obs::counter!("microbrowse_http_reaped_total").inc();
     let trace = obs::trace::new_trace_id();
-    let _ctx = TraceContext::for_trace(trace).enter();
     let queue_us = entry.accepted.elapsed().as_micros() as u64;
-    obs::trace::event("serve.reaped").with("queued_ms", queue_us / 1000);
     let secs = retry_after_secs(shared.queue.len(), shared.cfg.workers);
     let body = ErrorEnvelope::with_code("server busy, queued too long", CODE_OVERLOADED).to_json();
     let mut resp = Response::json(503, body).retry_after(secs).closing();
@@ -809,15 +803,9 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Serve one connection's whole keep-alive session. The outer loop pins a
-/// bundle + scorer for the current reload epoch; the inner loop serves
-/// requests until close, error, or epoch change.
-///
-/// When a request turns out to be `POST /v1/score` and more complete
-/// score requests are already pipelined in the read buffer, the worker
-/// coalesces up to [`ServerConfig::max_batch`] of them into one
-/// [`Scorer::score_batch`] pass (see [`serve_score_group`]) and writes the
-/// responses back in arrival order — identical bytes, amortized engine
-/// work.
+/// bundle + scorer for the current reload epoch; the inner loop answers
+/// the connection's requests one at a time, in arrival order, until
+/// close, error, or epoch change.
 fn serve_connection(shared: &Shared, conn: QueuedConn) {
     let stream = &conn.stream;
     let dequeued = Instant::now();
@@ -838,29 +826,35 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                 continue 'epoch;
             }
             let draining = shared.draining.load(Ordering::SeqCst);
-            // Stage accounting: queue wait is accept → worker dequeue and
-            // exists only for the first request of a session; parse is the
-            // request's own first byte → parsed, or → failed (keep-alive
-            // idle time is excluded because the reader anchors at the first
-            // byte).
-            let queue_us = if first_request {
+            // Stage accounting. Queue is accept → worker dequeue for a
+            // session's first request; a pipelined request, already
+            // buffered when the previous one parsed, also queues from then
+            // until the worker turns to it here. Parse runs from that turn,
+            // or from the request's own first byte if later, until it
+            // parsed or failed, so keep-alive idle time counts in neither.
+            let turned = Instant::now();
+            let session_queue_us = if first_request {
                 dequeued
                     .saturating_duration_since(conn.accepted)
                     .as_micros() as u64
             } else {
                 0
             };
+            let stages = |started: Option<Instant>| match started {
+                Some(s) => (
+                    session_queue_us + turned.saturating_duration_since(s).as_micros() as u64,
+                    s.max(turned).elapsed().as_micros() as u64,
+                ),
+                None => (session_queue_us, 0),
+            };
             match reader.next_request() {
                 Ok(Some(req)) => {
-                    let parsed_at = Instant::now();
-                    let parse_us = reader.last_request_started().map_or(0, |s| {
-                        parsed_at.saturating_duration_since(s).as_micros() as u64
-                    });
-                    // Deadline check before any scoring work. The budget is
-                    // anchored at connection accept for the first request —
-                    // time spent waiting in the accept queue counts against
-                    // it, which is exactly what makes shed-at-dequeue work —
-                    // and at the request's own first byte afterwards.
+                    let (queue_us, parse_us) = stages(reader.last_request_started());
+                    // The deadline budget is anchored at connection accept
+                    // for the first request — time spent waiting in the
+                    // accept queue counts against it, which is exactly what
+                    // makes shed-at-dequeue work — and at the request's start
+                    // afterwards, so a pipelined request's wait counts too.
                     let anchor = if first_request {
                         conn.accepted
                     } else {
@@ -879,114 +873,60 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                     }
                     first_request = false;
                     let scoring = req.method == "POST" && req.path().starts_with("/v1/");
-                    match Deadline::from_request(&req, anchor, shared.cfg.request_deadline) {
-                        Err(e) => {
-                            obs::counter!("microbrowse_http_bad_requests_total").inc();
-                            let mut resp = Response::json(
-                                400,
-                                ErrorEnvelope::with_code(e, CODE_BAD_DEADLINE).to_json(),
-                            );
-                            resp.close = draining || !req.keep_alive;
-                            let answered = Answered::Request {
-                                req: &req,
-                                ctx,
-                                degraded,
-                            };
-                            let wrote =
-                                respond(shared, stream, answered, queue_us, parse_us, 0, &mut resp);
-                            if resp.close || !wrote {
-                                return;
+                    // One answer per request, checked for its deadline before
+                    // any scoring work: a malformed deadline header's 400,
+                    // the 504 that sheds expired scoring work (the caller
+                    // already gave up; reads such as healthz and metrics are
+                    // served regardless, being cheap and polled by operators
+                    // under overload), or the routed answer, whose handling
+                    // is the score stage.
+                    let (mut resp, score_us, routed) =
+                        match Deadline::from_request(&req, anchor, shared.cfg.request_deadline) {
+                            Err(e) => {
+                                obs::counter!("microbrowse_http_bad_requests_total").inc();
+                                let body = ErrorEnvelope::with_code(e, CODE_BAD_DEADLINE);
+                                (Response::json(400, body.to_json()), 0, false)
                             }
-                            continue;
-                        }
-                        // Shed expired scoring work instead of doing it: the
-                        // caller already gave up on this answer. Reads
-                        // (healthz, metrics) are served regardless — they are
-                        // cheap and operators poll them under overload.
-                        Ok(Some(deadline)) if scoring && deadline.expired() => {
-                            obs::counter!("microbrowse_http_deadline_exceeded_total").inc();
-                            obs::counter!("microbrowse_http_responses_5xx_total").inc();
-                            obs::trace::event("serve.deadline_exceeded")
-                                .with("overdue_ms", deadline.overdue().as_millis() as u64);
-                            let mut resp = Response::json(
-                                504,
-                                ErrorEnvelope::with_code(
+                            Ok(Some(deadline)) if scoring && deadline.expired() => {
+                                obs::counter!("microbrowse_http_deadline_exceeded_total").inc();
+                                obs::counter!("microbrowse_http_responses_5xx_total").inc();
+                                obs::trace::event("serve.deadline_exceeded")
+                                    .with("overdue_ms", deadline.overdue().as_millis() as u64);
+                                let body = ErrorEnvelope::with_code(
                                     "deadline expired in queue",
                                     CODE_DEADLINE_EXCEEDED,
-                                )
-                                .to_json(),
-                            );
-                            resp.close = draining || !req.keep_alive;
-                            let answered = Answered::Request {
-                                req: &req,
-                                ctx,
-                                degraded,
-                            };
-                            let wrote =
-                                respond(shared, stream, answered, queue_us, parse_us, 0, &mut resp);
-                            if draining {
-                                shared.aborted.fetch_add(1, Ordering::Relaxed);
+                                );
+                                (Response::json(504, body.to_json()), 0, false)
                             }
-                            if resp.close || !wrote {
-                                return;
+                            Ok(_) => {
+                                let started = Instant::now();
+                                let resp = route(&req, &scorer, &mut scratch, &bundle, shared);
+                                (resp, started.elapsed().as_micros() as u64, true)
                             }
-                            continue;
-                        }
-                        Ok(_) => {}
-                    }
-                    let mut group = vec![req];
-                    // Requests carrying their own deadline are excluded from
-                    // coalescing so each one's budget is judged individually.
-                    let coalescable = |r: &HttpRequest| {
-                        r.method == "POST"
-                            && r.path() == "/v1/score"
-                            && r.keep_alive
-                            && r.header(DEADLINE_HEADER).is_none()
-                    };
-                    if !draining && coalescable(&group[0]) {
-                        while group.len() < shared.cfg.max_batch {
-                            match reader.next_buffered_if(coalescable) {
-                                Some(r) => group.push(r),
-                                None => break,
-                            }
-                        }
-                    }
-                    let score_started = Instant::now();
-                    let responses = if group.len() == 1 {
-                        vec![route(&group[0], &scorer, &mut scratch, &bundle, shared)]
-                    } else {
-                        serve_score_group(&group, &scorer, &mut scratch, bundle.model_generation())
-                    };
-                    // A coalesced group is one engine pass: the score stage
-                    // is shared, and the queue/parse stages belong to the
-                    // group head (followers were parsed out of its buffer).
-                    let score_us = score_started.elapsed().as_micros() as u64;
-                    for (i, (req, mut resp)) in group.iter().zip(responses).enumerate() {
-                        if draining || !req.keep_alive {
-                            resp.close = true;
-                        }
-                        let rctx = if i == 0 { ctx } else { wire_context(req) };
-                        let _follower_guard = (i > 0).then(|| rctx.enter());
-                        let (queue_us, parse_us) =
-                            if i == 0 { (queue_us, parse_us) } else { (0, 0) };
-                        let answered = Answered::Request {
-                            req,
-                            ctx: rctx,
-                            degraded,
                         };
-                        let wrote = respond(
-                            shared, stream, answered, queue_us, parse_us, score_us, &mut resp,
-                        );
-                        if draining {
-                            if wrote {
-                                shared.drained.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                shared.aborted.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        if resp.close || !wrote {
-                            return;
-                        }
+                    resp.close = draining || !req.keep_alive;
+                    let answered = Answered::Request {
+                        req: &req,
+                        ctx,
+                        degraded,
+                    };
+                    let wrote = respond(
+                        shared, stream, answered, queue_us, parse_us, score_us, &mut resp,
+                    );
+                    // During a drain a routed request counts as drained when
+                    // its write lands and as aborted when it does not; a
+                    // deadline 504 is aborted work; a bad-deadline 400 is
+                    // neither.
+                    if draining && (routed || resp.status == 504) {
+                        let count = if routed && wrote {
+                            &shared.drained
+                        } else {
+                            &shared.aborted
+                        };
+                        count.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if resp.close || !wrote {
+                        return;
                     }
                 }
                 Ok(None) => return, // clean close between requests
@@ -1004,9 +944,7 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                         obs::trace::event("serve.bad_request").with("error", e.to_string());
                     }
                     if let Some(mut resp) = error_response(&e) {
-                        let parse_us = reader
-                            .request_started()
-                            .map_or(0, |s| s.elapsed().as_micros() as u64);
+                        let (queue_us, parse_us) = stages(reader.request_started());
                         let answered = Answered::Malformed(trace);
                         respond(shared, stream, answered, queue_us, parse_us, 0, &mut resp);
                     }
@@ -1527,70 +1465,6 @@ fn handle_feedback(req: &HttpRequest, shared: &Shared) -> Response {
     }
 }
 
-/// Serve a coalesced group of pipelined `/v1/score` requests through one
-/// [`Scorer::score_batch`] pass. Each request still gets its own response
-/// with exactly the bytes the single-request path would have produced —
-/// malformed bodies answer their own 400 without sinking the rest of the
-/// group.
-fn serve_score_group<'a>(
-    group: &[HttpRequest],
-    scorer: &Scorer<'a>,
-    scratch: &mut Scratch<'a>,
-    generation: Option<u64>,
-) -> Vec<Response> {
-    let mut span = obs::trace::span("serve.coalesced").with("size", group.len() as u64);
-    obs::counter!("microbrowse_batch_coalesced_total").add(group.len() as u64);
-    obs::histogram!("microbrowse_batch_size").observe_us(group.len() as u64);
-
-    let parsed: Vec<Result<PairRef<'_>, Response>> = group
-        .iter()
-        .map(|req| body_str(req).and_then(|t| PairRef::from_json(t).map_err(bad_request)))
-        .collect();
-    let pairs: Vec<(&str, &str)> = parsed
-        .iter()
-        .filter_map(|p| p.as_ref().ok().map(wire_sides))
-        .collect();
-    let (scores, latencies) = scorer.score_batch_timed(&pairs, scratch);
-    let fidelity: Fidelity = scorer.fidelity().into();
-
-    let mut scored = scores.iter().zip(&latencies);
-    let responses: Vec<Response> = parsed
-        .into_iter()
-        .map(|p| match p {
-            Ok(_) => match scored.next() {
-                Some((&score, &lat)) => {
-                    obs::histogram!("microbrowse_http_score_latency_us").observe_us(lat);
-                    Response::json(
-                        200,
-                        ScoreResponse::new(score, fidelity.clone(), lat)
-                            .with_generation(generation)
-                            .to_json(),
-                    )
-                }
-                // Unreachable: score_batch returns one score per parsed pair.
-                None => Response::json(
-                    500,
-                    ErrorEnvelope::with_code("batch scoring dropped a result", CODE_INTERNAL)
-                        .to_json(),
-                ),
-            },
-            Err(resp) => resp,
-        })
-        .collect();
-
-    let mut ok = 0u64;
-    for resp in &responses {
-        obs::counter!("microbrowse_http_requests_total").inc();
-        match resp.status {
-            400..=499 => obs::counter!("microbrowse_http_responses_4xx_total").inc(),
-            500..=599 => obs::counter!("microbrowse_http_responses_5xx_total").inc(),
-            _ => ok += 1,
-        }
-    }
-    span.add("scored", ok);
-    responses
-}
-
 /// `GET /healthz` — `200` only when serving at full fidelity and not
 /// draining; degraded bundles answer `503` with the reason, so load
 /// balancers stop sending traffic that deserves full-fidelity scores.
@@ -1670,9 +1544,6 @@ fn handle_version(shared: &Shared) -> Response {
     }
     if shared.cfg.request_deadline.is_some() {
         features.push("request-deadline".to_owned());
-    }
-    if shared.cfg.max_batch > 1 {
-        features.push("coalescing".to_owned());
     }
     if let Some(online) = shared.online.as_ref() {
         features.push("online-feedback".to_owned());

@@ -1,18 +1,22 @@
 //! In-process integration tests for the HTTP server: endpoint semantics,
 //! backpressure, hot reload under load, degraded health, graceful drain.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use microbrowse_api::debug::DebugTraceResponse;
+use microbrowse_api::v1::ScoreResponse;
 use microbrowse_core::classifier::{ModelSpec, TrainedClassifier};
 use microbrowse_core::features::OwnedTermFeat;
 use microbrowse_core::serve::{
     DeployedModel, Fidelity, LoadPolicy, ServingBundle, MODEL_SLOT_NAME, STATS_SLOT_NAME,
 };
-use microbrowse_server::client::Client;
-use microbrowse_server::{start, BundleSource, ReloadSource, ServerConfig};
+use microbrowse_server::client::{Client, HttpResponse};
+use microbrowse_server::{start, BundleSource, DrainReport, ReloadSource, ServerConfig};
 use microbrowse_store::{ArtifactSlot, StatsDb};
 
 /// A tiny hand-built model: one term feature ("cheap"), positive weight —
@@ -460,72 +464,199 @@ fn batch_endpoint_and_bad_batch_bodies() {
     handle.shutdown();
 }
 
-#[test]
-fn pipelined_scores_are_coalesced_into_batches() {
-    use std::io::{Read as _, Write as _};
-
-    let handle = start(ServerConfig::default(), static_bundle(1.0)).expect("start");
-    let addr = handle.addr();
-    let body = r#"{"r":"cheap|a","s":"b|c"}"#;
-    let one = format!(
-        "POST /v1/score HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let burst = one.repeat(8);
-
-    // Coalescing needs the burst to land in the server's read buffer in one
-    // go; retry a few times in case the kernel splits the segments.
-    let mut coalesced = 0u64;
-    for _ in 0..5 {
-        let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
-        raw.set_nodelay(true).expect("nodelay");
-        raw.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
-        raw.write_all(burst.as_bytes()).expect("write burst");
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        while bytes_of(&buf, "\"winner\":\"R\"") < 8 {
-            let n = raw.read(&mut chunk).expect("read responses");
-            assert!(
-                n > 0,
-                "connection closed early: {}",
-                String::from_utf8_lossy(&buf)
-            );
-            buf.extend_from_slice(&chunk[..n]);
-        }
-        let text = String::from_utf8_lossy(&buf);
-        assert_eq!(bytes_of(&buf, "HTTP/1.1 200"), 8, "{text}");
-        drop(raw);
-
-        let mut c = Client::connect(addr).expect("connect");
-        let metrics = c.get("/metrics").expect("metrics").body_str();
-        coalesced = metric_value(&metrics, "microbrowse_batch_coalesced_total");
-        if coalesced > 0 {
-            break;
-        }
+/// A `POST` with `headers`, as raw request bytes.
+fn raw_post(path: &str, headers: &[(&str, &str)], body: &str) -> String {
+    let mut out = format!("POST {path} HTTP/1.1\r\nContent-Length: {}\r\n", body.len());
+    for (name, value) in headers {
+        out.push_str(&format!("{name}: {value}\r\n"));
     }
-    assert!(coalesced > 0, "no pipelined requests were coalesced");
+    out + "\r\n" + body
+}
+
+/// Read one response off a raw stream.
+fn read_response(stream: &mut TcpStream) -> HttpResponse {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        assert_eq!(
+            stream.read(&mut byte).expect("read head"),
+            1,
+            "closed mid-head"
+        );
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("UTF-8 head");
+    let mut lines = head.lines();
+    let status = lines
+        .next()
+        .and_then(|l| l.split(' ').nth(1))
+        .and_then(|s| s.parse().ok())
+        .expect("status line");
+    let headers: Vec<(String, String)> = lines
+        .filter_map(|l| l.split_once(':'))
+        .map(|(n, v)| (n.to_ascii_lowercase(), v.trim().to_owned()))
+        .collect();
+    let len = headers
+        .iter()
+        .find(|(n, _)| n == "content-length")
+        .map_or(0, |(_, v)| v.parse().expect("content length"));
+    let mut body = vec![0; len];
+    stream.read_exact(&mut body).expect("read body");
+    HttpResponse {
+        status,
+        headers,
+        body,
+    }
+}
+
+fn connect_raw(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    stream
+}
+
+#[test]
+fn pipelined_scores_are_answered_one_at_a_time() {
+    let handle = start(ServerConfig::default(), static_bundle(1.0)).expect("start");
+    // Eight scores in one write, each with its own trace id and sampled so
+    // /debug/trace retains it; the winner alternates.
+    let bodies: Vec<String> = (0..8)
+        .map(|i| match i % 2 {
+            0 => format!(r#"{{"r":"cheap flights {i}|book now","s":"flights {i}|book"}}"#),
+            _ => format!(r#"{{"r":"flights {i}|book","s":"cheap flights {i}|book now"}}"#),
+        })
+        .collect();
+    let ids: Vec<String> = (1..=8u128)
+        .map(|i| format!("{:032x}", 0xb0_0000 + i))
+        .collect();
+    let burst: String = bodies
+        .iter()
+        .zip(&ids)
+        .map(|(body, id)| {
+            let headers = [("X-Mb-Trace-Id", id.as_str()), ("X-Mb-Sampled", "1")];
+            raw_post("/v1/score", &headers, body)
+        })
+        .collect();
+    let mut stream = connect_raw(handle.addr());
+    stream.write_all(burst.as_bytes()).expect("write burst");
+
+    // In order, and each the answer the same request gets sent alone.
+    let mut alone = Client::connect(handle.addr()).expect("connect");
+    let without_latency = |resp: &HttpResponse| {
+        let mut score = ScoreResponse::from_json(&resp.body_str()).expect("score response");
+        score.latency_us = 0;
+        score
+    };
+    for (body, id) in bodies.iter().zip(&ids) {
+        let resp = read_response(&mut stream);
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        assert_eq!(resp.header("x-mb-trace-id"), Some(id.as_str()));
+        let single = alone.post("/v1/score", body).expect("score alone");
+        assert_eq!(without_latency(&resp), without_latency(&single), "{body}");
+    }
+
+    // Each request is its own trace, with its own request span.
+    let resp = alone.get("/debug/trace?last=64").expect("debug trace");
+    let traces = DebugTraceResponse::from_json(&resp.body_str()).expect("strict parse");
+    for id in &ids {
+        let trace = traces
+            .traces
+            .iter()
+            .find(|t| &t.trace_id == id)
+            .unwrap_or_else(|| panic!("{id} not retained"));
+        assert_eq!((trace.reason.as_str(), trace.status), ("sampled", 200));
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["serve.request"], "{id}");
+    }
+    drop((stream, alone));
     handle.shutdown();
 }
 
-/// Occurrences of `needle` in `haystack` bytes.
-fn bytes_of(haystack: &[u8], needle: &str) -> usize {
-    let needle = needle.as_bytes();
-    if haystack.len() < needle.len() {
-        return 0;
-    }
-    (0..=haystack.len() - needle.len())
-        .filter(|&i| &haystack[i..i + needle.len()] == needle)
-        .count()
+#[test]
+fn a_pipelined_request_queues_behind_the_one_before() {
+    let handle = start(ServerConfig::default(), static_bundle(1.0)).expect("start");
+    // A slow head, a rank of 23 distinct creatives (253 pairs, the most the
+    // default max_batch admits), with a score pipelined behind it. Both fit
+    // the server's first read, so the score waits in the reader's buffer
+    // while the rank is handled and written: that wait is its queue stage,
+    // not its parse.
+    let creatives: Vec<String> = (0..23)
+        .map(|i| format!(r#""cheap flights {i}|book now {i}""#))
+        .collect();
+    let rank = format!(r#"{{"creatives":[{}]}}"#, creatives.join(","));
+    let score = r#"{"r":"cheap|a","s":"b|c"}"#;
+    let timing = [("X-Mb-Server-Timing", "1")];
+    let burst = raw_post("/v1/rank", &timing, &rank) + &raw_post("/v1/score", &timing, score);
+    assert!(burst.len() < 4096, "one read holds both requests");
+    let mut stream = connect_raw(handle.addr());
+    stream.write_all(burst.as_bytes()).expect("write burst");
+
+    // `queue=…;parse=…;score=…` of a response, in µs.
+    let stages = |resp: &HttpResponse| -> Vec<u64> {
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        let timing = resp.header("x-mb-server-timing").expect("server timing");
+        timing
+            .split(';')
+            .map(|kv| kv.split_once('=').expect("stage=µs").1.parse().expect("µs"))
+            .collect()
+    };
+    let head = stages(&read_response(&mut stream));
+    let next = stages(&read_response(&mut stream));
+    let (queue, parse, head_score) = (next[0], next[1], head[2]);
+    assert!(parse < queue, "queue={queue} parse={parse}");
+    assert!(
+        queue + 1 >= head_score,
+        "queue={queue} head score={head_score}"
+    );
+    drop(stream);
+    handle.shutdown();
 }
 
-/// The value of a plain counter line in a Prometheus text dump.
-fn metric_value(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{name} ")))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
+#[test]
+fn the_drain_counts_each_answer_by_its_kind() {
+    // One worker, held on an idle keep-alive session until its read times
+    // out, well after the drain begins, while three connections queue
+    // behind it with one score request each. The drain then serves the
+    // queue: a routed 200 counts as drained, a deadline 504 as aborted, and
+    // a bad-deadline 400 as neither.
+    let cfg = ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(1),
+        ..ServerConfig::default()
+    };
+    let handle = start(cfg, static_bundle(1.0)).expect("start");
+    let mut held = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(held.get("/healthz").expect("healthz").status, 200);
+    let body = r#"{"r":"cheap|a","s":"b|c"}"#;
+    let queued: Vec<(TcpStream, u16)> = [
+        (&[][..], 200),
+        (&[("X-Mb-Deadline-Ms", "1")], 504),
+        (&[("X-Mb-Deadline-Ms", "nope")], 400),
+    ]
+    .into_iter()
+    .map(|(headers, status)| {
+        let mut stream = connect_raw(handle.addr());
+        stream
+            .write_all(raw_post("/v1/score", headers, body).as_bytes())
+            .expect("write");
+        (stream, status)
+    })
+    .collect();
+    // Let the accept thread queue all three and the 1 ms budget run out.
+    std::thread::sleep(Duration::from_millis(100));
+    let report = handle.shutdown();
+    for (mut stream, status) in queued {
+        assert_eq!(read_response(&mut stream).status, status);
+    }
+    assert_eq!(
+        report,
+        DrainReport {
+            drained: 1,
+            aborted: 1
+        }
+    );
 }
 
 #[test]
