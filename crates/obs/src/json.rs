@@ -733,6 +733,13 @@ mod tests {
     }
 
     #[test]
+    fn dom_rejects_what_validator_rejects() {
+        for bad in ["", "{", "{\"a\":1,}", "[1,]", "01", "nul", "{\"a\":1}x"] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn dom_depth_limit_bounds_recursion() {
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(Json::parse(&deep).is_err());

@@ -561,25 +561,35 @@ mod tests {
 
     #[test]
     fn pipelined_requests_parse_in_order() {
-        let two = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxyGET /b HTTP/1.1\r\n\r\n";
-        // The same two, then a buffered request cut off mid-body.
-        let cut = [
-            &two[..],
-            b"POST /a HTTP/1.1\r\nContent-Length: 9\r\n\r\ntrunc",
-        ]
-        .concat();
-        for bytes in [&two[..], &cut[..]] {
-            let mut reader = RequestReader::new(bytes, Limits::default());
-            let first = reader.next_request().unwrap().unwrap();
-            assert_eq!((first.path(), first.body.as_slice()), ("/a", &b"xy"[..]));
-            let second = reader.next_request().unwrap().unwrap();
-            assert_eq!(second.path(), "/b");
-            match reader.next_request() {
-                Ok(None) => assert_eq!(bytes, two),
-                Err(HttpError::BadRequest(_)) => assert_eq!(bytes, cut),
-                other => panic!("{other:?}"),
-            }
+        let bytes = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxyGET /b HTTP/1.1\r\n\r\n";
+        let mut reader = RequestReader::new(&bytes[..], Limits::default());
+        let first = reader.next_request().unwrap().unwrap();
+        assert_eq!((first.path(), first.body.as_slice()), ("/a", &b"xy"[..]));
+        let second = reader.next_request().unwrap().unwrap();
+        assert_eq!(second.path(), "/b");
+        assert!(reader.next_request().unwrap().is_none());
+    }
+
+    #[test]
+    fn buffered_pop_consumes_only_accepted_complete_requests() {
+        let bytes = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxy\
+                      POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nzw\
+                      GET /b HTTP/1.1\r\n\r\n\
+                      POST /a HTTP/1.1\r\nContent-Length: 9\r\n\r\ntrunc";
+        let mut reader = RequestReader::new(&bytes[..], Limits::default());
+        // Each call takes exactly one complete request off the buffer; the
+        // bytes left behind start waiting where that request's parse ended.
+        for (path, body) in [("/a", &b"xy"[..]), ("/a", b"zw"), ("/b", b"")] {
+            let req = reader.next_request().unwrap().unwrap();
+            assert_eq!((req.path(), req.body.as_slice()), (path, body));
+            assert!(reader.request_started().is_some());
+            assert!(reader.request_started() >= reader.last_request_started());
         }
+        // The truncated request is never taken as a complete one.
+        assert!(matches!(
+            reader.next_request(),
+            Err(HttpError::BadRequest(_))
+        ));
     }
 
     /// Delivers `data` at most `chunk` bytes per read and shares how far
