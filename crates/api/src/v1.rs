@@ -26,7 +26,6 @@
 //! on which path a body took.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
 
 use microbrowse_obs::json::{self, Json, JsonObject};
 
@@ -588,8 +587,8 @@ impl RankResponse {
     }
 
     fn fill(&self, obj: JsonObject) -> JsonObject {
-        let obj = obj.array("order", &self.order, |out, i| {
-            let _ = write!(out, "{i}");
+        let obj = obj.array("order", &self.order, |out, &i| {
+            json::write_u64(out, i as u64)
         });
         append_generation(self.fidelity.append_to(obj), self.generation)
             .u64("latency_us", self.latency_us)
@@ -681,7 +680,8 @@ impl BatchResponse {
                     Winner::R => &tail_r,
                     Winner::S => &tail_s,
                 });
-                let _ = write!(out, "{}}}", r.latency_us);
+                json::write_u64(out, r.latency_us);
+                out.push('}');
             })
             .u64("count", self.results.len() as u64);
         append_generation(self.fidelity.append_to(obj), self.generation)

@@ -15,13 +15,15 @@
 //! The expected *shape* (see EXPERIMENTS.md): position information lifts
 //! both the term and the rewrite models, rewrites beat bare terms, and the
 //! position-aware rewrite models (M4/M6) lead — "the F-measure increase\[s\]
-//! from 0.57 for M1 to 0.71 for M6".
+//! from 0.57 for M1 to 0.71 for M6". The last stdout line repeats each
+//! model's F-measure and each shape check as one JSON object.
 
 use microbrowse_bench::{corpus_config, experiment_config, paper, Args, DEFAULT_ADGROUPS};
 use microbrowse_core::pipeline::run_all_models;
 use microbrowse_core::report::{f3, pct, Table};
 use microbrowse_core::Placement;
 use microbrowse_ml::BinaryMetrics;
+use microbrowse_obs::json::JsonObject;
 use microbrowse_synth::generate;
 
 fn main() {
@@ -101,4 +103,21 @@ fn main() {
     for (desc, ok) in checks {
         println!("  [{}] {desc}", if ok { "ok" } else { "MISS" });
     }
+    // The F-measures and checks again as one JSON line, last on stdout,
+    // for tools that compare runs (scripts/ab.py).
+    let f1 = labels
+        .iter()
+        .zip(&means)
+        .fold(JsonObject::new(), |obj, (l, m)| obj.f64(&l[..2], m.f1));
+    let shape = checks
+        .iter()
+        .fold(JsonObject::new(), |obj, (desc, ok)| obj.bool(desc, *ok));
+    let line = JsonObject::new()
+        .u64("adgroups", adgroups as u64)
+        .u64("seed", seed)
+        .u64("replicates", replicates)
+        .raw("f1", &f1.finish())
+        .raw("checks", &shape.finish())
+        .finish();
+    println!("{line}");
 }

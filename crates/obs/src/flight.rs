@@ -1,7 +1,8 @@
 //! Always-on in-memory flight recorder with tail sampling.
 //!
 //! The [`FlightRecorder`] is a [`TraceSink`] that keeps the most recent
-//! trace-tagged [`SpanRecord`]s and [`EventRecord`]s in a fixed-size ring,
+//! trace-tagged [`SpanRecord`]s and [`EventRecord`]s (ids, timing and name;
+//! their fields stay with the other sinks) in a fixed-size ring,
 //! together with one [`RequestRecord`] per response the server wrote
 //! (method, path, status, trace id and where the request's time went).
 //! Nothing is written to disk and nothing is retained by default: the ring
@@ -141,9 +142,9 @@ pub struct RetainedTrace {
     pub reason: PromoteReason,
     /// Outcome and stage breakdown; `request.trace` is the trace id.
     pub request: RequestRecord,
-    /// Spans, ordered by start time.
+    /// Spans, ordered by start time, without their fields.
     pub spans: Vec<SpanRecord>,
-    /// Events, ordered by emission time.
+    /// Events, ordered by emission time, without their fields.
     pub events: Vec<EventRecord>,
 }
 
@@ -306,16 +307,25 @@ impl FlightRecorder {
     }
 }
 
+/// The ring keeps a span's or event's ids, timing and name: `/debug/trace`
+/// renders nothing else, so its field bag stays with the JSONL and memory
+/// sinks and the copy allocates nothing.
 impl TraceSink for FlightRecorder {
     fn on_span(&self, span: &SpanRecord) {
         if span.trace != 0 {
-            self.push(RingRecord::Span(span.clone()));
+            self.push(RingRecord::Span(SpanRecord {
+                fields: Vec::new(),
+                ..*span
+            }));
         }
     }
 
     fn on_event(&self, event: &EventRecord) {
         if event.trace != 0 {
-            self.push(RingRecord::Event(event.clone()));
+            self.push(RingRecord::Event(EventRecord {
+                fields: Vec::new(),
+                ..*event
+            }));
         }
     }
 }
@@ -363,8 +373,8 @@ mod tests {
         crate::set_enabled(true);
         {
             let _g = TraceContext::from_wire(7, 0, false).enter();
-            let _outer = span("serve.request");
-            event("serve.tick");
+            let _outer = span("serve.request").with("endpoint", "/v1/score");
+            event("serve.tick").with("n", 1u64);
             let _inner = span("engine.score");
         }
         {
@@ -382,6 +392,8 @@ mod tests {
         assert_eq!(kept[0].events.len(), 1);
         assert!(kept[0].spans[0].start_us <= kept[0].spans[1].start_us);
         assert!(kept[0].spans.iter().all(|s| s.trace == 7));
+        assert!(kept[0].spans.iter().all(|s| s.fields.is_empty()));
+        assert!(kept[0].events[0].fields.is_empty());
         assert_eq!(kept[0].reason, PromoteReason::Slow);
     }
 

@@ -8,8 +8,8 @@
 //! pretty-printing) so it can double as a JSON-lines record.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
 
+pub use crate::num::{write_i64, write_u64};
 use crate::trace::Value;
 
 /// Append `s` to `out` as a quoted JSON string literal: `"`, `\` and
@@ -30,7 +30,10 @@ pub fn write_str(out: &mut String, s: &str) {
         // Every escaped byte is ASCII, so `clean..i` is on char boundaries.
         out.push_str(&s[clean..i]);
         if escaped.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
         } else {
             out.push_str(escaped);
         }
@@ -40,19 +43,15 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Append a finite `f64` to `out` as JSON; non-finite values become `null`
-/// (JSON has no NaN/Infinity).
+/// Append a finite `f64` to `out` as its shortest round-trip decimal, with
+/// no exponent and a `.0` on whole numbers so the value stays typed as a
+/// float on the reader side; non-finite values become `null` (JSON has no
+/// NaN/Infinity).
 pub fn write_f64(out: &mut String, v: f64) {
-    if !v.is_finite() {
+    if v.is_finite() {
+        crate::num::write_f64(out, v);
+    } else {
         out.push_str("null");
-        return;
-    }
-    let start = out.len();
-    let _ = write!(out, "{v}");
-    // `{}` drops the ".0" on whole floats; keep it so the value stays
-    // typed as a float on the reader side.
-    if !out[start..].contains(['.', 'e', 'E']) {
-        out.push_str(".0");
     }
 }
 
@@ -101,13 +100,13 @@ impl JsonObject {
 
     /// Add an unsigned integer member.
     pub fn u64(mut self, key: &str, v: u64) -> Self {
-        let _ = write!(self.key(key), "{v}");
+        write_u64(self.key(key), v);
         self
     }
 
     /// Add a signed integer member.
     pub fn i64(mut self, key: &str, v: i64) -> Self {
-        let _ = write!(self.key(key), "{v}");
+        write_i64(self.key(key), v);
         self
     }
 

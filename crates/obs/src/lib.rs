@@ -46,6 +46,7 @@
 pub mod flight;
 pub mod json;
 pub mod metrics;
+mod num;
 pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};

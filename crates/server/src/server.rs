@@ -825,7 +825,6 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
             if shared.state.epoch() != epoch {
                 continue 'epoch;
             }
-            let draining = shared.draining.load(Ordering::SeqCst);
             // Stage accounting. Queue is accept → worker dequeue for a
             // session's first request; a pipelined request, already
             // buffered when the previous one parsed, also queues from then
@@ -847,7 +846,12 @@ fn serve_connection(shared: &Shared, conn: QueuedConn) {
                 ),
                 None => (session_queue_us, 0),
             };
-            match reader.next_request() {
+            let next = reader.next_request();
+            // Read once the request is in, not before the read blocks: a
+            // request on a session that sat idle while the drain began is
+            // still served as part of the drain and counted.
+            let draining = shared.draining.load(Ordering::SeqCst);
+            match next {
                 Ok(Some(req)) => {
                     let (queue_us, parse_us) = stages(reader.last_request_started());
                     // The deadline budget is anchored at connection accept

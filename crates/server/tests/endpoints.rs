@@ -660,6 +660,40 @@ fn the_drain_counts_each_answer_by_its_kind() {
 }
 
 #[test]
+fn a_request_on_a_session_idle_when_the_drain_began_is_drained() {
+    // One worker waits on an idle keep-alive session when the drain begins
+    // on another thread; a score arrives on that session 100 ms later. It
+    // is answered as part of the drain: the session closes, and the report
+    // counts it.
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = start(cfg, static_bundle(1.0)).expect("start");
+    let mut stream = connect_raw(handle.addr());
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+        .expect("write healthz");
+    assert_eq!(read_response(&mut stream).status, 200);
+    let drain = std::thread::spawn(move || handle.shutdown());
+    std::thread::sleep(Duration::from_millis(100));
+    stream
+        .write_all(raw_post("/v1/score", &[], r#"{"r":"cheap|a","s":"b|c"}"#).as_bytes())
+        .expect("write score");
+    let resp = read_response(&mut stream);
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(resp.header("connection"), Some("close"));
+    drop(stream);
+    assert_eq!(
+        drain.join().expect("shutdown"),
+        DrainReport {
+            drained: 1,
+            aborted: 0
+        }
+    );
+}
+
+#[test]
 fn shutdown_drains_in_flight_and_reports() {
     let handle = start(ServerConfig::default(), static_bundle(1.0)).expect("start");
     let mut c = Client::connect(handle.addr()).expect("connect");
