@@ -27,8 +27,9 @@ Two kinds of run:
 
 Every run's metrics, `correct`/`pass`/`attempted`/`failed` (when the result has
 them) and exit status are kept. Per metric and workload the summary gives
-each side's median, quartiles and IQR/median, the change of the medians
-and the pairs the change won (ties count for neither side). Each side's
+each side's median, quartiles and IQR/median, the change of the medians,
+that change over the base's IQR, and the pairs the change won (ties count
+for neither side). Each side's
 `nm -S` sizes of a fixed list of hot symbols are recorded too, so a
 code-layout change shows in the artifact.
 
@@ -122,7 +123,8 @@ class Side:
             print(f"{self.label}: built in {time.time() - t:.0f} s: {command}", flush=True)
 
     def symbols(self, binary):
-        """Sizes in bytes of every copy of each hot symbol in `binary`."""
+        """Sizes in bytes of every copy of each hot symbol in `binary`
+        (None when the side built no such binary)."""
         path = os.path.join(self.target, binary)
         if not os.path.exists(path):
             return None
@@ -233,6 +235,8 @@ def summarize(runs, better):
         if "base" in sides and "change" in sides and sides["base"]["median"]:
             base, change = sides["base"]["median"], sides["change"]["median"]
             entry["median_change_pct"] = 100.0 * (change - base) / base
+            spread = sides["base"]["q3"] - sides["base"]["q1"]
+            entry["gap_over_base_iqr"] = abs(change - base) / spread if spread else None
             pairs = [v for v in by_seed.values() if len(v) == 2]
             sign = -1 if entry["better"] == "lower" else 1
             entry["pairs"] = len(pairs)
@@ -256,13 +260,11 @@ def main():
                    help="perfbench workload (repeatable)")
     p.add_argument("--seconds", type=int, default=40, help="perfbench run length")
     p.add_argument("--trace", type=int, default=0, help="perfbench --trace")
-    p.add_argument("--cmd", help="command template ({seed}, {out})")
+    p.add_argument("--cmd", help="command template ({seed}, {target}, {out})")
     p.add_argument("--build", action="append", default=[],
                    help="build command for --cmd (repeatable)")
     p.add_argument("--metric", action="append", default=[],
                    help="PATH[:lower|higher] for --cmd (repeatable)")
-    p.add_argument("--symbols-bin", default="release/microbrowse",
-                   help="binary under the target dir whose hot symbols are sized")
     p.add_argument("--workdir", help="keep exports' builds here (default: a temp dir)")
     args = p.parse_args()
     if bool(args.workload) == bool(args.cmd):
@@ -306,7 +308,7 @@ def main():
             "args": sys.argv[1:],
             "nproc": os.cpu_count(),
             "started_order": "pair i runs base first when i is even",
-            "symbols": {s.label: s.symbols(args.symbols_bin) for s in sides},
+            "symbols": {s.label: s.symbols("release/microbrowse") for s in sides},
             "workloads": {},
         }
         for workload in workloads:
