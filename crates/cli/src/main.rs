@@ -41,16 +41,15 @@ use microbrowse_api::v1::{
 use microbrowse_core::classifier::{ModelSpec, TrainConfig, TrainedClassifier};
 use microbrowse_core::error::MbError;
 use microbrowse_core::explain::{explain_pair, SpanKind};
-use microbrowse_core::features::{Featurizer, PositionVocab, SpanSide};
+use microbrowse_core::features::{PositionVocab, SpanSide};
 use microbrowse_core::optimize::{optimize_creative, Edit, OptimizeConfig};
 use microbrowse_core::pipeline::{run_experiments, ExperimentConfig};
 use microbrowse_core::serve::{
     DegradeReason, DeployedModel, Fidelity, LoadPolicy, ModelIoError, ScorerBuilder, ServingBundle,
     MODEL_SLOT_NAME, STATS_SLOT_NAME,
 };
-use microbrowse_core::statsbuild::{build_stats, StatsBuildConfig, TokenizedCorpus};
 use microbrowse_core::suggest::{suggest, SuggestConfig};
-use microbrowse_core::{PairFilter, Placement};
+use microbrowse_core::{PairFilter, Placement, TrainingSet};
 use microbrowse_store::{ArtifactSlot, SnapshotError, StatsDb};
 use microbrowse_synth::{generate, GeneratorConfig};
 use microbrowse_text::Snippet;
@@ -437,41 +436,12 @@ fn cmd_train(flags: &Flags) -> Result<(), MbError> {
         seed,
         ..Default::default()
     });
-    let tc = TokenizedCorpus::build(&synth.corpus);
-    let pairs = synth.corpus.extract_pairs(&PairFilter::default());
-    eprintln!("building statistics over {} pairs…", pairs.len());
-    let stats = build_stats(
-        &tc,
-        &pairs,
-        &StatsBuildConfig {
-            threads,
-            ..Default::default()
-        },
-    );
+    let set = TrainingSet::from_corpus(&synth.corpus);
+    eprintln!("building statistics over {} pairs…", set.pairs().len());
+    let stats = set.build_stats(&set.all(), threads);
 
     eprintln!("training {}…", spec.label());
-    let cfg = TrainConfig::default();
-    let mut interner = tc.interner.clone();
-    let mut featurizer = Featurizer::new(spec, &stats);
-    let tok_pairs: Vec<_> = pairs
-        .iter()
-        .map(|p| (tc.snippet(p.r).clone(), tc.snippet(p.s).clone(), p.r_better))
-        .collect();
-    let data = featurizer.encode_batch(&tok_pairs, &mut interner);
-    let mut init_terms =
-        featurizer.init_term_weights(&interner, cfg.stats_alpha, cfg.init_min_support);
-    for w in &mut init_terms {
-        *w *= cfg.init_scale;
-    }
-    let init_pos = featurizer.init_pos_weights(cfg.stats_alpha);
-    let classifier = TrainedClassifier::train(&spec, &data, Some(init_terms), Some(init_pos), &cfg);
-    let vocab = featurizer.export_vocab(&interner);
-
-    let deployed = DeployedModel {
-        spec,
-        classifier,
-        vocab,
-    };
+    let deployed = set.train(spec, &stats, &TrainConfig::default(), threads);
     let model_gen = save_model(&deployed, &model_path)?;
     let stats_gen = save_stats(&stats, &stats_path)?;
     let gen_note = |g: Option<u64>| g.map_or(String::new(), |g| format!(" [generation {g}]"));
@@ -1196,16 +1166,11 @@ fn cmd_replay(flags: &Flags) -> Result<(), MbError> {
         ))
     })?;
 
-    let mut learner = OnlineLearner::new(bundle.stats()?, bundle.model().spec);
-    if let Some(state) = &recovery.state {
-        learner.restore_state(state).map_err(|e| {
+    let learner =
+        OnlineLearner::recover(bundle.stats()?, bundle.model().spec, &recovery).map_err(|e| {
             MbError::invariant(format!("journal checkpoint state did not restore: {e}"))
         })?;
-    }
     let replayed = recovery.batches.len();
-    for batch in &recovery.batches {
-        learner.absorb(batch);
-    }
     eprintln!(
         "journal {}: {replayed} unfolded batch(es); learner at {} batch(es) / {} event(s) total",
         journal_dir.display(),

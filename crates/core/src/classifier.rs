@@ -18,7 +18,7 @@
 //! alternating regression of Eq. 9 ([`microbrowse_ml::coupled`]).
 
 use microbrowse_ml::coupled::CoupledOptimizer;
-use microbrowse_ml::{CoupledConfig, CoupledExample, CoupledModel, Example, LogReg, LogRegConfig};
+use microbrowse_ml::{CoupledConfig, CoupledModel, LogReg, LogRegConfig};
 
 use crate::features::EncodedData;
 
@@ -226,26 +226,6 @@ impl TrainedClassifier {
         }
     }
 
-    /// Predict a flat-encoded example. Panics if the classifier is coupled.
-    pub fn predict_flat(&self, ex: &Example) -> bool {
-        match self {
-            TrainedClassifier::Flat(m) => m.predict(&ex.features),
-            TrainedClassifier::Coupled(_) => {
-                panic!("coupled classifier cannot score flat examples")
-            }
-        }
-    }
-
-    /// Predict a coupled-encoded example. Panics if the classifier is flat.
-    pub fn predict_coupled(&self, ex: &CoupledExample) -> bool {
-        match self {
-            TrainedClassifier::Coupled(m) => m.predict(ex),
-            TrainedClassifier::Flat(_) => {
-                panic!("flat classifier cannot score coupled examples")
-            }
-        }
-    }
-
     /// Predict every example of an encoded dataset, returning
     /// `(prediction, label)` pairs.
     pub fn predict_all(&self, data: &EncodedData) -> Vec<(bool, bool)> {
@@ -280,7 +260,7 @@ pub use microbrowse_ml::{CoupledDataset as CoupledData, Dataset as FlatData};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microbrowse_ml::{CoupledDataset, Dataset, SparseVec};
+    use microbrowse_ml::{CoupledDataset, CoupledExample, Dataset, Example, SparseVec};
 
     #[test]
     fn spec_table_matches_paper() {

@@ -348,11 +348,6 @@ impl<'a> Featurizer<'a> {
         }
     }
 
-    /// The model spec being encoded for.
-    pub fn spec(&self) -> &ModelSpec {
-        &self.spec
-    }
-
     /// Current vocabulary size (term-feature ids allocated so far).
     pub fn vocab_len(&self) -> usize {
         self.term_feats.len()
@@ -529,28 +524,6 @@ impl<'a> Featurizer<'a> {
         self.finish_coupled(raw, label)
     }
 
-    /// Encode a batch of `(r, s, label)` pairs into the encoding the spec
-    /// requires.
-    pub fn encode_batch(
-        &mut self,
-        pairs: &[(TokenizedSnippet, TokenizedSnippet, bool)],
-        interner: &mut Interner,
-    ) -> EncodedData {
-        if self.spec.positions {
-            let mut d = CoupledDataset::with_dims(PositionVocab::num_groups() as usize, 0);
-            for (r, s, label) in pairs {
-                d.push(self.encode_coupled(r, s, *label, interner));
-            }
-            EncodedData::Coupled(d)
-        } else {
-            let mut d = Dataset::with_dim(0);
-            for (r, s, label) in pairs {
-                d.push(self.encode_flat(r, s, *label, interner));
-            }
-            EncodedData::Flat(d)
-        }
-    }
-
     /// Encode the pairs selected by `idxs` (indices into `pairs` and
     /// `cache`) through the shared preprocessing cache.
     ///
@@ -558,7 +531,8 @@ impl<'a> Featurizer<'a> {
     /// interning), so it fans out over up to `threads` workers; vocabulary
     /// ids are then assigned serially in input order. The result is
     /// therefore bit-identical to the serial encoding at any thread count,
-    /// and identical to [`Self::encode_batch`] over the same pairs.
+    /// and identical to encoding each pair with [`Self::encode_flat`] or
+    /// [`Self::encode_coupled`] in the same order.
     pub fn encode_pairs_cached(
         &mut self,
         pairs: &[CreativePair],
@@ -836,44 +810,9 @@ mod tests {
         assert!(w.iter().all(|&x| (x - 1.0).abs() < 1e-12));
     }
 
-    #[test]
-    fn encode_batch_picks_encoding_by_spec() {
-        let stats = StatsDb::new();
-        let mut interner = Interner::new();
-        let r = snip(&mut interner, &["a b"]);
-        let s = snip(&mut interner, &["a c"]);
-        let pairs = vec![(r, s, true)];
-        let mut flat_fz = Featurizer::new(m(true, false, false), &stats);
-        assert!(matches!(
-            flat_fz.encode_batch(&pairs, &mut interner),
-            EncodedData::Flat(_)
-        ));
-        let mut pos_fz = Featurizer::new(m(true, false, true), &stats);
-        assert!(matches!(
-            pos_fz.encode_batch(&pairs, &mut interner),
-            EncodedData::Coupled(_)
-        ));
-    }
-
-    #[test]
-    fn vocab_is_shared_across_examples() {
-        let stats = StatsDb::new();
-        let mut interner = Interner::new();
-        let a = snip(&mut interner, &["cheap flights"]);
-        let b = snip(&mut interner, &["luxury flights"]);
-        let mut fz = Featurizer::new(m(true, false, false), &stats);
-        let e1 = fz.encode_flat(&a, &b, true, &mut interner);
-        let e2 = fz.encode_flat(&b, &a, false, &mut interner);
-        let v1 = fz.vocab_len();
-        // Second encoding must not have grown the vocabulary.
-        let _ = (e1, e2);
-        let e3 = fz.encode_flat(&a, &b, true, &mut interner);
-        assert_eq!(fz.vocab_len(), v1);
-        let _ = e3;
-    }
-
-    #[test]
-    fn cached_encoding_matches_batch_encoding() {
+    /// Two adgroups of two creatives each, their qualifying pairs, the
+    /// pairs' preprocessing cache and the statistics database over them.
+    fn cached_fixture() -> (TokenizedCorpus, Vec<CreativePair>, PairCache, StatsDb) {
         use crate::corpus::{
             AdCorpus, AdGroup, AdGroupId, Creative, CreativeId, PairFilter, Placement,
         };
@@ -907,15 +846,53 @@ mod tests {
         let mut tc = TokenizedCorpus::build(&corpus);
         let pairs = corpus.extract_pairs(&PairFilter::default());
         let stats_cfg = StatsBuildConfig::default();
-        let rw_cfg = RewriteConfig::default();
         let cache = PairCache::build(
             &mut tc,
             &pairs,
             stats_cfg.ngram,
-            rw_cfg,
+            RewriteConfig::default(),
             stats_cfg.max_rewrite_len,
         );
         let stats = build_stats(&tc, &pairs, &stats_cfg);
+        (tc, pairs, cache, stats)
+    }
+
+    #[test]
+    fn cached_encoding_picks_encoding_by_spec() {
+        let (tc, pairs, cache, stats) = cached_fixture();
+        let idxs: Vec<usize> = (0..pairs.len()).collect();
+        let mut flat_fz = Featurizer::new(m(true, false, false), &stats);
+        assert!(matches!(
+            flat_fz.encode_pairs_cached(&pairs, &idxs, &tc, &cache, &tc.interner, 1),
+            EncodedData::Flat(_)
+        ));
+        let mut pos_fz = Featurizer::new(m(true, false, true), &stats);
+        assert!(matches!(
+            pos_fz.encode_pairs_cached(&pairs, &idxs, &tc, &cache, &tc.interner, 1),
+            EncodedData::Coupled(_)
+        ));
+    }
+
+    #[test]
+    fn vocab_is_shared_across_examples() {
+        let stats = StatsDb::new();
+        let mut interner = Interner::new();
+        let a = snip(&mut interner, &["cheap flights"]);
+        let b = snip(&mut interner, &["luxury flights"]);
+        let mut fz = Featurizer::new(m(true, false, false), &stats);
+        let e1 = fz.encode_flat(&a, &b, true, &mut interner);
+        let e2 = fz.encode_flat(&b, &a, false, &mut interner);
+        let v1 = fz.vocab_len();
+        // Second encoding must not have grown the vocabulary.
+        let _ = (e1, e2);
+        let e3 = fz.encode_flat(&a, &b, true, &mut interner);
+        assert_eq!(fz.vocab_len(), v1);
+        let _ = e3;
+    }
+
+    #[test]
+    fn cached_encoding_matches_batch_encoding() {
+        let (tc, pairs, cache, stats) = cached_fixture();
         let toks: Vec<(TokenizedSnippet, TokenizedSnippet, bool)> = pairs
             .iter()
             .map(|p| (tc.snippet(p.r).clone(), tc.snippet(p.s).clone(), p.r_better))
@@ -927,11 +904,25 @@ mod tests {
             m(true, true, true),
             m(false, true, true),
         ] {
+            // The oracle: every pair encoded on its own, extracting as it
+            // goes, into a growing copy of the interner.
             let mut batch_interner = tc.interner.clone();
-            let mut batch_fz = Featurizer::with_configs(spec, &stats, stats_cfg.ngram, rw_cfg);
-            let batch = batch_fz.encode_batch(&toks, &mut batch_interner);
+            let mut batch_fz = Featurizer::new(spec, &stats);
+            let batch = if spec.positions {
+                let mut d = CoupledDataset::with_dims(PositionVocab::num_groups() as usize, 0);
+                for (r, s, label) in &toks {
+                    d.push(batch_fz.encode_coupled(r, s, *label, &mut batch_interner));
+                }
+                EncodedData::Coupled(d)
+            } else {
+                let mut d = Dataset::with_dim(0);
+                for (r, s, label) in &toks {
+                    d.push(batch_fz.encode_flat(r, s, *label, &mut batch_interner));
+                }
+                EncodedData::Flat(d)
+            };
 
-            let mut cached_fz = Featurizer::with_configs(spec, &stats, stats_cfg.ngram, rw_cfg);
+            let mut cached_fz = Featurizer::new(spec, &stats);
             for threads in [1, 3] {
                 let cached = cached_fz.encode_pairs_cached(
                     &pairs,

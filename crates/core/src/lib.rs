@@ -28,6 +28,7 @@
 //! | [`paircache`] | — shared pair preprocessing, pair keys and the serve-time score cache |
 //! | [`features`] | §IV-A / §V-D.1 — classifier features for M1–M6, one walk for every consumer |
 //! | [`classifier`] | §V-D — the six ablation models M1–M6 |
+//! | [`train`] | §V-D — the one training recipe: encode, warm-start ("+init"), fit |
 //! | [`pipeline`] | §IV-B / Figure 1 — end-to-end corpus → CV metrics |
 //! | [`report`] | §V tables — plain-text table rendering |
 //! | [`serve`] | — deployable models, loading policy and the serving [`Scorer`] |
@@ -58,6 +59,7 @@ pub mod serve;
 pub mod serveweight;
 pub mod statsbuild;
 pub mod suggest;
+pub mod train;
 
 pub use classifier::{ModelSpec, TrainedClassifier};
 pub use compiled::{CompiledFeatureTable, ScoringEngine};
@@ -82,3 +84,4 @@ pub use serve::{
 pub use serveweight::{delta_sw, serve_weights, sw_diff};
 pub use statsbuild::{build_stats, build_stats_for, build_stats_from_corpus, StatsBuildConfig};
 pub use suggest::{suggest, RewriteStep, SuggestConfig, Suggestion};
+pub use train::TrainingSet;

@@ -4,8 +4,9 @@
 //!
 //! 1. **Feature extraction** — scan creative pairs, build the feature
 //!    statistics database ([`crate::statsbuild`]).
-//! 2. **Classification** — featurize each pair ([`crate::features`]), train
-//!    the chosen model variant ([`crate::classifier`]), and evaluate.
+//! 2. **Classification** — featurize each pair, warm-start and fit the
+//!    chosen model variant through the training recipe ([`crate::train`]),
+//!    and evaluate.
 //!
 //! Evaluation is "standard 10-fold cross validation" (§V-D.2) with one
 //! strengthening: the statistics database of each fold is rebuilt from that
@@ -35,12 +36,11 @@ use microbrowse_ml::{grouped_kfold, stratified_kfold, BinaryMetrics, Confusion, 
 use microbrowse_obs as obs;
 use microbrowse_store::StatsDb;
 
-use crate::classifier::{ModelSpec, TrainConfig, TrainedClassifier};
+use crate::classifier::{ModelSpec, TrainConfig};
 use crate::corpus::{AdCorpus, CreativePair, PairFilter};
-use crate::features::Featurizer;
-use crate::paircache::PairCache;
 use crate::rewrite::RewriteConfig;
-use crate::statsbuild::{build_stats_for, StatsBuildConfig, TokenizedCorpus};
+use crate::statsbuild::{StatsBuildConfig, TokenizedCorpus};
+use crate::train::TrainingSet;
 
 /// Configuration of one experiment run.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,7 +158,7 @@ pub fn run_experiments(
     let mut root = obs::trace::span("pipeline.experiment")
         .with("specs", specs.len())
         .with("threads", threads);
-    let (mut tc, pairs) = {
+    let (tc, pairs) = {
         let mut parse = obs::trace::span("pipeline.parse");
         let tc = TokenizedCorpus::build(corpus);
         let pairs = qualified_pairs(corpus, cfg);
@@ -177,22 +177,16 @@ pub fn run_experiments(
 
     // Pre-intern every phrase any later stage can need; from here on the
     // interner is immutable and every stage runs off shared `&` state.
-    let cache = {
+    let set = {
         let _cache_span = obs::trace::span("pipeline.cache").with("pairs", pairs.len());
-        PairCache::build(
-            &mut tc,
-            &pairs,
-            cfg.stats.ngram,
-            cfg.rewrite,
-            cfg.stats.max_rewrite_len,
-        )
+        TrainingSet::new(tc, pairs, &cfg.stats, cfg.rewrite)
     };
-    let tc = &tc;
-    let all_idx: Vec<usize> = (0..pairs.len()).collect();
+    let n = set.pairs().len();
+    let all_idx = set.all();
 
     let full_stats = cfg
         .stats_on_full_corpus
-        .then(|| build_stats_for(tc, &pairs, &all_idx, &cache, &cfg.stats));
+        .then(|| set.build_stats(&all_idx, cfg.stats.threads));
 
     // One training-fold statistics database per fold, shared by all specs.
     // Inner builds go serial whenever the fold level already fans out.
@@ -200,17 +194,11 @@ pub fn run_experiments(
         folds.iter().map(|_| None).collect()
     } else {
         let inner = if folds.len() > 1 { 1 } else { threads };
-        let stats_cfg = StatsBuildConfig {
-            threads: inner,
-            ..cfg.stats
-        };
         microbrowse_par::par_map(&folds, threads, |_, fold| {
             if fold.test_idx.is_empty() {
                 return None;
             }
-            let mask = fold.test_mask(pairs.len());
-            let train_idx: Vec<usize> = (0..pairs.len()).filter(|&i| !mask[i]).collect();
-            Some(build_stats_for(tc, &pairs, &train_idx, &cache, &stats_cfg))
+            Some(set.build_stats(&train_indices(fold, n), inner))
         })
     };
 
@@ -234,18 +222,16 @@ pub fn run_experiments(
             .as_ref()
             .or(fold_train_stats[fi].as_ref())
             .expect("non-empty fold has a stats db");
-        run_fold(tc, &pairs, &cache, &folds[fi], specs[si], stats, cfg, inner)
+        run_fold(&set, &folds[fi], specs[si], stats, &cfg.train, inner)
     });
 
     // Final full-data fits for position-weight reporting (Figure 3).
-    let needs_final =
-        !pairs.is_empty() && specs.iter().any(|s| s.positions) && full_stats.is_none();
-    let final_stats =
-        needs_final.then(|| build_stats_for(tc, &pairs, &all_idx, &cache, &cfg.stats));
+    let needs_final = n > 0 && specs.iter().any(|s| s.positions) && full_stats.is_none();
+    let final_stats = needs_final.then(|| set.build_stats(&all_idx, cfg.stats.threads));
     let inner_final = if specs.len() > 1 { 1 } else { threads };
     let position_weights: Vec<Option<Vec<f64>>> =
         microbrowse_par::par_map(specs, threads, |_, spec| {
-            if !spec.positions || pairs.is_empty() {
+            if !spec.positions || n == 0 {
                 return None;
             }
             let _final_span = obs::trace::span("pipeline.finalfit").with("spec", spec.name);
@@ -253,13 +239,8 @@ pub fn run_experiments(
                 .as_ref()
                 .or(final_stats.as_ref())
                 .expect("final-fit stats db built");
-            let mut fz = Featurizer::with_configs(*spec, stats, cfg.stats.ngram, cfg.rewrite);
-            let data =
-                fz.encode_pairs_cached(&pairs, &all_idx, tc, &cache, &tc.interner, inner_final);
-            let (init_terms, init_pos) = scaled_inits(&fz, &tc.interner, &cfg.train);
-            let clf =
-                TrainedClassifier::train(spec, &data, Some(init_terms), Some(init_pos), &cfg.train);
-            clf.position_weights().map(<[f64]>::to_vec)
+            let fit = set.fit(*spec, stats, &all_idx, &cfg.train, inner_final);
+            fit.classifier.position_weights().map(<[f64]>::to_vec)
         });
 
     let mut confusions = confusions.into_iter();
@@ -282,70 +263,34 @@ pub fn run_experiments(
                 mean: BinaryMetrics::mean(&fold_metrics),
                 fold_metrics,
                 pooled,
-                num_pairs: pairs.len(),
+                num_pairs: n,
                 position_weights,
             }
         })
         .collect()
 }
 
-/// Train on a fold's complement and evaluate on its held-out pairs.
-#[allow(clippy::too_many_arguments)]
+/// The indices of the `n` pairs outside `fold`'s held-out set.
+fn train_indices(fold: &FoldSplit, n: usize) -> Vec<usize> {
+    let mask = fold.test_mask(n);
+    (0..n).filter(|&i| !mask[i]).collect()
+}
+
+/// Train on a fold's complement and evaluate on its held-out pairs, which
+/// are encoded with the featurizer the fit grew.
 fn run_fold(
-    tc: &TokenizedCorpus,
-    pairs: &[CreativePair],
-    cache: &PairCache,
+    set: &TrainingSet,
     fold: &FoldSplit,
     spec: ModelSpec,
     stats: &StatsDb,
-    cfg: &ExperimentConfig,
+    train: &TrainConfig,
     threads: usize,
 ) -> Confusion {
-    let mask = fold.test_mask(pairs.len());
-    let train_idx: Vec<usize> = (0..pairs.len()).filter(|&i| !mask[i]).collect();
-
-    let mut fz = Featurizer::with_configs(spec, stats, cfg.stats.ngram, cfg.rewrite);
-    let (train_data, init_terms, init_pos, test_data) = {
-        let _encode_span = obs::trace::span("pipeline.encode")
-            .with("train_pairs", train_idx.len())
-            .with("test_pairs", fold.test_idx.len());
-        let train_data =
-            fz.encode_pairs_cached(pairs, &train_idx, tc, cache, &tc.interner, threads);
-        // Inits are sized to the train-time vocabulary, so compute them
-        // before the test encoding grows it.
-        let (init_terms, init_pos) = scaled_inits(&fz, &tc.interner, &cfg.train);
-        let test_data =
-            fz.encode_pairs_cached(pairs, &fold.test_idx, tc, cache, &tc.interner, threads);
-        (train_data, init_terms, init_pos, test_data)
-    };
-
-    let clf = TrainedClassifier::train(
-        &spec,
-        &train_data,
-        Some(init_terms),
-        Some(init_pos),
-        &cfg.train,
-    );
+    let train_idx = train_indices(fold, set.pairs().len());
+    let mut fit = set.fit(spec, stats, &train_idx, train, threads);
+    let test_data = set.encode(&mut fit.featurizer, &fold.test_idx, threads);
     let _eval_span = obs::trace::span("pipeline.eval").with("test_pairs", fold.test_idx.len());
-    Confusion::from_pairs(clf.predict_all(&test_data))
-}
-
-/// Build stats-DB warm starts, shrunk by `TrainConfig::init_scale`.
-fn scaled_inits(
-    fz: &Featurizer<'_>,
-    interner: &microbrowse_text::Interner,
-    train: &TrainConfig,
-) -> (Vec<f64>, Vec<f64>) {
-    let s = train.init_scale;
-    let mut terms = fz.init_term_weights(interner, train.stats_alpha, train.init_min_support);
-    for w in &mut terms {
-        *w *= s;
-    }
-    let mut pos = fz.init_pos_weights(train.stats_alpha);
-    for w in &mut pos {
-        *w = 1.0 + (*w - 1.0) * s; // positions shrink toward neutral 1.0
-    }
-    (terms, pos)
+    Confusion::from_pairs(fit.classifier.predict_all(&test_data))
 }
 
 #[cfg(test)]
@@ -484,6 +429,33 @@ mod tests {
         };
         let out = run_experiment(&corpus, ModelSpec::m5(), &cfg);
         assert!(out.mean.accuracy > 0.8);
+    }
+
+    /// The served model is the validated one: the recipe as `microbrowse
+    /// train` runs it (statistics and fit over every pair) learns the
+    /// position weights of the experiment's final fit, also at an
+    /// `init_scale` that shrinks the warm start. The losing creative lacks
+    /// "cheap" and shifts "today", so some positions start away from 1;
+    /// a fit that left them unshrunk would learn other weights.
+    #[test]
+    fn trained_positions_equal_the_final_fit() {
+        let mut corpus = tiny_corpus(30);
+        for group in &mut corpus.adgroups {
+            group.creatives[1].snippet = Snippet::creative(
+                "Air Travel",
+                "book flights today",
+                "trusted by millions today",
+            );
+        }
+        let cfg = quick_cfg();
+        assert_eq!(cfg.train.init_scale, 0.25);
+        let set = TrainingSet::from_corpus(&corpus);
+        let stats = set.build_stats(&set.all(), 1);
+        let model = set.train(ModelSpec::m6(), &stats, &cfg.train, 1);
+        let out = run_experiment(&corpus, ModelSpec::m6(), &cfg);
+        let served = model.classifier.position_weights().map(<[f64]>::to_vec);
+        assert!(served.is_some());
+        assert_eq!(served, out.position_weights);
     }
 
     #[test]

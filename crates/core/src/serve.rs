@@ -983,7 +983,6 @@ pub struct ScorerBuilder {
     model_path: PathBuf,
     stats_path: Option<PathBuf>,
     policy: LoadPolicy,
-    retry: RetryPolicy,
 }
 
 impl ScorerBuilder {
@@ -994,7 +993,6 @@ impl ScorerBuilder {
             model_path: model_path.into(),
             stats_path: None,
             policy: LoadPolicy::default(),
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -1007,12 +1005,6 @@ impl ScorerBuilder {
     /// What to do when the stats snapshot is missing or damaged.
     pub fn policy(mut self, policy: LoadPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Retry schedule for transient IO during loading.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -1078,7 +1070,7 @@ impl ScorerBuilder {
             }
             Ok((load.value, Some(load.generation)))
         } else {
-            let bytes = read_file_with_retry(path, &self.retry)
+            let bytes = read_file_with_retry(path, &RetryPolicy::default())
                 .map_err(|e| MbError::model(path, ModelIoError::Io(e)))?;
             let model = DeployedModel::from_bytes(&bytes).map_err(|e| {
                 if matches!(e, ModelIoError::ChecksumMismatch) {
@@ -1123,7 +1115,7 @@ impl ScorerBuilder {
                 })
                 .map_err(|e| MbError::slot(path, e))
         } else {
-            read_file_with_retry(path, &self.retry)
+            read_file_with_retry(path, &RetryPolicy::default())
                 .map_err(|e| MbError::stats(path, SnapshotError::Io(e)))
                 .and_then(|bytes| match compile_snapshot(&bytes, vocab) {
                     Ok(engine) => Ok((bytes, engine, None)),

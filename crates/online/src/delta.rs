@@ -8,6 +8,9 @@
 //! base with [`StatsDb::merge`]. Addition of counts is associative and
 //! commutative, so folding N batches one at a time or all at once yields
 //! bit-identical databases — no rebuild, no approximation.
+//!
+//! One accumulator of feedback events (`FeedbackCorpus`) builds both a
+//! batch's corpus for its delta and the learner's online pair corpus.
 
 use std::collections::BTreeMap;
 
@@ -16,57 +19,121 @@ use microbrowse_core::{
     build_stats_from_corpus, AdCorpus, AdGroup, AdGroupId, Creative, CreativeId, PairFilter,
     Placement, StatsBuildConfig,
 };
+use microbrowse_store::codec::{get_str, get_varint, put_str, put_varint, DecodeError};
 use microbrowse_store::StatsDb;
 use microbrowse_text::Snippet;
 
-/// Group raw feedback events into an [`AdCorpus`]: one adgroup per
-/// distinct `adgroup` id (keyword = the query class), one creative per
-/// distinct `creative` id with its impression/click counts summed.
-/// Deterministic: adgroups and creatives come out in ascending-id order.
-pub fn corpus_from_events<'a>(events: impl IntoIterator<Item = &'a FeedbackEvent>) -> AdCorpus {
-    struct CreativeAcc {
-        snippet: String,
-        impressions: u64,
-        clicks: u64,
-    }
-    let mut groups: BTreeMap<u64, (String, BTreeMap<u64, CreativeAcc>)> = BTreeMap::new();
-    for ev in events {
-        let (query_class, creatives) = groups
-            .entry(ev.adgroup)
-            .or_insert_with(|| (ev.query_class.clone(), BTreeMap::new()));
-        if query_class.is_empty() && !ev.query_class.is_empty() {
-            *query_class = ev.query_class.clone();
+/// Feedback events folded into per-creative counts: the one accumulator
+/// behind a batch's stats delta ([`delta_from_batch`]) and the online
+/// learner's pair corpus. Its rules:
+///
+/// * one adgroup per distinct `adgroup` id; its keyword is the first
+///   non-empty query class seen;
+/// * one creative per distinct `creative` id; its snippet is the last
+///   non-empty one seen, and its impressions and clicks are summed with
+///   each event's clicks clamped to that event's impressions.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FeedbackCorpus {
+    adgroups: BTreeMap<u64, AdGroupAcc>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct AdGroupAcc {
+    query_class: String,
+    creatives: BTreeMap<u64, CreativeAcc>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct CreativeAcc {
+    snippet: String,
+    impressions: u64,
+    clicks: u64,
+}
+
+impl FeedbackCorpus {
+    /// Fold `events` in, in order.
+    pub(crate) fn absorb<'a>(&mut self, events: impl IntoIterator<Item = &'a FeedbackEvent>) {
+        for ev in events {
+            let group = self.adgroups.entry(ev.adgroup).or_default();
+            if group.query_class.is_empty() && !ev.query_class.is_empty() {
+                group.query_class = ev.query_class.clone();
+            }
+            let acc = group.creatives.entry(ev.creative).or_default();
+            if !ev.snippet.is_empty() {
+                acc.snippet = ev.snippet.clone();
+            }
+            acc.impressions += ev.impressions;
+            acc.clicks += ev.clicks.min(ev.impressions);
         }
-        let acc = creatives.entry(ev.creative).or_insert_with(|| CreativeAcc {
-            snippet: ev.snippet.clone(),
-            impressions: 0,
-            clicks: 0,
-        });
-        if !ev.snippet.is_empty() {
-            acc.snippet = ev.snippet.clone();
-        }
-        acc.impressions += ev.impressions;
-        acc.clicks += ev.clicks.min(ev.impressions);
     }
 
-    let adgroups = groups
-        .into_iter()
-        .map(|(id, (keyword, creatives))| AdGroup {
-            id: AdGroupId(id),
-            keyword,
-            placement: Placement::Top,
-            creatives: creatives
-                .into_iter()
-                .map(|(cid, acc)| Creative {
-                    id: CreativeId(cid),
-                    snippet: Snippet::from_wire(&acc.snippet),
-                    impressions: acc.impressions,
-                    clicks: acc.clicks.min(acc.impressions),
-                })
-                .collect(),
-        })
-        .collect();
-    AdCorpus { adgroups }
+    /// The accumulated [`AdCorpus`]. Deterministic: adgroups and creatives
+    /// come out in ascending-id order.
+    pub(crate) fn corpus(&self) -> AdCorpus {
+        let adgroups = self
+            .adgroups
+            .iter()
+            .map(|(&id, group)| AdGroup {
+                id: AdGroupId(id),
+                keyword: group.query_class.clone(),
+                placement: Placement::Top,
+                creatives: group
+                    .creatives
+                    .iter()
+                    .map(|(&cid, acc)| Creative {
+                        id: CreativeId(cid),
+                        snippet: Snippet::from_wire(&acc.snippet),
+                        impressions: acc.impressions,
+                        clicks: acc.clicks.min(acc.impressions),
+                    })
+                    .collect(),
+            })
+            .collect();
+        AdCorpus { adgroups }
+    }
+
+    /// Append the counts to a learner checkpoint.
+    pub(crate) fn write(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.adgroups.len() as u64);
+        for (&id, group) in &self.adgroups {
+            put_varint(out, id);
+            put_str(out, &group.query_class);
+            put_varint(out, group.creatives.len() as u64);
+            for (&cid, acc) in &group.creatives {
+                put_varint(out, cid);
+                put_str(out, &acc.snippet);
+                put_varint(out, acc.impressions);
+                put_varint(out, acc.clicks);
+            }
+        }
+    }
+
+    /// Read counts written by [`Self::write`], consuming them from `buf`.
+    pub(crate) fn read(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let mut adgroups = BTreeMap::new();
+        for _ in 0..get_varint(buf)? {
+            let id = get_varint(buf)?;
+            let query_class = get_str(buf)?;
+            let mut creatives = BTreeMap::new();
+            for _ in 0..get_varint(buf)? {
+                let cid = get_varint(buf)?;
+                let acc = CreativeAcc {
+                    snippet: get_str(buf)?,
+                    impressions: get_varint(buf)?,
+                    clicks: get_varint(buf)?,
+                };
+                creatives.insert(cid, acc);
+            }
+            adgroups.insert(
+                id,
+                AdGroupAcc {
+                    query_class,
+                    creatives,
+                },
+            );
+        }
+        Ok(Self { adgroups })
+    }
 }
 
 /// Build the stats delta for one feedback batch: extract significant
@@ -74,7 +141,9 @@ pub fn corpus_from_events<'a>(events: impl IntoIterator<Item = &'a FeedbackEvent
 /// the standard stats build over them. The result is a [`StatsDb`] of
 /// pure count increments, ready to fold with [`StatsDb::merge`].
 pub fn delta_from_batch(batch: &FeedbackRequest) -> StatsDb {
-    let corpus = corpus_from_events(&batch.events);
+    let mut feedback = FeedbackCorpus::default();
+    feedback.absorb(&batch.events);
+    let corpus = feedback.corpus();
     let cfg = StatsBuildConfig {
         threads: 1,
         ..StatsBuildConfig::default()
@@ -113,7 +182,9 @@ mod tests {
             ev(1, 11, "flights|terms apply", 800, 10),
             ev(2, 20, "hotel deals|save big", 400, 30),
         ];
-        let corpus = corpus_from_events(&events);
+        let mut feedback = FeedbackCorpus::default();
+        feedback.absorb(&events);
+        let corpus = feedback.corpus();
         assert_eq!(corpus.adgroups.len(), 2);
         let g1 = &corpus.adgroups[0];
         assert_eq!(g1.id.0, 1);
@@ -125,7 +196,9 @@ mod tests {
 
     #[test]
     fn clicks_clamped_to_impressions() {
-        let corpus = corpus_from_events(&[ev(1, 10, "a|b", 10, 50)]);
+        let mut feedback = FeedbackCorpus::default();
+        feedback.absorb(&[ev(1, 10, "a|b", 10, 50)]);
+        let corpus = feedback.corpus();
         assert!(corpus.adgroups[0].creatives[0].clicks <= 10);
     }
 

@@ -45,7 +45,7 @@ pub mod event;
 pub mod journal;
 pub mod refit;
 
-pub use delta::{corpus_from_events, delta_from_batch};
+pub use delta::delta_from_batch;
 pub use error::OnlineError;
 pub use journal::{Append, Journal, Recovery};
 pub use refit::{OnlineLearner, RefitOutput};

@@ -5,49 +5,28 @@
 //! batch-built base stats plus everything learned since: the folded delta
 //! [`StatsDb`] and a per-creative impression/click accumulator (the online
 //! corpus the refit trains on).
-//! [`OnlineLearner::refit`] mirrors the batch `train` pipeline exactly —
-//! featurizer over the *folded* stats (base ⊕ delta), so batch knowledge
-//! enters the fit through the stats-derived initial weights, while the
-//! logistic refit itself trains on the online pair window.
+//! [`OnlineLearner::refit`] runs the training recipe `microbrowse train`
+//! runs ([`TrainingSet::train`]) over the *folded* stats (base ⊕ delta),
+//! so batch knowledge enters the fit through the stats-derived initial
+//! weights, while the refit itself trains on the online pair window.
 //!
 //! Learner state serializes to opaque bytes ([`OnlineLearner::state_bytes`])
 //! that ride the journal checkpoint, so a restart restores the learner
 //! without replaying history beyond the uncheckpointed tail.
 
-use std::collections::BTreeMap;
-
 use microbrowse_api::v1::FeedbackRequest;
 use microbrowse_core::classifier::TrainConfig;
 use microbrowse_core::serve::DeployedModel;
-use microbrowse_core::statsbuild::TokenizedCorpus;
-use microbrowse_core::{
-    AdCorpus, AdGroup, AdGroupId, Creative, CreativeId, Featurizer, ModelSpec, PairFilter,
-    Placement, TrainedClassifier,
-};
-use microbrowse_store::codec::{
-    frame, get_bytes, get_str, get_varint, put_str, put_varint, unframe,
-};
+use microbrowse_core::{AdCorpus, ModelSpec, TrainingSet};
+use microbrowse_store::codec::{frame, get_bytes, get_varint, put_varint, unframe};
 use microbrowse_store::{file, StatsDb};
-use microbrowse_text::Snippet;
 
-use crate::delta::delta_from_batch;
+use crate::delta::{delta_from_batch, FeedbackCorpus};
 use crate::error::OnlineError;
+use crate::journal::Recovery;
 
 const STATE_MAGIC: &[u8; 8] = b"MBONLS0\0";
 const STATE_VERSION: u32 = 1;
-
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct CreativeAcc {
-    snippet: String,
-    impressions: u64,
-    clicks: u64,
-}
-
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct AdGroupAcc {
-    query_class: String,
-    creatives: BTreeMap<u64, CreativeAcc>,
-}
 
 /// Everything a successful refit publishes.
 #[derive(Debug)]
@@ -67,7 +46,7 @@ pub struct OnlineLearner {
     base_stats: StatsDb,
     spec: ModelSpec,
     delta: StatsDb,
-    adgroups: BTreeMap<u64, AdGroupAcc>,
+    feedback: FeedbackCorpus,
     batches_folded: u64,
     events_folded: u64,
 }
@@ -79,10 +58,28 @@ impl OnlineLearner {
             base_stats,
             spec,
             delta: StatsDb::new(),
-            adgroups: BTreeMap::new(),
+            feedback: FeedbackCorpus::default(),
             batches_folded: 0,
             events_folded: 0,
         }
+    }
+
+    /// Rebuild a learner from a journal's [`Recovery`]: a learner over
+    /// `base_stats` refitting `spec`, its checkpointed state restored and
+    /// the unfolded batches absorbed on top, in sequence order.
+    pub fn recover(
+        base_stats: StatsDb,
+        spec: ModelSpec,
+        recovery: &Recovery,
+    ) -> Result<Self, OnlineError> {
+        let mut learner = Self::new(base_stats, spec);
+        if let Some(state) = &recovery.state {
+            learner.restore_state(state)?;
+        }
+        for batch in &recovery.batches {
+            learner.absorb(batch);
+        }
+        Ok(learner)
     }
 
     /// Number of feedback batches folded so far.
@@ -104,18 +101,7 @@ impl OnlineLearner {
     /// raw counts into the online corpus accumulator.
     pub fn absorb(&mut self, batch: &FeedbackRequest) {
         self.delta.merge(delta_from_batch(batch));
-        for ev in &batch.events {
-            let group = self.adgroups.entry(ev.adgroup).or_default();
-            if group.query_class.is_empty() && !ev.query_class.is_empty() {
-                group.query_class = ev.query_class.clone();
-            }
-            let acc = group.creatives.entry(ev.creative).or_default();
-            if !ev.snippet.is_empty() {
-                acc.snippet = ev.snippet.clone();
-            }
-            acc.impressions += ev.impressions;
-            acc.clicks += ev.clicks.min(ev.impressions);
-        }
+        self.feedback.absorb(&batch.events);
         self.batches_folded += 1;
         self.events_folded += batch.events.len() as u64;
     }
@@ -129,26 +115,7 @@ impl OnlineLearner {
 
     /// The online pair corpus accumulated so far, in deterministic order.
     pub fn online_corpus(&self) -> AdCorpus {
-        let adgroups = self
-            .adgroups
-            .iter()
-            .map(|(&id, group)| AdGroup {
-                id: AdGroupId(id),
-                keyword: group.query_class.clone(),
-                placement: Placement::Top,
-                creatives: group
-                    .creatives
-                    .iter()
-                    .map(|(&cid, acc)| Creative {
-                        id: CreativeId(cid),
-                        snippet: Snippet::from_wire(&acc.snippet),
-                        impressions: acc.impressions,
-                        clicks: acc.clicks.min(acc.impressions),
-                    })
-                    .collect(),
-            })
-            .collect();
-        AdCorpus { adgroups }
+        self.feedback.corpus()
     }
 
     /// Re-run the coupled-LR final fit over the online pair window, with
@@ -156,43 +123,22 @@ impl OnlineLearner {
     /// given learner state. Errors with [`OnlineError::NoPairs`] until the
     /// accumulator holds at least one significant pair.
     pub fn refit(&self) -> Result<RefitOutput, OnlineError> {
-        let corpus = self.online_corpus();
-        let pairs = corpus.extract_pairs(&PairFilter::default());
-        if pairs.is_empty() {
-            return Err(OnlineError::NoPairs);
-        }
         let mut span = microbrowse_obs::trace::span("online.refit")
             .with("batches", self.batches_folded)
             .with("events", self.events_folded);
-        span.add("pairs", pairs.len());
-
-        let tc = TokenizedCorpus::build(&corpus);
-        let stats = self.folded_stats();
-        let cfg = TrainConfig::default();
-        let mut interner = tc.interner.clone();
-        let mut featurizer = Featurizer::new(self.spec, &stats);
-        let tok_pairs: Vec<_> = pairs
-            .iter()
-            .map(|p| (tc.snippet(p.r).clone(), tc.snippet(p.s).clone(), p.r_better))
-            .collect();
-        let data = featurizer.encode_batch(&tok_pairs, &mut interner);
-        let mut init_terms =
-            featurizer.init_term_weights(&interner, cfg.stats_alpha, cfg.init_min_support);
-        for w in &mut init_terms {
-            *w *= cfg.init_scale;
+        let set = TrainingSet::from_corpus(&self.online_corpus());
+        let pairs = set.pairs().len();
+        span.add("pairs", pairs);
+        if pairs == 0 {
+            return Err(OnlineError::NoPairs);
         }
-        let init_pos = featurizer.init_pos_weights(cfg.stats_alpha);
-        let classifier =
-            TrainedClassifier::train(&self.spec, &data, Some(init_terms), Some(init_pos), &cfg);
-        let vocab = featurizer.export_vocab(&interner);
+        let stats = self.folded_stats();
+        // One thread: the refit runs beside the serving workers.
+        let model = set.train(self.spec, &stats, &TrainConfig::default(), 1);
         Ok(RefitOutput {
-            model: DeployedModel {
-                spec: self.spec,
-                classifier,
-                vocab,
-            },
+            model,
             stats,
-            pairs: tok_pairs.len(),
+            pairs,
         })
     }
 
@@ -206,18 +152,7 @@ impl OnlineLearner {
         let delta_bytes = file::to_bytes(&self.delta);
         put_varint(&mut payload, delta_bytes.len() as u64);
         payload.extend_from_slice(&delta_bytes);
-        put_varint(&mut payload, self.adgroups.len() as u64);
-        for (&id, group) in &self.adgroups {
-            put_varint(&mut payload, id);
-            put_str(&mut payload, &group.query_class);
-            put_varint(&mut payload, group.creatives.len() as u64);
-            for (&cid, acc) in &group.creatives {
-                put_varint(&mut payload, cid);
-                put_str(&mut payload, &acc.snippet);
-                put_varint(&mut payload, acc.impressions);
-                put_varint(&mut payload, acc.clicks);
-            }
-        }
+        self.feedback.write(&mut payload);
         frame(STATE_MAGIC, STATE_VERSION, &payload)
     }
 
@@ -234,38 +169,10 @@ impl OnlineLearner {
         let delta_bytes =
             get_bytes(&mut buf, delta_len).map_err(|_| OnlineError::Truncated("learner state"))?;
         let delta = file::from_bytes(delta_bytes)?;
-        let num_groups = get_varint(&mut buf)?;
-        let mut adgroups = BTreeMap::new();
-        for _ in 0..num_groups {
-            let id = get_varint(&mut buf)?;
-            let query_class = get_str(&mut buf)?;
-            let num_creatives = get_varint(&mut buf)?;
-            let mut creatives = BTreeMap::new();
-            for _ in 0..num_creatives {
-                let cid = get_varint(&mut buf)?;
-                let snippet = get_str(&mut buf)?;
-                let impressions = get_varint(&mut buf)?;
-                let clicks = get_varint(&mut buf)?;
-                creatives.insert(
-                    cid,
-                    CreativeAcc {
-                        snippet,
-                        impressions,
-                        clicks,
-                    },
-                );
-            }
-            adgroups.insert(
-                id,
-                AdGroupAcc {
-                    query_class,
-                    creatives,
-                },
-            );
-        }
+        let feedback = FeedbackCorpus::read(&mut buf)?;
 
         self.delta = delta;
-        self.adgroups = adgroups;
+        self.feedback = feedback;
         self.batches_folded = batches_folded;
         self.events_folded = events_folded;
         Ok(())
@@ -350,5 +257,112 @@ mod tests {
         assert!(out.pairs >= 1);
         assert!(!out.model.vocab.is_empty());
         assert!(!out.stats.is_empty());
+    }
+    /// A fixed two-batch history: creative 70's snippet is empty in the
+    /// first batch and arrives in the second, its first clicks exceed its
+    /// impressions, and adgroup 7's query class arrives late.
+    fn golden_history() -> [FeedbackRequest; 2] {
+        let event = |adgroup, creative, snippet: &str, query_class: &str, impressions, clicks| {
+            FeedbackEvent {
+                adgroup,
+                creative,
+                snippet: snippet.to_string(),
+                position: 1,
+                query_class: query_class.to_string(),
+                impressions,
+                clicks,
+            }
+        };
+        [
+            FeedbackRequest {
+                key: "golden-1".to_string(),
+                events: vec![
+                    event(7, 70, "", "", 150, 400),
+                    event(7, 71, "cheap flights|book today", "", 3000, 450),
+                ],
+            },
+            FeedbackRequest {
+                key: "golden-2".to_string(),
+                events: vec![
+                    event(7, 70, "pricey flights|book today", "travel", 3000, 60),
+                    event(7, 71, "", "travel", 1000, 150),
+                    event(9, 90, "hotel deals", "hotels", 500, 700),
+                ],
+            },
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `state_bytes` of [`golden_history`], pinned: the checkpoint format
+    /// the journal persists must not drift.
+    const GOLDEN_STATE: &str = concat!(
+        "4d424f4e4c5330000100000002056b4d42535441545300010000000a0004626f6f6b0001000a626f",
+        "6f6b20746f64617900010007666c6967687473000100067072696365790001000e70726963657920",
+        "666c696768747300010005746f64617900010200000002020001000102010000020201010001af7e",
+        "276002070674726176656c02461970726963657920666c69676874737c626f6f6b20746f646179ce",
+        "18d2014718636865617020666c69676874737c626f6f6b20746f646179a01fd8040906686f74656c",
+        "73015a0b686f74656c206465616c73f403f403a26ae3ce",
+    );
+
+    #[test]
+    fn state_bytes_are_pinned_and_restore_an_equal_learner() {
+        let mut learner = OnlineLearner::new(StatsDb::new(), ModelSpec::m4());
+        for batch in &golden_history() {
+            learner.absorb(batch);
+        }
+        let corpus = learner.online_corpus();
+        let g7 = &corpus.adgroups[0];
+        assert_eq!(g7.keyword, "travel", "a late query class is taken");
+        assert_eq!(
+            g7.creatives[0].snippet.to_wire(),
+            "pricey flights|book today"
+        );
+        assert_eq!(
+            (g7.creatives[0].impressions, g7.creatives[0].clicks),
+            (3150, 210),
+            "clicks are clamped to each event's impressions"
+        );
+        assert_eq!(
+            g7.creatives[1].snippet.to_wire(),
+            "cheap flights|book today",
+            "an empty snippet never replaces a known one"
+        );
+        assert_eq!(corpus.adgroups[1].creatives[0].clicks, 500);
+
+        let bytes = learner.state_bytes();
+        assert_eq!(hex(&bytes), GOLDEN_STATE);
+        let mut restored = OnlineLearner::new(StatsDb::new(), ModelSpec::m4());
+        restored.restore_state(&bytes).unwrap();
+        assert_eq!(restored.state_bytes(), bytes);
+        assert_eq!(
+            restored.folded_stats().sorted_records(),
+            learner.folded_stats().sorted_records()
+        );
+        assert_eq!(
+            restored.refit().unwrap().model,
+            learner.refit().unwrap().model
+        );
+    }
+
+    #[test]
+    fn recover_restores_the_checkpoint_then_absorbs_the_tail() {
+        let [first, second] = golden_history();
+        let mut checkpointed = OnlineLearner::new(StatsDb::new(), ModelSpec::m4());
+        checkpointed.absorb(&first);
+        let recovery = Recovery {
+            state: Some(checkpointed.state_bytes()),
+            batches: vec![second],
+        };
+        let recovered = OnlineLearner::recover(StatsDb::new(), ModelSpec::m4(), &recovery).unwrap();
+        assert_eq!(hex(&recovered.state_bytes()), GOLDEN_STATE);
+
+        let torn = Recovery {
+            state: Some(checkpointed.state_bytes()[..8].to_vec()),
+            batches: Vec::new(),
+        };
+        assert!(OnlineLearner::recover(StatsDb::new(), ModelSpec::m4(), &torn).is_err());
     }
 }

@@ -468,15 +468,8 @@ fn open_online(
 
     let (journal, recovery) = Journal::open(&ocfg.journal_dir)
         .map_err(|e| MbError::invariant(format!("feedback journal open failed: {e}")))?;
-    let mut learner = OnlineLearner::new(bundle.stats()?, bundle.model().spec);
-    if let Some(state) = &recovery.state {
-        learner
-            .restore_state(state)
-            .map_err(|e| MbError::invariant(format!("learner checkpoint restore failed: {e}")))?;
-    }
-    for batch in &recovery.batches {
-        learner.absorb(batch);
-    }
+    let learner = OnlineLearner::recover(bundle.stats()?, bundle.model().spec, &recovery)
+        .map_err(|e| MbError::invariant(format!("learner checkpoint restore failed: {e}")))?;
     let replayed = recovery.batches.len() as u64;
     if replayed > 0 || recovery.state.is_some() {
         obs::trace::event("online.journal_replayed")

@@ -11,10 +11,9 @@
 //! impression is served, then measures how often the predicted champion is
 //! the true CTR champion versus random selection.
 
-use microbrowse_core::classifier::{ModelSpec, TrainConfig, TrainedClassifier};
-use microbrowse_core::features::Featurizer;
-use microbrowse_core::statsbuild::{build_stats, StatsBuildConfig, TokenizedCorpus};
-use microbrowse_core::PairFilter;
+use microbrowse_core::classifier::{ModelSpec, TrainConfig};
+use microbrowse_core::serve::{Fidelity, ServingBundle};
+use microbrowse_core::TrainingSet;
 use microbrowse_synth::{generate, GeneratorConfig};
 
 fn main() {
@@ -36,33 +35,19 @@ fn main() {
     });
 
     // Phase 1 on history: statistics database.
-    let tc = TokenizedCorpus::build(&history.corpus);
-    let pairs = history.corpus.extract_pairs(&PairFilter::default());
-    println!("learning from {} historical pairs…", pairs.len());
-    let stats = build_stats(&tc, &pairs, &StatsBuildConfig::default());
+    let set = TrainingSet::from_corpus(&history.corpus);
+    println!("learning from {} historical pairs…", set.pairs().len());
+    let stats = set.build_stats(&set.all(), 0);
 
-    // Phase 2: train M4 (greedy rewrites with position information).
-    let spec = ModelSpec::m4();
-    let mut interner = tc.interner.clone();
-    let mut featurizer = Featurizer::new(spec, &stats);
-    let tok_pairs: Vec<_> = pairs
-        .iter()
-        .map(|p| (tc.snippet(p.r).clone(), tc.snippet(p.s).clone(), p.r_better))
-        .collect();
-    let train_data = featurizer.encode_batch(&tok_pairs, &mut interner);
-    let cfg = TrainConfig::default();
-    let mut init_terms =
-        featurizer.init_term_weights(&interner, cfg.stats_alpha, cfg.init_min_support);
-    for w in &mut init_terms {
-        *w *= cfg.init_scale;
-    }
-    let init_pos = featurizer.init_pos_weights(cfg.stats_alpha);
-    let clf = TrainedClassifier::train(&spec, &train_data, Some(init_terms), Some(init_pos), &cfg);
+    // Phase 2: train M4 (greedy rewrites with position information), and
+    // deploy it as a server would.
+    let model = set.train(ModelSpec::m4(), &stats, &TrainConfig::default(), 0);
+    let bundle = ServingBundle::from_parts(model, stats, Fidelity::Full).expect("bundle");
+    let scorer = bundle.scorer();
+    let mut scratch = scorer.scratch();
 
-    // Deploy: for each fresh adgroup, pick the champion by round-robin
-    // pairwise prediction; compare with the true-CTR champion.
-    let fresh_tc = TokenizedCorpus::build(&fresh.corpus);
-    let tokenizer_interner = &mut interner; // keep one symbol space
+    // For each fresh adgroup, pick the champion by round-robin pairwise
+    // prediction; compare with the true-CTR champion.
     let mut model_hits = 0usize;
     let mut eligible = 0usize;
     for group in &fresh.corpus.adgroups {
@@ -85,10 +70,7 @@ fn main() {
                 if i == j {
                     continue;
                 }
-                let r = fresh_tc.snippet(group.creatives[i].id).clone();
-                let s = fresh_tc.snippet(other.id).clone();
-                let ex = featurizer.encode_coupled(&r, &s, true, tokenizer_interner);
-                if clf.predict_coupled(&ex) {
+                if scorer.predict_pair(&group.creatives[i].snippet, &other.snippet, &mut scratch) {
                     *win_count += 1;
                 }
             }

@@ -15,13 +15,16 @@ cargo test --quiet -p microbrowse-faultinject
 cargo test --quiet -p microbrowse-store --test corrupt
 cargo test --quiet -p microbrowse-core --test artifact_errors
 
-echo "==> no unwrap/expect on artifact load/serve paths (incl. obs + api + server + faultinject)"
+echo "==> no unwrap/expect on artifact load/serve paths and the refit's training recipe (incl. obs + api + server + faultinject)"
 if grep -rn 'unwrap()\|expect(' crates/store/src crates/core/src/serve.rs \
     crates/core/src/error.rs crates/obs/src crates/cli/src crates/server/src \
     crates/api/src crates/faultinject/src crates/online/src \
     crates/core/src/compiled.rs crates/core/src/paircache.rs \
     crates/core/src/features.rs crates/core/src/rewrite.rs \
     crates/core/src/suggest.rs crates/core/src/explain.rs \
+    crates/core/src/train.rs crates/core/src/classifier.rs \
+    crates/core/src/statsbuild.rs crates/core/src/corpus.rs \
+    crates/core/src/serveweight.rs \
     crates/text/src/snippet.rs \
     | python3 -c '
 import sys, re

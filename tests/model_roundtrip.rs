@@ -2,12 +2,11 @@
 //! corpus, saved to disk, and reloaded in a "fresh process" (new interner,
 //! new featurizer) must reproduce its predictions exactly.
 
-use microbrowse_core::classifier::{ModelSpec, TrainConfig, TrainedClassifier};
-use microbrowse_core::features::Featurizer;
+use microbrowse_core::classifier::{ModelSpec, TrainConfig};
 use microbrowse_core::reference::ReferenceScorer;
 use microbrowse_core::serve::{DeployedModel, Fidelity, ServingBundle};
-use microbrowse_core::statsbuild::{build_stats, StatsBuildConfig, TokenizedCorpus};
-use microbrowse_core::PairFilter;
+use microbrowse_core::statsbuild::TokenizedCorpus;
+use microbrowse_core::{PairFilter, TrainingSet};
 use microbrowse_store::{read_snapshot, write_snapshot};
 use microbrowse_synth::{generate, GeneratorConfig};
 
@@ -17,30 +16,10 @@ fn train_deployed(spec: ModelSpec, seed: u64) -> (DeployedModel, microbrowse_sto
         seed,
         ..Default::default()
     });
-    let tc = TokenizedCorpus::build(&synth.corpus);
-    let pairs = synth.corpus.extract_pairs(&PairFilter::default());
-    let stats = build_stats(&tc, &pairs, &StatsBuildConfig::default());
-
-    let cfg = TrainConfig::default();
-    let mut interner = tc.interner.clone();
-    let mut fz = Featurizer::new(spec, &stats);
-    let tok_pairs: Vec<_> = pairs
-        .iter()
-        .map(|p| (tc.snippet(p.r).clone(), tc.snippet(p.s).clone(), p.r_better))
-        .collect();
-    let data = fz.encode_batch(&tok_pairs, &mut interner);
-    let init_terms = fz.init_term_weights(&interner, cfg.stats_alpha, cfg.init_min_support);
-    let init_pos = fz.init_pos_weights(cfg.stats_alpha);
-    let classifier = TrainedClassifier::train(&spec, &data, Some(init_terms), Some(init_pos), &cfg);
-    let vocab = fz.export_vocab(&interner);
-    (
-        DeployedModel {
-            spec,
-            classifier,
-            vocab,
-        },
-        stats,
-    )
+    let set = TrainingSet::from_corpus(&synth.corpus);
+    let stats = set.build_stats(&set.all(), 0);
+    let model = set.train(spec, &stats, &TrainConfig::default(), 0);
+    (model, stats)
 }
 
 fn probe_snippets() -> Vec<microbrowse_text::Snippet> {

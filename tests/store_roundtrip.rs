@@ -36,17 +36,16 @@ fn stats_db_round_trips_through_a_snapshot_file() {
         .map(|p| (tc.snippet(p.r).clone(), tc.snippet(p.s).clone(), p.r_better))
         .collect();
 
-    let mut interner_a = tc.interner.clone();
-    let mut fz_a = Featurizer::new(spec, &db);
-    let _ = fz_a.encode_batch(&tok_pairs, &mut interner_a);
-    let init_a = fz_a.init_term_weights(&interner_a, 1.0, 2);
-
-    let mut interner_b = tc.interner.clone();
-    let mut fz_b = Featurizer::new(spec, &reloaded);
-    let _ = fz_b.encode_batch(&tok_pairs, &mut interner_b);
-    let init_b = fz_b.init_term_weights(&interner_b, 1.0, 2);
-
-    assert_eq!(init_a, init_b);
+    let featurize = |stats: &microbrowse_store::StatsDb| {
+        let mut interner = tc.interner.clone();
+        let mut fz = Featurizer::new(spec, stats);
+        let examples: Vec<_> = tok_pairs
+            .iter()
+            .map(|(r, s, label)| fz.encode_coupled(r, s, *label, &mut interner))
+            .collect();
+        (examples, fz.init_term_weights(&interner, 1.0, 2))
+    };
+    assert_eq!(featurize(&db), featurize(&reloaded));
     std::fs::remove_dir_all(&dir).ok();
 }
 
