@@ -16,10 +16,9 @@
 //! timed in alternating rounds, so host drift moves both alike), the
 //! engine's first-sighting rate (every distinct pair scored once by a
 //! fresh bundle and scratch, so every cache lookup misses: the compute
-//! path a cache hit skips; reported, not gated), a statistics-lookup
-//! microbenchmark (`StatsDb` hash probe vs compiled binary search), and
-//! the score-cache hit, miss, admission and deferral counters from an
-//! instrumented pass. Results land in `results/BENCH_score_hot.json`.
+//! path a cache hit skips; reported, not gated), and the score-cache hit,
+//! miss, admission and deferral counters from an instrumented pass.
+//! Results land in `results/BENCH_score_hot.json`.
 //!
 //! With `--gate R` (used by `scripts/check.sh`) the process exits non-zero
 //! unless the engine is at least `R`× the reference throughput.
@@ -36,7 +35,6 @@ use microbrowse_bench::{corpus_config, gate_json, write_artifact, Args};
 use microbrowse_core::reference::ReferenceScorer;
 use microbrowse_core::serve::{Fidelity, ServingBundle};
 use microbrowse_core::{build_stats_from_corpus, PairFilter, Placement, StatsBuildConfig};
-use microbrowse_store::FeatureKey;
 use microbrowse_synth::generate;
 use microbrowse_text::Snippet;
 
@@ -98,19 +96,6 @@ fn run_engine(
     let mut scratch = scorer.scratch();
     let mut engine = |batch: &[(Snippet, Snippet)]| scorer.score_batch(batch, &mut scratch);
     run_rounds(batches, reps, &mut [&mut engine]).remove(0)
-}
-
-/// ns/lookup over `probes` through an arbitrary lookup closure.
-fn time_lookups(probes: &[FeatureKey], reps: usize, mut f: impl FnMut(&FeatureKey) -> f64) -> f64 {
-    let t = Instant::now();
-    let mut acc = 0.0;
-    for _ in 0..reps {
-        for key in probes {
-            acc += f(key);
-        }
-    }
-    black_box(acc);
-    t.elapsed().as_nanos() as f64 / (reps * probes.len().max(1)) as f64
 }
 
 fn main() {
@@ -270,37 +255,23 @@ fn main() {
     let cache_deferred =
         microbrowse_obs::counter!("microbrowse_aligncache_deferred_total").get() - deferred0;
 
-    // Lookup microbenchmark: every recorded key plus misses probed through
-    // the hash-map path and the compiled binary-search path.
-    let mut probes: Vec<FeatureKey> = stats.sorted_records().into_iter().map(|(k, _)| k).collect();
-    for i in 0..probes.len().min(512) {
-        probes.push(FeatureKey::term(format!("zz-missing-{i}")));
-    }
-    let table = bundle.engine().table();
-    let lookup_reps = (2_000_000 / probes.len().max(1)).max(1);
-    let ns_db = time_lookups(&probes, lookup_reps, |k| {
-        stats.get(k).map_or(0.0, |s| s.log_odds(1.0))
-    });
-    let ns_compiled = time_lookups(&probes, lookup_reps, |k| table.log_odds(k));
-
     let speedup = engine_pps / reference_pps;
     let gate_field = gate_json(gate);
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"reference\": {{\n    \"elapsed_s\": {reference_s:.4},\n    \"pairs_per_s\": {reference_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses},\n    \"align_cache_admitted\": {cache_admitted},\n    \"align_cache_deferred\": {cache_deferred}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"engine_first_sighting\": {{\n    \"pairs_scored\": {},\n    \"elapsed_s\": {first_s:.4},\n    \"pairs_per_s\": {first_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate_field},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"reference\": {{\n    \"elapsed_s\": {reference_s:.4},\n    \"pairs_per_s\": {reference_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses},\n    \"align_cache_admitted\": {cache_admitted},\n    \"align_cache_deferred\": {cache_deferred}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"engine_first_sighting\": {{\n    \"pairs_scored\": {},\n    \"elapsed_s\": {first_s:.4},\n    \"pairs_per_s\": {first_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate_field},\n  \"bit_identical\": true\n}}\n",
         stats.len(),
         model.vocab.len(),
         pairs.len(),
         reps * pairs_per_cycle,
-        table.len(),
+        bundle.engine().table().len(),
         bundle.engine().align().entries(),
         reps * pairs.len(),
-        probes.len(),
     );
     let json = write_artifact(&out_path, &json);
     eprintln!(
         "reference {reference_pps:.0} pairs/s | engine {engine_pps:.0} pairs/s | {threads} threads {mt_pps:.0} pairs/s \
          | first sightings {first_pps:.0} pairs/s \
-         | speedup {speedup:.2}x | lookup {ns_db:.0}ns -> {ns_compiled:.0}ns | cache {cache_hits} hits / {cache_misses} misses ({cache_admitted} admitted, {cache_deferred} deferred)"
+         | speedup {speedup:.2}x | cache {cache_hits} hits / {cache_misses} misses ({cache_admitted} admitted, {cache_deferred} deferred)"
     );
     println!("{json}");
 

@@ -22,7 +22,7 @@
 //!    desync, no garbage frames (exactly-once responses);
 //! 3. the server keeps serving 200s *during* chaos;
 //! 4. the p99 of non-shed (200) responses under chaos stays within
-//!    `p99-factor`× the unloaded p99;
+//!    `p99-factor`× the unloaded p99, floored at 100 µs;
 //! 5. after chaos ends, throughput recovers to ≥ half of baseline and p99
 //!    recovers within `p99-factor`× — i.e. no worker was left pinned.
 //!
@@ -63,6 +63,13 @@ use microbrowse_server::{start, BundleSource, ServerConfig, ServerHandle};
 
 /// How long baseline and recovery each drive load.
 const MEASURED_PHASE: Duration = Duration::from_secs(1);
+
+/// Floor under the baseline p99 that both p99 checks scale, in µs. In 32
+/// unmodified runs at `--seed 42` on a 2-vCPU host the baseline p99 read
+/// 26–60 µs and the recovery p99 reached 3.0× it, so 3× the bare baseline
+/// sits at the noise. With the floor the bound is at least 300 µs, three
+/// times the worst recovery p99 recorded (94 µs).
+const P99_FLOOR_US: u64 = 100;
 
 /// Local SplitMix64 so the chaos schedule reproduces from `--seed` alone.
 struct Rng(u64);
@@ -416,7 +423,7 @@ fn main() {
         MEASURED_PHASE.as_secs_f64()
     );
     let (mut baseline, baseline_s) = measured_phase(addr, workers);
-    let baseline_p99 = baseline.ok_quantile_us(0.99).max(1000); // 1ms floor against timer noise
+    let baseline_p99 = baseline.ok_quantile_us(0.99).max(P99_FLOOR_US);
     let baseline_rps = baseline.ok as f64 / baseline_s.max(0.001);
 
     eprintln!("chaos_serve: chaos for {chaos_secs}s (seed {seed})…");

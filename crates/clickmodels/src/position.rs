@@ -39,14 +39,6 @@ impl Default for PositionModel {
 }
 
 impl PositionModel {
-    /// Create with a custom EM iteration budget.
-    pub fn with_iterations(em_iterations: usize) -> Self {
-        Self {
-            em_iterations,
-            ..Self::default()
-        }
-    }
-
     /// The learned per-rank examination probabilities.
     pub fn gammas(&self) -> &[f64] {
         &self.gammas

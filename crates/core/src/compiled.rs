@@ -1,56 +1,56 @@
 //! Precompiled feature-statistics table for the serving hot path.
 //!
-//! The paper's CTR-scoring model is, at serve time, a *static* log-odds
-//! table: the statistics database never changes between hot reloads, so the
-//! `FxHashMap<FeatureKey, FeatureStat>` inside [`StatsDb`] — whose keys hash
-//! owned `String`s — is pure overhead in the per-pair inner loop, and
-//! serving never builds one. At [`crate::serve::ServingBundle`] load the
-//! snapshot's records, read in key order with their phrases borrowed from
-//! its bytes ([`microbrowse_store::file::records`]), compile in one pass
-//! into an immutable [`CompiledFeatureTable`]:
+//! The statistics database has two jobs in the paper. Before training it
+//! initializes the classifier's term and position weights (§V-D, "+init");
+//! while serving it only ranks candidate phrase pairs for the greedy
+//! rewrite matcher ("a more probable rewrite … has a higher score in the
+//! rewrite database", §IV-A). The second job is all a request reads, so at
+//! [`crate::serve::ServingBundle`] load the snapshot's records, read in key
+//! order with their phrases borrowed from its bytes
+//! ([`microbrowse_store::file::records`]), compile in one pass into an
+//! immutable [`CompiledFeatureTable`] that holds only:
 //!
-//! * every phrase the database or the model vocabulary mentions is
-//!   interned into one frozen [`Interner`], the *bundle vocabulary*; a
-//!   serving scratch interns over it
-//!   ([`Interner::with_base`]), so a vocabulary phrase has the same id in
-//!   every scratch and every id this table indexes is one of them;
-//! * term stats become a direct-indexed slice (phrase id → entry);
-//! * rewrite and position stats become sorted packed-integer key slices
-//!   probed by branch-free binary search;
-//! * per-entry derived values — the α=1 log-odds and the greedy matcher's
-//!   candidate score — are resolved once at compile time instead of per
-//!   probe;
-//! * every model-vocabulary feature maps to its weight index.
+//! * the *bundle vocabulary*: every phrase the database or the model
+//!   vocabulary mentions, interned into one frozen [`Interner`] — database
+//!   phrases in key order, then the phrases only the vocabulary mentions.
+//!   A serving scratch interns over it ([`Interner::with_base`]), so a
+//!   vocabulary phrase has the same id in every scratch;
+//! * every model-vocabulary feature's weight index;
+//! * the greedy matcher's evidence: each canonical rewrite record's
+//!   candidate score under both orientations of its packed `(id, id)` key,
+//!   so a candidate pair is one binary search;
+//! * the rewrite adjacency `suggest` enumerates partners from.
 //!
-//! Lookups are bit-identical to [`StatsDb::get`] (proptest-enforced in
-//! `tests/prop_hot.rs`): the table stores the *same* [`FeatureStat`] values
-//! and derives scores with the *same* expressions, so swapping the engine in
-//! cannot move a score by even one ULP.
+//! Term and position records name their phrases (so ids do not depend on
+//! which families a database holds) but leave nothing else behind.
+//!
+//! Evidence is bit-identical to the string path through [`StatsDb`]
+//! (proptest-enforced in `tests/prop_hot.rs`): the table derives scores
+//! from the *same* [`FeatureStat`] values with the *same* expressions, so
+//! swapping the engine in cannot move a score by even one ULP.
 
 use std::sync::Arc;
 
-use microbrowse_store::key::SnippetPos;
 #[cfg(doc)]
 use microbrowse_store::StatsDb;
-use microbrowse_store::{FeatureKey, FeatureStat, KeyRef, SortedRecords};
+use microbrowse_store::{FeatureStat, KeyRef, SortedRecords};
 use microbrowse_text::{FxHashMap, Interner, Sym};
 
 use crate::features::{OwnedTermFeat, TermFeat};
 use crate::paircache::AlignCache;
-use crate::rewrite::{greedy_candidate_score, RewriteEvidence};
-
-/// Sentinel for "phrase has no term entry" in the direct-indexed slice.
-const NO_ENTRY: u32 = u32::MAX;
+use crate::rewrite::{greedy_candidate_score, is_canonical_order, RewriteEvidence};
 
 /// The statistics database exceeds the table's 32-bit id spaces.
 ///
-/// Unreachable for any database that fits in memory (2^32 records is
-/// hundreds of gigabytes of keys alone) — but an impossible-size database
-/// must fail *loudly* at load time rather than silently alias the
-/// `NO_ENTRY` sentinel or leave no room for scratch-local ids.
+/// Unreachable for any database that fits in memory (2^31 records is
+/// tens of gigabytes of keys alone) — but a snapshot comes from outside
+/// the program, and an impossible-size one must fail *loudly* at load
+/// time rather than overflow the adjacency's offsets or leave no room for
+/// scratch-local ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
-    /// More records than entry indices can address.
+    /// More records than the rewrite adjacency's 32-bit offsets can
+    /// address (each record adds at most two edges).
     TooManyRecords(usize),
     /// More distinct phrases than half the 32-bit id space; the upper half
     /// is left to the strings a serving scratch meets outside the
@@ -64,7 +64,7 @@ impl std::fmt::Display for CompileError {
             CompileError::TooManyRecords(n) => {
                 write!(
                     f,
-                    "{n} statistics records exceed the 32-bit entry index space"
+                    "{n} statistics records exceed the 32-bit adjacency offset space"
                 )
             }
             CompileError::TooManyPhrases(n) => {
@@ -77,42 +77,8 @@ impl std::fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 #[inline]
-fn pack_pos(p: SnippetPos) -> u32 {
-    ((p.line as u32) << 16) | p.pos as u32
-}
-
-#[inline]
-fn pack_rw_pos(from: SnippetPos, to: SnippetPos) -> u64 {
-    ((pack_pos(from) as u64) << 32) | pack_pos(to) as u64
-}
-
-#[inline]
 fn pack_rw(from_id: u32, to_id: u32) -> u64 {
     ((from_id as u64) << 32) | to_id as u64
-}
-
-/// One compiled statistics entry: the original counts plus every derived
-/// value the hot path would otherwise recompute per probe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompiledStat {
-    /// The original up/down counts, byte-for-byte as stored in [`StatsDb`].
-    pub stat: FeatureStat,
-    /// `stat.log_odds(1.0)`, resolved at compile time.
-    pub log_odds: f64,
-    /// The greedy rewrite matcher's candidate score for this entry
-    /// (evidence mass + effect-size tiebreak), precomputed with the exact
-    /// expression `match_line` uses.
-    pub greedy_score: f64,
-}
-
-impl CompiledStat {
-    fn new(stat: FeatureStat) -> Self {
-        Self {
-            stat,
-            log_odds: stat.log_odds(1.0),
-            greedy_score: greedy_candidate_score(&stat),
-        }
-    }
 }
 
 /// One edge of the per-phrase rewrite adjacency: a partner phrase this
@@ -126,13 +92,10 @@ pub struct RewriteNeighbor {
     pub log_odds: f64,
     /// Total observation count of the stored record (evidence mass).
     pub total: u64,
-    /// Whether the queried phrase is the `from` side of the stored record
-    /// (the direction the database observed the substitution in).
-    pub stored_from: bool,
 }
 
-/// An immutable, probe-optimized compilation of a statistics database's
-/// records and a model vocabulary.
+/// An immutable, probe-optimized compilation of what serving reads from a
+/// statistics database, plus a model vocabulary.
 ///
 /// Built once per [`crate::serve::ServingBundle`]; shared read-only across
 /// worker threads behind the bundle's `Arc`.
@@ -141,34 +104,19 @@ pub struct CompiledFeatureTable {
     /// The bundle vocabulary: every phrase any key or vocabulary feature
     /// mentions, database phrases first (in key order).
     phrases: Arc<Interner>,
-    /// Phrase id → rank of the phrase in lexicographic string order.
-    /// Lets canonical-order decisions compare two `u32`s instead of two
-    /// strings.
-    lex_rank: Vec<u32>,
-    /// Phrase id → term-entry index ([`NO_ENTRY`] if the phrase has no
-    /// position-independent term stat).
-    term_entry: Vec<u32>,
-    /// Sorted packed `(from_id << 32) | to_id` rewrite keys, stored with the
-    /// literal direction of the database record.
-    rewrite_keys: Vec<u64>,
-    /// Entry index parallel to `rewrite_keys`.
-    rewrite_entries: Vec<u32>,
-    /// Sorted packed `(line << 16) | pos` term-position keys.
-    term_pos_keys: Vec<u32>,
-    /// Entry index parallel to `term_pos_keys`.
-    term_pos_entries: Vec<u32>,
-    /// Sorted packed rewrite-position keys (`from` in the high 32 bits).
-    rw_pos_keys: Vec<u64>,
-    /// Entry index parallel to `rw_pos_keys`.
-    rw_pos_entries: Vec<u32>,
-    /// All compiled entries, in key order.
-    entries: Vec<CompiledStat>,
+    /// Number of records compiled (every family).
+    records: usize,
+    /// Sorted packed `(a << 32) | b` keys: each canonical rewrite record
+    /// (`from <= to` as strings) under both orientations.
+    greedy_keys: Vec<u64>,
+    /// The greedy matcher's candidate score, parallel to `greedy_keys`.
+    greedy_scores: Vec<f64>,
     /// Phrase id → start offset into `rw_adj` (length `num_phrases + 1`;
     /// empty when the database holds no rewrite records).
     rw_adj_start: Vec<u32>,
     /// Per-phrase rewrite neighbor lists, concatenated in phrase-id order;
-    /// each list is in sorted packed-key order, so enumeration is
-    /// deterministic for a given database.
+    /// each list is in sorted packed-key order of the stored records, so
+    /// enumeration is deterministic for a given database.
     rw_adj: Vec<RewriteNeighbor>,
     /// Model-vocabulary feature (over `phrases` ids) → weight index.
     weight_index: FxHashMap<TermFeat, u32>,
@@ -189,14 +137,13 @@ impl CompiledFeatureTable {
         vocab: &[OwnedTermFeat],
     ) -> Result<Self, CompileError> {
         let records = records.into();
-        // One entry per record, so bounding the record count up front makes
-        // every entry-index cast below infallible and keeps real indices
-        // clear of the NO_ENTRY sentinel.
-        if records.len() >= NO_ENTRY as usize {
+        // Each record adds at most two adjacency edges, so this bound keeps
+        // every `u32` offset below in range.
+        if records.len() > (u32::MAX / 2) as usize {
             return Err(CompileError::TooManyRecords(records.len()));
         }
         let mut t = Self {
-            entries: Vec::with_capacity(records.len()),
+            records: records.len(),
             ..Self::default()
         };
         // Term records bring one new phrase each and position records none;
@@ -205,24 +152,29 @@ impl CompiledFeatureTable {
         // the interner seldom regrows.
         let mut phrases = Interner::with_capacity(records.len() + vocab.len());
         let mut intern = |phrase: &str| phrases.intern(phrase).0;
-        let mut rewrites: Vec<(u64, u32)> = Vec::new();
-        let mut term_pos: Vec<(u32, u32)> = Vec::new();
-        let mut rw_pos: Vec<(u64, u32)> = Vec::new();
-        let mut term_stats: Vec<(u32, u32)> = Vec::new();
+        let mut rewrites: Vec<(u64, FeatureStat)> = Vec::new();
+        let mut greedy: Vec<(u64, f64)> = Vec::new();
         for &(key, stat) in records.iter() {
-            let idx = t.entries.len() as u32;
-            t.entries.push(CompiledStat::new(stat));
             match key {
-                KeyRef::Term { phrase } => term_stats.push((intern(phrase), idx)),
+                KeyRef::Term { phrase } => {
+                    intern(phrase);
+                }
                 KeyRef::Rewrite { from, to } => {
                     let fid = intern(from);
                     let tid = intern(to);
-                    rewrites.push((pack_rw(fid, tid), idx));
+                    rewrites.push((pack_rw(fid, tid), stat));
+                    // The greedy matcher probes canonical keys only
+                    // (`canonical_rewrite_key`), so a record stored the
+                    // other way round is never evidence.
+                    if is_canonical_order(from, to) {
+                        let score = greedy_candidate_score(&stat);
+                        greedy.push((pack_rw(fid, tid), score));
+                        if fid != tid {
+                            greedy.push((pack_rw(tid, fid), score));
+                        }
+                    }
                 }
-                KeyRef::TermPosition(p) => term_pos.push((pack_pos(p), idx)),
-                KeyRef::RewritePosition { from, to } => {
-                    rw_pos.push((pack_rw_pos(from, to), idx));
-                }
+                KeyRef::TermPosition(_) | KeyRef::RewritePosition { .. } => {}
             }
         }
         // Weight indices follow the featurizer's vocabulary numbering: the
@@ -238,35 +190,20 @@ impl CompiledFeatureTable {
         if phrases.len() > (u32::MAX / 2) as usize {
             return Err(CompileError::TooManyPhrases(phrases.len()));
         }
-        t.term_entry = vec![NO_ENTRY; phrases.len()];
-        for (id, idx) in term_stats {
-            t.term_entry[id as usize] = idx;
-        }
+        // Keys are distinct: a pair and its reverse are both canonical only
+        // for a self-rewrite, which is pushed once.
+        greedy.sort_unstable_by_key(|&(k, _)| k);
+        (t.greedy_keys, t.greedy_scores) = greedy.into_iter().unzip();
         rewrites.sort_unstable_by_key(|&(k, _)| k);
-        term_pos.sort_unstable_by_key(|&(k, _)| k);
-        rw_pos.sort_unstable_by_key(|&(k, _)| k);
-        (t.rewrite_keys, t.rewrite_entries) = rewrites.into_iter().unzip();
-        (t.term_pos_keys, t.term_pos_entries) = term_pos.into_iter().unzip();
-        (t.rw_pos_keys, t.rw_pos_entries) = rw_pos.into_iter().unzip();
-
-        // Lexicographic ranks over the phrase id space. Term phrases were
-        // interned in key order, so ids start with one long sorted run that
-        // a stable (run-detecting) sort passes over in linear time.
-        let mut by_string: Vec<u32> = (0..phrases.len() as u32).collect();
-        by_string.sort_by_key(|&id| phrases.resolve(Sym(id)));
-        t.lex_rank = vec![0; phrases.len()];
-        for (rank, &id) in by_string.iter().enumerate() {
-            t.lex_rank[id as usize] = rank as u32;
-        }
 
         // Per-phrase rewrite adjacency, built by counting sort over the
-        // sorted key slice: each stored record contributes one edge to its
+        // sorted records: each stored record contributes one edge to its
         // `from` phrase and one to its `to` phrase (one edge total for the
         // degenerate self-rewrite). Filling in sorted-key order keeps every
         // neighbor list deterministic for a given database.
         let n = phrases.len();
         let mut start = vec![0u32; n + 1];
-        for &key in &t.rewrite_keys {
+        for &(key, _) in &rewrites {
             let (from, to) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
             start[from + 1] += 1;
             if to != from {
@@ -282,23 +219,21 @@ impl CompiledFeatureTable {
                 other: 0,
                 log_odds: 0.0,
                 total: 0,
-                stored_from: false,
             };
             start[n] as usize
         ];
-        for (i, &key) in t.rewrite_keys.iter().enumerate() {
+        for &(key, stat) in &rewrites {
             let (from, to) = ((key >> 32) as u32, (key & 0xFFFF_FFFF) as u32);
-            let entry = &t.entries[t.rewrite_entries[i] as usize];
-            let edge = |other, stored_from| RewriteNeighbor {
+            let (log_odds, total) = (stat.log_odds(1.0), stat.total());
+            let edge = |other| RewriteNeighbor {
                 other,
-                log_odds: entry.log_odds,
-                total: entry.stat.total(),
-                stored_from,
+                log_odds,
+                total,
             };
-            t.rw_adj[cursor[from as usize] as usize] = edge(to, true);
+            t.rw_adj[cursor[from as usize] as usize] = edge(to);
             cursor[from as usize] += 1;
             if to != from {
-                t.rw_adj[cursor[to as usize] as usize] = edge(from, false);
+                t.rw_adj[cursor[to as usize] as usize] = edge(from);
                 cursor[to as usize] += 1;
             }
         }
@@ -307,14 +242,14 @@ impl CompiledFeatureTable {
         Ok(t)
     }
 
-    /// Number of compiled entries (equals the source database's key count).
+    /// Number of records compiled (equals the source database's key count).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.records
     }
 
-    /// Whether the table holds no entries.
+    /// Whether the table compiled no records.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.records == 0
     }
 
     /// Number of distinct phrases across all term and rewrite keys and
@@ -360,71 +295,13 @@ impl CompiledFeatureTable {
         }
     }
 
-    /// Whether phrase `a` precedes-or-equals phrase `b` lexicographically,
-    /// decided by precomputed ranks (both ids must come from
-    /// [`Self::phrase_id`]). Agrees with
-    /// [`crate::rewrite::is_canonical_order`] on the resolved strings.
-    pub fn lex_le(&self, a: u32, b: u32) -> bool {
-        self.lex_rank[a as usize] <= self.lex_rank[b as usize]
-    }
-
     /// The greedy matcher's candidate score for the rewrite `(a, b)` (table
     /// phrase ids, either direction), canonicalized exactly like
     /// [`crate::rewrite::canonical_rewrite_key`], or `None` when the
     /// database holds no evidence for the canonical pair.
     pub fn greedy_rewrite_score(&self, a: u32, b: u32) -> Option<f64> {
-        let key = if self.lex_le(a, b) {
-            pack_rw(a, b)
-        } else {
-            pack_rw(b, a)
-        };
-        let i = self.rewrite_keys.binary_search(&key).ok()?;
-        Some(self.entries[self.rewrite_entries[i] as usize].greedy_score)
-    }
-
-    /// Full compiled entry for `key`, if present. Superset of
-    /// [`Self::get`] exposing the precomputed derived values.
-    pub fn get_compiled(&self, key: &FeatureKey) -> Option<&CompiledStat> {
-        let idx = match key {
-            FeatureKey::Term { phrase } => {
-                let id = self.phrases.get(phrase)?;
-                let e = self.term_entry[id.index()];
-                if e == NO_ENTRY {
-                    return None;
-                }
-                e
-            }
-            FeatureKey::Rewrite { from, to } => {
-                let fid = self.phrases.get(from)?.0;
-                let tid = self.phrases.get(to)?.0;
-                let i = self.rewrite_keys.binary_search(&pack_rw(fid, tid)).ok()?;
-                self.rewrite_entries[i]
-            }
-            FeatureKey::TermPosition(p) => {
-                let i = self.term_pos_keys.binary_search(&pack_pos(*p)).ok()?;
-                self.term_pos_entries[i]
-            }
-            FeatureKey::RewritePosition { from, to } => {
-                let i = self
-                    .rw_pos_keys
-                    .binary_search(&pack_rw_pos(*from, *to))
-                    .ok()?;
-                self.rw_pos_entries[i]
-            }
-        };
-        Some(&self.entries[idx as usize])
-    }
-
-    /// Look up the raw counts for `key` — bit-identical to
-    /// [`StatsDb::get`] on the source database.
-    pub fn get(&self, key: &FeatureKey) -> Option<&FeatureStat> {
-        self.get_compiled(key).map(|c| &c.stat)
-    }
-
-    /// Precomputed α=1 log-odds for `key` (`0.0` when unseen), matching
-    /// `StatsDb::log_odds(key, 1.0)` bit for bit.
-    pub fn log_odds(&self, key: &FeatureKey) -> f64 {
-        self.get_compiled(key).map_or(0.0, |c| c.log_odds)
+        let i = self.greedy_keys.binary_search(&pack_rw(a, b)).ok()?;
+        Some(self.greedy_scores[i])
     }
 }
 
@@ -486,7 +363,9 @@ impl ScoringEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microbrowse_store::StatsDb;
+    use crate::rewrite::canonical_rewrite_key;
+    use microbrowse_store::key::{KeyFamily, SnippetPos};
+    use microbrowse_store::{FeatureKey, StatsDb};
 
     fn demo_db() -> StatsDb {
         StatsDb::from_records([
@@ -512,27 +391,33 @@ mod tests {
     }
 
     #[test]
-    fn get_matches_db_on_every_key_and_misses() {
-        let db = demo_db();
+    fn greedy_evidence_matches_db_on_every_id_pair() {
+        let mut records = demo_db().sorted_records();
+        records.push((
+            FeatureKey::rewrite("cheap", "cheap"),
+            FeatureStat { up: 3, down: 0 },
+        ));
+        let db = StatsDb::from_records(records);
         let table = CompiledFeatureTable::compile(&db, &[]).expect("compile");
         assert_eq!(table.len(), db.len());
-        for (key, stat) in db.iter() {
-            assert_eq!(table.get(key), Some(stat), "key {key:?}");
-            assert_eq!(
-                table.log_odds(key).to_bits(),
-                db.log_odds(key, 1.0).to_bits()
-            );
+        let n = table.num_phrases() as u32;
+        for a in 0..n {
+            for b in 0..n {
+                let (x, y) = (
+                    table.resolve_phrase(a).unwrap(),
+                    table.resolve_phrase(b).unwrap(),
+                );
+                let want = db
+                    .get(&canonical_rewrite_key(x, y))
+                    .map(greedy_candidate_score);
+                assert_eq!(
+                    table.greedy_rewrite_score(a, b).map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "({x}, {y})"
+                );
+            }
         }
-        for miss in [
-            FeatureKey::term("absent"),
-            FeatureKey::rewrite("cheap", "absent"),
-            FeatureKey::rewrite("discount", "cheap"), // literal direction, not stored
-            FeatureKey::term_position(5, 5),
-            FeatureKey::rewrite_position(SnippetPos::new(9, 9), SnippetPos::new(0, 0)),
-        ] {
-            assert_eq!(table.get(&miss), None, "miss {miss:?}");
-            assert_eq!(table.log_odds(&miss), 0.0);
-        }
+        assert_eq!(table.greedy_rewrite_score(0, n), None);
     }
 
     #[test]
@@ -565,7 +450,6 @@ mod tests {
         let from_side = table.rewrite_neighbors(cheap);
         assert_eq!(from_side.len(), 1);
         assert_eq!(from_side[0].other, discount);
-        assert!(from_side[0].stored_from);
         assert_eq!(from_side[0].total, 7);
         let want = FeatureStat { up: 6, down: 1 }.log_odds(1.0);
         assert_eq!(from_side[0].log_odds.to_bits(), want.to_bits());
@@ -573,7 +457,6 @@ mod tests {
         let to_side = table.rewrite_neighbors(discount);
         assert_eq!(to_side.len(), 1);
         assert_eq!(to_side[0].other, cheap);
-        assert!(!to_side[0].stored_from);
         assert_eq!(table.resolve_phrase(to_side[0].other), Some("cheap"));
 
         assert!(table.rewrite_neighbors(flights).is_empty());
@@ -585,7 +468,8 @@ mod tests {
         let table = CompiledFeatureTable::compile(&StatsDb::new(), &[]).expect("compile");
         assert!(table.is_empty());
         assert_eq!(table.num_phrases(), 0);
-        assert_eq!(table.get(&FeatureKey::term("x")), None);
+        assert_eq!(table.greedy_rewrite_score(0, 0), None);
+        assert!(table.rewrite_neighbors(0).is_empty());
     }
 
     #[test]
@@ -609,7 +493,6 @@ mod tests {
         let fees = table.phrase_id("fees").expect("vocabulary phrase");
         assert!(book_now as usize >= n && fees as usize >= n);
         assert!(table.rewrite_neighbors(fees).is_empty());
-        assert!(table.lex_le(book_now, fees));
         // Weight indices number distinct features in list order, as the
         // featurizer's preloaded vocabulary does: the duplicate "cheap"
         // takes no index of its own.
@@ -621,5 +504,58 @@ mod tests {
         );
         assert_eq!(table.weight_index(TermFeat::Term(Sym(fees))), Some(2));
         assert_eq!(table.weight_index(TermFeat::Term(Sym(book_now))), None);
+    }
+
+    /// Term-position and rewrite-position records initialize training
+    /// only: a database compiled with them serves exactly what the same
+    /// database compiled without them does.
+    #[test]
+    fn position_records_reach_nothing_served() {
+        let full = demo_db();
+        let families: Vec<_> = full.iter().map(|(k, _)| k.family()).collect();
+        for family in [
+            KeyFamily::Term,
+            KeyFamily::Rewrite,
+            KeyFamily::TermPosition,
+            KeyFamily::RewritePosition,
+        ] {
+            assert!(families.contains(&family), "demo_db lacks {family:?}");
+        }
+        let bare = StatsDb::from_records(full.sorted_records().into_iter().filter(|(k, _)| {
+            !matches!(
+                k.family(),
+                KeyFamily::TermPosition | KeyFamily::RewritePosition
+            )
+        }));
+        assert!(bare.len() < full.len());
+        let vocab = [
+            OwnedTermFeat::Term("cheap".into()),
+            OwnedTermFeat::Rewrite("cheap".into(), "discount".into()),
+            OwnedTermFeat::Term("fees".into()),
+            OwnedTermFeat::Rewrite("aa".into(), "zz".into()),
+        ];
+        let a = CompiledFeatureTable::compile(&full, &vocab).expect("compile");
+        let b = CompiledFeatureTable::compile(&bare, &vocab).expect("compile");
+        assert_eq!(a.num_phrases(), b.num_phrases());
+        let n = a.num_phrases() as u32;
+        for id in 0..n {
+            assert_eq!(a.resolve_phrase(id), b.resolve_phrase(id));
+            assert_eq!(a.rewrite_neighbors(id), b.rewrite_neighbors(id));
+            for other in 0..n {
+                assert_eq!(
+                    a.greedy_rewrite_score(id, other).map(f64::to_bits),
+                    b.greedy_rewrite_score(id, other).map(f64::to_bits)
+                );
+            }
+        }
+        for feat in &vocab {
+            let id = |p: &str| Sym(a.phrase_id(p).expect("vocabulary phrase"));
+            let feat = match feat {
+                OwnedTermFeat::Term(p) => TermFeat::Term(id(p)),
+                OwnedTermFeat::Rewrite(x, y) => TermFeat::Rewrite(id(x), id(y)),
+            };
+            assert_eq!(a.weight_index(feat), b.weight_index(feat));
+            assert!(a.weight_index(feat).is_some());
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the compiled hot-path scoring engine: the
-//! precompiled feature table must agree with `StatsDb` lookup-for-lookup,
-//! and the engine scorer (compiled table + snippet arena + alignment
+//! precompiled feature table's greedy rewrite evidence must agree with
+//! `StatsDb` on every phrase pair, and the engine scorer (compiled table + snippet arena + alignment
 //! cache) must be bit-identical to `ReferenceScorer` — the single-pair
 //! featurizer path, formerly the legacy scorer — over arbitrary corpora,
 //! models, fidelities, duplicate pairs, repeated batches, and hot reloads,
@@ -13,9 +13,7 @@ use microbrowse_core::compiled::CompiledFeatureTable;
 use microbrowse_core::features::{OwnedTermFeat, PositionVocab};
 use microbrowse_core::paircache::PairKey;
 use microbrowse_core::reference::ReferenceScorer;
-use microbrowse_core::rewrite::{
-    canonical_rewrite_key, greedy_candidate_score, is_canonical_order,
-};
+use microbrowse_core::rewrite::{canonical_rewrite_key, greedy_candidate_score};
 use microbrowse_core::serve::{DegradeReason, DeployedModel, Fidelity, ServingBundle};
 use microbrowse_core::{ModelSpec, TrainedClassifier};
 use microbrowse_ml::coupled::CoupledModel;
@@ -127,32 +125,32 @@ fn coupled_model() -> DeployedModel {
 }
 
 proptest! {
-    /// Every lookup the scorer can make against the compiled table returns
-    /// exactly what `StatsDb` would: same hit/miss decisions, the same
-    /// stat, and bit-identical precomputed log-odds.
+    /// The only statistics a request reads from the compiled table, the
+    /// greedy rewrite evidence, agree with `StatsDb` on every pair of
+    /// table phrase ids: the same hit/miss decision and the bit-identical
+    /// candidate score of the canonical key.
     #[test]
-    fn compiled_table_matches_statsdb(
-        db in arb_stats(),
-        probes in prop::collection::vec(arb_key(), 1..32),
-    ) {
+    fn compiled_table_matches_statsdb(db in arb_stats()) {
         let table = CompiledFeatureTable::compile(&db, &[]).expect("compile");
         prop_assert_eq!(table.len(), db.len());
-        // Probe both recorded keys and random (mostly missing) keys.
-        let recorded: Vec<FeatureKey> = db.iter().map(|(k, _)| k.clone()).collect();
-        for key in recorded.iter().chain(probes.iter()) {
-            prop_assert_eq!(table.get(key), db.get(key), "key {:?}", key);
-            let expect = db.get(key).map_or(0.0, |s| s.log_odds(1.0));
-            prop_assert_eq!(
-                table.log_odds(key).to_bits(),
-                expect.to_bits(),
-                "log-odds for {:?}", key
-            );
+        let n = table.num_phrases() as u32;
+        for ia in 0..n {
+            for ib in 0..n {
+                let a = table.resolve_phrase(ia).expect("table id");
+                let b = table.resolve_phrase(ib).expect("table id");
+                let expect = db.get(&canonical_rewrite_key(a, b)).map(greedy_candidate_score);
+                prop_assert_eq!(
+                    table.greedy_rewrite_score(ia, ib).map(f64::to_bits),
+                    expect.map(f64::to_bits),
+                    "greedy evidence for ({}, {})", a, b
+                );
+            }
         }
     }
 
     /// Canonicalized greedy rewrite evidence through the compiled table's
     /// interned ids agrees bit-for-bit with the string path the reference
-    /// extractor takes, and `lex_le` agrees with string canonical order.
+    /// extractor takes.
     #[test]
     fn compiled_greedy_evidence_matches_string_path(
         db in arb_stats(),
@@ -163,8 +161,6 @@ proptest! {
             let (Some(ia), Some(ib)) = (table.phrase_id(a), table.phrase_id(b)) else {
                 continue; // phrase never recorded → reference evidence also misses
             };
-            prop_assert_eq!(table.lex_le(ia, ib), a <= b);
-            prop_assert_eq!(table.lex_le(ia, ib), is_canonical_order(a, b) || a == b);
             let expect = db.get(&canonical_rewrite_key(a, b)).map(greedy_candidate_score);
             let got = table.greedy_rewrite_score(ia, ib);
             prop_assert_eq!(

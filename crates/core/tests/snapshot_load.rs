@@ -111,35 +111,25 @@ fn snapshot_of(keys: &[FeatureKey]) -> Vec<u8> {
     out
 }
 
-/// Every observable of two compiled tables agrees: entries per key, phrase
-/// ids and strings, lexicographic order, rewrite adjacency, and the weight
-/// index of every vocabulary feature.
+/// Every observable of two compiled tables agrees: record count, phrase
+/// ids and strings, greedy rewrite evidence for every id pair, rewrite
+/// adjacency, and the weight index of every vocabulary feature.
 fn assert_same_table(
     a: &CompiledFeatureTable,
     b: &CompiledFeatureTable,
-    db: &StatsDb,
     vocab: &[OwnedTermFeat],
 ) -> Result<(), String> {
     prop_assert_eq!(a.len(), b.len());
     prop_assert_eq!(a.num_phrases(), b.num_phrases());
-    for (key, _) in db.iter() {
-        let (x, y) = (a.get_compiled(key), b.get_compiled(key));
-        prop_assert_eq!(x.map(|c| c.stat), y.map(|c| c.stat), "{:?}", key);
-        prop_assert_eq!(
-            x.map(|c| c.log_odds.to_bits()),
-            y.map(|c| c.log_odds.to_bits())
-        );
-        prop_assert_eq!(
-            x.map(|c| c.greedy_score.to_bits()),
-            y.map(|c| c.greedy_score.to_bits())
-        );
-    }
     let n = a.num_phrases() as u32;
     for id in 0..n {
         prop_assert_eq!(a.resolve_phrase(id), b.resolve_phrase(id));
         prop_assert_eq!(a.rewrite_neighbors(id), b.rewrite_neighbors(id));
         for other in 0..n {
-            prop_assert_eq!(a.lex_le(id, other), b.lex_le(id, other));
+            prop_assert_eq!(
+                a.greedy_rewrite_score(id, other).map(f64::to_bits),
+                b.greedy_rewrite_score(id, other).map(f64::to_bits)
+            );
         }
     }
     let id = |t: &CompiledFeatureTable, p: &str| Sym(t.phrase_id(p).unwrap_or(u32::MAX));
@@ -182,8 +172,8 @@ proptest! {
             .expect("from parts");
         let direct = CompiledFeatureTable::compile(&db, &vocab).expect("compile");
 
-        assert_same_table(loaded.engine().table(), parts.engine().table(), &db, &vocab)?;
-        assert_same_table(loaded.engine().table(), &direct, &db, &vocab)?;
+        assert_same_table(loaded.engine().table(), parts.engine().table(), &vocab)?;
+        assert_same_table(loaded.engine().table(), &direct, &vocab)?;
         prop_assert_eq!(
             loaded.stats().expect("stats").sorted_records(),
             db.sorted_records()

@@ -164,11 +164,6 @@ impl Journal {
         self.segments.len()
     }
 
-    /// Number of idempotency keys currently remembered.
-    pub fn dedupe_window(&self) -> usize {
-        self.dedupe.len()
-    }
-
     /// Durably append a batch, or report the duplicate if its idempotency
     /// key is already in the window. On `Appended`, the segment file and
     /// the listing pointing at it are both on disk when this returns.

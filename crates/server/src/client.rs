@@ -533,6 +533,10 @@ impl std::fmt::Display for CallError {
 
 impl std::error::Error for CallError {}
 
+/// Ceiling on one attempt's connect and IO timeouts; the call's remaining
+/// deadline budget lowers it further.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// The failover-ready tier over [`Client`]: retries, backoff, breaker,
 /// and end-to-end deadline propagation.
 ///
@@ -545,7 +549,6 @@ pub struct ResilientClient {
     addr: SocketAddr,
     policy: RetryPolicy,
     breaker: CircuitBreaker,
-    io_timeout: Duration,
     conn: Option<Client>,
     rng: u64,
     last_trace: u128,
@@ -558,7 +561,6 @@ impl ResilientClient {
             addr,
             policy: RetryPolicy::default(),
             breaker: CircuitBreaker::new(BreakerConfig::default()),
-            io_timeout: Duration::from_secs(5),
             // Deterministic jitter seed; vary per client by address so two
             // clients hammering one server do not retry in lockstep.
             rng: 0x9E37_79B9 ^ ((addr.port() as u64) << 17),
@@ -582,12 +584,6 @@ impl ResilientClient {
     /// Replace the breaker tuning (resets the breaker to closed).
     pub fn with_breaker(mut self, cfg: BreakerConfig) -> Self {
         self.breaker = CircuitBreaker::new(cfg);
-        self
-    }
-
-    /// Replace the per-attempt IO timeout ceiling.
-    pub fn with_io_timeout(mut self, timeout: Duration) -> Self {
-        self.io_timeout = timeout;
         self
     }
 
@@ -767,7 +763,7 @@ impl ResilientClient {
         parent_span: u64,
         extra: &[(&str, String)],
     ) -> Result<HttpResponse, TransportError> {
-        let timeout = self.io_timeout.min(remaining).max(Duration::from_millis(1));
+        let timeout = IO_TIMEOUT.min(remaining).max(Duration::from_millis(1));
         if self.conn.is_none() {
             let conn = Client::connect_with_timeout(self.addr, timeout).map_err(|error| {
                 TransportError {

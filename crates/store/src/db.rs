@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use microbrowse_text::hash::{FxHashMap, FxHasher};
 
-use crate::key::{FeatureKey, KeyFamily, KeyRef};
+use crate::key::{FeatureKey, KeyRef};
 use crate::stats::FeatureStat;
 
 /// Records in strictly increasing key order, their phrases borrowed: what
@@ -125,29 +125,9 @@ impl StatsDb {
         SortedRecords::from_ordered(v)
     }
 
-    /// Per-family record counts (reporting / sanity checks).
-    pub fn family_counts(&self) -> FxHashMap<KeyFamily, usize> {
-        let mut out: FxHashMap<KeyFamily, usize> = FxHashMap::default();
-        for k in self.map.keys() {
-            *out.entry(k.family()).or_insert(0) += 1;
-        }
-        out
-    }
-
     /// Total observations across all features.
     pub fn total_observations(&self) -> u64 {
         self.map.values().map(FeatureStat::total).sum()
-    }
-
-    /// Drop features with fewer than `min_total` observations, returning
-    /// how many were removed. Rare features carry almost no evidence but
-    /// dominate the key space (Zipf), so pruning keeps snapshots small with
-    /// negligible effect on downstream initialization (which thresholds on
-    /// support anyway).
-    pub fn prune(&mut self, min_total: u64) -> usize {
-        let before = self.map.len();
-        self.map.retain(|_, s| s.total() >= min_total);
-        before - self.map.len()
     }
 }
 
@@ -282,18 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn family_counts() {
-        let mut db = StatsDb::new();
-        db.record(FeatureKey::term("a"), true);
-        db.record(FeatureKey::term("b"), true);
-        db.record(FeatureKey::rewrite("a", "b"), true);
-        let fc = db.family_counts();
-        assert_eq!(fc.get(&KeyFamily::Term), Some(&2));
-        assert_eq!(fc.get(&KeyFamily::Rewrite), Some(&1));
-        assert_eq!(fc.get(&KeyFamily::TermPosition), None);
-    }
-
-    #[test]
     fn sharded_builder_matches_sequential() {
         let builder = ShardedBuilder::new(8);
         std::thread::scope(|scope| {
@@ -326,21 +294,6 @@ mod tests {
         }
         b2.record_batch(obs);
         assert_eq!(b1.freeze().sorted_records(), b2.freeze().sorted_records());
-    }
-
-    #[test]
-    fn prune_drops_rare_features() {
-        let mut db = StatsDb::new();
-        for _ in 0..5 {
-            db.record(FeatureKey::term("common"), true);
-        }
-        db.record(FeatureKey::term("rare"), true);
-        let removed = db.prune(3);
-        assert_eq!(removed, 1);
-        assert!(db.get(&FeatureKey::term("common")).is_some());
-        assert!(db.get(&FeatureKey::term("rare")).is_none());
-        // Pruning at 0 is a no-op.
-        assert_eq!(db.prune(0), 0);
     }
 
     #[test]

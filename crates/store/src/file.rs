@@ -186,17 +186,6 @@ pub fn read_snapshot(path: &Path) -> Result<StatsDb, SnapshotError> {
     from_bytes(&bytes)
 }
 
-/// Merge several snapshots into one database (counts add), the way
-/// incremental corpus refreshes combine a new time window's statistics with
-/// the existing ones. Fails on the first unreadable snapshot.
-pub fn merge_snapshots<P: AsRef<Path>>(paths: &[P]) -> Result<StatsDb, SnapshotError> {
-    let mut merged = StatsDb::new();
-    for p in paths {
-        merged.merge(read_snapshot(p.as_ref())?);
-    }
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,27 +272,6 @@ mod tests {
         write_snapshot(&db, &path).expect("write");
         let back = read_snapshot(&path).expect("read");
         assert_eq!(db.sorted_records(), back.sorted_records());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merge_snapshots_adds_counts() {
-        let dir = std::env::temp_dir().join(format!("mbstats-merge-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut a = StatsDb::new();
-        a.record(FeatureKey::term("x"), true);
-        a.record(FeatureKey::term("y"), false);
-        let mut b = StatsDb::new();
-        b.record(FeatureKey::term("x"), false);
-        let pa = dir.join("a.mbs");
-        let pb = dir.join("b.mbs");
-        write_snapshot(&a, &pa).unwrap();
-        write_snapshot(&b, &pb).unwrap();
-        let merged = merge_snapshots(&[&pa, &pb]).expect("merge");
-        assert_eq!(merged.get(&FeatureKey::term("x")).unwrap().total(), 2);
-        assert_eq!(merged.get(&FeatureKey::term("y")).unwrap().total(), 1);
-        // A missing member fails the whole merge.
-        assert!(merge_snapshots(&[pa, dir.join("missing.mbs")]).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

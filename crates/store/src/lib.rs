@@ -34,7 +34,7 @@ pub mod slot;
 pub mod stats;
 
 pub use db::{ShardedBuilder, SortedRecords, StatsDb};
-pub use file::{merge_snapshots, read_snapshot, write_snapshot, SnapshotError};
+pub use file::{read_snapshot, write_snapshot, SnapshotError};
 pub use key::{FeatureKey, KeyRef};
 pub use slot::{write_atomic, ArtifactSlot, SlotError, SlotLoad};
 pub use stats::FeatureStat;
