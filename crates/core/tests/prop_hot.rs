@@ -1,10 +1,11 @@
 //! Property-based tests for the compiled hot-path scoring engine: the
 //! precompiled feature table's greedy rewrite evidence must agree with
-//! `StatsDb` on every phrase pair, and the engine scorer (compiled table + snippet arena + alignment
-//! cache) must be bit-identical to `ReferenceScorer` — the single-pair
-//! featurizer path, formerly the legacy scorer — over arbitrary corpora,
-//! models, fidelities, duplicate pairs, repeated batches, and hot reloads,
-//! on independently drawn pairs and on pairs built by editing one creative.
+//! `StatsDb` on every phrase pair, and the engine scorer (compiled
+//! table, snippet arena and alignment cache) must be bit-identical to
+//! `ReferenceScorer` — the single-pair featurizer path, formerly the
+//! legacy scorer — over arbitrary corpora, models, fidelities, duplicate
+//! pairs, repeated batches, and hot reloads, on independently drawn pairs
+//! and on pairs built by editing one creative.
 
 mod edit_pairs;
 
